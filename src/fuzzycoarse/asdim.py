@@ -624,7 +624,9 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     witness at derived(derived(r, t)).  ``witness_factory`` is called
     with that scale.  The refining cover defaults to the cover of balls
     at a deterministically chosen smaller radius, which is bounded at
-    (r, t) for t-independent spaces.
+    (r, t) for t-independent spaces.  On a window of consecutive integers
+    each ball that is one run is kept as a step-1 ``range``, so the cover
+    costs O(N) memory although its sets hold about N^2/2 points.
     """
     level1 = derived_scale(space, params)
     level2 = derived_scale(space, level1)
@@ -640,13 +642,11 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
                 "bounded at (r, t) for t-independent spaces"
             )
         rho = refinement_ball_level(space, params)
-        ball_sets = []
-        seen = set()
+        balls = {}
         for x in window:
-            bp = space.ball_points(x, 1 - rho, params.t, window)
-            if bp not in seen:
-                seen.add(bp)
-                ball_sets.append(bp)
+            runs = space.ball_runs(x, 1 - rho, params.t, window)
+            balls.setdefault(tuple(runs), runs)
+        ball_sets = [window.run_set(runs) for runs in balls.values()]
         refiner = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
     rep3 = refinement_via_lebesgue(space, refiner, c2, params)
     return PipelineResult(w, c1, c2, (rep1, rep2, rep3))

@@ -13,6 +13,7 @@ import sys
 
 from . import asdim, coarse
 from .config import (
+    _RANGE_RE,
     dump_json,
     format_scale,
     load_json_file,
@@ -308,10 +309,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_windows(argv) -> list:
+    """Rewrite ``--window -30..29`` as ``--window=-30..29``.
+
+    argparse takes a separate value that starts with '-' and is not a
+    plain number for an option, and then reports --window as missing it.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--window" and arg.startswith("-") and _RANGE_RE.match(arg):
+            out[-1] = f"--window={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_windows(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:

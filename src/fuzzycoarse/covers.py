@@ -12,29 +12,31 @@ set by its endpoints.  For the reciprocal-product rule, which decreases
 in each coordinate, the worst cross pair is realized by the two
 smallest set minima.  Brute force remains available and the fast paths
 are checked against it in the test suite.
+
+The scale predicates (multiplicity, scale multiplicity, Lebesgue pairs,
+refinement) look at member sets and balls on the window only, as runs of
+window indices (see ``Window``), and decide most questions from run
+endpoints with a bisect.  Member sets may be tuples or step-1 ranges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
 from .report import CertReport
-from .space import (
-    FuzzyMetricSpace,
-    ScaleParams,
-    Window,
-    materialize_region,
-    region_intersects,
-    region_within,
-)
+from .space import FuzzyMetricSpace, ScaleParams, Window
 
 ONE = Fraction(1)
 
 
-def _clean_set(s) -> tuple:
+def _clean_set(s):
+    """A sorted, duplicate-free member set; a step-1 range already is one."""
+    if isinstance(s, range) and s.step == 1:
+        return s
     return tuple(sorted(set(s)))
 
 
@@ -42,8 +44,12 @@ def _clean_set(s) -> tuple:
 class Family:
     """A labeled list of non-empty finite point sets.
 
-    Empty member sets are dropped on construction; how many were dropped
-    is kept so reports can say so.
+    ``Family.of`` turns each member into a sorted, duplicate-free tuple,
+    except a step-1 ``range``, which it keeps as it is: a range is already
+    sorted, and on a window of consecutive integers it is one run.  So
+    ``Family.of([range(1, 4)])`` and ``Family.of([(1, 2, 3)])`` hold the
+    same points but do not compare equal.  Empty member sets are dropped
+    on construction; how many were dropped is kept so reports can say so.
     """
 
     sets: tuple
@@ -222,7 +228,7 @@ def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
     ft = as_fraction(t)
     if ft <= 0:
         raise DomainError(f"t must be positive, got {ft}")
-    for p in us + vs:
+    for p in (*us, *vs):
         space._check_point(p)
     return max_cross_pair(space, us, vs, ft)[0]
 
@@ -248,7 +254,7 @@ def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
         for r in regions:
             intervals.extend(r[0])
             extras.update(r[1])
-        return materialize_region((tuple(intervals), tuple(sorted(extras))), window)
+        return window.points_of(window.region_runs((intervals, extras)))
     out = []
     for x in window:
         if any(space._raw(x, p, t) > b for p in us):
@@ -294,33 +300,89 @@ def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScalePa
     return fat, rep
 
 
+class _RunContainment:
+    """Decides whether some member set holds a run of window indices.
+
+    A run lies in a set exactly when it lies in one of the set's runs, so
+    all runs are sorted by start with a prefix maximum of their ends:
+    the answer is one bisect.
+    """
+
+    def __init__(self, set_runs):
+        runs = sorted(run for runs in set_runs for run in runs)
+        self.starts = [i for i, _ in runs]
+        self.reach = list(accumulate((j for _, j in runs), max))
+
+    def holds(self, i: int, j: int) -> bool:
+        k = bisect_right(self.starts, i)
+        return k > 0 and self.reach[k - 1] >= j
+
+
 def multiplicity(cover: Cover, window: Window) -> int:
     """Largest number of member sets containing any one window point."""
-    counts = {}
+    events = []
     for s in cover.all_sets():
-        for p in s:
-            if p in window:
-                counts[p] = counts.get(p, 0) + 1
-    return max(counts.values(), default=0)
+        for i, j in window.runs_of(s):
+            events.append((i, 1))
+            events.append((j, -1))
+    events.sort()
+    best = depth = 0
+    for _, step in events:
+        depth += step
+        best = max(best, depth)
+    return best
 
 
 def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
                        window: Window) -> int:
-    """Largest number of member sets met by any ball at scale (r, t)."""
-    sets = cover.all_sets()
-    tuples = [s for s in sets]
-    fsets = [frozenset(s) for s in sets]
+    """Largest number of member sets met by any ball at scale (r, t).
+
+    Balls and member sets are compared on the window.  A member that is
+    one run [i, j) meets the longest run [a, b) of a ball iff i < b and
+    j > a, so those members are counted with two bisects; members that
+    hold only the ball's remaining points are found through a
+    point -> owners map, and members of several runs are tested run
+    against run.
+    """
     b, t = params.threshold, params.t
-    best = 0
+    one, multi = [], []
+    for runs in map(window.runs_of, cover.all_sets()):
+        if len(runs) == 1:
+            one.append(runs[0])
+        elif runs:
+            multi.append(([i for i, _ in runs], [j for _, j in runs]))
+    starts = sorted(i for i, _ in one)
+    ends = sorted(j for _, j in one)
+
+    balls = []
     for x in window:
-        reg = space.region(x, b, t)
-        if reg is not None:
-            hits = sum(
-                1 for st, fs in zip(tuples, fsets) if region_intersects(reg, fs, st)
-            )
-        else:
-            bp = space.ball_points(x, b, t, window)
-            hits = sum(1 for fs in fsets if any(p in fs for p in bp))
+        runs = space.ball_runs(x, b, t, window)
+        main = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
+        extra = [k for run in runs if run != main for k in range(*run)]
+        balls.append((main, extra, runs))
+    wanted = sorted({k for _, extra, _ in balls for k in extra})
+    owners = {}
+    for sid, (i, j) in enumerate(one):
+        for k in wanted[bisect_left(wanted, i):bisect_left(wanted, j)]:
+            owners.setdefault(k, []).append(sid)
+
+    best = 0
+    for (a, bb), extra, runs in balls:
+        hits = bisect_left(starts, bb) - bisect_right(ends, a) if a < bb else 0
+        if extra:
+            met = set()
+            for k in extra:
+                for sid in owners.get(k, ()):
+                    i, j = one[sid]
+                    if j <= a or i >= bb:
+                        met.add(sid)
+            hits += len(met)
+        for s_starts, s_ends in multi:
+            for lo, hi in runs:
+                k = bisect_left(s_starts, hi)
+                if k > 0 and s_ends[k - 1] > lo:
+                    hits += 1
+                    break
         if hits > best:
             best = hits
     return best
@@ -328,32 +390,37 @@ def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParam
 
 def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
                              params: ScaleParams, window: Window):
-    """First window point whose ball fits in no member set, or None."""
+    """First window point whose ball fits in no member set, or None.
+
+    A ball lies in a member when one run of the member holds the ball's
+    hull; only a ball of several runs can also lie in a member of several
+    runs without that, so such balls are tested run by run against the
+    members of several runs that own the ball's first point.
+    """
     sets = cover.all_sets()
     if not covers_window(sets, window):
         raise PreconditionError(
             f"cover misses window points, e.g. {missing_points(sets, window)[:3]}"
         )
-    fsets = [frozenset(s) for s in sets]
+    set_runs = [window.runs_of(s) for s in sets]
+    hull_holds = _RunContainment(set_runs)
+    split = {}
     owners = {}
-    for idx, s in enumerate(sets):
-        for p in s:
-            owners.setdefault(p, []).append(idx)
+    for sid, runs in enumerate(set_runs):
+        if len(runs) > 1:
+            split[sid] = _RunContainment([runs])
+            for i, j in runs:
+                for k in range(i, j):
+                    owners.setdefault(k, []).append(sid)
     b, t = params.threshold, params.t
     for x in window:
-        reg = space.region(x, b, t)
-        found = False
-        for idx in owners[x]:
-            if reg is not None:
-                if region_within(reg, window, fsets[idx], sets[idx]):
-                    found = True
-                    break
-            else:
-                bp = space.ball_points(x, b, t, window)
-                if all(p in fsets[idx] for p in bp):
-                    found = True
-                    break
-        if not found:
+        runs = space.ball_runs(x, b, t, window)
+        if not runs or hull_holds.holds(runs[0][0], runs[-1][1]):
+            continue
+        if len(runs) == 1 or not any(
+            all(split[sid].holds(i, j) for i, j in runs)
+            for sid in owners.get(runs[0][0], ())
+        ):
             return x
     return None
 
@@ -365,18 +432,32 @@ def has_lebesgue_pair(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams
 
 
 def first_refinement_violation(cover_v: Cover, cover_u: Cover):
-    """First member set of V contained in no member set of U, or None."""
+    """First member set of V contained in no member set of U, or None.
+
+    The set is returned as V holds it: a tuple or a step-1 range.
+
+    A V-set that is one run of U's window lies in a U-set iff it lies in
+    one of that set's window runs, which is one bisect; any other V-set
+    is checked point by point against the U-sets owning its first point.
+    """
+    window = cover_u.window
     u_sets = cover_u.all_sets()
-    u_frozen = [frozenset(s) for s in u_sets]
-    owners = {}
-    for idx, s in enumerate(u_sets):
-        for p in s:
-            owners.setdefault(p, []).append(idx)
+    runs_hold = _RunContainment(map(window.runs_of, u_sets))
+    owners = u_frozen = None
     for s in cover_v.all_sets():
         if not s:
             continue
-        anchor = s[0]
-        if not any(all(p in u_frozen[idx] for p in s) for idx in owners.get(anchor, ())):
+        runs = window.runs_of(s)
+        if len(runs) == 1 and runs[0][1] - runs[0][0] == len(s):
+            if runs_hold.holds(*runs[0]):
+                continue
+            return s
+        if owners is None:
+            owners, u_frozen = {}, [frozenset(u) for u in u_sets]
+            for idx, u in enumerate(u_sets):
+                for p in u:
+                    owners.setdefault(p, []).append(idx)
+        if not any(u_frozen[idx].issuperset(s) for idx in owners.get(s[0], ())):
             return s
     return None
 

@@ -27,10 +27,12 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from operator import lt
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
-from .rationals import as_fraction
+from .rationals import as_fraction, largest_int_lt, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
 from .tnorm import MINIMUM, PRODUCT, TNorm
 
@@ -63,14 +65,25 @@ class Window:
 
     Windows are how infinite universes are made enumerable: every scan,
     ball and certificate is relative to one.
+
+    A set of window points is also described by its *runs*: sorted,
+    disjoint, non-adjacent half-open index ranges ``(i, j)`` standing for
+    ``points[i:j]``.  On a window of consecutive integers the run of an
+    interval is found by integer arithmetic on its bounds, which avoids
+    comparing Fraction bounds with the points; on any other window it
+    takes one bisect per bound.
     """
 
-    __slots__ = ("points", "_set")
+    __slots__ = ("points", "_set", "_first_int")
 
     def __init__(self, points):
         pts = sorted(set(points))
         self.points = tuple(pts)
         self._set = frozenset(pts)
+        contiguous = (bool(pts) and isinstance(pts[0], int) and isinstance(pts[-1], int)
+                      and len(pts) == pts[-1] - pts[0] + 1
+                      and all(isinstance(p, int) for p in pts))
+        self._first_int = pts[0] if contiguous else None
 
     def __iter__(self):
         return iter(self.points)
@@ -87,33 +100,96 @@ class Window:
     def __hash__(self):
         return hash(self.points)
 
-    def between(self, lo, hi, include_lo=False, include_hi=False) -> tuple:
-        """Window points inside the interval with the given bound strictness.
-
-        ``None`` on either side means unbounded.
-        """
+    def span(self, lo, hi, include_lo=False, include_hi=False) -> tuple:
+        """Index range ``(i, j)`` of the window points inside the interval,
+        with ``i >= j`` when there are none.  ``None`` means unbounded."""
+        n = len(self.points)
+        w0 = self._first_int
+        if w0 is not None:
+            if lo is None:
+                i = 0
+            else:
+                i = max(0, (math.ceil(lo) if include_lo else smallest_int_gt(lo)) - w0)
+            if hi is None:
+                j = n
+            else:
+                j = min(n, (math.floor(hi) if include_hi else largest_int_lt(hi)) - w0 + 1)
+            return i, j
         pts = self.points
         if lo is None:
             i = 0
         else:
             i = bisect_left(pts, lo) if include_lo else bisect_right(pts, lo)
         if hi is None:
-            j = len(pts)
+            j = n
         else:
             j = bisect_right(pts, hi) if include_hi else bisect_left(pts, hi)
-        return pts[i:j] if i < j else ()
+        return i, j
+
+    def between(self, lo, hi, include_lo=False, include_hi=False) -> tuple:
+        """Window points inside the interval with the given bound strictness.
+
+        ``None`` on either side means unbounded.
+        """
+        i, j = self.span(lo, hi, include_lo, include_hi)
+        return self.points[i:j] if i < j else ()
 
     def count_between(self, lo, hi, include_lo=False, include_hi=False) -> int:
-        return len(self.between(lo, hi, include_lo, include_hi))
+        i, j = self.span(lo, hi, include_lo, include_hi)
+        return max(0, j - i)
 
     def is_contiguous_ints(self) -> bool:
-        pts = self.points
-        return (
-            bool(pts)
-            and all(isinstance(p, int) for p in (pts[0], pts[-1]))
-            and len(pts) == pts[-1] - pts[0] + 1
-            and all(isinstance(p, int) for p in pts)
-        )
+        return self._first_int is not None
+
+    def index_of(self, p):
+        """Index of a window point, or None for a point outside the window."""
+        if p not in self._set:
+            return None
+        return bisect_left(self.points, p)
+
+    def runs_of(self, points) -> list:
+        """Runs of the window points among a sequence of points, in any
+        order and possibly with repeats.
+
+        A step-1 ``range`` on a window of consecutive integers is clipped
+        in O(1); a strictly increasing sequence that is one run is
+        recognised with one subset test, one order check and two index
+        lookups.
+        """
+        if not points:
+            return []
+        w0 = self._first_int
+        if w0 is not None and isinstance(points, range) and points.step == 1:
+            i = max(0, points.start - w0)
+            j = min(len(self.points), points.stop - w0)
+            return [(i, j)] if i < j else []
+        if self._set.issuperset(points):
+            i = self.index_of(points[0])
+            j = i + len(points)
+            if (j <= len(self.points) and self.points[j - 1] == points[-1]
+                    and all(map(lt, points, islice(points, 1, None)))):
+                return [(i, j)]
+        return _coalesce_runs((k, k + 1) for k in map(self.index_of, points)
+                              if k is not None)
+
+    def region_runs(self, region) -> list:
+        """Runs of the window points in an (open intervals, extra points) region."""
+        intervals, extras = region
+        runs = [self.span(lo, hi) for lo, hi in intervals]
+        runs.extend((k, k + 1) for k in map(self.index_of, extras) if k is not None)
+        return _coalesce_runs(runs)
+
+    def points_of(self, runs) -> tuple:
+        """The window points of a run list, in window order."""
+        return tuple(chain.from_iterable(self.points[i:j] for i, j in runs))
+
+    def run_set(self, runs):
+        """A member set holding the points of a run list: a step-1 ``range``
+        for one run of consecutive integers, otherwise a tuple."""
+        if self._first_int is not None and len(runs) == 1:
+            i, j = runs[0]
+            return range(self._first_int + i, self._first_int + j)
+        return self.points_of(runs)
 
     def label(self) -> str:
         if not self.points:
@@ -129,6 +205,20 @@ class Window:
 
     def __repr__(self):
         return f"Window({self.label()})"
+
+
+def _coalesce_runs(runs) -> list:
+    """Sort half-open index runs and merge the overlapping or adjacent ones."""
+    out = []
+    for i, j in sorted(runs):
+        if i >= j:
+            continue
+        if out and i <= out[-1][1]:
+            if j > out[-1][1]:
+                out[-1] = (out[-1][0], j)
+        else:
+            out.append((i, j))
+    return out
 
 
 def int_window(lo: int, hi: int) -> Window:
@@ -516,75 +606,18 @@ class FuzzyMetricSpace:
         reg = self._kind.region(x, bound, t)
         if reg is None:
             return tuple(y for y in window if self._kind.value(x, y, t) > bound)
-        return materialize_region(reg, window)
+        return window.points_of(window.region_runs(reg))
+
+    def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
+        """The points of ``ball_points`` as window runs, without listing
+        them when the kind has a closed-form region."""
+        reg = self._kind.region(x, bound, t)
+        if reg is None:
+            return window.runs_of(self.ball_points(x, bound, t, window))
+        return window.region_runs(reg)
 
     def with_universe(self, universe: Universe) -> "FuzzyMetricSpace":
         return FuzzyMetricSpace(self._kind, self.tnorm, universe)
-
-
-def materialize_region(region, window: Window) -> tuple:
-    """Sorted window points covered by a (intervals, extras) region."""
-    intervals, extras = region
-    pieces = [window.between(lo, hi) for lo, hi in _merge_open_intervals(intervals)]
-    pts = set()
-    for piece in pieces:
-        pts.update(piece)
-    pts.update(p for p in extras if p in window)
-    return tuple(sorted(pts))
-
-
-def _merge_open_intervals(intervals):
-    """Merge strictly overlapping open intervals (None = unbounded side)."""
-    if not intervals:
-        return []
-
-    def key(iv):
-        lo, _ = iv
-        return (0,) if lo is None else (1, lo)
-
-    merged = []
-    for lo, hi in sorted(intervals, key=key):
-        if merged:
-            plo, phi = merged[-1]
-            overlap = phi is None or (lo is not None and lo < phi) or (lo is None)
-            if overlap:
-                if phi is not None and (hi is None or hi > phi):
-                    merged[-1] = (plo, hi)
-                continue
-        merged.append((lo, hi))
-    return merged
-
-
-def region_intersects(region, sset: frozenset, stuple: tuple) -> bool:
-    """Whether a region meets a sorted point set."""
-    intervals, extras = region
-    for p in extras:
-        if p in sset:
-            return True
-    for lo, hi in intervals:
-        i = 0 if lo is None else bisect_right(stuple, lo)
-        j = len(stuple) if hi is None else bisect_left(stuple, hi)
-        if i < j:
-            return True
-    return False
-
-
-def region_within(region, window: Window, sset: frozenset, stuple: tuple) -> bool:
-    """Whether every window point of a region belongs to the set.
-
-    Assumes the set is itself a subset of the window, so counting
-    suffices on intervals.
-    """
-    intervals, extras = region
-    for p in extras:
-        if p in window and p not in sset:
-            return False
-    for lo, hi in _merge_open_intervals(intervals):
-        i = 0 if lo is None else bisect_right(stuple, lo)
-        j = len(stuple) if hi is None else bisect_left(stuple, hi)
-        if (j - i) != window.count_between(lo, hi):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

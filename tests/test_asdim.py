@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,25 @@ def test_full_pipeline_ratio():
         )
         assert result.passed
         assert multiplicity(result.lebesgue_cover, w) <= 2
+
+
+@pytest.mark.parametrize("space, construct", [
+    (ratio_minmax_space(), witness_ratio_minmax),
+    (reciprocal_product_space(), witness_reciprocal_product),
+])
+def test_pipeline_memory_stays_linear(space, construct):
+    """The default ball cover holds about N^2/2 points, 200 M at N = 20000;
+    kept as runs, the whole pipeline stays far below 64 MB."""
+    w = int_window(1, 20000)
+    tracemalloc.start()
+    try:
+        result = run_dimension_pipeline(space, ScaleParams(F(1, 2), 1), w,
+                                        lambda scale: construct(scale, w))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 64 * 2 ** 20
 
 
 def test_pipeline_singleton_ball_cover_on_integers():

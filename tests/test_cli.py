@@ -58,6 +58,15 @@ def test_verify_axioms_bridge_cases():
     assert "threshold-bridge" in out
 
 
+def test_negative_window_in_both_argument_forms():
+    argv = ["verify-axioms", "--space", "standard", "--t-grid", "1"]
+    spaced = run_cli(argv + ["--window", "-30..29"])
+    joined = run_cli(argv + ["--window=-30..29"])
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert "window=-30..29" in spaced[1]
+
+
 # ---------------------------------------------------------------------------
 # witness / check
 # ---------------------------------------------------------------------------

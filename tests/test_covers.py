@@ -1,15 +1,22 @@
 from fractions import Fraction
 from itertools import combinations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzycoarse import (
     Cover,
+    EuclideanLattice,
     Family,
+    FuzzyMetricSpace,
     ScaleParams,
+    TableMetric,
+    Window,
     cross_sup,
+    grid_window,
     has_lebesgue_pair,
     int_window,
     is_scale_disjoint,
@@ -25,8 +32,14 @@ from fuzzycoarse import (
     standard_space,
     ultrametric_space,
 )
-from fuzzycoarse.covers import family_max_cross, family_min_intra
+from fuzzycoarse.covers import (
+    family_max_cross,
+    family_min_intra,
+    first_lebesgue_violation,
+    first_refinement_violation,
+)
 from fuzzycoarse.errors import DomainError, PreconditionError, UnsupportedOperationError
+from fuzzycoarse.space import RATIONALS
 
 F = Fraction
 
@@ -75,6 +88,12 @@ def test_family_drops_empty_sets():
     assert fam.sets == ((1, 3), (5,))
     assert fam.dropped_empty == 1
     assert fam.support() == (1, 3, 5)
+
+
+def test_family_keeps_step_one_ranges():
+    fam = Family.of([range(1, 4), range(1, 8, 2)])
+    assert fam.sets == (range(1, 4), (1, 3, 5, 7))
+    assert list(fam.sets[0]) == [1, 2, 3]
 
 
 def test_cover_all_sets_and_labels():
@@ -267,10 +286,14 @@ def test_multiplicity_examples():
     assert multiplicity(Cover.of([], int_window(1, 1)), int_window(1, 1)) == 0
 
 
+def brute_ball(space, x, params, window):
+    return {y for y in window if space.value(x, y, params.t) > params.threshold}
+
+
 def brute_scale_multiplicity(space, cover, params, window):
     best = 0
     for x in window:
-        bp = set(space.ball_points(x, params.threshold, params.t, window))
+        bp = brute_ball(space, x, params, window)
         best = max(best, sum(1 for s in cover.all_sets() if bp & set(s)))
     return best
 
@@ -296,13 +319,12 @@ def test_scale_multiplicity_matches_brute(factory):
             brute_scale_multiplicity(space, cov, p, w)
 
 
-def brute_lebesgue(space, cover, params, window):
+def brute_lebesgue_violation(space, cover, params, window):
     sets = [frozenset(s) for s in cover.all_sets()]
     for x in window:
-        bp = set(y for y in window if space.value(x, y, params.t) > params.threshold)
-        if not any(bp <= s for s in sets):
-            return False
-    return True
+        if not any(brute_ball(space, x, params, window) <= s for s in sets):
+            return x
+    return None
 
 
 @pytest.mark.parametrize("factory", SPACES)
@@ -318,7 +340,8 @@ def test_lebesgue_matches_brute(factory):
     for cov in covers:
         for r, t in [(F(1, 3), 1), (F(1, 2), 2), (F(4, 5), 1)]:
             p = ScaleParams(r, t)
-            assert has_lebesgue_pair(space, cov, p, w) == brute_lebesgue(space, cov, p, w)
+            assert has_lebesgue_pair(space, cov, p, w) == \
+                (brute_lebesgue_violation(space, cov, p, w) is None)
 
 
 def test_family_boundedness_matches_metric_at_half():
@@ -364,8 +387,6 @@ def test_refines():
 
 
 def test_violation_witnesses():
-    from fuzzycoarse.covers import first_lebesgue_violation, first_refinement_violation
-
     std = standard_space()
     w = int_window(0, 49)
     blocks = Cover.of([Family.of(blocks_cover(0, 49, 10))], w)
@@ -376,3 +397,200 @@ def test_violation_witnesses():
     merged = Cover.of([Family.of([[1, 2, 3]])], int_window(1, 3))
     assert first_refinement_violation(merged, c) == (1, 2, 3)
     assert first_refinement_violation(c, merged) is None
+
+
+# ---------------------------------------------------------------------------
+# window semantics: member points outside the window are never counted
+# ---------------------------------------------------------------------------
+
+
+def test_scale_multiplicity_ignores_points_outside_the_window():
+    ratio = ratio_minmax_space()
+    w = int_window(1, 5)
+    cov = Cover.of([Family.of([(4,), (8,)])], w)
+    p = ScaleParams(F(1, 2), 1)
+    # the ball of 5 is {3, 4, 5} on the window; 8 lies outside it
+    assert scale_multiplicity(ratio, cov, p, w) == 1
+    assert brute_scale_multiplicity(ratio, cov, p, w) == 1
+
+
+def test_lebesgue_ignores_points_outside_the_window():
+    ratio = ratio_minmax_space()
+    w = int_window(1, 4)
+    cov = Cover.of([Family.of([(2, 7, 8), (4, 5, 6, 9), (1,), (3,)])], w)
+    p = ScaleParams(F(1, 4), 1)
+    # every window ball is a singleton, so each fits in the set owning it
+    assert first_lebesgue_violation(ratio, cov, p, w) is None
+    assert brute_lebesgue_violation(ratio, cov, p, w) is None
+
+
+def test_balls_that_skip_a_window_point():
+    """Around 0 and 2 the ball is {0, 2}: two runs of the window 0..2."""
+    space = standard_space(TableMetric(range(3), [[0, 4, 1], [4, 0, 4], [1, 4, 0]]))
+    w = int_window(0, 2)
+    p = ScaleParams(F(2, 3), 1)
+    singles = Cover.of([Family.of([(0,), (1,), (2,)])], w)
+    assert scale_multiplicity(space, singles, p, w) == 2
+    assert brute_scale_multiplicity(space, singles, p, w) == 2
+    split = Cover.of([Family.of([(0, 2), (1,)])], w)
+    assert first_lebesgue_violation(space, split, p, w) is None
+    assert brute_lebesgue_violation(space, split, p, w) is None
+
+
+def test_members_in_any_order_or_with_repeats():
+    """A Family built directly may hold unsorted tuples with repeats."""
+    ratio = ratio_minmax_space()
+    w = int_window(1, 10)
+    p = ScaleParams(F(1, 2), 1)
+    messy = Cover.of([Family(((2, 5, 4), (4, 4, 2), (10, 9, 8, 7, 6, 3, 1)))], w)
+    clean = Cover.of([Family.of(messy.all_sets())], w)
+    assert multiplicity(messy, w) == multiplicity(clean, w) == 2
+    assert (scale_multiplicity(ratio, messy, p, w) == scale_multiplicity(ratio, clean, p, w)
+            == brute_scale_multiplicity(ratio, messy, p, w))
+    assert (first_lebesgue_violation(ratio, messy, p, w)
+            == brute_lebesgue_violation(ratio, messy, p, w) == 2)
+    runs = Cover.of([Family((range(2, 6),))], w)
+    assert first_refinement_violation(runs, messy) == range(2, 6)
+    assert first_refinement_violation(Cover.of([Family(((5, 3),))], w), runs) is None
+
+
+# ---------------------------------------------------------------------------
+# differential suite: window runs vs window scans vs the definitions
+# ---------------------------------------------------------------------------
+
+
+def region_free(space):
+    """The same space without closed-form regions: every ball is a window scan."""
+    kind = copy.copy(space._kind)
+    kind.region = lambda x, bound, t: None
+    return FuzzyMetricSpace(kind, space.tnorm, space.universe)
+
+
+LINE_KINDS = [ratio_minmax_space, reciprocal_product_space, pathological_space,
+              ultrametric_space]
+
+
+@st.composite
+def spaces_and_windows(draw):
+    """(space, window, points outside the window) over every built-in space.
+
+    Windows are runs of integers, sparse integer sets, negative-integer
+    windows and rational grids.  Lattice and table spaces have no regions;
+    a random distance table makes balls that are not runs of the window.
+    """
+    case = draw(st.sampled_from(["standard", "rational", "line", "lattice", "table"]))
+    if case == "table":
+        n = 7
+        d = {(i, j): draw(st.integers(1, 4)) for i in range(n) for j in range(i + 1, n)}
+        table = TableMetric(range(n), [[0 if i == j else d[min(i, j), max(i, j)]
+                                        for j in range(n)] for i in range(n)])
+        pts = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        return standard_space(table), Window(pts), [p for p in range(n) if p not in pts]
+    if case == "rational":
+        lo = F(draw(st.integers(-6, 2)), draw(st.sampled_from([1, 2, 3])))
+        step = draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+        w = grid_window(lo, lo + step * draw(st.integers(0, 11)), step)
+        space = standard_space(universe=RATIONALS)
+        return space, w, [p + step / 2 for p in w.points[:3]] + [w.points[-1] + step]
+    if case == "lattice":
+        pts = draw(st.sets(st.integers(-8, 8), min_size=1, max_size=10))
+        return standard_space(EuclideanLattice(1)), Window((p,) for p in pts), [(20,), (-20,)]
+    if case == "standard":
+        space, floor = standard_space(), -15
+    else:
+        space, floor = draw(st.sampled_from(LINE_KINDS))(), 1
+    if draw(st.booleans()):
+        lo = draw(st.integers(floor, floor + 10))
+        w = int_window(lo, lo + draw(st.integers(0, 13)))
+    else:
+        w = Window(draw(st.sets(st.integers(floor, floor + 20), min_size=1, max_size=12)))
+    top = w.points[-1]
+    outside = [p for p in range(floor, top + 4) if p not in w]
+    return space, w, outside
+
+
+@st.composite
+def member_sets(draw, window, outside, count):
+    """Runs of window points (as tuples, or ranges over integers), arbitrary
+    window subsets, and sets that stick out of the window."""
+    pts = window.points
+    sets = []
+    for _ in range(count):
+        shape = draw(st.sampled_from(["run", "subset", "outside", "outside"]))
+        if shape == "run":
+            i = draw(st.integers(0, len(pts) - 1))
+            j = draw(st.integers(i, len(pts) - 1))
+            run = pts[i:j + 1]
+            if isinstance(run[0], int) and isinstance(run[-1], int) and draw(st.booleans()):
+                sets.append(range(run[0], run[-1] + 1 + draw(st.integers(0, 2))))
+            else:
+                sets.append(run)
+        else:
+            s = set(draw(st.lists(st.sampled_from(pts), min_size=1, max_size=4)))
+            if shape == "outside" and outside:
+                s |= set(draw(st.lists(st.sampled_from(outside), min_size=1, max_size=4)))
+            sets.append(s)
+    return sets
+
+
+SCALES = st.builds(ScaleParams, st.sampled_from([F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(4, 5)]),
+                   st.sampled_from([F(1, 2), 1, 3]))
+
+
+def split_into_families(sets, data):
+    cut = data.draw(st.integers(0, len(sets)))
+    return [Family.of(sets[:cut], "a"), Family.of(sets[cut:], "b")]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_scale_multiplicity_runs_scans_and_definition_agree(data):
+    space, w, outside = data.draw(spaces_and_windows())
+    sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 6))))
+    cov = Cover.of(split_into_families(sets, data), w)
+    p = data.draw(SCALES)
+    want = brute_scale_multiplicity(space, cov, p, w)
+    assert scale_multiplicity(space, cov, p, w) == want
+    assert scale_multiplicity(region_free(space), cov, p, w) == want
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_lebesgue_runs_scans_and_definition_agree(data):
+    space, w, outside = data.draw(spaces_and_windows())
+    sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
+    if data.draw(st.booleans()):
+        sets += [(p,) for p in w]  # make it a cover
+    cov = Cover.of(split_into_families(sets, data), w)
+    p = data.draw(SCALES)
+    if not set(w) <= set().union(*map(set, sets)):
+        for sp in (space, region_free(space)):
+            with pytest.raises(PreconditionError):
+                first_lebesgue_violation(sp, cov, p, w)
+        return
+    want = brute_lebesgue_violation(space, cov, p, w)
+    assert first_lebesgue_violation(space, cov, p, w) == want
+    assert first_lebesgue_violation(region_free(space), cov, p, w) == want
+
+
+def brute_refinement_violation(cover_v, cover_u):
+    targets = [set(u) for u in cover_u.all_sets()]
+    return next((s for s in cover_v.all_sets() if not any(set(s) <= u for u in targets)), None)
+
+
+def brute_multiplicity(cover, window):
+    return max((sum(1 for s in cover.all_sets() if p in s) for p in window), default=0)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_refinement_and_multiplicity_runs_points_and_definition_agree(data):
+    _, w, outside = data.draw(spaces_and_windows())
+    cov_v = Cover.of([Family.of(data.draw(member_sets(w, outside, data.draw(st.integers(0, 5)))))], w)
+    cov_u = Cover.of([Family.of(data.draw(member_sets(w, outside, data.draw(st.integers(0, 5)))))], w)
+    want = brute_refinement_violation(cov_v, cov_u)
+    assert first_refinement_violation(cov_v, cov_u) == want
+    # with no window runs to use, every set is checked point by point
+    assert first_refinement_violation(cov_v, Cover(cov_u.families, Window(()))) == want
+    assert multiplicity(cov_v, w) == brute_multiplicity(cov_v, w)
+    assert multiplicity(cov_u, w) == brute_multiplicity(cov_u, w)

@@ -66,6 +66,45 @@ def test_window_between():
     assert grid_window(0, 2, F(1, 2)).points == (0, F(1, 2), 1, F(3, 2), 2)
 
 
+def test_window_contiguity_is_decided_once_from_the_points():
+    assert Window(range(-3, 4)).is_contiguous_ints()
+    assert Window([3, 1, 2, 2]).is_contiguous_ints()
+    assert not Window(range(0, 10, 2)).is_contiguous_ints()
+    assert not Window([1, F(3, 2), 3]).is_contiguous_ints()
+    assert not Window([]).is_contiguous_ints()
+
+
+def test_runs_of_takes_points_in_any_order():
+    w = int_window(1, 10)
+    assert w.runs_of((2, 3, 4)) == [(1, 4)]
+    assert w.runs_of((2, 5, 4)) == [(1, 2), (3, 5)]
+    assert w.runs_of((4, 3, 2)) == [(1, 4)]
+    assert w.runs_of((2, 2, 4)) == [(1, 2), (3, 4)]
+    assert w.runs_of((0, 1, 2, 11)) == [(0, 2)]
+    assert w.runs_of(range(0, 4)) == [(0, 3)]
+    sparse = Window([1, 3, F(7, 2), 9])
+    assert sparse.runs_of((9, 3)) == [(1, 2), (3, 4)]
+    assert sparse.runs_of((3, F(7, 2), 9)) == [(1, 4)]
+
+
+BOUNDS = st.none() | st.fractions(-9, 12, max_denominator=3)
+
+
+@given(lo=BOUNDS, hi=BOUNDS, include_lo=st.booleans(), include_hi=st.booleans(),
+       sparse=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_window_between_matches_its_definition(lo, hi, include_lo, include_hi, sparse):
+    w = Window([-5, -2, F(1, 2), 3, 8] if sparse else range(-5, 9))
+
+    def inside(p):
+        return ((lo is None or (p >= lo if include_lo else p > lo))
+                and (hi is None or (p <= hi if include_hi else p < hi)))
+
+    want = tuple(p for p in w if inside(p))
+    assert w.between(lo, hi, include_lo, include_hi) == want
+    assert w.count_between(lo, hi, include_lo, include_hi) == len(want)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
