@@ -1,0 +1,107 @@
+"""Golden report streams: the sha256 of stdout and the exit code of fixed
+CLI runs, so a refactor that must leave every stream byte-identical is
+checked against recorded bytes, not only against itself.
+
+Re-record a digest only with a change that explains why its stream moved.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+from fractions import Fraction as F
+
+import pytest
+
+from fuzzycoarse import MINIMUM, ScaleParams, Window, standard_space, witness_ball_partition
+from fuzzycoarse.cli import main
+from fuzzycoarse.errors import NonArchimedeanViolationError
+
+GRID = ["--t-grid", "1/2,1,2,7"]
+
+# A coarse run through every check: both moduli, onto, the inverse and a
+# transport with the built-in ratio_minmax witness constructor.
+INVERSE_AND_TRANSPORT = {
+    "source_space": "ratio_minmax",
+    "target_space": "ratio_minmax",
+    "map": {
+        "rule": "identity",
+        "domain": "1..120",
+        "expansive": [{"level_in": "1/8", "t_in": "1", "level_out": "1/8", "t_out": "1"}],
+        "proper": [{"level_in": "1/8", "t_in": "3", "level_out": "1/8", "t_out": "1"},
+                   {"level_in": "1/2", "t_in": "1", "level_out": "1/2", "t_out": "1"}],
+        "onto": "1/2:1",
+    },
+    "window_x": "1..120",
+    "window_y": "1..120",
+    "scale": "1/3:1",
+    "inverse": True,
+    "transport": {},
+}
+
+# x -> 3x + 1 triples distances: one expansive entry and one proper entry
+# fail, each next to one that passes.
+MODULUS_FAILURES = {
+    "source_space": "standard",
+    "target_space": "standard",
+    "map": {
+        "rule": {"affine": {"a": "3", "b": "1"}},
+        "domain": "0..30",
+        "expansive": [{"level_in": "1/2", "t_in": "1", "level_out": "1/2", "t_out": "1"},
+                      {"level_in": "1/2", "t_in": "1", "level_out": "1/2", "t_out": "6"}],
+        "proper": [{"level_in": "1/4", "t_in": "1", "level_out": "1/2", "t_out": "1"},
+                   {"level_in": "1/8", "t_in": "1", "level_out": "1/2", "t_out": "1"}],
+    },
+    "window_x": "0..30",
+    "window_y": "0..91",
+    "scale": "1/2:1",
+}
+
+PATHOLOGICAL_PRODUCT = {"space": {"kind": "pathological", "tnorm": "product"}}
+
+# name -> (argv, config written to a file and passed as --config, exit code,
+#          sha256 of stdout)
+CASES = {
+    "axioms-ratio": (
+        ["verify-axioms", "--space", "ratio_minmax", "--window", "1..20"] + GRID, None, 0,
+        "cdd9f0a14a6383f14609d51b0da349b219fd2f2fc3cdbacec94095767f5e5007"),
+    "axioms-ultrametric": (
+        ["verify-axioms", "--space", "ultrametric_standard", "--window", "1..20"] + GRID, None, 0,
+        "7841098e568097695fca45ef03fca058cde52ad3e8579b09ee9f82777cef60e1"),
+    "axioms-standard": (
+        ["verify-axioms", "--space", "standard", "--window=-5..5"] + GRID, None, 0,
+        "45fac5dd006373facacb59cdee2f2f9c7468026a95389102d9bce84ea77db25b"),
+    "axioms-pathological-product": (
+        ["verify-axioms", "--window", "1..20"] + GRID, PATHOLOGICAL_PRODUCT, 1,
+        "b66d5e7c1e0fe29e2f5c034c4a4ec2588320ef5ca11053410c657f64d469f5b1"),
+    "witness-ultrametric": (
+        ["witness", "--space", "ultrametric_standard", "--scale", "1/4:10", "--window", "1..60"],
+        None, 0,
+        "3342416c259f33f6fbc03b236803934f4b3263181431a3b9fbe6fa9bf3a865dc"),
+    "coarse-inverse-transport": (
+        ["coarse"], INVERSE_AND_TRANSPORT, 0,
+        "27af823ff320f84385f1451bb981d1255b296eaa51f1fcea7af51278f61b0d7b"),
+    "coarse-modulus-failures": (
+        ["coarse"], MODULUS_FAILURES, 1,
+        "01886cb71e35ac7896e7649f7c6aea7dcc3424bbbc7e3729f802a48b7d97cb52"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stream(name, tmp_path):
+    argv, config, code, digest = CASES[name]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = main(argv)
+    assert (got, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()) == (code, digest)
+
+
+def test_golden_non_archimedean_message():
+    with pytest.raises(NonArchimedeanViolationError) as info:
+        witness_ball_partition(standard_space(tnorm=MINIMUM), ScaleParams(F(1, 2), 4),
+                               F(1, 4), Window(range(0, 12)))
+    assert str(info.value) == "M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at (0, 1, 2) (t=4)"
