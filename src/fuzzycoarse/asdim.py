@@ -22,7 +22,6 @@ from itertools import combinations
 from .covers import (
     Cover,
     Family,
-    covers_window,
     family_max_cross,
     family_min_intra,
     first_lebesgue_violation,
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .rationals import as_fraction, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
-from .space import FuzzyMetricSpace, ScaleParams, Window
+from .space import FuzzyMetricSpace, ScaleParams, Window, _chain_violations, _value_matrices
 
 ONE = Fraction(1)
 
@@ -321,36 +320,6 @@ def witness_ratio_minmax(params: ScaleParams, window: Window) -> DimensionWitnes
     return DimensionWitness(1, params, params, (fam_u, fam_v), window)
 
 
-def _nonarch_violation(space: FuzzyMetricSpace, window: Window, t: Fraction):
-    """First triple with M(x,y,t) * M(y,z,t) > M(x,z,t), or None."""
-    pts = window.points
-    n = len(pts)
-    vals = [[space._raw(x, y, t) for y in pts] for x in pts]
-    nums = [[v.numerator for v in row] for row in vals]
-    dens = [[v.denominator for v in row] for row in vals]
-    use_min = space.tnorm.name == "min"
-    for i in range(n):
-        ni, di = nums[i], dens[i]
-        for k in range(i + 1, n):
-            nk, dk = nums[k], dens[k]
-            nc, dc = nums[i][k], dens[i][k]
-            if use_min:
-                for j in range(n):
-                    if j == i or j == k:
-                        continue
-                    if ni[j] * dc > nc * di[j] and nk[j] * dc > nc * dk[j]:
-                        return (pts[i], pts[j], pts[k])
-            else:
-                rule = space.tnorm.rule
-                c = vals[i][k]
-                for j in range(n):
-                    if j == i or j == k:
-                        continue
-                    if rule(vals[i][j], vals[j][k]) > c:
-                        return (pts[i], pts[j], pts[k])
-    return None
-
-
 def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
                            epsilon, window: Window) -> DimensionWitness:
     """Ball-partition witness for non-Archimedean spaces under min.
@@ -358,8 +327,10 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     The balls at the slightly enlarged scale (r + eps, t) are pairwise
     equal or disjoint, so the distinct ones partition the window into a
     single family: separated at (r, t) and bounded at (r + eps, t).
-    The non-Archimedean inequality is checked exhaustively on the window
-    first, and the equal-or-disjoint fact is verified, not assumed.
+    First every window point is checked against the universe, and the
+    non-Archimedean inequality over all window triples; under min that is
+    the chain inequality scanned with the one matrix at t in all three
+    places.  The equal-or-disjoint fact is verified, not assumed.
     """
     eps = as_fraction(epsilon) if epsilon is not None else (1 - params.r) / 2
     rho = params.r + eps
@@ -369,8 +340,13 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
         raise UnsupportedOperationError(
             "the ball-partition construction needs the minimum t-norm"
         )
-    bad = _nonarch_violation(space, window, params.t)
-    if bad is not None:
+    pts = window.points
+    for p in pts:
+        space._check_point(p)
+    mat = _value_matrices(space, pts, [params.t])[params.t]
+    found = _chain_violations(space.tnorm, mat, mat, mat, 1)
+    if found:
+        bad = tuple(pts[i] for i in found[0])
         raise NonArchimedeanViolationError(
             f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
         )
@@ -517,7 +493,7 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
             f"input scale multiplicity {measured_in} exceeds the expected "
             f"{max_multiplicity} at r={fmt_value(want.r)}, t={fmt_value(want.t)}"
         )
-    if not covers_window(cover.all_sets(), window):
+    if missing_points(cover.all_sets(), window):
         raise PreconditionError("input must cover the window")
 
     fat_families = tuple(
@@ -699,7 +675,7 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
         sets = [s for s in candidate.all_sets() if s]
         if multiplicity(candidate, window) > 1:
             raise CertificationError("candidate cover has multiplicity above 1")
-        if not covers_window(sets, window):
+        if missing_points(sets, window):
             raise CertificationError("candidate cover misses window points")
         fsets = [frozenset(s) for s in sets]
         for x, bp in ball_of.items():

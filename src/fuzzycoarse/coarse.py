@@ -126,6 +126,40 @@ def _finite_table_note(rep: CertReport):
 # ---------------------------------------------------------------------------
 
 
+def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpace,
+                   space_y: FuzzyMetricSpace, f: CoarseMap, window_x: Window,
+                   proper: bool, violation_cap: int) -> CertReport:
+    """One verdict per entry (level_in @ t_in) -> (level_out @ t_out) over
+    every window pair x <= y.
+
+    The input side of a pair is (x, y) in ``space_x`` and the output side
+    (f(x), f(y)) in ``space_y``; ``proper`` swaps the two sides.
+    """
+    rep = CertReport(title, map=f.describe(), window=window_x.label())
+    pts = window_x.points
+    sides = [(space_x, pts), (space_y, [f.apply(x) for x in pts])]
+    (space_in, pts_in), (space_out, pts_out) = sides[::-1] if proper else sides
+    n = len(pts)
+    for entry in entries:
+        bad = []
+        for i in range(n):
+            a, fa = pts_in[i], pts_out[i]
+            for j in range(i, n):
+                if space_in.value(a, pts_in[j], entry.t_in) >= entry.level_in:
+                    got = space_out.value(fa, pts_out[j], entry.t_out)
+                    if got < entry.level_out:
+                        bad.append((pts[i], pts[j], got))
+                        if len(bad) >= violation_cap:
+                            break
+            if len(bad) >= violation_cap:
+                break
+        rep.add_verdict(not bad, predicate, entry=entry.describe(),
+                        witness=fmt_pair(bad[0][:2]) if bad else None,
+                        value=bad[0][2] if bad else None)
+    _finite_table_note(rep)
+    return rep
+
+
 def check_uniformly_expansive(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
                               f: CoarseMap, window_x: Window,
                               violation_cap: int = 3) -> CertReport:
@@ -136,27 +170,8 @@ def check_uniformly_expansive(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpa
     """
     if not f.expansive:
         raise PreconditionError("expansiveness modulus table is empty")
-    rep = CertReport("uniformly-expansive", map=f.describe(),
-                     window=window_x.label())
-    pts = window_x.points
-    for entry in f.expansive:
-        bad = []
-        for i, x in enumerate(pts):
-            fx = f.apply(x)
-            for y in pts[i:]:
-                if space_x.value(x, y, entry.t_in) >= entry.level_in:
-                    got = space_y.value(fx, f.apply(y), entry.t_out)
-                    if got < entry.level_out:
-                        bad.append((x, y, got))
-                        if len(bad) >= violation_cap:
-                            break
-            if len(bad) >= violation_cap:
-                break
-        rep.add_verdict(not bad, "expansive-entry", entry=entry.describe(),
-                        witness=fmt_pair(bad[0][:2]) if bad else None,
-                        value=bad[0][2] if bad else None)
-    _finite_table_note(rep)
-    return rep
+    return _check_modulus("uniformly-expansive", "expansive-entry", f.expansive,
+                          space_x, space_y, f, window_x, False, violation_cap)
 
 
 def check_effectively_proper(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
@@ -169,27 +184,8 @@ def check_effectively_proper(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpac
     """
     if not f.proper:
         raise PreconditionError("properness modulus table is empty")
-    rep = CertReport("effectively-proper", map=f.describe(),
-                     window=window_x.label())
-    pts = window_x.points
-    for entry in f.proper:
-        bad = []
-        for i, x in enumerate(pts):
-            fx = f.apply(x)
-            for y in pts[i:]:
-                if space_y.value(fx, f.apply(y), entry.t_in) >= entry.level_in:
-                    got = space_x.value(x, y, entry.t_out)
-                    if got < entry.level_out:
-                        bad.append((x, y, got))
-                        if len(bad) >= violation_cap:
-                            break
-            if len(bad) >= violation_cap:
-                break
-        rep.add_verdict(not bad, "proper-entry", entry=entry.describe(),
-                        witness=fmt_pair(bad[0][:2]) if bad else None,
-                        value=bad[0][2] if bad else None)
-    _finite_table_note(rep)
-    return rep
+    return _check_modulus("effectively-proper", "proper-entry", f.proper,
+                          space_x, space_y, f, window_x, True, violation_cap)
 
 
 def check_coarsely_onto(space_y: FuzzyMetricSpace, f: CoarseMap,

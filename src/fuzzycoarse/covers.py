@@ -98,13 +98,6 @@ class Cover:
         return tuple(out)
 
 
-def covers_window(sets, window: Window) -> bool:
-    seen = set()
-    for s in sets:
-        seen.update(s)
-    return all(p in seen for p in window)
-
-
 def missing_points(sets, window: Window) -> tuple:
     seen = set()
     for s in sets:
@@ -295,8 +288,8 @@ def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScalePa
     ok_out = is_uniformly_bounded_family(space, fat, derived)
     rep.add_verdict(ok_out, "output-bounded", level=level, t_out=t_out)
 
-    if covers_window(family.sets, window):
-        rep.add_verdict(covers_window(fat.sets, window), "cover-preserved")
+    if not missing_points(family.sets, window):
+        rep.add_verdict(not missing_points(fat.sets, window), "cover-preserved")
     return fat, rep
 
 
@@ -398,10 +391,9 @@ def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
     members of several runs that own the ball's first point.
     """
     sets = cover.all_sets()
-    if not covers_window(sets, window):
-        raise PreconditionError(
-            f"cover misses window points, e.g. {missing_points(sets, window)[:3]}"
-        )
+    missing = missing_points(sets, window)
+    if missing:
+        raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
     set_runs = [window.runs_of(s) for s in sets]
     hull_holds = _RunContainment(set_runs)
     split = {}

@@ -297,10 +297,13 @@ UNIVERSES = {"naturals": NATURALS, "integers": INTEGERS, "rationals": RATIONALS}
 
 class Metric:
     """An exact metric; ``line_compatible`` means the distance respects the
-    point order (d grows as pairs nest outward on the sorted line)."""
+    point order (d grows as pairs nest outward on the sorted line), and
+    ``universe`` is the point set it is a metric on, which a standard space
+    takes when it is given none."""
 
     name = "metric"
     line_compatible = False
+    universe = INTEGERS
 
     def distance(self, x, y) -> Fraction:
         raise NotImplementedError
@@ -331,6 +334,7 @@ class EuclideanLattice(Metric):
         if dim < 1:
             raise DomainError("lattice dimension must be positive")
         self.dim = dim
+        self.universe = lattice_universe(dim)
 
     def distance(self, x, y) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
@@ -353,6 +357,7 @@ class MaxUltrametric(Metric):
 
     name = "max_ultrametric"
     line_compatible = True
+    universe = NATURALS
 
     def distance(self, x, y) -> Fraction:
         if x == y:
@@ -383,6 +388,7 @@ class TableMetric(Metric):
                 if vals[i][j] <= 0:
                     raise DomainError(f"d must be positive off the diagonal at ({pts[i]},{pts[j]})")
         self.points = tuple(pts)
+        self.universe = finite_universe(pts)
         self._index = {p: i for i, p in enumerate(pts)}
         self._vals = vals
 
@@ -538,10 +544,6 @@ class _PathologicalKind(_Kind):
         return intervals, extras
 
 
-def _make_ultrametric_kind() -> _StandardKind:
-    return _StandardKind(MaxUltrametric(), name="ultrametric_standard")
-
-
 # ---------------------------------------------------------------------------
 # The space itself
 # ---------------------------------------------------------------------------
@@ -627,16 +629,11 @@ class FuzzyMetricSpace:
 
 def standard_space(metric: Optional[Metric] = None, tnorm: TNorm = PRODUCT,
                    universe: Optional[Universe] = None) -> FuzzyMetricSpace:
-    """The space t/(t + d) induced by a metric (default |x - y| on the integers)."""
+    """The space t/(t + d) induced by a metric (default |x - y| on the
+    integers), on the metric's universe unless another is given."""
     m = metric if metric is not None else EuclideanLine()
-    if universe is None:
-        if isinstance(m, EuclideanLattice):
-            universe = lattice_universe(m.dim)
-        elif isinstance(m, TableMetric):
-            universe = finite_universe(m.points)
-        else:
-            universe = INTEGERS
-    return FuzzyMetricSpace(_StandardKind(m), tnorm, universe)
+    return FuzzyMetricSpace(_StandardKind(m), tnorm,
+                            m.universe if universe is None else universe)
 
 
 def reciprocal_product_space(tnorm: TNorm = PRODUCT) -> FuzzyMetricSpace:
@@ -654,7 +651,8 @@ def pathological_space(tnorm: TNorm = None) -> FuzzyMetricSpace:
 
 
 def ultrametric_space(tnorm: TNorm = MINIMUM) -> FuzzyMetricSpace:
-    return FuzzyMetricSpace(_make_ultrametric_kind(), tnorm, NATURALS)
+    return FuzzyMetricSpace(_StandardKind(MaxUltrametric(), name="ultrametric_standard"),
+                            tnorm, NATURALS)
 
 
 def subspace(space: FuzzyMetricSpace, subset) -> FuzzyMetricSpace:
@@ -806,6 +804,21 @@ def _scan_generic(rule, vA, vB, vC, n, cap):
 _SCANNERS = {"product": _scan_product, "min": _scan_min, "lukasiewicz": _scan_lukasiewicz}
 
 
+def _chain_violations(tnorm: TNorm, mat_a, mat_b, mat_c, cap: int) -> list:
+    """Index triples (i, j, k), i <= k, with T(A[i][j], B[k][j]) > C[i][k],
+    in scan order, at most ``cap`` of them.
+
+    Each matrix is a ``(values, numerators, denominators)`` entry of
+    ``_value_matrices``.  Built-in t-norms compare by integer
+    cross-multiplication; any other rule is evaluated on the Fractions.
+    """
+    n = len(mat_a[0])
+    scanner = _SCANNERS.get(tnorm.name)
+    if scanner is None:
+        return _scan_generic(tnorm.rule, mat_a[0], mat_b[0], mat_c[0], n, cap)
+    return scanner(*mat_a[1:], *mat_b[1:], *mat_c[1:], n, cap)
+
+
 def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap: int = 3) -> CertReport:
     """Certify the space axioms exactly over a window and a grid of times.
 
@@ -900,18 +913,10 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # (4) chain inequality over all triples and (t, s) pairs.  The scan
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
     # rest by symmetry of M and commutativity of the t-norm.
-    scanner = _SCANNERS.get(space.tnorm.name)
     violations = []
     for t in t_list:
         for s in t_list:
-            _, nA, dA = mats[t]
-            _, nB, dB = mats[s]
-            _, nC, dC = mats[t + s]
-            if scanner is not None:
-                found = scanner(nA, dA, nB, dB, nC, dC, n, violation_cap)
-            else:
-                found = _scan_generic(space.tnorm.rule, mats[t][0], mats[s][0],
-                                      mats[t + s][0], n, violation_cap)
+            found = _chain_violations(space.tnorm, mats[t], mats[s], mats[t + s], violation_cap)
             for (i, j, k) in found:
                 lhs = space.tnorm.rule(mats[t][0][i][j], mats[s][0][j][k])
                 violations.append((pts[i], pts[j], pts[k], t, s, lhs, mats[t + s][0][i][k]))

@@ -8,7 +8,9 @@ built-in norms are continuous by their closed forms.
 
 Positivity preservation (a*b != 0 whenever a, b != 0) is the property
 that makes finite unions of bounded sets bounded; it holds for product
-and minimum and fails for Lukasiewicz.
+and minimum and fails for Lukasiewicz.  The built-in flags are trusted
+at run time; tests/test_tnorm.py cross-checks each one against the grid
+search of ``positivity_counterexample``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from .errors import DomainError, FuzzyCoarseError
+from .errors import DomainError
 from .rationals import as_fraction
 from .report import CertReport
 
@@ -163,21 +165,11 @@ def positivity_counterexample(tnorm: TNorm, grid_size: int = 128):
 def is_positivity_preserving(tnorm: TNorm, grid_size: int = 128) -> bool:
     """Whether a*b != 0 whenever a, b != 0.
 
-    For the built-in kinds this is the hard-coded analytic fact,
-    cross-validated by a grid search; for a custom rule only the grid
-    evidence is available and the answer is best-effort.
+    A declared flag is returned as it is: for the built-in kinds it is the
+    analytic fact, which tests/test_tnorm.py cross-checks against
+    ``positivity_counterexample``.  Only an undeclared (custom) rule runs
+    the grid search, and then the answer is best-effort.
     """
-    found = positivity_counterexample(tnorm, grid_size)
-    if tnorm.positivity_preserving is None:
-        return found is None
-    if tnorm.positivity_preserving and found is not None:
-        raise FuzzyCoarseError(
-            f"t-norm {tnorm.name} is declared positivity-preserving but "
-            f"maps {found} to 0"
-        )
-    if not tnorm.positivity_preserving and found is None:
-        raise FuzzyCoarseError(
-            f"t-norm {tnorm.name} is declared non-positivity-preserving but "
-            f"no counterexample exists on a {grid_size}-point grid"
-        )
-    return tnorm.positivity_preserving
+    if tnorm.positivity_preserving is not None:
+        return tnorm.positivity_preserving
+    return positivity_counterexample(tnorm, grid_size) is None

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzycoarse import (
+    MINIMUM,
     BoundSearchGrid,
     Cover,
     DimensionWitness,
@@ -299,14 +300,45 @@ def test_ball_partition_rejects_wrong_inputs():
     with pytest.raises(UnsupportedOperationError):
         witness_ball_partition(ratio_minmax_space(), ScaleParams(F(1, 2), 1),
                                F(1, 4), int_window(1, 10))
-    from fuzzycoarse import MINIMUM
-
     with pytest.raises(NonArchimedeanViolationError):
         witness_ball_partition(standard_space(tnorm=MINIMUM), ScaleParams(F(1, 2), 4),
                                F(1, 4), Window(range(0, 12)))
     with pytest.raises(DomainError):
         witness_ball_partition(ultrametric_space(), ScaleParams(F(1, 2), 1),
                                F(3, 4), int_window(1, 10))
+
+
+def brute_nonarch_violation(space, window, t):
+    """Independent oracle: first triple, in (x, z, y) order, with
+    min(M(x,y,t), M(y,z,t)) > M(x,z,t), or None."""
+    pts = window.points
+    for i, x in enumerate(pts):
+        for z in pts[i + 1:]:
+            for y in pts:
+                if y not in (x, z) and min(space.value(x, y, t), space.value(y, z, t)) > \
+                        space.value(x, z, t):
+                    return (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("make_space, top, t, violated", [
+    (ultrametric_space, 40, 1, False),
+    (ultrametric_space, 40, 10, False),
+    (lambda: standard_space(tnorm=MINIMUM), 20, 4, True),
+    (lambda: ratio_minmax_space(MINIMUM), 20, 4, True),
+    (lambda: reciprocal_product_space(MINIMUM), 20, 4, True),
+])
+def test_ball_partition_nonarch_check_matches_brute_force(make_space, top, t, violated):
+    space, window, params = make_space(), int_window(1, top), ScaleParams(F(1, 2), t)
+    bad = brute_nonarch_violation(space, window, params.t)
+    assert (bad is not None) == violated
+    if bad is None:
+        witness = witness_ball_partition(space, params, F(1, 4), window)
+        assert verify_witness(space, witness).passed
+    else:
+        with pytest.raises(NonArchimedeanViolationError) as info:
+            witness_ball_partition(space, params, F(1, 4), window)
+        assert str(info.value) == f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={t})"
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,14 @@ def test_witness_reciprocal_writes_file(tmp_path):
     assert data["n"] == 0
 
 
+def test_witness_ball_partition_rejects_points_outside_the_universe():
+    # max(x, y) is no metric on -8..8: M(-8,-7,10) = 10/3 > 1
+    code, out = run_cli(["witness", "--space", "ultrametric_standard",
+                         "--scale", "1/4:10", "--window=-8..8"])
+    assert code == 2
+    assert out == "ERROR DomainError: point -8 is outside the naturals universe\n"
+
+
 def test_witness_unknown_kind():
     code, out = run_cli(["witness", "--space", "galaxy", "--scale", "1/2:1",
                          "--window", "1..10"])

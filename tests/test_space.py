@@ -30,6 +30,7 @@ from fuzzycoarse import (
     union_bound,
 )
 from fuzzycoarse.errors import DomainError, ExactnessError, UnsupportedOperationError
+from fuzzycoarse.space import RATIONALS
 
 F = Fraction
 
@@ -157,6 +158,24 @@ def test_table_metric():
 def test_max_ultrametric_strong_triangle():
     rep = check_metric_axioms(MaxUltrametric(), int_window(1, 15))
     assert rep.passed
+
+
+def test_standard_space_defaults_to_the_metric_universe():
+    """max(x, y) is a metric on the positive integers only: on the integers
+    M(-3,-5,1) would be -1/2 and M(-3,-5,10) would be 10/7."""
+    from fuzzycoarse.config import space_from_config
+
+    for sp in (standard_space(MaxUltrametric()),
+               space_from_config({"kind": "standard", "metric": "max_ultrametric"})):
+        assert sp.universe.name == "naturals"
+        with pytest.raises(DomainError):
+            sp.value(-3, -5, 1)
+        assert sp.value(3, 5, 1) == F(1, 6)
+    assert standard_space().universe.name == "integers"
+    assert standard_space(EuclideanLattice(2)).universe.name == "lattice2"
+    table = standard_space(TableMetric([10, 20], [[0, 1], [1, 0]]))
+    assert 10 in table.universe and 15 not in table.universe
+    assert standard_space(MaxUltrametric(), universe=RATIONALS).universe is RATIONALS
 
 
 def test_subspace_agrees_with_parent():

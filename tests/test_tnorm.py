@@ -14,7 +14,7 @@ from fuzzycoarse import (
     tnorm_from_name,
 )
 from fuzzycoarse.errors import DomainError
-from fuzzycoarse.tnorm import positivity_counterexample
+from fuzzycoarse.tnorm import TNorm, positivity_counterexample
 
 F = Fraction
 ALL = [PRODUCT, MINIMUM, LUKASIEWICZ]
@@ -80,6 +80,15 @@ def test_positivity_flags():
     assert is_positivity_preserving(PRODUCT) is True
     assert is_positivity_preserving(MINIMUM) is True
     assert is_positivity_preserving(LUKASIEWICZ) is False
+    # a declared flag is trusted; only an undeclared rule is searched
+    assert is_positivity_preserving(TNorm("declared", LUKASIEWICZ.rule, True)) is True
+
+
+@pytest.mark.parametrize("tnorm", ALL)
+def test_builtin_positivity_flag_matches_grid_search(tnorm):
+    """The run-time trust in the built-in flags rests on this check."""
+    assert (positivity_counterexample(tnorm, 128) is None) is tnorm.positivity_preserving
+    assert is_positivity_preserving(TNorm("custom", tnorm.rule)) is tnorm.positivity_preserving
 
 
 def test_lukasiewicz_counterexample_on_grid():
