@@ -57,6 +57,51 @@ MODULUS_FAILURES = {
     "scale": "1/2:1",
 }
 
+# x -> 5x/2 + 1/2 on 0..8 into the rationals: the images leave gaps in a
+# grid of step 1/4, so the onto check fails at 3/2, the first grid point
+# outside every image point's region.
+ONTO_FAILURE = {
+    "source_space": "standard",
+    "target_space": {"kind": "standard", "universe": "rationals"},
+    "map": {
+        "rule": {"affine": {"a": "5/2", "b": "1/2"}},
+        "domain": "0..8",
+        "expansive": [{"level_in": "1/2", "t_in": "1", "level_out": "1/4", "t_out": "1"},
+                      {"level_in": "1/2", "t_in": "1", "level_out": "1/3", "t_out": "1"}],
+        "proper": [{"level_in": "1/2", "t_in": "1", "level_out": "1/2", "t_out": "1"}],
+        "onto": "1/2:1",
+    },
+    "window_x": "0..8",
+    "window_y": {"grid": {"lo": "0", "hi": "20", "step": "1/4"}},
+    "scale": "1/2:1",
+}
+
+# The same map asked for an inverse: 3/2 has no preimage candidate.
+NO_PREIMAGE = dict(ONTO_FAILURE, inverse=True,
+                   map={k: v for k, v in ONTO_FAILURE["map"].items() if k != "onto"})
+
+# A target with a table metric has no closed-form region, so every check
+# runs its pairwise fallback.
+TABLE_POINTS = [0, 10, 20, 30, 40, 50]
+TABLE_TARGET = {
+    "source_space": "standard",
+    "target_space": {"kind": "standard", "metric": {
+        "rule": "table", "points": TABLE_POINTS,
+        "matrix": [[min(abs(p - q) // 10, 2) for q in TABLE_POINTS] for p in TABLE_POINTS]}},
+    "map": {
+        "rule": {"table": [[x, 10 * min(x // 2, 4)] for x in range(12)]},
+        "domain": "0..11",
+        "expansive": [{"level_in": "1/2", "t_in": "1", "level_out": "1/3", "t_out": "1"},
+                      {"level_in": "1/4", "t_in": "1", "level_out": "1/2", "t_out": "1"}],
+        "proper": [{"level_in": "1/3", "t_in": "1", "level_out": "1/4", "t_out": "1"}],
+        "onto": "2/3:1",
+    },
+    "window_x": "0..11",
+    "window_y": TABLE_POINTS,
+    "scale": "2/3:1",
+    "inverse": True,
+}
+
 PATHOLOGICAL_PRODUCT = {"space": {"kind": "pathological", "tnorm": "product"}}
 
 # name -> (argv, config written to a file and passed as --config, exit code,
@@ -84,6 +129,15 @@ CASES = {
     "coarse-modulus-failures": (
         ["coarse"], MODULUS_FAILURES, 1,
         "01886cb71e35ac7896e7649f7c6aea7dcc3424bbbc7e3729f802a48b7d97cb52"),
+    "coarse-onto-failure": (
+        ["coarse"], ONTO_FAILURE, 1,
+        "968c6fdc8cd60a8eb18e5e036e5a25a3de4ddf1342793b894b52a9b7b7d4060a"),
+    "coarse-no-preimage": (
+        ["coarse"], NO_PREIMAGE, 2,
+        "1cf5dbcee20e78d59f6b59adb2833149307ee55340f036cd259f9621a988426c"),
+    "coarse-table-target": (
+        ["coarse"], TABLE_TARGET, 1,
+        "609340d9b2e3484433fc19e38b619b91919b39c46f6813df02d942b20678784e"),
 }
 
 
