@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .covers import (
     Cover,
@@ -164,8 +164,16 @@ def verify_witness(space: FuzzyMetricSpace, w: DimensionWitness) -> CertReport:
     Conditions: the families jointly cover the window, each family is
     separated at w.params (cross sup strictly below 1 - r), and every
     member set is internally bounded at w.bound_params (intra values
-    strictly above 1 - r').
+    strictly above 1 - r').  Every point is first checked against the
+    universe: the window once per universe, the member set points only
+    when some of them lie outside the window.
     """
+    window = w.window
+    space._check_window(window)
+    seen = set(chain.from_iterable(w.all_sets()))
+    missing = tuple(p for p in window if p not in seen)
+    if len(seen) + len(missing) > len(window):  # a set point lies outside the window
+        space._check_points(p for p in chain.from_iterable(w.all_sets()) if p not in window)
     rep = CertReport(
         "verify-witness",
         space=space.describe(),
@@ -179,7 +187,6 @@ def verify_witness(space: FuzzyMetricSpace, w: DimensionWitness) -> CertReport:
     if dropped:
         rep.add_note("empty-sets-dropped", count=dropped)
 
-    missing = missing_points(w.all_sets(), w.window)
     rep.add_verdict(not missing, "cover", missing=len(missing),
                     witness=missing[0] if missing else None)
 
@@ -341,8 +348,7 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
             "the ball-partition construction needs the minimum t-norm"
         )
     pts = window.points
-    for p in pts:
-        space._check_point(p)
+    space._check_window(window)
     mat = _value_matrices(space, pts, [params.t])[params.t]
     found = _chain_violations(space.tnorm, mat, mat, mat, 1)
     if found:

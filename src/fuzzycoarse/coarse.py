@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Callable, Optional
 
 from .asdim import DimensionWitness, verify_witness
@@ -133,29 +134,39 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
     every window pair x <= y.
 
     The input side of a pair is (x, y) in ``space_x`` and the output side
-    (f(x), f(y)) in ``space_y``; ``proper`` swaps the two sides.
+    (f(x), f(y)) in ``space_y``; ``proper`` swaps the two sides.  Every
+    point is checked against its universe once, before the scan.  Each
+    level test is one integer cross-multiplication; only a reported value
+    is built as a Fraction.
     """
     rep = CertReport(title, map=f.describe(), window=window_x.label())
     pts = window_x.points
-    sides = [(space_x, pts), (space_y, [f.apply(x) for x in pts])]
-    (space_in, pts_in), (space_out, pts_out) = sides[::-1] if proper else sides
+    images = [f.apply(x) for x in pts]
+    space_x._check_window(window_x)
+    space_y._check_points(images)
+    sides = [(space_x._pair, pts), (space_y._pair, images)]
+    (pair_in, pts_in), (pair_out, pts_out) = sides[::-1] if proper else sides
     n = len(pts)
     for entry in entries:
+        ln, ld = entry.level_in.numerator, entry.level_in.denominator
+        on, od = entry.level_out.numerator, entry.level_out.denominator
+        t_in, t_out = entry.t_in, entry.t_out
         bad = []
         for i in range(n):
             a, fa = pts_in[i], pts_out[i]
             for j in range(i, n):
-                if space_in.value(a, pts_in[j], entry.t_in) >= entry.level_in:
-                    got = space_out.value(fa, pts_out[j], entry.t_out)
-                    if got < entry.level_out:
-                        bad.append((pts[i], pts[j], got))
+                num, den = pair_in(a, pts_in[j], t_in)
+                if num * ld >= ln * den:
+                    num, den = pair_out(fa, pts_out[j], t_out)
+                    if num * od < on * den:
+                        bad.append((pts[i], pts[j], num, den))
                         if len(bad) >= violation_cap:
                             break
             if len(bad) >= violation_cap:
                 break
         rep.add_verdict(not bad, predicate, entry=entry.describe(),
                         witness=fmt_pair(bad[0][:2]) if bad else None,
-                        value=bad[0][2] if bad else None)
+                        value=Fraction(*bad[0][2:]) if bad else None)
     _finite_table_note(rep)
     return rep
 
@@ -191,19 +202,18 @@ def check_effectively_proper(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpac
 def check_coarsely_onto(space_y: FuzzyMetricSpace, f: CoarseMap,
                         params: ScaleParams, window_y: Window,
                         violation_cap: int = 3) -> CertReport:
-    """Every target window point strictly within 1 - r of the image at t."""
+    """Every target window point strictly within 1 - r of the image at t:
+    the window points missing from ``scale_neighborhood`` of the image,
+    which takes one region per image point where the kind has one."""
     if f.domain is None:
         raise PreconditionError("map needs a domain window to enumerate its image")
     rep = CertReport("coarsely-onto", map=f.describe(), window=window_y.label(),
                      r=params.r, t=params.t)
     img = f.image(f.domain)
-    b, t = params.threshold, params.t
-    bad = []
-    for y in window_y:
-        if not any(space_y.value(a, y, t) > b for a in img):
-            bad.append(y)
-            if len(bad) >= violation_cap:
-                break
+    space_y._check_points(img)
+    space_y._check_window(window_y)
+    covered = set(scale_neighborhood(space_y, img, params, window_y))
+    bad = list(islice((y for y in window_y if y not in covered), violation_cap))
     rep.add_verdict(not bad, "onto", image_size=len(img),
                     witness=bad[0] if bad else None)
     _finite_table_note(rep)
@@ -216,16 +226,18 @@ def check_close(space_y: FuzzyMetricSpace, f: CoarseMap, g: CoarseMap,
     """Pointwise strict closeness of two maps over a window."""
     rep = CertReport("close", f=f.describe(), g=g.describe(),
                      window=window_x.label(), r=params.r, t=params.t)
-    b, t = params.threshold, params.t
+    images = [(f.apply(x), g.apply(x)) for x in window_x]
+    space_y._check_points(chain.from_iterable(images))
+    bn, bd, t = params.threshold.numerator, params.threshold.denominator, params.t
     bad = []
-    for x in window_x:
-        got = space_y.value(f.apply(x), g.apply(x), t)
-        if got <= b:
-            bad.append((x, got))
+    for x, (fx, gx) in zip(window_x, images):
+        num, den = space_y._pair(fx, gx, t)
+        if num * bd <= bn * den:
+            bad.append((x, num, den))
             if len(bad) >= violation_cap:
                 break
     rep.add_verdict(not bad, "pointwise", witness=bad[0][0] if bad else None,
-                    value=bad[0][1] if bad else None)
+                    value=Fraction(*bad[0][1:]) if bad else None)
     return rep
 
 
@@ -276,24 +288,53 @@ def coarse_inverse(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
 
     g(y) is the smallest x in the source window whose image lands
     strictly within 1 - r of y at t; the onto property at (r, t) is the
-    checked precondition.  The composite f(g(y)) is close to the
+    checked precondition.  The source window is swept in order, and each
+    x is given to the points of its image's ball (region runs where the
+    kind has a region) that have no preimage yet; a repeated image adds
+    nothing and is skipped.  The composite f(g(y)) is close to the
     identity at (r, t) by construction and is re-verified; closeness of
     g(f(x)) to the identity comes through a properness entry applicable
     at (1 - r, t), at the halved output level for strictness.
     """
     b, t = params.threshold, params.t
-    table = {}
-    for y in window_y:
-        chosen = next(
-            (x for x in window_x if space_y.value(f.apply(x), y, t) > b), None
+    images = [f.apply(x) for x in window_x]
+    space_y._check_window(window_y)
+    space_y._check_points(images)
+    ys = window_y.points
+    chosen = [None] * len(ys)
+    # free[k] leads, through later indices, to the first index >= k with no
+    # preimage yet (len(ys) when there is none); paths are compressed.
+    free = list(range(len(ys) + 1))
+
+    def first_free(k):
+        path = []
+        while free[k] != k:
+            path.append(k)
+            k = free[k]
+        for p in path:
+            free[p] = k
+        return k
+
+    seen = set()
+    for x, fx in zip(window_x, images):
+        if fx in seen:
+            continue
+        seen.add(fx)
+        for i, j in space_y.ball_runs(fx, b, t, window_y):
+            k = first_free(i)
+            while k < j:
+                chosen[k] = x
+                free[k] = k + 1
+                k = first_free(k + 1)
+        if first_free(0) == len(ys):
+            break
+    k = first_free(0)
+    if k < len(ys):
+        raise PreconditionError(
+            f"map is not coarsely onto at r={fmt_value(params.r)}, "
+            f"t={fmt_value(t)}: no preimage candidate for {fmt_value(ys[k])}"
         )
-        if chosen is None:
-            raise PreconditionError(
-                f"map is not coarsely onto at r={fmt_value(params.r)}, "
-                f"t={fmt_value(t)}: no preimage candidate for {fmt_value(y)}"
-            )
-        table[y] = chosen
-    g = table_map(table, domain=window_y)
+    g = table_map(dict(zip(ys, chosen)), domain=window_y)
 
     rep = CertReport("coarse-inverse", map=f.describe(), r=params.r, t=params.t,
                      window_y=window_y.label(), window_x=window_x.label())

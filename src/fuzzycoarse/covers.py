@@ -248,10 +248,14 @@ def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
             intervals.extend(r[0])
             extras.update(r[1])
         return window.points_of(window.region_runs((intervals, extras)))
+    pair, bn, bd = space._pair, b.numerator, b.denominator
     out = []
     for x in window:
-        if any(space._raw(x, p, t) > b for p in us):
-            out.append(x)
+        for p in us:
+            num, den = pair(x, p, t)
+            if num * bd > bn * den:
+                out.append(x)
+                break
     return tuple(out)
 
 

@@ -27,7 +27,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from operator import lt
 from typing import Optional
 
@@ -74,16 +74,17 @@ class Window:
     takes one bisect per bound.
     """
 
-    __slots__ = ("points", "_set", "_first_int")
+    __slots__ = ("points", "_set", "_first_int", "_checked_in")
 
     def __init__(self, points):
         pts = sorted(set(points))
         self.points = tuple(pts)
         self._set = frozenset(pts)
-        contiguous = (bool(pts) and isinstance(pts[0], int) and isinstance(pts[-1], int)
+        contiguous = (bool(pts) and type(pts[0]) is int and type(pts[-1]) is int
                       and len(pts) == pts[-1] - pts[0] + 1
-                      and all(isinstance(p, int) for p in pts))
+                      and all(type(p) is int for p in pts))
         self._first_int = pts[0] if contiguous else None
+        self._checked_in = set()  # universes that hold every point
 
     def __iter__(self):
         return iter(self.points)
@@ -246,12 +247,18 @@ def grid_window(lo, hi, step) -> Window:
 
 
 class Universe:
-    """Membership rule for the points a space is defined on."""
+    """Membership rule for the points a space is defined on.
 
-    def __init__(self, name: str, contains, description: str):
+    ``int_convex`` declares that every integer between two integer members
+    is a member, so a window of consecutive integers is checked by its two
+    ends.
+    """
+
+    def __init__(self, name: str, contains, description: str, int_convex: bool = False):
         self.name = name
         self._contains = contains
         self.description = description
+        self.int_convex = int_convex
 
     def __contains__(self, p):
         return self._contains(p)
@@ -265,10 +272,10 @@ def _is_scalar(p):
 
 
 NATURALS = Universe("naturals", lambda p: isinstance(p, int) and not isinstance(p, bool) and p >= 1,
-                    "integers >= 1")
+                    "integers >= 1", int_convex=True)
 INTEGERS = Universe("integers", lambda p: isinstance(p, int) and not isinstance(p, bool),
-                    "all integers")
-RATIONALS = Universe("rationals", _is_scalar, "all exact rationals")
+                    "all integers", int_convex=True)
+RATIONALS = Universe("rationals", _is_scalar, "all exact rationals", int_convex=True)
 
 
 def lattice_universe(dim: int) -> Universe:
@@ -299,13 +306,14 @@ class Metric:
     """An exact metric; ``line_compatible`` means the distance respects the
     point order (d grows as pairs nest outward on the sorted line), and
     ``universe`` is the point set it is a metric on, which a standard space
-    takes when it is given none."""
+    takes when it is given none.  A distance is an exact rational: an int
+    or a Fraction."""
 
     name = "metric"
     line_compatible = False
     universe = INTEGERS
 
-    def distance(self, x, y) -> Fraction:
+    def distance(self, x, y):
         raise NotImplementedError
 
 
@@ -315,8 +323,8 @@ class EuclideanLine(Metric):
     name = "euclidean"
     line_compatible = True
 
-    def distance(self, x, y) -> Fraction:
-        return as_fraction(abs(x - y))
+    def distance(self, x, y):
+        return abs(x - y)
 
 
 class EuclideanLattice(Metric):
@@ -346,7 +354,7 @@ class EuclideanLattice(Metric):
                 f"distance between {x} and {y} is irrational (squared distance {sq}); "
                 "exact certification needs rational distances"
             )
-        return Fraction(root)
+        return root
 
 
 class MaxUltrametric(Metric):
@@ -359,10 +367,8 @@ class MaxUltrametric(Metric):
     line_compatible = True
     universe = NATURALS
 
-    def distance(self, x, y) -> Fraction:
-        if x == y:
-            return Fraction(0)
-        return as_fraction(max(x, y))
+    def distance(self, x, y):
+        return 0 if x == y else max(x, y)
 
 
 class TableMetric(Metric):
@@ -463,6 +469,13 @@ class _Kind:
     def value(self, x, y, t: Fraction) -> Fraction:
         raise NotImplementedError
 
+    def pair(self, x, y, t: Fraction) -> tuple:
+        """M(x, y, t) as integers ``(num, den)`` with ``den > 0`` and
+        ``num/den == value(x, y, t)``; a kind without a closed form takes
+        them from the Fraction."""
+        v = self.value(x, y, t)
+        return v.numerator, v.denominator
+
     def region(self, x, bound: Fraction, t: Fraction):
         """Open-threshold region {y : M(x,y,t) > bound} as
         (open intervals, extra points), or None when there is no closed
@@ -477,7 +490,13 @@ class _StandardKind(_Kind):
         self.radial = metric.line_compatible
 
     def value(self, x, y, t):
-        return t / (t + self.metric.distance(x, y))
+        return Fraction(*self.pair(x, y, t))
+
+    def pair(self, x, y, t):
+        # t/(t+d) = tn*dd / (tn*dd + dn*td)
+        d = self.metric.distance(x, y)
+        a = t.numerator * d.denominator
+        return a, a + d.numerator * t.denominator
 
     def region(self, x, bound, t):
         # M > bound iff d < t(1-bound)/bound
@@ -501,6 +520,9 @@ class _ReciprocalKind(_Kind):
             return ONE
         return Fraction(1, x * y)
 
+    def pair(self, x, y, t):
+        return (1, 1) if x == y else (1, x * y)
+
     def region(self, x, bound, t):
         # 1/(xy) > bound iff y < 1/(bound*x); the point itself always qualifies
         return ((None, 1 / (bound * x)),), (x,)
@@ -515,6 +537,9 @@ class _RatioKind(_Kind):
         if x == y:
             return ONE
         return Fraction(min(x, y), max(x, y))
+
+    def pair(self, x, y, t):
+        return (1, 1) if x == y else (min(x, y), max(x, y))
 
     def region(self, x, bound, t):
         return ((x * bound, x / bound),), ()
@@ -533,6 +558,15 @@ class _PathologicalKind(_Kind):
         if y == 1:
             return Fraction(1, x)
         return Fraction(1, 2)
+
+    def pair(self, x, y, t):
+        if x == y:
+            return 1, 1
+        if x == 1:
+            return 1, y
+        if y == 1:
+            return 1, x
+        return 1, 2
 
     def region(self, x, bound, t):
         if x == 1:
@@ -587,6 +621,22 @@ class FuzzyMetricSpace:
         if p not in self.universe:
             raise DomainError(f"point {p!r} is outside the {self.universe.name} universe")
 
+    def _check_points(self, points):
+        """Raise ``DomainError`` for the first point outside the universe."""
+        for p in filterfalse(self.universe._contains, points):
+            self._check_point(p)
+
+    def _check_window(self, window: Window):
+        """``_check_points`` on the window points, once per window and
+        universe: a window remembers the universes that hold it."""
+        u, pts = self.universe, window.points
+        if u in window._checked_in:
+            return
+        if not (u.int_convex and window.is_contiguous_ints()
+                and pts[0] in u and pts[-1] in u):
+            self._check_points(pts)
+        window._checked_in.add(u)
+
     def value(self, x, y, t) -> Fraction:
         """M(x, y, t), exactly."""
         ft = as_fraction(t)
@@ -600,6 +650,11 @@ class FuzzyMetricSpace:
         # hot path, arguments already validated
         return self._kind.value(x, y, t)
 
+    def _pair(self, x, y, t) -> tuple:
+        """``_raw`` as integers ``(num, den)`` with ``den > 0``, so a
+        threshold test is one cross-multiplication and no Fraction is built."""
+        return self._kind.pair(x, y, t)
+
     def region(self, x, bound: Fraction, t: Fraction):
         return self._kind.region(x, bound, t)
 
@@ -607,7 +662,13 @@ class FuzzyMetricSpace:
         """Window points y with M(x, y, t) > bound, strictly."""
         reg = self._kind.region(x, bound, t)
         if reg is None:
-            return tuple(y for y in window if self._kind.value(x, y, t) > bound)
+            pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
+            out = []
+            for y in window:
+                num, den = pair(x, y, t)
+                if num * bd > bn * den:
+                    out.append(y)
+            return tuple(out)
         return window.points_of(window.region_runs(reg))
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
@@ -727,16 +788,18 @@ def union_bound(space: FuzzyMetricSpace, params_a: ScaleParams, params_b: ScaleP
 
 
 def _value_matrices(space, pts, t_values):
-    """num/den integer matrices of M over the window, one per t."""
+    """``(numerators, denominators)`` integer matrices of M over the window
+    points, one entry per t; ``_entry`` reads one value as a Fraction."""
     mats = {}
     for t in t_values:
-        vals = [[space._raw(x, y, t) for y in pts] for x in pts]
-        mats[t] = (
-            vals,
-            [[v.numerator for v in row] for row in vals],
-            [[v.denominator for v in row] for row in vals],
-        )
+        rows = [[space._pair(x, y, t) for y in pts] for x in pts]
+        mats[t] = ([[p[0] for p in row] for row in rows],
+                   [[p[1] for p in row] for row in rows])
     return mats
+
+
+def _entry(mat, i, j) -> Fraction:
+    return Fraction(mat[0][i][j], mat[1][i][j])
 
 
 def _scan_product(nA, dA, nB, dB, nC, dC, n, cap):
@@ -808,15 +871,18 @@ def _chain_violations(tnorm: TNorm, mat_a, mat_b, mat_c, cap: int) -> list:
     """Index triples (i, j, k), i <= k, with T(A[i][j], B[k][j]) > C[i][k],
     in scan order, at most ``cap`` of them.
 
-    Each matrix is a ``(values, numerators, denominators)`` entry of
+    Each matrix is a ``(numerators, denominators)`` entry of
     ``_value_matrices``.  Built-in t-norms compare by integer
-    cross-multiplication; any other rule is evaluated on the Fractions.
+    cross-multiplication; any other rule is evaluated on Fractions built
+    from the matrices.
     """
     n = len(mat_a[0])
     scanner = _SCANNERS.get(tnorm.name)
     if scanner is None:
-        return _scan_generic(tnorm.rule, mat_a[0], mat_b[0], mat_c[0], n, cap)
-    return scanner(*mat_a[1:], *mat_b[1:], *mat_c[1:], n, cap)
+        vA, vB, vC = ([[Fraction(p, q) for p, q in zip(*rows)] for rows in zip(*m)]
+                      for m in (mat_a, mat_b, mat_c))
+        return _scan_generic(tnorm.rule, vA, vB, vC, n, cap)
+    return scanner(*mat_a, *mat_b, *mat_c, n, cap)
 
 
 def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap: int = 3) -> CertReport:
@@ -837,8 +903,7 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
         raise DomainError("t grid must be non-empty")
     if t_list[0] <= 0:
         raise DomainError("t grid values must be positive")
-    for p in pts:
-        space._check_point(p)
+    space._check_window(window)
 
     rep = CertReport(
         "space-axioms",
@@ -858,15 +923,17 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     mats = _value_matrices(space, pts, sorted(set(t_list) | set(sums)))
     n = len(pts)
 
+    # Every value is num/den with den > 0, so each comparison below is one
+    # integer cross-multiplication.
+
     # (1) range: 0 < M <= 1
     bad = None
     for t in t_list:
-        vals = mats[t][0]
+        nums, dens = mats[t]
         for i in range(n):
             for j in range(i, n):
-                v = vals[i][j]
-                if not (0 < v <= 1):
-                    bad = (pts[i], pts[j], t, v)
+                if not (0 < nums[i][j] <= dens[i][j]):
+                    bad = (pts[i], pts[j], t, _entry(mats[t], i, j))
                     break
             if bad:
                 break
@@ -879,14 +946,14 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # (2) M = 1 exactly on the diagonal
     bad = None
     for t in t_list:
-        vals = mats[t][0]
+        nums, dens = mats[t]
         for i in range(n):
-            if vals[i][i] != 1:
-                bad = (pts[i], pts[i], t, vals[i][i])
+            if nums[i][i] != dens[i][i]:
+                bad = (pts[i], pts[i], t)
                 break
             for j in range(i + 1, n):
-                if vals[i][j] == 1:
-                    bad = (pts[i], pts[j], t, vals[i][j])
+                if nums[i][j] == dens[i][j]:
+                    bad = (pts[i], pts[j], t)
                     break
             if bad:
                 break
@@ -895,12 +962,13 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     rep.add_verdict(bad is None, "identity-of-indiscernibles",
                     witness=fmt_pair(bad[:2]) if bad else None, t=bad[2] if bad else None)
 
-    # (3) symmetry, evaluated in both argument orders
+    # (3) symmetry: the full matrices hold both argument orders
     bad = None
     for t in t_list:
+        nums, dens = mats[t]
         for i in range(n):
             for j in range(i + 1, n):
-                if space._raw(pts[i], pts[j], t) != space._raw(pts[j], pts[i], t):
+                if nums[i][j] * dens[j][i] != nums[j][i] * dens[i][j]:
                     bad = (pts[i], pts[j], t)
                     break
             if bad:
@@ -918,8 +986,8 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
         for s in t_list:
             found = _chain_violations(space.tnorm, mats[t], mats[s], mats[t + s], violation_cap)
             for (i, j, k) in found:
-                lhs = space.tnorm.rule(mats[t][0][i][j], mats[s][0][j][k])
-                violations.append((pts[i], pts[j], pts[k], t, s, lhs, mats[t + s][0][i][k]))
+                lhs = space.tnorm.rule(_entry(mats[t], i, j), _entry(mats[s], j, k))
+                violations.append((pts[i], pts[j], pts[k], t, s, lhs, _entry(mats[t + s], i, k)))
             if len(violations) >= violation_cap:
                 break
         if len(violations) >= violation_cap:
@@ -935,10 +1003,10 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # monotonicity in t, on the sampled grid only
     bad = None
     for ta, tb in zip(t_list, t_list[1:]):
-        va, vb = mats[ta][0], mats[tb][0]
+        (na, da), (nb, db) = mats[ta], mats[tb]
         for i in range(n):
             for j in range(i + 1, n):
-                if va[i][j] > vb[i][j]:
+                if na[i][j] * db[i][j] > nb[i][j] * da[i][j]:
                     bad = (pts[i], pts[j], ta, tb)
                     break
             if bad:

@@ -30,6 +30,7 @@ from fuzzycoarse import (
     scale_graph,
     scale_multiplicity,
     standard_space,
+    subspace,
     ultrametric_space,
     verify_witness,
     witness_ball_partition,
@@ -701,3 +702,36 @@ def test_derive_bound_params_grid_then_fallback():
 def test_derive_bound_params_vacuous():
     got = derive_bound_params(standard_space(), [[3]], 1)
     assert got.r == F(1, 2)
+
+
+def test_verify_witness_checks_points_against_the_universe(monkeypatch):
+    """Window points once per (window, universe); set points outside the
+    window only when there are some."""
+    from fuzzycoarse.space import NATURALS
+
+    ratio = ratio_minmax_space()
+    params = ScaleParams(Fraction(1, 2), 1)
+    ok = DimensionWitness(0, params, params, (Family.of([[2], [4, 5, 6]]),), Window([2, 4, 5]))
+    assert not verify_witness(ratio, ok).passed  # 2 and 4 are too close: a verdict
+    stray = DimensionWitness(0, params, params, (Family.of([[0], [4, 5]]),), Window([4, 5]))
+    with pytest.raises(DomainError, match="point 0 is outside the naturals"):
+        verify_witness(ratio, stray)
+
+    def counting(contains):
+        return lambda p: calls.append(p) or contains(p)
+
+    odd = list(range(1, 60, 2))
+    sub = subspace(ratio, odd)
+    calls = []
+    monkeypatch.setattr(sub.universe, "_contains", counting(sub.universe._contains))
+    w = witness_whole_window(sub, Window(odd), params)
+    for _ in range(3):
+        verify_witness(sub, w)
+    assert calls == odd
+    # consecutive integers in an int-convex universe: the two ends
+    w = witness_ratio_minmax(params, int_window(1, 500))
+    calls = []
+    monkeypatch.setattr(NATURALS, "_contains", counting(NATURALS._contains))
+    for _ in range(3):
+        assert verify_witness(ratio, w).passed
+    assert calls == [1, 500]

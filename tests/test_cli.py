@@ -126,6 +126,19 @@ def test_check_corrupted_witness_fails(tmp_path):
     assert "FAIL disjoint" in out
 
 
+def test_check_refuses_window_points_outside_the_universe(tmp_path):
+    """A hand-built ratio_minmax witness on -3..3: one partition used to
+    divide by zero, the other printed a FAIL built on M(-2,-1) = 2."""
+    w_path = tmp_path / "w.json"
+    for sets in ([[-3, -2, -1], [0], [1, 2, 3]], [[-3], [-2], [-1, 0, 1, 2, 3]]):
+        w_path.write_text(json.dumps({
+            "n": 0, "params": {"r": "1/2", "t": "1"}, "bound_params": {"r": "1/2", "t": "1"},
+            "window": "-3..3", "families": [{"label": "f", "sets": sets}]}))
+        code, out = run_cli(["check", "--space", "ratio_minmax", "--witness", str(w_path),
+                             "--scale", "1/2:1"])
+        assert (code, out) == (2, "ERROR DomainError: point -3 is outside the naturals universe\n")
+
+
 def test_check_missing_file():
     code, out = run_cli(["check", "--space", "ratio_minmax",
                          "--witness", "/nonexistent/w.json", "--scale", "1/2:1"])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzycoarse import (
     LUKASIEWICZ,
@@ -10,6 +12,8 @@ from fuzzycoarse import (
     Family,
     ModulusEntry,
     ScaleParams,
+    TableMetric,
+    Window,
     affine_map,
     check_close,
     check_coarsely_onto,
@@ -23,18 +27,23 @@ from fuzzycoarse import (
     inclusion_map,
     int_window,
     lift_metric_families,
+    ratio_minmax_space,
+    reciprocal_product_space,
     standard_space,
     table_map,
     transport_witness,
     ultrametric_space,
     verify_witness,
 )
-from fuzzycoarse.space import RATIONALS, FuzzyMetricSpace
+from fuzzycoarse.coarse import _check_modulus, _finite_table_note
 from fuzzycoarse.errors import (
     CertificationError,
     DerivationError,
+    DomainError,
     PreconditionError,
 )
+from fuzzycoarse.report import CertReport, fmt_pair, fmt_value
+from fuzzycoarse.space import RATIONALS, FuzzyMetricSpace
 
 F = Fraction
 STD = standard_space()
@@ -362,3 +371,227 @@ def test_transport_wrong_scale_witness_rejected():
     wrong = block_witness_factory(STD, wx)(ScaleParams(F(1, 2), 5))
     with pytest.raises(DerivationError):
         transport_witness(STD, STD, f, wrong, ScaleParams(F(1, 3), 1), wx)
+
+
+# ---------------------------------------------------------------------------
+# integer-pair checks against value-based brute force
+# ---------------------------------------------------------------------------
+
+
+def brute_modulus(title, predicate, entries, space_x, space_y, f, window_x,
+                  proper, violation_cap):
+    """The modulus check as one validated ``value`` call per tested pair."""
+    rep = CertReport(title, map=f.describe(), window=window_x.label())
+    pts = window_x.points
+    sides = [(space_x, pts), (space_y, [f.apply(x) for x in pts])]
+    (space_in, pts_in), (space_out, pts_out) = sides[::-1] if proper else sides
+    n = len(pts)
+    for e in entries:
+        bad = []
+        for i in range(n):
+            a, fa = pts_in[i], pts_out[i]
+            for j in range(i, n):
+                if space_in.value(a, pts_in[j], e.t_in) >= e.level_in:
+                    got = space_out.value(fa, pts_out[j], e.t_out)
+                    if got < e.level_out:
+                        bad.append((pts[i], pts[j], got))
+                        if len(bad) >= violation_cap:
+                            break
+            if len(bad) >= violation_cap:
+                break
+        rep.add_verdict(not bad, predicate, entry=e.describe(),
+                        witness=fmt_pair(bad[0][:2]) if bad else None,
+                        value=bad[0][2] if bad else None)
+    _finite_table_note(rep)
+    return rep
+
+
+def brute_onto(space_y, f, params, window_y, violation_cap):
+    """Onto as a scan of every target point against every image point."""
+    rep = CertReport("coarsely-onto", map=f.describe(), window=window_y.label(),
+                     r=params.r, t=params.t)
+    img = f.image(f.domain)
+    b, t = params.threshold, params.t
+    bad = []
+    for y in window_y:
+        if not any(space_y.value(a, y, t) > b for a in img):
+            bad.append(y)
+            if len(bad) >= violation_cap:
+                break
+    rep.add_verdict(not bad, "onto", image_size=len(img), witness=bad[0] if bad else None)
+    _finite_table_note(rep)
+    return rep
+
+
+def brute_close(space_y, f, g, params, window_x, violation_cap):
+    rep = CertReport("close", f=f.describe(), g=g.describe(),
+                     window=window_x.label(), r=params.r, t=params.t)
+    bad = []
+    for x in window_x:
+        got = space_y.value(f.apply(x), g.apply(x), params.t)
+        if got <= params.threshold:
+            bad.append((x, got))
+            if len(bad) >= violation_cap:
+                break
+    rep.add_verdict(not bad, "pointwise", witness=bad[0][0] if bad else None,
+                    value=bad[0][1] if bad else None)
+    return rep
+
+
+def brute_inverse_table(space_y, f, params, window_y, window_x):
+    """For each target point the smallest source point whose image is
+    strictly within 1 - r of it; ``PreconditionError`` when there is none."""
+    table = {}
+    for y in window_y:
+        chosen = next((x for x in window_x
+                       if space_y.value(f.apply(x), y, params.t) > params.threshold), None)
+        if chosen is None:
+            raise PreconditionError(
+                f"map is not coarsely onto at r={fmt_value(params.r)}, "
+                f"t={fmt_value(params.t)}: no preimage candidate for {fmt_value(y)}")
+        table[y] = chosen
+    return table
+
+
+DIFF_TABLE = TableMetric([0, 3, 4, 10, 11], [[0, 3, 4, 10, 11], [3, 0, 1, 7, 8],
+                                             [4, 1, 0, 6, 7], [10, 7, 6, 0, F(1, 2)],
+                                             [11, 8, 7, F(1, 2), 0]])
+levels = st.fractions(F(1, 12), 1, max_denominator=12)
+times = st.sampled_from([F(1, 2), 1, 2, 3, F(7, 2)])
+modulus_entries = st.lists(st.builds(ModulusEntry, levels, times,
+                                     st.fractions(0, 1, max_denominator=12), times),
+                           min_size=1, max_size=3)
+scales = st.builds(ScaleParams, st.fractions(F(1, 12), F(11, 12), max_denominator=12), times)
+
+
+@st.composite
+def coarse_cases(draw):
+    """(space_x, space_y, map, window_x, window_y): an affine map into the
+    rationals, or a table map into the naturals (ratio, reciprocal) or into
+    the points of a table metric, which has no region."""
+    kind = draw(st.sampled_from(["affine", "ratio", "reciprocal", "table"]))
+    lo = draw(st.integers(-6, 6)) if kind == "affine" else 1
+    window_x = int_window(lo, lo + draw(st.integers(0, 14)))
+    if kind == "affine":
+        a = draw(st.fractions(-3, 3, max_denominator=4))
+        b = draw(st.fractions(-3, 3, max_denominator=4))
+        step = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), 1]))
+        window_y = grid_window(-12, 12, step)
+        return STD, STDQ, affine_map(a, b, domain=window_x), window_x, window_y
+    if kind == "table":
+        targets = st.sampled_from(DIFF_TABLE.points)
+        space_y = standard_space(DIFF_TABLE)
+        window_y = Window(DIFF_TABLE.points)
+        space_x = STD
+    else:
+        targets = st.integers(1, 16)
+        space_y = ratio_minmax_space() if kind == "ratio" else reciprocal_product_space()
+        window_y = int_window(1, 16)
+        space_x = ratio_minmax_space()
+    f = table_map({x: draw(targets) for x in window_x})
+    return space_x, space_y, f, window_x, window_y
+
+
+@given(case=coarse_cases(), entries=modulus_entries, cap=st.integers(1, 3),
+       proper=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_modulus_check_matches_brute(case, entries, cap, proper):
+    space_x, space_y, f, window_x, _ = case
+    args = ("t", "p", entries, space_x, space_y, f, window_x, proper, cap)
+    assert _check_modulus(*args).lines() == brute_modulus(*args).lines()
+
+
+@given(case=coarse_cases(), params=scales, cap=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_onto_matches_brute(case, params, cap):
+    _, space_y, f, _, window_y = case
+    assert check_coarsely_onto(space_y, f, params, window_y, cap).lines() == \
+        brute_onto(space_y, f, params, window_y, cap).lines()
+
+
+@given(case=coarse_cases(), params=scales, cap=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_close_matches_brute(case, params, cap):
+    _, space_y, f, window_x, _ = case
+    g = table_map({x: f.apply(window_x.points[-1 - k]) for k, x in enumerate(window_x)})
+    assert check_close(space_y, f, g, params, window_x, cap).lines() == \
+        brute_close(space_y, f, g, params, window_x, cap).lines()
+
+
+@given(case=coarse_cases(), params=scales)
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_brute(case, params):
+    space_x, space_y, f, window_x, window_y = case
+    f = CoarseMap(f.rule, f.fn, proper=(ModulusEntry(params.threshold, params.t,
+                                                     F(1, 2), 1),))
+    # g is tabulated on window_y, and g(f(x)) is re-verified, so the
+    # target window holds the image
+    window_y = Window([*window_y, *f.image(window_x)])
+    try:
+        want = brute_inverse_table(space_y, f, params, window_y, window_x)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as info:
+            coarse_inverse(space_x, space_y, f, params, window_y, window_x)
+        assert str(info.value) == str(exc)
+        return
+    g, _ = coarse_inverse(space_x, space_y, f, params, window_y, window_x)
+    assert {y: g.apply(y) for y in window_y} == want
+
+
+def test_onto_and_inverse_make_no_value_calls_and_one_region_per_image(monkeypatch):
+    """On a 600-point grid target the onto check and the inverse read one
+    region per image point and never call the validated ``value``."""
+    wx = int_window(0, 299)
+    wy = grid_window(0, F(599, 2), F(1, 2))
+    assert len(wy) == 600
+    space_y = standard_space(universe=RATIONALS)
+    f = inclusion_map(domain=wx, proper=(entry("1/2", 1, "1/2", 1),))
+    calls = {"value": 0, "region": 0}
+    value = FuzzyMetricSpace.value
+    region = type(space_y._kind).region
+
+    def counted_value(self, *args):
+        calls["value"] += 1
+        return value(self, *args)
+
+    def counted_region(self, *args):
+        calls["region"] += 1
+        return region(self, *args)
+
+    monkeypatch.setattr(FuzzyMetricSpace, "value", counted_value)
+    monkeypatch.setattr(type(space_y._kind), "region", counted_region)
+    params = ScaleParams(F(1, 2), 1)
+    assert check_coarsely_onto(space_y, f, params, wy).passed
+    assert calls == {"value": 0, "region": 300}
+    calls["region"] = 0
+    g, rep = coarse_inverse(STD, space_y, f, params, wy, wx)
+    assert rep.passed
+    assert calls == {"value": 0, "region": 300}
+    assert g.apply(F(1, 2)) == 0 and g.apply(F(599, 2)) == 299
+
+
+def test_modulus_checks_make_no_value_calls(monkeypatch):
+    calls = []
+    value = FuzzyMetricSpace.value
+    monkeypatch.setattr(FuzzyMetricSpace, "value",
+                        lambda self, *args: calls.append(args) or value(self, *args))
+    f = affine_map(2, 0, expansive=(entry("1/2", 1, "1/2", 2),),
+                   proper=(entry("1/2", 2, "1/2", 1),))
+    assert check_uniformly_expansive(STD, STD, f, int_window(-40, 40)).passed
+    assert check_effectively_proper(STD, STD, f, int_window(-40, 40)).passed
+    assert calls == []
+
+
+def test_image_outside_the_universe_raises_before_any_verdict():
+    """Points are checked before the scan, so an image outside the
+    universe raises even where ``violation_cap`` would end the scan first."""
+    ratio = ratio_minmax_space()
+    w = int_window(1, 6)
+    f = table_map({1: 1, 2: 9, 3: 1, 4: 1, 5: 1, 6: 0},
+                  expansive=(entry(F(1, 12), 1, 1, 1),), proper=(entry(1, 1, 1, 1),))
+    with pytest.raises(DomainError, match="point 0 is outside the naturals"):
+        check_uniformly_expansive(ratio, ratio, f, w, violation_cap=1)
+    with pytest.raises(DomainError, match="point 0 is outside the naturals"):
+        check_effectively_proper(ratio, ratio, f, w, violation_cap=1)
+    with pytest.raises(DomainError, match="point 0 is outside the naturals"):
+        check_coarsely_onto(ratio, f, ScaleParams(F(1, 2), 1), w, violation_cap=1)

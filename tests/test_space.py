@@ -30,7 +30,7 @@ from fuzzycoarse import (
     union_bound,
 )
 from fuzzycoarse.errors import DomainError, ExactnessError, UnsupportedOperationError
-from fuzzycoarse.space import RATIONALS
+from fuzzycoarse.space import ONE, RATIONALS
 
 F = Fraction
 
@@ -445,3 +445,119 @@ def test_subspace_keeps_fast_paths_exact():
     for x in (2, 10, 34):
         assert sub.ball_points(x, params.threshold, params.t, w) == \
             brute_ball(sub, x, params, w)
+
+
+# ---------------------------------------------------------------------------
+# the integer evaluator
+# ---------------------------------------------------------------------------
+
+
+PAIR_TABLE = TableMetric([0, 2, 5, 9], [[0, F(1, 2), 3, 7], [F(1, 2), 0, F(5, 2), 4],
+                                        [3, F(5, 2), 0, F(3, 2)], [7, 4, F(3, 2), 0]])
+naturals = st.integers(1, 300)
+rationals = st.fractions(-40, 40, max_denominator=12).map(
+    lambda q: int(q) if q.denominator == 1 else q)
+# (space, point strategy): every built-in kind, table and lattice metrics,
+# negative integers, rational grid points and a subspace.
+PAIR_CASES = {
+    "standard": (standard_space(), st.integers(-60, 60)),
+    "standard-rationals": (standard_space(universe=RATIONALS), rationals),
+    "max-ultrametric": (standard_space(MaxUltrametric()), naturals),
+    "ultrametric": (ultrametric_space(), naturals),
+    "ratio": (ratio_minmax_space(), naturals),
+    "reciprocal": (reciprocal_product_space(), naturals),
+    "pathological": (pathological_space(), st.integers(1, 12)),
+    "table": (standard_space(PAIR_TABLE), st.sampled_from(PAIR_TABLE.points)),
+    "lattice": (standard_space(EuclideanLattice(2)),
+                st.tuples(st.integers(-6, 6), st.integers(-6, 6))),
+    "ratio-subspace": (subspace(ratio_minmax_space(), range(2, 61, 3)),
+                       st.sampled_from(range(2, 61, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+@given(data=st.data(), t=st.fractions(F(1, 20), 60, max_denominator=20))
+@settings(max_examples=150, deadline=None)
+def test_pair_is_the_value_as_integers(name, data, t):
+    space, points = PAIR_CASES[name]
+    x, y = data.draw(points), data.draw(points)
+    try:
+        want = space.value(x, y, t)
+    except ExactnessError:
+        with pytest.raises(ExactnessError):
+            space._pair(x, y, t)
+        return
+    num, den = space._pair(x, y, t)
+    assert type(num) is int and type(den) is int
+    assert den > 0
+    assert Fraction(num, den) == want
+
+
+def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
+    """The matrices hold every (x, y) in both orders, so the symmetry step
+    evaluates nothing more: one integer pair per entry per time."""
+    from fuzzycoarse.space import FuzzyMetricSpace
+
+    calls = {"value": 0, "_raw": 0, "_pair": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(FuzzyMetricSpace, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(FuzzyMetricSpace, name, counted)
+    rep = check_axioms(ratio_minmax_space(), int_window(1, 20), [F(1, 2), 1, 2, 7])
+    assert rep.passed
+    times = {F(1, 2), 1, 2, 7} | {a + b for a in (F(1, 2), 1, 2, 7) for b in (F(1, 2), 1, 2, 7)}
+    assert calls == {"value": 0, "_raw": 0, "_pair": 20 * 20 * len(times)}
+
+
+def test_axioms_symmetry_and_range_compare_values_not_representations():
+    """A kind whose integer pairs depend on the argument order but whose
+    values do not is symmetric; one that skews a single pair fails symmetry
+    there, and one with M = 0 off the diagonal fails the range check."""
+    from fuzzycoarse.space import NATURALS, FuzzyMetricSpace, _Kind
+
+    class Skewed(_Kind):
+        name = "skewed"
+
+        def pair(self, x, y, t):
+            num, den = min(x, y), max(x, y)
+            if (x, y) == (3, 5):
+                den *= 2
+            return (num, den) if x <= y else (2 * num, 2 * den)
+
+        def value(self, x, y, t):
+            return Fraction(*self.pair(x, y, t))
+
+    class Flat(_Kind):
+        name = "flat"
+
+        def value(self, x, y, t):
+            return ONE if x == y else Fraction(0)
+
+    def failures(kind):
+        rep = check_axioms(FuzzyMetricSpace(kind, PRODUCT, NATURALS), int_window(1, 8), [1])
+        return [f.line() for f in rep.failures() if f.predicate in ("symmetry", "range")]
+
+    assert failures(Skewed()) == ["FAIL symmetry witness=3~5 t=1"]
+    assert failures(Flat()) == ["FAIL range witness=1~2 t=1 value=0"]
+
+
+def test_generic_scan_reports_what_the_integer_scan_reports():
+    """The product under a name with no integer scanner runs the Fraction
+    scan over the same matrices and reports the same chain failure."""
+    from fuzzycoarse import TNorm
+
+    custom = TNorm("product-clone", lambda a, b: a * b, True)
+    w = int_window(1, 12)
+    lines = [[ln for ln in check_axioms(pathological_space(tn), w, [1, 2]).lines()
+              if "chain-inequality" in ln] for tn in (PRODUCT, custom)]
+    assert lines[0] == lines[1]
+    assert lines[0][0].startswith("FAIL chain-inequality")
+
+
+def test_booleans_do_not_make_a_window_of_consecutive_integers():
+    assert int_window(1, 3).is_contiguous_ints()
+    for pts in ([True, 2, 3], [0, True, 2]):
+        assert not Window(pts).is_contiguous_ints()
+        with pytest.raises(DomainError, match="point True is outside"):
+            check_axioms(standard_space(), Window(pts), [1])
