@@ -247,18 +247,12 @@ def grid_window(lo, hi, step) -> Window:
 
 
 class Universe:
-    """Membership rule for the points a space is defined on.
+    """Membership rule for the points a space is defined on."""
 
-    ``int_convex`` declares that every integer between two integer members
-    is a member, so a window of consecutive integers is checked by its two
-    ends.
-    """
-
-    def __init__(self, name: str, contains, description: str, int_convex: bool = False):
+    def __init__(self, name: str, contains, description: str):
         self.name = name
         self._contains = contains
         self.description = description
-        self.int_convex = int_convex
 
     def __contains__(self, p):
         return self._contains(p)
@@ -272,10 +266,10 @@ def _is_scalar(p):
 
 
 NATURALS = Universe("naturals", lambda p: isinstance(p, int) and not isinstance(p, bool) and p >= 1,
-                    "integers >= 1", int_convex=True)
+                    "integers >= 1")
 INTEGERS = Universe("integers", lambda p: isinstance(p, int) and not isinstance(p, bool),
-                    "all integers", int_convex=True)
-RATIONALS = Universe("rationals", _is_scalar, "all exact rationals", int_convex=True)
+                    "all integers")
+RATIONALS = Universe("rationals", _is_scalar, "all exact rationals")
 
 
 def lattice_universe(dim: int) -> Universe:
@@ -307,7 +301,7 @@ class Metric:
     point order (d grows as pairs nest outward on the sorted line), and
     ``universe`` is the point set it is a metric on, which a standard space
     takes when it is given none.  A distance is an exact rational: an int
-    or a Fraction."""
+    or a Fraction; any other value raises ``DomainError``."""
 
     name = "metric"
     line_compatible = False
@@ -324,7 +318,8 @@ class EuclideanLine(Metric):
     line_compatible = True
 
     def distance(self, x, y):
-        return abs(x - y)
+        d = abs(x - y)
+        return d if type(d) is int else as_fraction(d)
 
 
 class EuclideanLattice(Metric):
@@ -368,7 +363,8 @@ class MaxUltrametric(Metric):
     universe = NATURALS
 
     def distance(self, x, y):
-        return 0 if x == y else max(x, y)
+        d = 0 if x == y else max(x, y)
+        return d if type(d) is int else as_fraction(d)
 
 
 class TableMetric(Metric):
@@ -629,13 +625,9 @@ class FuzzyMetricSpace:
     def _check_window(self, window: Window):
         """``_check_points`` on the window points, once per window and
         universe: a window remembers the universes that hold it."""
-        u, pts = self.universe, window.points
-        if u in window._checked_in:
-            return
-        if not (u.int_convex and window.is_contiguous_ints()
-                and pts[0] in u and pts[-1] in u):
-            self._check_points(pts)
-        window._checked_in.add(u)
+        if self.universe not in window._checked_in:
+            self._check_points(window.points)
+            window._checked_in.add(self.universe)
 
     def value(self, x, y, t) -> Fraction:
         """M(x, y, t), exactly."""
@@ -788,13 +780,19 @@ def union_bound(space: FuzzyMetricSpace, params_a: ScaleParams, params_b: ScaleP
 
 
 def _value_matrices(space, pts, t_values):
-    """``(numerators, denominators)`` integer matrices of M over the window
-    points, one entry per t; ``_entry`` reads one value as a Fraction."""
+    """``(numerators, denominators, values)`` matrices of M over the window
+    points, one entry per t; ``_entry`` reads one value as a Fraction.
+    ``values`` holds Fractions only under a t-norm with no integer scanner,
+    whose rule is evaluated on them, and is None otherwise."""
+    generic = space.tnorm.name not in _SCANNERS
     mats = {}
     for t in t_values:
         rows = [[space._pair(x, y, t) for y in pts] for x in pts]
-        mats[t] = ([[p[0] for p in row] for row in rows],
-                   [[p[1] for p in row] for row in rows])
+        nums = [[p[0] for p in row] for row in rows]
+        dens = [[p[1] for p in row] for row in rows]
+        vals = ([[Fraction(p, q) for p, q in row] for row in rows]
+                if generic else None)
+        mats[t] = (nums, dens, vals)
     return mats
 
 
@@ -871,18 +869,15 @@ def _chain_violations(tnorm: TNorm, mat_a, mat_b, mat_c, cap: int) -> list:
     """Index triples (i, j, k), i <= k, with T(A[i][j], B[k][j]) > C[i][k],
     in scan order, at most ``cap`` of them.
 
-    Each matrix is a ``(numerators, denominators)`` entry of
-    ``_value_matrices``.  Built-in t-norms compare by integer
-    cross-multiplication; any other rule is evaluated on Fractions built
-    from the matrices.
+    Each matrix is an entry of ``_value_matrices``.  Built-in t-norms
+    compare by integer cross-multiplication; any other rule is evaluated
+    on the entry's Fractions.
     """
     n = len(mat_a[0])
     scanner = _SCANNERS.get(tnorm.name)
     if scanner is None:
-        vA, vB, vC = ([[Fraction(p, q) for p, q in zip(*rows)] for rows in zip(*m)]
-                      for m in (mat_a, mat_b, mat_c))
-        return _scan_generic(tnorm.rule, vA, vB, vC, n, cap)
-    return scanner(*mat_a, *mat_b, *mat_c, n, cap)
+        return _scan_generic(tnorm.rule, mat_a[2], mat_b[2], mat_c[2], n, cap)
+    return scanner(*mat_a[:2], *mat_b[:2], *mat_c[:2], n, cap)
 
 
 def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap: int = 3) -> CertReport:
@@ -929,7 +924,7 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # (1) range: 0 < M <= 1
     bad = None
     for t in t_list:
-        nums, dens = mats[t]
+        nums, dens, _ = mats[t]
         for i in range(n):
             for j in range(i, n):
                 if not (0 < nums[i][j] <= dens[i][j]):
@@ -946,7 +941,7 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # (2) M = 1 exactly on the diagonal
     bad = None
     for t in t_list:
-        nums, dens = mats[t]
+        nums, dens, _ = mats[t]
         for i in range(n):
             if nums[i][i] != dens[i][i]:
                 bad = (pts[i], pts[i], t)
@@ -965,7 +960,7 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # (3) symmetry: the full matrices hold both argument orders
     bad = None
     for t in t_list:
-        nums, dens = mats[t]
+        nums, dens, _ = mats[t]
         for i in range(n):
             for j in range(i + 1, n):
                 if nums[i][j] * dens[j][i] != nums[j][i] * dens[i][j]:
@@ -1003,7 +998,7 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     # monotonicity in t, on the sampled grid only
     bad = None
     for ta, tb in zip(t_list, t_list[1:]):
-        (na, da), (nb, db) = mats[ta], mats[tb]
+        (na, da, _), (nb, db, _) = mats[ta], mats[tb]
         for i in range(n):
             for j in range(i + 1, n):
                 if na[i][j] * db[i][j] > nb[i][j] * da[i][j]:

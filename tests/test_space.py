@@ -160,6 +160,19 @@ def test_max_ultrametric_strong_triangle():
     assert rep.passed
 
 
+def test_line_distances_refuse_floats():
+    """Int points give int distances; a float point is not an exact
+    rational and raises, so no float reaches a certificate."""
+    assert EuclideanLine().distance(-3, 4) == 7
+    assert type(EuclideanLine().distance(-3, 4)) is int
+    assert EuclideanLine().distance(F(1, 2), 2) == F(3, 2)
+    for metric in (EuclideanLine(), MaxUltrametric()):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            check_metric_axioms(metric, Window([0.5, 1.5]))
+    with pytest.raises(DomainError, match="not an exact rational"):
+        standard_space(universe=RATIONALS)._pair(0.5, 1, ONE)
+
+
 def test_standard_space_defaults_to_the_metric_universe():
     """max(x, y) is a metric on the positive integers only: on the integers
     M(-3,-5,1) would be -1/2 and M(-3,-5,10) would be 10/7."""
