@@ -159,3 +159,37 @@ def test_golden_non_archimedean_message():
         witness_ball_partition(standard_space(tnorm=MINIMUM), ScaleParams(F(1, 2), 4),
                                F(1, 4), Window(range(0, 12)))
     assert str(info.value) == "M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at (0, 1, 2) (t=4)"
+
+
+# A standard space on a 5-point table metric has no fast extremal path, so
+# the disjointness check scans every cross pair of the family's two sets in
+# set order.  Two cross pairs, 2~1 and 3~4, tie for the top value 1/2; the
+# stream pins the first one in that order.
+TIED_POINTS = [0, 1, 2, 3, 4]
+TIED_PAIRS = {(1, 2), (3, 4)}
+TIED_WITNESS = {
+    "n": 0,
+    "params": {"r": "1/4", "t": "1"},
+    "bound_params": {"r": "3/4", "t": "1"},
+    "window": "0..4",
+    "families": [{"label": "tied", "sets": [[2, 3], [0, 1, 4]]}],
+}
+
+
+def test_golden_check_tied_cross_pair_on_a_table_metric(tmp_path):
+    matrix = [[0 if p == q else 1 if (min(p, q), max(p, q)) in TIED_PAIRS else 2
+               for q in TIED_POINTS] for p in TIED_POINTS]
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(TIED_WITNESS))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "space": {"kind": "standard",
+                  "metric": {"rule": "table", "points": TIED_POINTS, "matrix": matrix}},
+        "witness": str(witness),
+        "scales": ["1/4:1", "3/4:1"],
+    }))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = main(["check", "--config", str(config)])
+    assert (got, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()) == (
+        1, "344f3283686ff41bdb284fd1aed7f07889010c252c6b9a7df7dcf8eab9693138")
