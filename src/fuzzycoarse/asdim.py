@@ -702,6 +702,7 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
 
 def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) -> ScaleGraphReport:
     """Components of the graph joining x, y when M(x, y, t) >= 1 - r."""
+    space._check_window(window)
     pts = window.points
     n = len(pts)
     b, t = params.threshold, params.t
@@ -725,11 +726,15 @@ def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) ->
             if space._raw(pts[i], pts[i + 1], t) >= b:
                 union(i, i + 1)
     elif space.coordinate_decreasing:
-        cap = 1 / b  # edges need x*y <= cap
+        # M(x, y) only shrinks as y grows past x, so the edges from x go to
+        # a prefix of the later points
+        pair, bn, bd = space._pair, b.numerator, b.denominator
         for i, x in enumerate(pts):
-            hi = cap / x
             j = i + 1
-            while j < n and pts[j] <= hi:
+            while j < n:
+                num, den = pair(x, pts[j], t)
+                if num * bd < bn * den:
+                    break
                 union(i, j)
                 j += 1
     else:

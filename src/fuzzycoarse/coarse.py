@@ -31,7 +31,6 @@ from .rationals import as_fraction
 from .report import CertReport, fmt_pair, fmt_value
 from .space import FuzzyMetricSpace, ScaleParams, Window
 
-ONE = Fraction(1)
 EPS_GRID = 256  # granularity of the exact scan used in transport derivation
 
 

@@ -15,7 +15,7 @@ from .coarse import CoarseMap, ModulusEntry, affine_map, identity_map, inclusion
 from .asdim import DimensionWitness
 from .covers import Family
 from .errors import ParseError
-from .rationals import format_rational, parse_rational
+from .rationals import as_fraction, format_rational, parse_rational
 from .space import (
     EuclideanLattice,
     EuclideanLine,
@@ -66,8 +66,7 @@ def scale_from_json(obj) -> ScaleParams:
     if isinstance(obj, str):
         return parse_scale(obj)
     try:
-        return ScaleParams(parse_rational(str(obj["r"])) if isinstance(obj["r"], str) else Fraction(obj["r"]),
-                           parse_rational(str(obj["t"])) if isinstance(obj["t"], str) else Fraction(obj["t"]))
+        return ScaleParams(obj["r"], obj["t"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"scale object needs r and t: {obj!r}") from exc
 
@@ -141,8 +140,7 @@ def _metric_from_config(cfg):
         if rule == "table":
             try:
                 points = [point_from_json(p) for p in cfg["points"]]
-                matrix = [[parse_rational(str(v)) if isinstance(v, str) else Fraction(v)
-                           for v in row] for row in cfg["matrix"]]
+                matrix = [[as_fraction(v) for v in row] for row in cfg["matrix"]]
             except (KeyError, TypeError) as exc:
                 raise ParseError("table metric needs points and matrix") from exc
             return TableMetric(points, matrix)
@@ -260,9 +258,11 @@ def map_from_config(cfg) -> CoarseMap:
         except (KeyError, TypeError) as exc:
             raise ParseError("affine rule needs a and b") from exc
     if isinstance(rule, dict) and "table" in rule:
-        table = {point_from_json(k_obj): point_from_json(v_obj)
-                 for k_obj, v_obj in rule["table"]}
-        return table_map(table, **kwargs)
+        rows = rule["table"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 2
+                                                 for row in rows):
+            raise ParseError("table rule needs a list of [x, image] pairs")
+        return table_map({point_from_json(x): point_from_json(y) for x, y in rows}, **kwargs)
     raise ParseError(f"unknown map rule {rule!r}")
 
 

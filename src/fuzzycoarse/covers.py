@@ -127,37 +127,6 @@ def min_intra_pair(space: FuzzyMetricSpace, s: tuple, t: Fraction):
     return best
 
 
-def max_cross_pair(space: FuzzyMetricSpace, u: tuple, v: tuple, t: Fraction):
-    """(value, pair) maximizing M over the cross product of two sorted sets."""
-    su = set(u)
-    shared = sorted(su.intersection(v))
-    if shared:
-        p = shared[0]
-        return (ONE, (p, p))
-    if space.radially_monotone:
-        small, big = (u, v) if len(u) <= len(v) else (v, u)
-        best = None
-        for p in small:
-            i = bisect_left(big, p)
-            for q in (big[i - 1] if i > 0 else None, big[i] if i < len(big) else None):
-                if q is None:
-                    continue
-                val = space._raw(p, q, t)
-                if best is None or val > best[0]:
-                    best = (val, (min(p, q), max(p, q)))
-        return best
-    if space.coordinate_decreasing:
-        p, q = u[0], v[0]
-        return (space._raw(p, q, t), (min(p, q), max(p, q)))
-    best = None
-    for p in u:
-        for q in v:
-            val = space._raw(p, q, t)
-            if best is None or val > best[0]:
-                best = (val, (p, q))
-    return best
-
-
 def family_min_intra(space: FuzzyMetricSpace, family: Family, t: Fraction):
     """(value, pair, set_index) minimizing M within any one member set."""
     best = None
@@ -169,7 +138,12 @@ def family_min_intra(space: FuzzyMetricSpace, family: Family, t: Fraction):
 
 
 def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
-    """(value, pair, (i, j)) maximizing M across distinct member sets."""
+    """(value, pair, (i, j)) maximizing M across distinct member sets.
+
+    The only code that knows the radial and coordinate-decreasing cross
+    pair facts; any other space scans each pair of sets in (i, j, p, q)
+    order and keeps the first maximum.
+    """
     sets = family.sets
     if len(sets) < 2:
         return None
@@ -191,11 +165,13 @@ def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
         (p, i), (q, j) = minima[0], minima[1]
         return (space._raw(p, q, t), (min(p, q), max(p, q)), (min(i, j), max(i, j)))
     best = None
-    for i in range(len(sets)):
+    for i, u in enumerate(sets):
         for j in range(i + 1, len(sets)):
-            val, pair = max_cross_pair(space, sets[i], sets[j], t)
-            if best is None or val > best[0]:
-                best = (val, pair, (i, j))
+            for p in u:
+                for q in sets[j]:
+                    val = space._raw(p, q, t)
+                    if best is None or val > best[0]:
+                        best = (val, (p, q), (i, j))
     return best
 
 
@@ -223,7 +199,7 @@ def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
         raise DomainError(f"t must be positive, got {ft}")
     for p in (*us, *vs):
         space._check_point(p)
-    return max_cross_pair(space, us, vs, ft)[0]
+    return family_max_cross(space, Family((us, vs)), ft)[0]
 
 
 def is_scale_disjoint(space: FuzzyMetricSpace, family: Family,

@@ -18,6 +18,9 @@ pathological          1/2 off the diagonal except 1/x against the point 1
                       (a space where bounded sets do not union well)
 ultrametric_standard  t / (t + max(x, y)) off the diagonal, min t-norm
                       (non-Archimedean)
+
+Each kind states M once, as an integer pair ``(num, den)``; the space
+builds every Fraction value from it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .errors import DomainError, ExactnessError, UnsupportedOperationError
 from .rationals import as_fraction, largest_int_lt, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
 from .tnorm import MINIMUM, PRODUCT, TNorm
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -101,43 +102,19 @@ class Window:
     def __hash__(self):
         return hash(self.points)
 
-    def span(self, lo, hi, include_lo=False, include_hi=False) -> tuple:
-        """Index range ``(i, j)`` of the window points inside the interval,
-        with ``i >= j`` when there are none.  ``None`` means unbounded."""
+    def span(self, lo, hi) -> tuple:
+        """Index range ``(i, j)`` of the window points in the open interval
+        (lo, hi), with ``i >= j`` when there are none.  ``None`` means
+        unbounded."""
         n = len(self.points)
         w0 = self._first_int
         if w0 is not None:
-            if lo is None:
-                i = 0
-            else:
-                i = max(0, (math.ceil(lo) if include_lo else smallest_int_gt(lo)) - w0)
-            if hi is None:
-                j = n
-            else:
-                j = min(n, (math.floor(hi) if include_hi else largest_int_lt(hi)) - w0 + 1)
+            i = 0 if lo is None else max(0, smallest_int_gt(lo) - w0)
+            j = n if hi is None else min(n, largest_int_lt(hi) - w0 + 1)
             return i, j
-        pts = self.points
-        if lo is None:
-            i = 0
-        else:
-            i = bisect_left(pts, lo) if include_lo else bisect_right(pts, lo)
-        if hi is None:
-            j = n
-        else:
-            j = bisect_right(pts, hi) if include_hi else bisect_left(pts, hi)
+        i = 0 if lo is None else bisect_right(self.points, lo)
+        j = n if hi is None else bisect_left(self.points, hi)
         return i, j
-
-    def between(self, lo, hi, include_lo=False, include_hi=False) -> tuple:
-        """Window points inside the interval with the given bound strictness.
-
-        ``None`` on either side means unbounded.
-        """
-        i, j = self.span(lo, hi, include_lo, include_hi)
-        return self.points[i:j] if i < j else ()
-
-    def count_between(self, lo, hi, include_lo=False, include_hi=False) -> int:
-        i, j = self.span(lo, hi, include_lo, include_hi)
-        return max(0, j - i)
 
     def is_contiguous_ints(self) -> bool:
         return self._first_int is not None
@@ -462,15 +439,10 @@ class _Kind:
     coordinate_decreasing = False
     metric: Optional[Metric] = None
 
-    def value(self, x, y, t: Fraction) -> Fraction:
-        raise NotImplementedError
-
     def pair(self, x, y, t: Fraction) -> tuple:
-        """M(x, y, t) as integers ``(num, den)`` with ``den > 0`` and
-        ``num/den == value(x, y, t)``; a kind without a closed form takes
-        them from the Fraction."""
-        v = self.value(x, y, t)
-        return v.numerator, v.denominator
+        """M(x, y, t) as integers ``(num, den)`` with ``den > 0``: the one
+        statement of M, from which every Fraction value is built."""
+        raise NotImplementedError
 
     def region(self, x, bound: Fraction, t: Fraction):
         """Open-threshold region {y : M(x,y,t) > bound} as
@@ -484,9 +456,6 @@ class _StandardKind(_Kind):
         self.metric = metric
         self.name = name
         self.radial = metric.line_compatible
-
-    def value(self, x, y, t):
-        return Fraction(*self.pair(x, y, t))
 
     def pair(self, x, y, t):
         # t/(t+d) = tn*dd / (tn*dd + dn*td)
@@ -511,11 +480,6 @@ class _ReciprocalKind(_Kind):
     t_dependent = False
     coordinate_decreasing = True
 
-    def value(self, x, y, t):
-        if x == y:
-            return ONE
-        return Fraction(1, x * y)
-
     def pair(self, x, y, t):
         return (1, 1) if x == y else (1, x * y)
 
@@ -529,11 +493,6 @@ class _RatioKind(_Kind):
     t_dependent = False
     radial = True
 
-    def value(self, x, y, t):
-        if x == y:
-            return ONE
-        return Fraction(min(x, y), max(x, y))
-
     def pair(self, x, y, t):
         return (1, 1) if x == y else (min(x, y), max(x, y))
 
@@ -545,15 +504,6 @@ class _PathologicalKind(_Kind):
     name = "pathological"
     t_dependent = False
     radial = True
-
-    def value(self, x, y, t):
-        if x == y:
-            return ONE
-        if x == 1:
-            return Fraction(1, y)
-        if y == 1:
-            return Fraction(1, x)
-        return Fraction(1, 2)
 
     def pair(self, x, y, t):
         if x == y:
@@ -636,15 +586,15 @@ class FuzzyMetricSpace:
             raise DomainError(f"t must be positive, got {ft}")
         self._check_point(x)
         self._check_point(y)
-        return self._kind.value(x, y, ft)
+        return Fraction(*self._kind.pair(x, y, ft))
 
     def _raw(self, x, y, t) -> Fraction:
         # hot path, arguments already validated
-        return self._kind.value(x, y, t)
+        return Fraction(*self._kind.pair(x, y, t))
 
     def _pair(self, x, y, t) -> tuple:
-        """``_raw`` as integers ``(num, den)`` with ``den > 0``, so a
-        threshold test is one cross-multiplication and no Fraction is built."""
+        """M as integers ``(num, den)`` with ``den > 0``, so a threshold
+        test is one cross-multiplication and no Fraction is built."""
         return self._kind.pair(x, y, t)
 
     def region(self, x, bound: Fraction, t: Fraction):
@@ -880,6 +830,17 @@ def _chain_violations(tnorm: TNorm, mat_a, mat_b, mat_c, cap: int) -> list:
     return scanner(*mat_a[:2], *mat_b[:2], *mat_c[:2], n, cap)
 
 
+def _first_bad_pair(keys, n, bad, diagonal=False):
+    """The first ``(key, i, j)`` with ``bad(key, i, j)``, scanning keys,
+    then i, then j from i (with ``diagonal``) or i + 1, or None."""
+    for key in keys:
+        for i in range(n):
+            for j in range(i if diagonal else i + 1, n):
+                if bad(key, i, j):
+                    return key, i, j
+    return None
+
+
 def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap: int = 3) -> CertReport:
     """Certify the space axioms exactly over a window and a grid of times.
 
@@ -919,59 +880,33 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
     n = len(pts)
 
     # Every value is num/den with den > 0, so each comparison below is one
-    # integer cross-multiplication.
+    # integer cross-multiplication.  The scans below index times by their
+    # position k in t_list: hashing a Fraction t per pair costs more than
+    # the comparison.
+    nums = [mats[t][0] for t in t_list]
+    dens = [mats[t][1] for t in t_list]
+
+    def pair_at(bad):
+        return fmt_pair((pts[bad[1]], pts[bad[2]])) if bad else None
+
+    def t_at(bad):
+        return t_list[bad[0]] if bad else None
 
     # (1) range: 0 < M <= 1
-    bad = None
-    for t in t_list:
-        nums, dens, _ = mats[t]
-        for i in range(n):
-            for j in range(i, n):
-                if not (0 < nums[i][j] <= dens[i][j]):
-                    bad = (pts[i], pts[j], t, _entry(mats[t], i, j))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add_verdict(bad is None, "range",
-                    witness=fmt_pair(bad[:2]) if bad else None,
-                    t=bad[2] if bad else None, value=bad[3] if bad else None)
+    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
+                          not 0 < nums[k][i][j] <= dens[k][i][j], diagonal=True)
+    rep.add_verdict(bad is None, "range", witness=pair_at(bad), t=t_at(bad),
+                    value=_entry(mats[t_at(bad)], *bad[1:]) if bad else None)
 
     # (2) M = 1 exactly on the diagonal
-    bad = None
-    for t in t_list:
-        nums, dens, _ = mats[t]
-        for i in range(n):
-            if nums[i][i] != dens[i][i]:
-                bad = (pts[i], pts[i], t)
-                break
-            for j in range(i + 1, n):
-                if nums[i][j] == dens[i][j]:
-                    bad = (pts[i], pts[j], t)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add_verdict(bad is None, "identity-of-indiscernibles",
-                    witness=fmt_pair(bad[:2]) if bad else None, t=bad[2] if bad else None)
+    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
+                          (nums[k][i][j] == dens[k][i][j]) != (i == j), diagonal=True)
+    rep.add_verdict(bad is None, "identity-of-indiscernibles", witness=pair_at(bad), t=t_at(bad))
 
     # (3) symmetry: the full matrices hold both argument orders
-    bad = None
-    for t in t_list:
-        nums, dens, _ = mats[t]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if nums[i][j] * dens[j][i] != nums[j][i] * dens[i][j]:
-                    bad = (pts[i], pts[j], t)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add_verdict(bad is None, "symmetry",
-                    witness=fmt_pair(bad[:2]) if bad else None, t=bad[2] if bad else None)
+    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
+                          nums[k][i][j] * dens[k][j][i] != nums[k][j][i] * dens[k][i][j])
+    rep.add_verdict(bad is None, "symmetry", witness=pair_at(bad), t=t_at(bad))
 
     # (4) chain inequality over all triples and (t, s) pairs.  The scan
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
@@ -996,21 +931,10 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
                      time_pairs=len(t_list) ** 2)
 
     # monotonicity in t, on the sampled grid only
-    bad = None
-    for ta, tb in zip(t_list, t_list[1:]):
-        (na, da, _), (nb, db, _) = mats[ta], mats[tb]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if na[i][j] * db[i][j] > nb[i][j] * da[i][j]:
-                    bad = (pts[i], pts[j], ta, tb)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add_verdict(bad is None, "monotone-in-t",
-                    witness=fmt_pair(bad[:2]) if bad else None,
-                    t_low=bad[2] if bad else None, t_high=bad[3] if bad else None)
+    bad = _first_bad_pair(range(len(t_list) - 1), n, lambda k, i, j:
+                          nums[k][i][j] * dens[k + 1][i][j] > nums[k + 1][i][j] * dens[k][i][j])
+    rep.add_verdict(bad is None, "monotone-in-t", witness=pair_at(bad), t_low=t_at(bad),
+                    t_high=t_list[bad[0] + 1] if bad else None)
     rep.add_note("monotone-in-t", status="sampled-only", grid_points=len(t_list))
     rep.add_note("continuity-in-t", status="sampled-only")
     return rep

@@ -623,6 +623,34 @@ def test_scale_graph_matches_brute(factory, r, t):
     assert scale_graph(sp, params, w).components == brute_components(sp, params, w)
 
 
+def test_scale_graph_uses_the_coordinate_decreasing_flag_not_a_formula():
+    """M = 1/max(x, y) off the diagonal is coordinate-decreasing but not
+    1/(xy): at r = 3/4 the points 2, 3 and 4 are joined, although no
+    product of two of them is at most 4."""
+    from fuzzycoarse import PRODUCT
+    from fuzzycoarse.space import NATURALS, FuzzyMetricSpace, _Kind
+
+    class InverseMax(_Kind):
+        name = "inverse_max"
+        t_dependent = False
+        coordinate_decreasing = True
+
+        def pair(self, x, y, t):
+            return (1, 1) if x == y else (1, max(x, y))
+
+    space = FuzzyMetricSpace(InverseMax(), PRODUCT, NATURALS)
+    params, w = ScaleParams(F(3, 4), 1), int_window(2, 14)
+    graph = scale_graph(space, params, w)
+    assert graph.components == brute_components(space, params, w)
+    assert graph.components[0] == (2, 3, 4)
+
+
+@pytest.mark.parametrize("factory", [ratio_minmax_space, reciprocal_product_space])
+def test_scale_graph_refuses_points_outside_the_universe(factory):
+    with pytest.raises(DomainError, match="point -1 is outside the naturals universe"):
+        scale_graph(factory(), ScaleParams(F(1, 2), 1), int_window(-1, 0))
+
+
 # ---------------------------------------------------------------------------
 # the brute-force oracle
 # ---------------------------------------------------------------------------

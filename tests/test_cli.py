@@ -139,6 +139,33 @@ def test_check_refuses_window_points_outside_the_universe(tmp_path):
         assert (code, out) == (2, "ERROR DomainError: point -3 is outside the naturals universe\n")
 
 
+def test_check_reads_int_and_string_rationals_and_refuses_floats(tmp_path):
+    """JSON floats are binary fractions: 0.1 is not 1/10, so it is refused."""
+    w_path = tmp_path / "w.json"
+    for bound, code, echo in (({"r": "3/4", "t": 1}, 0, "r=3/4 t=1"),
+                              ({"r": 0.1, "t": 1}, 2, "ERROR DomainError")):
+        w_path.write_text(json.dumps({
+            "n": 0, "params": {"r": "1/2", "t": 1}, "bound_params": bound,
+            "window": "1..3", "families": [{"label": "f", "sets": [[1, 2, 3]]}]}))
+        got, out = run_cli(["check", "--space", "ratio_minmax", "--witness", str(w_path),
+                            "--scale", "1/2:1"])
+        assert got == code
+        assert echo in out
+
+
+def test_table_metric_reads_int_and_string_rationals_and_refuses_floats(tmp_path):
+    path = tmp_path / "axioms.json"
+    for entry, code in ((1, 0), ("1/10", 0), (0.1, 2)):
+        path.write_text(json.dumps({
+            "space": {"kind": "standard", "metric": {
+                "rule": "table", "points": [0, 1], "matrix": [[0, entry], [entry, 0]]}},
+            "window": [0, 1]}))
+        got, out = run_cli(["verify-axioms", "--config", str(path)])
+        assert got == code
+        if code == 2:
+            assert out == "ERROR DomainError: 0.1 is not an exact rational\n"
+
+
 def test_check_missing_file():
     code, out = run_cli(["check", "--space", "ratio_minmax",
                          "--witness", "/nonexistent/w.json", "--scale", "1/2:1"])
@@ -202,6 +229,17 @@ def test_coarse_config(tmp_path):
     assert code == 0
     assert "uniformly-expansive" in out
     assert "coarse-inverse" in out
+
+
+def test_coarse_map_table_must_be_a_list_of_pairs(tmp_path):
+    path = tmp_path / "coarse.json"
+    for table in ({"0": 1, "1": 2}, [[0, 1], [1, 2, 3]]):
+        path.write_text(json.dumps({
+            "source_space": "standard", "target_space": "standard",
+            "map": {"rule": {"table": table}},
+            "window_x": "0..1", "window_y": "0..3", "scale": "1/2:1"}))
+        code, out = run_cli(["coarse", "--config", str(path)])
+        assert (code, out) == (2, "ERROR ParseError: table rule needs a list of [x, image] pairs\n")
 
 
 def test_coarse_requires_config():

@@ -47,6 +47,14 @@ SPACES = [standard_space, ratio_minmax_space, reciprocal_product_space,
           pathological_space, ultrametric_space]
 
 
+def table_space():
+    """A standard space on a table metric over 1..14: it has no fast
+    extremal path, and its distances 1 and 2 tie often."""
+    pts = range(1, 15)
+    return standard_space(TableMetric(pts, [[0 if x == y else 1 + x * y % 2 for y in pts]
+                                            for x in pts]))
+
+
 def brute_min_intra(space, fam, t):
     best = None
     for s in fam.sets:
@@ -145,6 +153,17 @@ def test_cross_sup_examples():
         cross_sup(std, [], [1], 1)
 
 
+point_sets = st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("factory", SPACES + [table_space])
+@given(u=point_sets, v=point_sets, t=st.sampled_from([F(1, 2), 1, 3]))
+@settings(max_examples=40, deadline=None)
+def test_cross_sup_matches_brute(factory, u, v, t):
+    space = factory()
+    assert cross_sup(space, u, v, t) == max(space.value(x, y, t) for x in u for y in v)
+
+
 def test_disjoint_examples():
     p = ScaleParams(F(1, 2), 1)
     assert is_scale_disjoint(standard_space(), Family.of([[1, 2, 3]]), p)  # single set
@@ -175,7 +194,7 @@ small_sets = st.lists(
 )
 
 
-@pytest.mark.parametrize("factory", SPACES)
+@pytest.mark.parametrize("factory", SPACES + [table_space])
 @given(sets=small_sets, t=st.sampled_from([F(1, 2), 1, 3]))
 @settings(max_examples=40, deadline=None)
 def test_extremal_fast_paths_match_brute(factory, sets, t):

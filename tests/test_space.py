@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from fuzzycoarse import (
     union_bound,
 )
 from fuzzycoarse.errors import DomainError, ExactnessError, UnsupportedOperationError
-from fuzzycoarse.space import ONE, RATIONALS
+from fuzzycoarse.space import RATIONALS
 
 F = Fraction
 
@@ -56,13 +57,20 @@ def test_scale_params_validation():
         ScaleParams(F(1, 2), 0)
 
 
+def between(w, lo, hi):
+    """Window points in the open interval (lo, hi), through ``span``;
+    ``i >= j`` means there are none."""
+    i, j = w.span(lo, hi)
+    return w.points[i:j] if i < j else ()
+
+
 def test_window_between():
     w = int_window(1, 10)
-    assert w.between(F(5, 2), F(9, 2)) == (3, 4)
-    assert w.between(3, 5) == (4,)
-    assert w.between(3, 5, include_lo=True, include_hi=True) == (3, 4, 5)
-    assert w.between(None, 3) == (1, 2)
-    assert w.between(8, None) == (9, 10)
+    assert between(w, F(5, 2), F(9, 2)) == (3, 4)
+    assert between(w, 3, 5) == (4,)
+    assert between(w, None, 3) == (1, 2)
+    assert between(w, 8, None) == (9, 10)
+    assert between(w, 5, 3) == ()
     assert w.label() == "1..10"
     assert grid_window(0, 2, F(1, 2)).points == (0, F(1, 2), 1, F(3, 2), 2)
 
@@ -91,19 +99,14 @@ def test_runs_of_takes_points_in_any_order():
 BOUNDS = st.none() | st.fractions(-9, 12, max_denominator=3)
 
 
-@given(lo=BOUNDS, hi=BOUNDS, include_lo=st.booleans(), include_hi=st.booleans(),
-       sparse=st.booleans())
+@given(lo=BOUNDS, hi=BOUNDS, sparse=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_window_between_matches_its_definition(lo, hi, include_lo, include_hi, sparse):
+def test_window_between_matches_its_definition(lo, hi, sparse):
     w = Window([-5, -2, F(1, 2), 3, 8] if sparse else range(-5, 9))
-
-    def inside(p):
-        return ((lo is None or (p >= lo if include_lo else p > lo))
-                and (hi is None or (p <= hi if include_hi else p < hi)))
-
-    want = tuple(p for p in w if inside(p))
-    assert w.between(lo, hi, include_lo, include_hi) == want
-    assert w.count_between(lo, hi, include_lo, include_hi) == len(want)
+    want = tuple(p for p in w if (lo is None or p > lo) and (hi is None or p < hi))
+    assert between(w, lo, hi) == want
+    i, j = w.span(lo, hi)
+    assert max(0, j - i) == len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def test_line_distances_refuse_floats():
         with pytest.raises(DomainError, match="not an exact rational"):
             check_metric_axioms(metric, Window([0.5, 1.5]))
     with pytest.raises(DomainError, match="not an exact rational"):
-        standard_space(universe=RATIONALS)._pair(0.5, 1, ONE)
+        standard_space(universe=RATIONALS)._pair(0.5, 1, F(1))
 
 
 def test_standard_space_defaults_to_the_metric_universe():
@@ -465,8 +468,10 @@ def test_subspace_keeps_fast_paths_exact():
 # ---------------------------------------------------------------------------
 
 
-PAIR_TABLE = TableMetric([0, 2, 5, 9], [[0, F(1, 2), 3, 7], [F(1, 2), 0, F(5, 2), 4],
-                                        [3, F(5, 2), 0, F(3, 2)], [7, 4, F(3, 2), 0]])
+PAIR_TABLE_POINTS = [0, 2, 5, 9]
+PAIR_TABLE_MATRIX = [[0, F(1, 2), 3, 7], [F(1, 2), 0, F(5, 2), 4],
+                     [3, F(5, 2), 0, F(3, 2)], [7, 4, F(3, 2), 0]]
+PAIR_TABLE = TableMetric(PAIR_TABLE_POINTS, PAIR_TABLE_MATRIX)
 naturals = st.integers(1, 300)
 rationals = st.fractions(-40, 40, max_denominator=12).map(
     lambda q: int(q) if q.denominator == 1 else q)
@@ -494,16 +499,43 @@ PAIR_CASES = {
 def test_pair_is_the_value_as_integers(name, data, t):
     space, points = PAIR_CASES[name]
     x, y = data.draw(points), data.draw(points)
-    try:
-        want = space.value(x, y, t)
-    except ExactnessError:
-        with pytest.raises(ExactnessError):
-            space._pair(x, y, t)
+    want = closed_form(name, x, y, t)
+    if want is None:
+        for evaluate in (space._pair, space.value):
+            with pytest.raises(ExactnessError):
+                evaluate(x, y, t)
         return
     num, den = space._pair(x, y, t)
     assert type(num) is int and type(den) is int
     assert den > 0
     assert Fraction(num, den) == want
+    assert space.value(x, y, t) == want
+
+
+def closed_form(name, x, y, t):
+    """M(x, y, t) of a ``PAIR_CASES`` space from the closed forms in the
+    space module docstring, written out here; None for a lattice pair at
+    an irrational distance."""
+    if x == y:
+        return F(1)
+    if name in ("ratio", "ratio-subspace"):
+        return F(min(x, y), max(x, y))
+    if name == "reciprocal":
+        return F(1, x * y)
+    if name == "pathological":
+        return F(1, max(x, y)) if 1 in (x, y) else F(1, 2)
+    if name in ("max-ultrametric", "ultrametric"):
+        d = max(x, y)
+    elif name == "table":
+        d = PAIR_TABLE_MATRIX[PAIR_TABLE_POINTS.index(x)][PAIR_TABLE_POINTS.index(y)]
+    elif name == "lattice":
+        sq = (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2
+        d = math.isqrt(sq)
+        if d * d != sq:
+            return None
+    else:
+        d = abs(x - y)
+    return t / (t + d)
 
 
 def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
@@ -538,14 +570,11 @@ def test_axioms_symmetry_and_range_compare_values_not_representations():
                 den *= 2
             return (num, den) if x <= y else (2 * num, 2 * den)
 
-        def value(self, x, y, t):
-            return Fraction(*self.pair(x, y, t))
-
     class Flat(_Kind):
         name = "flat"
 
-        def value(self, x, y, t):
-            return ONE if x == y else Fraction(0)
+        def pair(self, x, y, t):
+            return (1, 1) if x == y else (0, 1)
 
     def failures(kind):
         rep = check_axioms(FuzzyMetricSpace(kind, PRODUCT, NATURALS), int_window(1, 8), [1])
@@ -553,6 +582,34 @@ def test_axioms_symmetry_and_range_compare_values_not_representations():
 
     assert failures(Skewed()) == ["FAIL symmetry witness=3~5 t=1"]
     assert failures(Flat()) == ["FAIL range witness=1~2 t=1 value=0"]
+
+
+def test_axioms_check_the_diagonal_and_monotonicity_in_t():
+    """Range and identity scan the diagonal too; monotonicity compares
+    neighbouring grid times."""
+    from fuzzycoarse.space import NATURALS, FuzzyMetricSpace, _Kind
+
+    class Diagonal(_Kind):
+        name = "diagonal"
+
+        def pair(self, x, y, t):
+            return (2, 1) if x == y == 3 else (1, 1) if x == y else (1, 3)
+
+    class Shrinking(_Kind):
+        name = "shrinking"
+
+        def pair(self, x, y, t):  # 1/(1 + t) off the diagonal
+            return (1, 1) if x == y else (t.denominator, t.denominator + t.numerator)
+
+    def failures(kind, predicates):
+        rep = check_axioms(FuzzyMetricSpace(kind, PRODUCT, NATURALS), int_window(1, 5), [1, 2])
+        return [f.line() for f in rep.failures() if f.predicate in predicates]
+
+    assert failures(Diagonal(), ("range", "identity-of-indiscernibles")) == [
+        "FAIL range witness=3~3 t=1 value=2",
+        "FAIL identity-of-indiscernibles witness=3~3 t=1"]
+    assert failures(Shrinking(), ("monotone-in-t",)) == [
+        "FAIL monotone-in-t witness=1~2 t_low=1 t_high=2"]
 
 
 def test_generic_scan_reports_what_the_integer_scan_reports():
