@@ -45,7 +45,8 @@ from .errors import (
 )
 from .rationals import as_fraction, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
-from .space import FuzzyMetricSpace, ScaleParams, Window, _chain_violations, _value_matrices
+from .space import (FuzzyMetricSpace, ScaleParams, Window, _chain_violations, _min_transitive,
+                    _value_matrices)
 
 ONE = Fraction(1)
 
@@ -336,8 +337,10 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     single family: separated at (r, t) and bounded at (r + eps, t).
     First every window point is checked against the universe, and the
     non-Archimedean inequality over all window triples; under min that is
-    the chain inequality scanned with the one matrix at t in all three
-    places.  The equal-or-disjoint fact is verified, not assumed.
+    the chain inequality with the one matrix at t in all three places,
+    decided in O(n^2) through a maximum spanning tree.  Only a failure
+    pays for the cubic scan, which names the first bad triple in scan
+    order.  The equal-or-disjoint fact is verified, not assumed.
     """
     eps = as_fraction(epsilon) if epsilon is not None else (1 - params.r) / 2
     rho = params.r + eps
@@ -350,9 +353,8 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     pts = window.points
     space._check_window(window)
     mat = _value_matrices(space, pts, [params.t])[params.t]
-    found = _chain_violations(space.tnorm, mat, mat, mat, 1)
-    if found:
-        bad = tuple(pts[i] for i in found[0])
+    if not _min_transitive(mat):
+        bad = tuple(pts[i] for i in _chain_violations(space.tnorm, mat, mat, mat, 1)[0])
         raise NonArchimedeanViolationError(
             f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
         )

@@ -16,6 +16,7 @@ from .config import (
     _RANGE_RE,
     dump_json,
     format_scale,
+    int_from_json,
     load_json_file,
     map_from_config,
     parse_scale,
@@ -25,7 +26,7 @@ from .config import (
     witness_to_json,
 )
 from .errors import FuzzyCoarseError, ParseError
-from .rationals import parse_rational
+from .rationals import as_fraction, parse_rational
 from .space import ScaleParams, check_axioms, threshold_bridge_suite
 
 EXIT_PASS = 0
@@ -87,15 +88,20 @@ def cmd_verify_axioms(args) -> int:
                             "bridge_cases": args.bridge_cases})
     space = _space_of(merged)
     window = parse_window_spec(merged.get("window") or "1..20")
-    grid_text = merged.get("t_grid") or "1/2,1,2,7"
-    t_grid = [parse_rational(part) for part in str(grid_text).split(",")]
+    grid = merged.get("t_grid") or "1/2,1,2,7"
+    if isinstance(grid, str):
+        grid = grid.split(",")
+    elif not isinstance(grid, list):
+        grid = [grid]
+    t_grid = [as_fraction(t) for t in grid]
+    cases = int_from_json(merged.get("bridge_cases") or 0, "bridge_cases")
+    seed = int_from_json(merged.get("seed") or 0, "seed")
     em = _Emitter(args.out)
     rep = check_axioms(space, window, t_grid)
     em.emit(rep)
     ok = rep.passed
-    cases = int(merged.get("bridge_cases") or 0)
     if cases > 0:
-        bridge = threshold_bridge_suite(seed=int(merged.get("seed") or 0), cases=cases)
+        bridge = threshold_bridge_suite(seed=seed, cases=cases)
         em.emit(bridge)
         ok = ok and bridge.passed
     em.flush()

@@ -15,7 +15,7 @@ from .coarse import CoarseMap, ModulusEntry, affine_map, identity_map, inclusion
 from .asdim import DimensionWitness
 from .covers import Family
 from .errors import ParseError
-from .rationals import as_fraction, format_rational, parse_rational
+from .rationals import _INT_RE, as_fraction, format_rational, parse_rational
 from .space import (
     EuclideanLattice,
     EuclideanLine,
@@ -79,6 +79,16 @@ def point_to_json(p):
     return p
 
 
+def int_from_json(obj, what: str) -> int:
+    """An integer from a JSON integer or an integer string.  A float is
+    refused rather than truncated."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    if isinstance(obj, str) and _INT_RE.match(obj.strip()):
+        return int(obj)
+    raise ParseError(f"{what} must be an integer, got {obj!r}")
+
+
 def point_from_json(obj):
     if isinstance(obj, bool):
         raise ParseError("booleans are not points")
@@ -134,8 +144,8 @@ def _metric_from_config(cfg):
             return MaxUltrametric()
         if rule == "euclidean_lattice":
             try:
-                return EuclideanLattice(int(cfg["dim"]))
-            except (KeyError, ValueError) as exc:
+                return EuclideanLattice(int_from_json(cfg["dim"], "euclidean_lattice dim"))
+            except KeyError as exc:
                 raise ParseError("euclidean_lattice metric needs an integer dim") from exc
         if rule == "table":
             try:
@@ -211,7 +221,7 @@ def witness_to_json(w: DimensionWitness) -> dict:
 def witness_from_json(obj) -> DimensionWitness:
     try:
         return DimensionWitness(
-            int(obj["n"]),
+            int_from_json(obj["n"], "witness n"),
             scale_from_json(obj["params"]),
             scale_from_json(obj["bound_params"]),
             tuple(family_from_json(f) for f in obj["families"]),

@@ -22,8 +22,9 @@ endpoints with a bisect.  Member sets may be tuples or step-1 ranges.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import nsmallest
 from itertools import accumulate
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
@@ -50,17 +51,28 @@ class Family:
     ``Family.of([range(1, 4)])`` and ``Family.of([(1, 2, 3)])`` hold the
     same points but do not compare equal.  Empty member sets are dropped
     on construction; how many were dropped is kept so reports can say so.
+
+    A Family built directly keeps its members as given, in any order and
+    with repeats; ``canonical`` records that ``Family.of`` built it, so
+    ``canonical_sets`` hands its members on without touching a point.
     """
 
     sets: tuple
     label: str = ""
     dropped_empty: int = 0
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     @classmethod
     def of(cls, sets, label: str = "") -> "Family":
         cleaned = [_clean_set(s) for s in sets]
         kept = tuple(s for s in cleaned if s)
-        return cls(kept, label, len(cleaned) - len(kept))
+        fam = cls(kept, label, len(cleaned) - len(kept))
+        object.__setattr__(fam, "canonical", True)
+        return fam
+
+    def canonical_sets(self) -> tuple:
+        """The member sets, each sorted and duplicate-free, in member order."""
+        return self.sets if self.canonical else tuple(map(_clean_set, self.sets))
 
     def support(self) -> tuple:
         pts = set()
@@ -111,7 +123,8 @@ def missing_points(sets, window: Window) -> tuple:
 
 
 def min_intra_pair(space: FuzzyMetricSpace, s: tuple, t: Fraction):
-    """(value, pair) minimizing M over pairs within one set; None if |s| < 2."""
+    """(value, pair) minimizing M over pairs within one sorted,
+    duplicate-free set; None if |s| < 2."""
     if len(s) < 2:
         return None
     if space.radially_monotone:
@@ -130,7 +143,7 @@ def min_intra_pair(space: FuzzyMetricSpace, s: tuple, t: Fraction):
 def family_min_intra(space: FuzzyMetricSpace, family: Family, t: Fraction):
     """(value, pair, set_index) minimizing M within any one member set."""
     best = None
-    for idx, s in enumerate(family.sets):
+    for idx, s in enumerate(family.canonical_sets()):
         cur = min_intra_pair(space, s, t)
         if cur is not None and (best is None or cur[0] < best[0]):
             best = (cur[0], cur[1], idx)
@@ -161,7 +174,9 @@ def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
                 best = (val, (p, q), (min(i, j), max(i, j)))
         return best
     if space.coordinate_decreasing:
-        minima = sorted((s[0], i) for i, s in enumerate(sets))
+        minima = nsmallest(2, ((s[0], i) for i, s in enumerate(family.canonical_sets()) if s))
+        if len(minima) < 2:
+            return None
         (p, i), (q, j) = minima[0], minima[1]
         return (space._raw(p, q, t), (min(p, q), max(p, q)), (min(i, j), max(i, j)))
     best = None
@@ -191,15 +206,15 @@ def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
     """Maximum of M over the cross product of two non-empty finite sets."""
     from .rationals import as_fraction
 
-    us, vs = _clean_set(u), _clean_set(v)
-    if not us or not vs:
+    fam = Family.of((u, v))
+    if fam.dropped_empty:
         raise DomainError("cross supremum over an empty set is undefined")
     ft = as_fraction(t)
     if ft <= 0:
         raise DomainError(f"t must be positive, got {ft}")
-    for p in (*us, *vs):
+    for p in (*fam.sets[0], *fam.sets[1]):
         space._check_point(p)
-    return family_max_cross(space, Family((us, vs)), ft)[0]
+    return family_max_cross(space, fam, ft)[0]
 
 
 def is_scale_disjoint(space: FuzzyMetricSpace, family: Family,

@@ -830,6 +830,69 @@ def _chain_violations(tnorm: TNorm, mat_a, mat_b, mat_c, cap: int) -> list:
     return scanner(*mat_a[:2], *mat_b[:2], *mat_c[:2], n, cap)
 
 
+def _min_transitive(mat) -> bool:
+    """Whether min(M[i][j], M[k][j]) <= M[i][k] on every triple of one
+    ``_value_matrices`` entry: the verdict of ``_scan_min`` with cap 1.
+
+    On a symmetric matrix with unit diagonal the triples through the
+    diagonal reduce to M <= 1, and the rest hold exactly when every
+    M[r][v] is at least the bottleneck (smallest edge) of the r-v path in
+    a maximum spanning tree of M, its subdominant ultrametric under single
+    linkage.  Dense Prim builds the tree and one walk per root compares,
+    O(n^2) in all, by integer cross-multiplication.  Any other matrix
+    gets the cubic scan, which reads only the triples with i <= k.
+    """
+    nums, dens = mat[0], mat[1]
+    n = len(nums)
+    if any(nums[i][i] != dens[i][i] for i in range(n)):
+        return not _scan_min(nums, dens, nums, dens, nums, dens, n, 1)
+    for i in range(n):
+        ni, di = nums[i], dens[i]
+        for j in range(i + 1, n):
+            if ni[j] * dens[j][i] != nums[j][i] * di[j]:
+                return not _scan_min(nums, dens, nums, dens, nums, dens, n, 1)
+            if ni[j] > di[j]:
+                return False  # M[i][j] > 1 = M[i][i] breaks the triple (i, j, i)
+
+    # Prim: key[v] is the heaviest edge from v into the tree, from parent[v].
+    key_n, key_d = list(nums[0]), list(dens[0])
+    parent = [0] * n
+    tree = [[] for _ in range(n)]
+    left = list(range(1, n))
+    while left:
+        at = 0
+        for idx in range(1, len(left)):
+            v, u = left[idx], left[at]
+            if key_n[v] * key_d[u] > key_n[u] * key_d[v]:
+                at = idx
+        u = left[at]
+        left[at] = left[-1]
+        left.pop()
+        p = parent[u]
+        tree[p].append((u, key_n[u], key_d[u]))
+        tree[u].append((p, key_n[u], key_d[u]))
+        nu, du = nums[u], dens[u]
+        for v in left:
+            if nu[v] * key_d[v] > key_n[v] * du[v]:
+                key_n[v], key_d[v], parent[v] = nu[v], du[v], u
+
+    # One walk per root, carrying the path bottleneck as (num, den).
+    for r in range(n):
+        nr, dr = nums[r], dens[r]
+        stack = [(v, r, wn, wd) for v, wn, wd in tree[r]]
+        while stack:
+            v, came, bn, bd = stack.pop()
+            if nr[v] * bd < bn * dr[v]:
+                return False
+            for u, wn, wd in tree[v]:
+                if u != came:
+                    if wn * bd < bn * wd:
+                        stack.append((u, v, wn, wd))
+                    else:
+                        stack.append((u, v, bn, bd))
+    return True
+
+
 def _first_bad_pair(keys, n, bad, diagonal=False):
     """The first ``(key, i, j)`` with ``bad(key, i, j)``, scanning keys,
     then i, then j from i (with ``diagonal``) or i + 1, or None."""
@@ -841,7 +904,7 @@ def _first_bad_pair(keys, n, bad, diagonal=False):
     return None
 
 
-def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap: int = 3) -> CertReport:
+def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     """Certify the space axioms exactly over a window and a grid of times.
 
     Checked over all window pairs/triples and all (t, s) from the grid:
@@ -910,22 +973,17 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid, violation_cap:
 
     # (4) chain inequality over all triples and (t, s) pairs.  The scan
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
-    # rest by symmetry of M and commutativity of the t-norm.
-    violations = []
-    for t in t_list:
-        for s in t_list:
-            found = _chain_violations(space.tnorm, mats[t], mats[s], mats[t + s], violation_cap)
-            for (i, j, k) in found:
-                lhs = space.tnorm.rule(_entry(mats[t], i, j), _entry(mats[s], j, k))
-                violations.append((pts[i], pts[j], pts[k], t, s, lhs, _entry(mats[t + s], i, k)))
-            if len(violations) >= violation_cap:
-                break
-        if len(violations) >= violation_cap:
-            break
-    if violations:
-        x, y, z, t, s, lhs, rhs = violations[0]
-        rep.add_fail("chain-inequality", witness=f"{fmt_value(x)}~{fmt_value(y)}~{fmt_value(z)}",
-                     t=t, s=s, lhs=lhs, rhs=rhs)
+    # rest by symmetry of M and commutativity of the t-norm.  The report
+    # names the first violation in scan order, so the scan stops there.
+    scans = ((t, s, _chain_violations(space.tnorm, mats[t], mats[s], mats[t + s], 1))
+             for t in t_list for s in t_list)
+    first = next(((t, s, found[0]) for t, s, found in scans if found), None)
+    if first:
+        t, s, (i, j, k) = first
+        lhs = space.tnorm.rule(_entry(mats[t], i, j), _entry(mats[s], j, k))
+        rep.add_fail("chain-inequality",
+                     witness=f"{fmt_value(pts[i])}~{fmt_value(pts[j])}~{fmt_value(pts[k])}",
+                     t=t, s=s, lhs=lhs, rhs=_entry(mats[t + s], i, k))
     else:
         rep.add_pass("chain-inequality", triples=n * n * (n + 1) // 2,
                      time_pairs=len(t_list) ** 2)

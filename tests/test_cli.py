@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from fuzzycoarse.cli import main
 
 
@@ -56,6 +58,37 @@ def test_verify_axioms_bridge_cases():
                          "--t-grid", "1", "--bridge-cases", "50", "--seed", "3"])
     assert code == 0
     assert "threshold-bridge" in out
+
+
+def test_verify_axioms_config_reads_a_t_grid_list(tmp_path):
+    path = tmp_path / "axioms.json"
+    path.write_text(json.dumps({"space": "ratio_minmax", "window": "1..6",
+                                "t_grid": ["1/2", 1]}))
+    got, out = run_cli(["verify-axioms", "--config", str(path)])
+    want = run_cli(["verify-axioms", "--space", "ratio_minmax", "--window", "1..6",
+                    "--t-grid", "1/2,1"])
+    assert (got, out) == want
+    assert "t_grid={1/2,1}" in out
+
+
+@pytest.mark.parametrize("key, value", [("bridge_cases", 2.5), ("seed", 1.5)])
+def test_verify_axioms_config_refuses_floats_where_integers_go(tmp_path, key, value):
+    """``int()`` would truncate these without a word."""
+    path = tmp_path / "axioms.json"
+    path.write_text(json.dumps({"space": "standard", "window": "0..3", "t_grid": "1",
+                                "bridge_cases": 3, key: value}))
+    got, out = run_cli(["verify-axioms", "--config", str(path)])
+    assert (got, out) == (2, f"ERROR ParseError: {key} must be an integer, got {value}\n")
+
+
+def test_witness_file_refuses_a_float_n(tmp_path):
+    w_path = tmp_path / "w.json"
+    w_path.write_text(json.dumps({
+        "n": 0.5, "params": {"r": "1/2", "t": 1}, "bound_params": {"r": "3/4", "t": 1},
+        "window": "1..3", "families": [{"label": "f", "sets": [[1, 2, 3]]}]}))
+    got, out = run_cli(["check", "--space", "ratio_minmax", "--witness", str(w_path),
+                        "--scale", "1/2:1"])
+    assert (got, out) == (2, "ERROR ParseError: witness n must be an integer, got 0.5\n")
 
 
 def test_negative_window_in_both_argument_forms():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fuzzycoarse import (
     Cover,
+    DimensionWitness,
     EuclideanLattice,
     Family,
     FuzzyMetricSpace,
@@ -31,6 +32,7 @@ from fuzzycoarse import (
     scale_neighborhood,
     standard_space,
     ultrametric_space,
+    verify_witness,
 )
 from fuzzycoarse.covers import (
     family_max_cross,
@@ -198,22 +200,42 @@ small_sets = st.lists(
 @given(sets=small_sets, t=st.sampled_from([F(1, 2), 1, 3]))
 @settings(max_examples=40, deadline=None)
 def test_extremal_fast_paths_match_brute(factory, sets, t):
+    """Members are read as sets: a Family built directly from unsorted
+    tuples with repeats, and an empty member, gets the extremes of its
+    ``Family.of`` form."""
     space = factory()
     fam = Family.of(sets)
-    got_min = family_min_intra(space, fam, t)
     want_min = brute_min_intra(space, fam, t)
-    assert (got_min is None) == (want_min is None)
-    if got_min is not None:
-        assert got_min[0] == want_min
-        x, y = got_min[1]
-        assert space.value(x, y, t) == want_min
-    got_max = family_max_cross(space, fam, t)
     want_max = brute_max_cross(space, fam, t)
-    assert (got_max is None) == (want_max is None)
-    if got_max is not None:
-        assert got_max[0] == want_max
-        x, y = got_max[1]
-        assert space.value(x, y, t) == want_max
+    for built in (fam, Family(tuple(map(tuple, sets)) + ((),))):
+        got_min = family_min_intra(space, built, t)
+        assert (got_min is None) == (want_min is None)
+        if got_min is not None:
+            assert got_min[0] == want_min
+            x, y = got_min[1]
+            assert space.value(x, y, t) == want_min
+        got_max = family_max_cross(space, built, t)
+        assert (got_max is None) == (want_max is None)
+        if got_max is not None:
+            assert got_max[0] == want_max
+            x, y = got_max[1]
+            assert space.value(x, y, t) == want_max
+
+
+def test_extremal_fast_paths_read_unsorted_members_as_sets():
+    """The coordinate-decreasing cross pair and the radial intra pair of
+    a directly built Family come from its smallest and largest points,
+    not from the first and last entries of its tuples."""
+    rec = reciprocal_product_space()
+    members = ((5, 1), (3,))
+    reports = [verify_witness(rec, DimensionWitness(
+        0, ScaleParams(F(3, 4), 1), ScaleParams(F(99, 100), 1), (fam,), Window([1, 3, 5])))
+        for fam in (Family(members), Family.of(members))]
+    assert reports[0].lines() == reports[1].lines()
+    assert "FAIL disjoint family=family0 sup=1/3 pair=1~3 bound=1/4" in reports[0].lines()
+    ratio = ratio_minmax_space()
+    assert not is_uniformly_bounded_family(ratio, Family(((5, 1, 9),)), ScaleParams(F(3, 4), 1))
+    assert family_min_intra(ratio, Family(((5, 1, 9),)), 1) == (F(1, 9), (1, 9), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzycoarse import (
@@ -631,3 +631,88 @@ def test_booleans_do_not_make_a_window_of_consecutive_integers():
         assert not Window(pts).is_contiguous_ints()
         with pytest.raises(DomainError, match="point True is outside"):
             check_axioms(standard_space(), Window(pts), [1])
+
+
+# -- the quadratic non-Archimedean decider -----------------------------------
+
+
+@st.composite
+def min_matrices(draw):
+    """An integer ``(nums, dens)`` matrix pair on 1..9 points: a random
+    ultrametric similarity, points read as codes with M set by the length
+    of their common prefix, with up to two edits: a planted violation (an
+    entry and its mirror lowered), a symmetric or an asymmetric entry set
+    to any value in [-1/10, 5/4], or one diagonal entry so set.  Entries
+    are scaled by random factors so that equal values have unequal pairs."""
+    n = draw(st.integers(1, 9))
+    depth = draw(st.integers(1, 3))
+    codes = [draw(st.lists(st.integers(0, 1), min_size=depth, max_size=depth))
+             for _ in range(n)]
+    levels = sorted(draw(st.lists(st.integers(0, 20), min_size=depth + 1, max_size=depth + 1)))
+
+    def level(a, b):
+        common = next((c for c, (p, q) in enumerate(zip(a, b)) if p != q), depth)
+        return Fraction(levels[common], 20)
+
+    vals = [[Fraction(1) if i == j else level(codes[i], codes[j]) for j in range(n)]
+            for i in range(n)]
+    edits = ["plant", "symmetric", "asymmetric", "diagonal"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=2)):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = Fraction(draw(st.integers(-2, 20) | st.integers(21, 25)), 20)
+        if edit == "plant" and i != j:
+            vals[i][j] = vals[j][i] = vals[i][j] - Fraction(draw(st.integers(1, 5)), 20)
+        elif edit == "symmetric" and i != j:
+            vals[i][j] = vals[j][i] = v
+        elif edit == "asymmetric":
+            vals[i][j] = v
+        elif edit == "diagonal":
+            vals[i][i] = v
+    scale = [[draw(st.integers(1, 3)) for _ in range(n)] for _ in range(n)]
+    nums = [[vals[i][j].numerator * scale[i][j] for j in range(n)] for i in range(n)]
+    dens = [[vals[i][j].denominator * scale[i][j] for j in range(n)] for i in range(n)]
+    return nums, dens
+
+
+@given(mat=min_matrices())
+@example(mat=([[1]], [[1]]))
+@example(mat=([[2, 1], [1, 2]], [[2, 2], [2, 2]]))
+@example(mat=([[1, 5], [5, 1]], [[1, 4], [4, 1]]))
+@example(mat=([[1, 1, 1], [1, 1, 0], [1, 0, 1]], [[1, 2, 2], [2, 1, 1], [2, 1, 1]]))
+@example(mat=([[1, 1, 0], [1, 1, 1], [1, 1, 1]], [[1, 2, 1], [2, 1, 2], [1, 2, 1]]))
+@example(mat=([[1, 1, 1], [1, 1, 1], [1, 1, 3]], [[1, 2, 2], [2, 1, 2], [2, 2, 4]]))
+@settings(max_examples=500, deadline=None)
+def test_min_transitive_matches_the_cubic_scan(mat):
+    """The spanning-tree decider gives the verdict of ``_scan_min`` with
+    cap 1 on ultrametrics, planted violations, asymmetric matrices and
+    non-unit diagonals, down to one and two points."""
+    from fuzzycoarse.space import _min_transitive, _scan_min
+
+    nums, dens = mat
+    n = len(nums)
+    assert _min_transitive((nums, dens, None)) == (
+        not _scan_min(nums, dens, nums, dens, nums, dens, n, 1))
+
+
+def test_chain_failure_stops_at_the_first_violation(monkeypatch):
+    """``check_axioms`` scans each (t, s) with cap 1, stops at the first
+    one that fails and builds the reported lhs and rhs once."""
+    from fuzzycoarse import space as space_mod
+
+    caps, entries = [], []
+    scan, entry = space_mod._chain_violations, space_mod._entry
+
+    def counted_scan(tnorm, a, b, c, cap):
+        caps.append(cap)
+        return scan(tnorm, a, b, c, cap)
+
+    def counted_entry(mat, i, j):
+        entries.append((i, j))
+        return entry(mat, i, j)
+
+    monkeypatch.setattr(space_mod, "_chain_violations", counted_scan)
+    monkeypatch.setattr(space_mod, "_entry", counted_entry)
+    rep = check_axioms(pathological_space(PRODUCT), int_window(1, 20), [Fraction(1, 2), 1, 2, 7])
+    assert [f.line() for f in rep.failures()] == [
+        "FAIL chain-inequality witness=1~2~5 t=1/2 s=1/2 lhs=1/4 rhs=1/5"]
+    assert caps == [1] and len(entries) == 3
