@@ -104,6 +104,26 @@ TABLE_TARGET = {
 
 PATHOLOGICAL_PRODUCT = {"space": {"kind": "pathological", "tnorm": "product"}}
 
+# A transport from a source kind with no witness constructor and no
+# witness file: the derivation stops where it needs the source witness.
+TRANSPORT_WITHOUT_CONSTRUCTOR = {
+    "source_space": "standard",
+    "target_space": {"kind": "standard", "universe": "rationals"},
+    "map": {
+        "rule": "inclusion",
+        "domain": "0..39",
+        "expansive": [{"level_in": "1/2", "t_in": "1", "level_out": "1/2", "t_out": "1"}],
+        "proper": [{"level_in": "1/16", "t_in": "3", "level_out": "1/2", "t_out": "21"}],
+        "onto": "1/2:1",
+    },
+    "window_x": "0..39",
+    "window_y": {"grid": {"lo": "0", "hi": "39", "step": "1/2"}},
+    "scale": "1/2:1",
+    "transport": {},
+}
+
+METRIC_ON_RATIO = {"space": {"kind": "ratio_minmax", "metric": "euclidean"}}
+
 # name -> (argv, config written to a file and passed as --config, exit code,
 #          sha256 of stdout)
 CASES = {
@@ -138,6 +158,52 @@ CASES = {
     "coarse-table-target": (
         ["coarse"], TABLE_TARGET, 1,
         "609340d9b2e3484433fc19e38b619b91919b39c46f6813df02d942b20678784e"),
+    # Streams decided by which kinds have a witness constructor.
+    "pipeline-pathological-refused": (
+        ["pipeline", "--space", "pathological", "--scale", "1/2:1", "--window", "1..20"],
+        None, 2,
+        "256cfad2dab0f47008162c7cc040ca6d859a201aa07b8b46b2a2ebd50e56f6b4"),
+    "pipeline-reciprocal": (
+        ["pipeline", "--space", "reciprocal_product", "--scale", "1/2:1", "--window", "1..40"],
+        None, 0,
+        "b51aeccf87495c963f4550ab82a6ee14acefb7fad514426a8b67d79256dc0c06"),
+    "oracle-ratio": (
+        ["oracle", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..6"],
+        None, 0,
+        "229a454b87a4baca6de4b9eca8107df47bb044bfaf67128ad6d071f94d909b94"),
+    "oracle-ultrametric": (
+        ["oracle", "--space", "ultrametric_standard", "--scale", "1/2:1", "--window", "1..6"],
+        None, 0,
+        "25f0903540e2b09c86ab4de053c3c92e1feec56ab9b774cb2bcd4c2e2f9b6a0c"),
+    "oracle-pathological": (
+        ["oracle", "--space", "pathological", "--scale", "1/2:1", "--window", "1..6"],
+        None, 0,
+        "5e6b04666afc600ad7db467ce5ed7021e10f595b1ad9eeaa7113cd922550321f"),
+    "witness-pathological": (
+        ["witness", "--space", "pathological", "--scale", "1/2:1", "--window", "1..30"],
+        None, 0,
+        "dfd4ec15d0baadb853bb8a4d2c1fc50a1679922cebd1bebf236d26cd589b9e56"),
+    "witness-standard": (
+        ["witness", "--space", "standard", "--scale", "1/2:1", "--window", "0..20"],
+        None, 0,
+        "b8cb369803ef611fc2d8f0d8c0dabd523bdcdd93cce71cd9a7bc129cbe972dbb"),
+    "witness-reciprocal": (
+        ["witness", "--space", "reciprocal_product", "--scale", "3/4:1", "--window", "1..30"],
+        None, 0,
+        "f5431005b91ec0f8c5f7402cf889a1fc93a946a69f0e54e7739bed2dd235e1d0"),
+    "witness-ratio": (
+        ["witness", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..60"],
+        None, 0,
+        "79a5dc809f0b357ed915aba146a81f75d6ed7554b174d91e40ef4041bc0b75fe"),
+    "coarse-transport-without-constructor": (
+        ["coarse"], TRANSPORT_WITHOUT_CONSTRUCTOR, 2,
+        "f1863d688a2953e1ca1c6939698a9acef03839621c05ce0c80367edae49ee844"),
+    "config-unknown-kind": (
+        ["verify-axioms", "--space", "nosuch", "--window", "1..5"], None, 2,
+        "cb00ef4e667a78de3264e845f731f9e9368d1c2108b4f85ed312266cbfdc0546"),
+    "config-metric-on-ratio": (
+        ["verify-axioms", "--window", "1..5"], METRIC_ON_RATIO, 2,
+        "492b382612a867c118eda60aacde8e52f7010d80494e8564eb0ec76c026f10a6"),
 }
 
 
