@@ -234,8 +234,13 @@ def witness_whole_window(space: FuzzyMetricSpace, window: Window, params: ScaleP
     return DimensionWitness(0, params, bound_params, (fam,), window)
 
 
+def is_initial_segment(window: Window) -> bool:
+    """Whether the window is 1..W for some W, as the kind constructors need."""
+    return window.is_contiguous_ints() and window.points[0] == 1
+
+
 def _require_initial_segment(window: Window):
-    if not window.is_contiguous_ints() or window.points[0] != 1:
+    if not is_initial_segment(window):
         raise DomainError("this construction needs a window 1..W of integers")
     return window.points[-1]
 
@@ -250,8 +255,7 @@ def witness_reciprocal_product(params: ScaleParams, window: Window) -> Dimension
     and the singletons vacuously.
     """
     top = _require_initial_segment(window)
-    q = 1 / params.threshold
-    n_head = int(q) if q.denominator == 1 else math.floor(q)
+    n_head = reciprocal_head_size(params.r)
     sets = [tuple(range(1, min(n_head, top) + 1))]
     sets.extend((m,) for m in range(n_head + 1, top + 1))
     fam = Family.of(sets, "head-singletons")
@@ -261,8 +265,7 @@ def witness_reciprocal_product(params: ScaleParams, window: Window) -> Dimension
 
 def reciprocal_head_size(r) -> int:
     """Smallest N with 1/(N+1) strictly below 1 - r."""
-    q = 1 / (1 - as_fraction(r))
-    return int(q) if q.denominator == 1 else math.floor(q)
+    return math.floor(1 / (1 - as_fraction(r)))
 
 
 @dataclass(frozen=True)
@@ -376,6 +379,26 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
         )
     fam = Family.of(balls, "ball-partition")
     return DimensionWitness(0, params, enlarged, (fam,), window)
+
+
+# space kind name -> witness constructor(space, params, window, epsilon)
+WITNESS_CONSTRUCTORS = {
+    "reciprocal_product": lambda space, params, window, epsilon:
+        witness_reciprocal_product(params, window),
+    "ratio_minmax": lambda space, params, window, epsilon: witness_ratio_minmax(params, window),
+    "ultrametric_standard": lambda space, params, window, epsilon:
+        witness_ball_partition(space, params, epsilon, window),
+}
+
+
+def construct_witness(space: FuzzyMetricSpace, params: ScaleParams, window: Window,
+                      epsilon=None) -> DimensionWitness:
+    """The witness from the space kind's constructor, or the whole-window
+    witness for a kind without one; ``epsilon`` is the ball enlargement."""
+    build = WITNESS_CONSTRUCTORS.get(space.kind_name)
+    if build is None:
+        return witness_whole_window(space, window, params)
+    return build(space, params, window, epsilon)
 
 
 def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,

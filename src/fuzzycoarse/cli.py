@@ -108,27 +108,21 @@ def cmd_verify_axioms(args) -> int:
     return EXIT_PASS if ok else EXIT_CERTIFIED_FAIL
 
 
-def _witness_for(space, kind, params, window, epsilon):
-    if kind == "reciprocal_product":
-        return asdim.witness_reciprocal_product(params, window)
-    if kind == "ratio_minmax":
-        return asdim.witness_ratio_minmax(params, window)
-    if kind == "ultrametric_standard":
-        return asdim.witness_ball_partition(space, params, epsilon, window)
-    return asdim.witness_whole_window(space, window, params)
+def _has_t_free_constructor(space) -> bool:
+    """Pipeline and oracle: the kind has a witness constructor and is t-independent."""
+    return space.kind_name in asdim.WITNESS_CONSTRUCTORS and not space.t_dependent
 
 
 def cmd_witness(args) -> int:
     merged = _merged(args, {"space": args.space, "window": args.window,
                             "scales": args.scale, "epsilon": args.epsilon})
     space = _space_of(merged)
-    kind = space.kind_name
     window = parse_window_spec(merged.get("window") or "1..100")
     params = _scales_of(merged)[0]
     epsilon = merged.get("epsilon")
     if isinstance(epsilon, str):
         epsilon = parse_rational(epsilon)
-    w = _witness_for(space, kind, params, window, epsilon)
+    w = asdim.construct_witness(space, params, window, epsilon)
     rep = asdim.verify_witness(space, w)
     em = _Emitter(args.out)
     em.emit(rep)
@@ -163,17 +157,16 @@ def cmd_pipeline(args) -> int:
     merged = _merged(args, {"space": args.space, "window": args.window,
                             "scales": args.scale})
     space = _space_of(merged)
-    kind = space.kind_name
     window = parse_window_spec(merged.get("window") or "1..500")
     params = _scales_of(merged)[0]
-    if kind not in ("reciprocal_product", "ratio_minmax"):
-        raise ParseError(
-            f"pipeline has built-in witness constructors for reciprocal_product "
-            f"and ratio_minmax, not {kind!r}"
-        )
+    if not _has_t_free_constructor(space):
+        kinds = [k for k in asdim.WITNESS_CONSTRUCTORS
+                 if _has_t_free_constructor(space_from_config(k))]
+        raise ParseError(f"pipeline has built-in witness constructors for "
+                         f"{' and '.join(kinds)}, not {space.kind_name!r}")
 
     def factory(scale):
-        return _witness_for(space, kind, scale, window, None)
+        return asdim.construct_witness(space, scale, window)
 
     result = asdim.run_dimension_pipeline(space, params, window, factory)
     em = _Emitter(args.out)
@@ -222,13 +215,11 @@ def cmd_coarse(args) -> int:
         tcfg = cfg["transport"]
         witness = witness_from_json(load_json_file(tcfg["witness"])) if "witness" in tcfg else None
         factory = None
-        kind_x = space_x.kind_name
-        if witness is None and kind_x in ("reciprocal_product", "ratio_minmax",
-                                          "ultrametric_standard"):
+        if witness is None and space_x.kind_name in asdim.WITNESS_CONSTRUCTORS:
             source_window = fmap.domain or window_x
 
             def factory(scale):
-                return _witness_for(space_x, kind_x, scale, source_window, None)
+                return asdim.construct_witness(space_x, scale, source_window)
 
         _, rep = coarse.transport_witness(space_x, space_y, fmap, witness, params,
                                           window_y, witness_factory=factory)
@@ -242,7 +233,6 @@ def cmd_oracle(args) -> int:
     merged = _merged(args, {"space": args.space, "window": args.window,
                             "scales": args.scale, "bound": args.bound})
     space = _space_of(merged)
-    kind = space.kind_name
     window = parse_window_spec(merged.get("window") or "1..6")
     params = _scales_of(merged)[0]
     bound_spec = merged.get("bound")
@@ -252,10 +242,8 @@ def cmd_oracle(args) -> int:
     em.emit(f"ORACLE min_families={k} scale={format_scale(params)} "
             f"bound={format_scale(bound)} window={window.label()}")
     ok = True
-    constructible = (kind in ("reciprocal_product", "ratio_minmax")
-                     and window.is_contiguous_ints() and window.points[0] == 1)
-    if constructible:
-        w = _witness_for(space, kind, params, window, None)
+    if _has_t_free_constructor(space) and asdim.is_initial_segment(window):
+        w = asdim.construct_witness(space, params, window)
         consistent = k <= w.n + 1
         em.emit(f"{'PASS' if consistent else 'FAIL'} oracle-vs-constructor "
                 f"oracle={k} constructor_families={w.n + 1}")

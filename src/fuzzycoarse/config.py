@@ -37,13 +37,14 @@ from .tnorm import tnorm_from_name
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-SPACE_TAGS = (
-    "standard",
-    "reciprocal_product",
-    "ratio_minmax",
-    "pathological",
-    "ultrametric_standard",
-)
+# space kind tag -> builder; each builder has its own default t-norm
+SPACE_BUILDERS = {
+    "standard": standard_space,
+    "reciprocal_product": reciprocal_product_space,
+    "ratio_minmax": ratio_minmax_space,
+    "pathological": pathological_space,
+    "ultrametric_standard": ultrametric_space,
+}
 
 
 def parse_scale(text: str) -> ScaleParams:
@@ -132,67 +133,54 @@ def parse_window_spec(spec) -> Window:
 
 
 def _metric_from_config(cfg):
-    if cfg is None or cfg == "euclidean":
+    """A metric from a rule tag or a {rule, ...} object; None is euclidean."""
+    if cfg is None:
         return EuclideanLine()
-    if cfg == "max_ultrametric":
+    spec = {"rule": cfg} if isinstance(cfg, str) else cfg
+    rule = spec.get("rule") if isinstance(spec, dict) else None
+    if rule == "euclidean":
+        return EuclideanLine()
+    if rule == "max_ultrametric":
         return MaxUltrametric()
-    if isinstance(cfg, dict):
-        rule = cfg.get("rule")
-        if rule == "euclidean":
-            return EuclideanLine()
-        if rule == "max_ultrametric":
-            return MaxUltrametric()
-        if rule == "euclidean_lattice":
-            try:
-                return EuclideanLattice(int_from_json(cfg["dim"], "euclidean_lattice dim"))
-            except KeyError as exc:
-                raise ParseError("euclidean_lattice metric needs an integer dim") from exc
-        if rule == "table":
-            try:
-                points = [point_from_json(p) for p in cfg["points"]]
-                matrix = [[as_fraction(v) for v in row] for row in cfg["matrix"]]
-            except (KeyError, TypeError) as exc:
-                raise ParseError("table metric needs points and matrix") from exc
-            return TableMetric(points, matrix)
+    if rule == "euclidean_lattice":
+        try:
+            return EuclideanLattice(int_from_json(spec["dim"], "euclidean_lattice dim"))
+        except KeyError as exc:
+            raise ParseError("euclidean_lattice metric needs an integer dim") from exc
+    if rule == "table":
+        try:
+            points = [point_from_json(p) for p in spec["points"]]
+            matrix = [[as_fraction(v) for v in row] for row in spec["matrix"]]
+        except (KeyError, TypeError) as exc:
+            raise ParseError("table metric needs points and matrix") from exc
+        return TableMetric(points, matrix)
     raise ParseError(f"unknown metric config {cfg!r}")
 
 
 def space_from_config(cfg) -> FuzzyMetricSpace:
-    """Build a space from a tag or a {kind, tnorm, metric, universe} object."""
+    """Build a space from a tag or a {kind, tnorm, metric, universe} object.
+
+    Only the standard kind takes a metric or a universe; a t-norm is
+    passed only when the config names one."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     if not isinstance(cfg, dict):
         raise ParseError(f"space config must be a tag or object, got {cfg!r}")
     kind = cfg.get("kind")
-    if kind not in SPACE_TAGS:
-        raise ParseError(f"unknown space kind {kind!r}; expected one of {list(SPACE_TAGS)}")
-    tnorm = tnorm_from_name(cfg["tnorm"]) if "tnorm" in cfg else None
-    if kind == "standard":
-        metric = _metric_from_config(cfg.get("metric"))
-        universe = None
-        if "universe" in cfg:
-            try:
-                universe = UNIVERSES[cfg["universe"]]
-            except KeyError:
-                raise ParseError(f"unknown universe tag {cfg['universe']!r}") from None
-        from .tnorm import PRODUCT
-
-        return standard_space(metric, tnorm or PRODUCT, universe)
-    if "metric" in cfg or "universe" in cfg:
+    build = SPACE_BUILDERS.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ParseError(f"unknown space kind {kind!r}; expected one of {list(SPACE_BUILDERS)}")
+    kwargs = {"tnorm": tnorm_from_name(cfg["tnorm"])} if "tnorm" in cfg else {}
+    if ("metric" in cfg or "universe" in cfg) and build is not standard_space:
         raise ParseError(f"space kind {kind!r} takes no metric/universe overrides")
-    if kind == "reciprocal_product":
-        from .tnorm import PRODUCT
-
-        return reciprocal_product_space(tnorm or PRODUCT)
-    if kind == "ratio_minmax":
-        from .tnorm import PRODUCT
-
-        return ratio_minmax_space(tnorm or PRODUCT)
-    if kind == "pathological":
-        return pathological_space(tnorm)
-    from .tnorm import MINIMUM
-
-    return ultrametric_space(tnorm or MINIMUM)
+    if "metric" in cfg:
+        kwargs["metric"] = _metric_from_config(cfg["metric"])
+    if "universe" in cfg:
+        try:
+            kwargs["universe"] = UNIVERSES[cfg["universe"]]
+        except (KeyError, TypeError):
+            raise ParseError(f"unknown universe tag {cfg['universe']!r}") from None
+    return build(**kwargs)
 
 
 def family_to_json(fam: Family) -> dict:

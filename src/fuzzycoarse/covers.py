@@ -29,7 +29,7 @@ from itertools import accumulate
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
 from .report import CertReport
-from .space import FuzzyMetricSpace, ScaleParams, Window
+from .space import FuzzyMetricSpace, ScaleParams, Window, _coalesce_runs
 
 ONE = Fraction(1)
 
@@ -150,29 +150,51 @@ def family_min_intra(space: FuzzyMetricSpace, family: Family, t: Fraction):
     return best
 
 
+def _first_shared_point(sets):
+    """``(p, (i, j))`` for the smallest point held by two distinct members,
+    with the two smallest indices of the members that hold it, or None."""
+    if sum(map(len, sets)) == len(set().union(*sets)):
+        return None  # no point is listed twice
+    owner, shared = {}, {}
+    for i, s in enumerate(sets):
+        for p in s:
+            k = owner.setdefault(p, i)
+            if k != i and p not in shared:
+                shared[p] = (k, i)
+    p = min(shared, default=None)
+    return None if p is None else (p, shared[p])
+
+
 def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
     """(value, pair, (i, j)) maximizing M across distinct member sets.
 
     The only code that knows the radial and coordinate-decreasing cross
     pair facts; any other space scans each pair of sets in (i, j, p, q)
-    order and keeps the first maximum.
+    order and keeps the first maximum.  A point held by two members is
+    reported as the smallest such point, with the two smallest indices of
+    the members that hold it.
     """
     sets = family.sets
     if len(sets) < 2:
         return None
-    labeled = sorted((p, i) for i, s in enumerate(sets) for p in s)
-    for (p, i), (q, j) in zip(labeled, labeled[1:]):
-        if p == q and i != j:
-            return (ONE, (p, p), (min(i, j), max(i, j)))
     if space.radially_monotone:
+        # sorted by (point, index), the first adjacent entries of one point
+        # and two members are the smallest shared point
+        labeled = sorted((p, i) for i, s in enumerate(sets) for p in s)
         best = None
         for (p, i), (q, j) in zip(labeled, labeled[1:]):
             if i == j:
                 continue
+            if p == q:
+                return (ONE, (p, p), (i, j))
             val = space._raw(p, q, t)
             if best is None or val > best[0]:
                 best = (val, (p, q), (min(i, j), max(i, j)))
         return best
+    shared = _first_shared_point(sets)
+    if shared is not None:
+        p, ij = shared
+        return (ONE, (p, p), ij)
     if space.coordinate_decreasing:
         minima = nsmallest(2, ((s[0], i) for i, s in enumerate(family.canonical_sets()) if s))
         if len(minima) < 2:
@@ -226,28 +248,11 @@ def is_scale_disjoint(space: FuzzyMetricSpace, family: Family,
 
 def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
                        window: Window) -> tuple:
-    """Window points within strict threshold of some point of u."""
-    us = _clean_set(u)
-    if not us:
-        return ()
+    """Window points within strict threshold of some point of u: the union
+    of the balls around the points of u."""
     b, t = params.threshold, params.t
-    regions = [space.region(p, b, t) for p in us]
-    if all(r is not None for r in regions):
-        intervals = []
-        extras = set()
-        for r in regions:
-            intervals.extend(r[0])
-            extras.update(r[1])
-        return window.points_of(window.region_runs((intervals, extras)))
-    pair, bn, bd = space._pair, b.numerator, b.denominator
-    out = []
-    for x in window:
-        for p in us:
-            num, den = pair(x, p, t)
-            if num * bd > bn * den:
-                out.append(x)
-                break
-    return tuple(out)
+    runs = [run for p in _clean_set(u) for run in space.ball_runs(p, b, t, window)]
+    return window.points_of(_coalesce_runs(runs))
 
 
 def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScaleParams,

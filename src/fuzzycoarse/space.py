@@ -37,7 +37,7 @@ from typing import Optional
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
 from .rationals import as_fraction, largest_int_lt, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
-from .tnorm import MINIMUM, PRODUCT, TNorm
+from .tnorm import LUKASIEWICZ, MINIMUM, PRODUCT, TNorm
 
 
 @dataclass(frozen=True)
@@ -383,24 +383,22 @@ def check_metric_axioms(metric: Metric, window: Window) -> CertReport:
     over all window triples (strong triangle for the max-ultrametric)."""
     rep = CertReport("metric-axioms", metric=metric.name, window=window.label())
     pts = window.points
-    d = metric.distance
-    bad_sym = bad_zero = bad_pos = None
-    for i, x in enumerate(pts):
-        if d(x, x) != 0:
-            bad_zero = x
-        for y in pts[i + 1:]:
-            if d(x, y) != d(y, x):
-                bad_sym = (x, y)
-            if d(x, y) <= 0:
-                bad_pos = (x, y)
+    n = len(pts)
+    dm = [[metric.distance(x, y) for y in pts] for x in pts]
+
+    def first_bad(bad):
+        found = _first_bad_pair((None,), n, lambda _, i, j: bad(i, j))
+        return (pts[found[1]], pts[found[2]]) if found else None
+
+    bad_zero = next((x for i, x in enumerate(pts) if dm[i][i] != 0), None)
+    bad_sym = first_bad(lambda i, j: dm[i][j] != dm[j][i])
+    bad_pos = first_bad(lambda i, j: dm[i][j] <= 0)
     rep.add_verdict(bad_zero is None, "zero-diagonal", witness=bad_zero)
     rep.add_verdict(bad_sym is None, "symmetry", witness=fmt_pair(bad_sym))
     rep.add_verdict(bad_pos is None, "positivity", witness=fmt_pair(bad_pos))
 
-    dm = [[d(x, y) for y in pts] for x in pts]
     bad_tri = None
     strong = isinstance(metric, MaxUltrametric)
-    n = len(pts)
     for i in range(n):
         for j in range(n):
             dij = dm[i][j]
@@ -597,9 +595,6 @@ class FuzzyMetricSpace:
         test is one cross-multiplication and no Fraction is built."""
         return self._kind.pair(x, y, t)
 
-    def region(self, x, bound: Fraction, t: Fraction):
-        return self._kind.region(x, bound, t)
-
     def ball_points(self, x, bound: Fraction, t: Fraction, window: Window) -> tuple:
         """Window points y with M(x, y, t) > bound, strictly."""
         reg = self._kind.region(x, bound, t)
@@ -647,10 +642,8 @@ def ratio_minmax_space(tnorm: TNorm = PRODUCT) -> FuzzyMetricSpace:
     return FuzzyMetricSpace(_RatioKind(), tnorm, NATURALS)
 
 
-def pathological_space(tnorm: TNorm = None) -> FuzzyMetricSpace:
-    from .tnorm import LUKASIEWICZ
-
-    return FuzzyMetricSpace(_PathologicalKind(), tnorm or LUKASIEWICZ, NATURALS)
+def pathological_space(tnorm: TNorm = LUKASIEWICZ) -> FuzzyMetricSpace:
+    return FuzzyMetricSpace(_PathologicalKind(), tnorm, NATURALS)
 
 
 def ultrametric_space(tnorm: TNorm = MINIMUM) -> FuzzyMetricSpace:

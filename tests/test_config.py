@@ -57,6 +57,19 @@ def test_space_from_config():
         space_from_config({"kind": "ratio_minmax", "metric": "euclidean"})
 
 
+def test_space_config_defaults_and_unhashable_tags():
+    """A kind named without a t-norm gets its builder's default, and a
+    list where a tag belongs is a parse error, not a TypeError."""
+    defaults = {"standard": "product", "reciprocal_product": "product",
+                "ratio_minmax": "product", "pathological": "lukasiewicz",
+                "ultrametric_standard": "min"}
+    for kind, tnorm in defaults.items():
+        assert space_from_config(kind).tnorm.name == tnorm
+    for cfg in ({"kind": ["standard"]}, {"kind": "standard", "universe": ["integers"]}):
+        with pytest.raises(ParseError):
+            space_from_config(cfg)
+
+
 def test_family_roundtrip():
     fam = Family.of([[1, 2], [5]], "demo")
     assert family_from_json(family_to_json(fam)) == fam

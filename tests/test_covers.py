@@ -238,6 +238,45 @@ def test_extremal_fast_paths_read_unsorted_members_as_sets():
     assert family_min_intra(ratio, Family(((5, 1, 9),)), 1) == (F(1, 9), (1, 9), 0)
 
 
+# Member lists with several shared points and repeated points: the
+# smallest shared point, and the two smallest members that hold it.
+SHARED_CASES = [
+    (((9, 4, 4, 7), (2, 7, 9), (5, 4, 2), (7,)), 2, (1, 2)),
+    (((5, 5, 1), (9,), (5,), (5, 2)), 5, (0, 2)),
+    (((8, 3), (6, 1), (3, 8, 3), (1, 6)), 1, (1, 3)),
+]
+
+
+@pytest.mark.parametrize("factory", [ratio_minmax_space, reciprocal_product_space, table_space])
+@pytest.mark.parametrize("members, point, pair", SHARED_CASES)
+def test_max_cross_reports_the_smallest_shared_point(factory, members, point, pair):
+    """Radial, coordinate-decreasing and generic spaces report the same
+    shared point and member pair, for ``Family.of`` members and for the
+    unsorted tuples as given."""
+    space = factory()
+    for fam in (Family.of(members), Family(members)):
+        assert family_max_cross(space, fam, 1) == (1, (point, point), pair)
+
+
+@pytest.mark.parametrize("factory", SPACES + [table_space])
+@given(sets=small_sets)
+@settings(max_examples=40, deadline=None)
+def test_max_cross_shared_point_matches_the_definition(factory, sets):
+    holders = {}
+    for i, s in enumerate(sets):
+        for p in s:
+            holders.setdefault(p, set()).add(i)
+    shared = sorted(p for p, owners in holders.items() if len(owners) > 1)
+    space = factory()
+    for fam in (Family.of(sets), Family(tuple(map(tuple, sets)))):
+        got = family_max_cross(space, fam, 1)
+        if shared:
+            p = shared[0]
+            assert got == (1, (p, p), tuple(sorted(holders[p])[:2]))
+        else:
+            assert got is None or got[0] < 1
+
+
 # ---------------------------------------------------------------------------
 # neighborhoods
 # ---------------------------------------------------------------------------
@@ -256,18 +295,31 @@ def test_neighborhood_examples():
     assert scale_neighborhood(std, [4], p, w) == ball(std, 4, p, w)
 
 
-@pytest.mark.parametrize("factory", SPACES)
+def rational_line():
+    return standard_space(universe=RATIONALS)
+
+
+@pytest.mark.parametrize("factory", SPACES + [table_space, rational_line])
 def test_neighborhood_matches_brute(factory):
+    """The union of balls against the definition, with closed-form regions
+    and without, on a run window and sparse ones, for sets that hold points
+    outside the window."""
     space = factory()
-    lo = 1 if space.universe.name == "naturals" else -8
-    w = int_window(lo, 15)
-    p = ScaleParams(F(2, 5), F(3, 2))
-    for u in ([2, 3], [5], [1, 9, 12]):
-        got = scale_neighborhood(space, u, p, w)
-        want = tuple(x for x in w
-                     if any(space.value(x, y, p.t) > p.threshold for y in u))
-        assert got == want
-        assert set(u) & set(w) <= set(got)
+    lo = -8 if 0 in space.universe else 1
+    windows = [int_window(lo, 12), Window([lo, lo + 2, 5, 6, 11])]
+    sets = [[2, 3], [5], [1, 9, 12], [13, 14], [3, 14, 14]]
+    if F(1, 2) in space.universe:
+        windows.append(Window([-3, F(-1, 2), 0, F(1, 3), 2, F(7, 2), 9]))
+        sets += [[F(1, 4)], [0, F(5, 2)], [9, F(23, 2)]]
+    for sp in (space, region_free(space)):
+        for p in (ScaleParams(F(2, 5), F(3, 2)), ScaleParams(F(3, 4), 3)):
+            for w in windows:
+                for u in sets:
+                    got = scale_neighborhood(sp, u, p, w)
+                    want = tuple(x for x in w
+                                 if any(space.value(x, y, p.t) > p.threshold for y in u))
+                    assert got == want
+                    assert set(u) & set(w) <= set(got)
 
 
 def test_neighborhood_monotone():

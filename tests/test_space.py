@@ -31,7 +31,7 @@ from fuzzycoarse import (
     union_bound,
 )
 from fuzzycoarse.errors import DomainError, ExactnessError, UnsupportedOperationError
-from fuzzycoarse.space import RATIONALS
+from fuzzycoarse.space import RATIONALS, Metric
 
 F = Fraction
 
@@ -161,6 +161,37 @@ def test_table_metric():
 def test_max_ultrametric_strong_triangle():
     rep = check_metric_axioms(MaxUltrametric(), int_window(1, 15))
     assert rep.passed
+
+
+class _DefectiveLine(Metric):
+    """|x - y| on the integers, with a defect at two places for each of
+    the zero-diagonal, symmetry and positivity axioms; counts its calls."""
+
+    name = "defective-line"
+
+    def __init__(self):
+        self.calls = 0
+
+    def distance(self, x, y):
+        self.calls += 1
+        if x == y:
+            return 1 if x in (2, 3) else 0
+        if (x, y) in ((1, 2), (3, 4)):
+            return abs(x - y) + 1  # d(2, 1) and d(4, 3) stay |x - y|
+        if {x, y} in ({1, 3}, {2, 4}):
+            return -1
+        return abs(x - y)
+
+
+def test_metric_axioms_name_the_first_bad_pair():
+    """Each axiom names its first bad point or pair in scan order, and
+    every distance is evaluated once."""
+    metric = _DefectiveLine()
+    lines = check_metric_axioms(metric, Window([1, 2, 3, 4])).lines()
+    assert "FAIL zero-diagonal witness=2" in lines
+    assert "FAIL symmetry witness=1~2" in lines
+    assert "FAIL positivity witness=1~3" in lines
+    assert metric.calls == 16
 
 
 def test_line_distances_refuse_floats():
