@@ -7,6 +7,7 @@ ints, "p/q" strings or integer arrays (lattice tuples), windows as
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -160,8 +161,9 @@ def _metric_from_config(cfg):
 def space_from_config(cfg) -> FuzzyMetricSpace:
     """Build a space from a tag or a {kind, tnorm, metric, universe} object.
 
-    Only the standard kind takes a metric or a universe; a t-norm is
-    passed only when the config names one."""
+    A t-norm, metric or universe is passed only when the config names
+    one, and only the builders with those parameters (the standard kind's)
+    take a metric or a universe."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     if not isinstance(cfg, dict):
@@ -171,7 +173,7 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
     if build is None:
         raise ParseError(f"unknown space kind {kind!r}; expected one of {list(SPACE_BUILDERS)}")
     kwargs = {"tnorm": tnorm_from_name(cfg["tnorm"])} if "tnorm" in cfg else {}
-    if ("metric" in cfg or "universe" in cfg) and build is not standard_space:
+    if not {"metric", "universe"} & cfg.keys() <= inspect.signature(build).parameters.keys():
         raise ParseError(f"space kind {kind!r} takes no metric/universe overrides")
     if "metric" in cfg:
         kwargs["metric"] = _metric_from_config(cfg["metric"])

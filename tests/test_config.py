@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,21 @@ def test_space_from_config():
         space_from_config("unknown_kind")
     with pytest.raises(ParseError):
         space_from_config({"kind": "ratio_minmax", "metric": "euclidean"})
+
+
+def test_space_config_survives_rebound_builder_names(monkeypatch):
+    """A tool that wraps the library's functions, as the benchmark tracer
+    does, rebinds the builder names in ``config`` but not the kind table;
+    the standard kind still takes a metric and a universe."""
+    from fuzzycoarse import config
+
+    for builder in config.SPACE_BUILDERS.values():
+        monkeypatch.setattr(config, builder.__name__,
+                            functools.wraps(builder)(lambda *a, b=builder, **k: b(*a, **k)))
+    std = space_from_config({"kind": "standard", "universe": "rationals", "metric": "euclidean"})
+    assert std.universe.name == "rationals"
+    with pytest.raises(ParseError):
+        space_from_config({"kind": "ultrametric_standard", "universe": "rationals"})
 
 
 def test_space_config_defaults_and_unhashable_tags():
