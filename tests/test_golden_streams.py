@@ -124,6 +124,26 @@ TRANSPORT_WITHOUT_CONSTRUCTOR = {
 
 METRIC_ON_RATIO = {"space": {"kind": "ratio_minmax", "metric": "euclidean"}}
 
+
+def identity_onto_inverse(kind, window_y, scale):
+    """The identity on 1..60 into the same kind, checked onto at the scale
+    and inverted there, with the one proper entry the inverse needs.  A
+    listed ``window_y`` gets the source window of its points up to 60."""
+    r, t = scale.split(":")
+    level = str(1 - F(r))
+    return {
+        "source_space": kind,
+        "target_space": kind,
+        "map": {"rule": "identity", "domain": "1..60",
+                "proper": [{"level_in": level, "t_in": t, "level_out": level, "t_out": t}],
+                "onto": scale},
+        "window_x": window_y if isinstance(window_y, str) else [p for p in window_y if p <= 60],
+        "window_y": window_y,
+        "scale": scale,
+        "inverse": True,
+    }
+
+
 # name -> (argv, config written to a file and passed as --config, exit code,
 #          sha256 of stdout)
 CASES = {
@@ -204,6 +224,34 @@ CASES = {
     "config-metric-on-ratio": (
         ["verify-axioms", "--window", "1..5"], METRIC_ON_RATIO, 2,
         "492b382612a867c118eda60aacde8e52f7010d80494e8564eb0ec76c026f10a6"),
+    # Streams decided by balls: the refining ball cover of the pipeline, and
+    # onto and the inverse on targets with two-run balls (reciprocal_product),
+    # a special centre 1 (pathological) and a t-dependent ultrametric, each on
+    # a run window and a sparse one.
+    "pipeline-ratio-300": (
+        ["pipeline", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..300"],
+        None, 0,
+        "787e171fce7604b8cf8c13c3b02032549bc2ccbf7215420383d3990149717276"),
+    "coarse-inverse-reciprocal-run": (
+        ["coarse"], identity_onto_inverse("reciprocal_product", "1..60", "9/10:1"), 0,
+        "9bfb6aecdb89c2e7af783cd874d94c42d180f6542ed0dad79cdc5764add50783"),
+    "coarse-inverse-reciprocal-sparse": (
+        ["coarse"], identity_onto_inverse("reciprocal_product",
+                                          [1, 3, 7, 15, 31, 45, 60, 75, 90], "99/100:1"), 0,
+        "1beb2925930c3355bfdd1eb86fe7d9311336894855b8b1f200ce8e489ca9257a"),
+    "coarse-inverse-pathological-run": (
+        ["coarse"], identity_onto_inverse("pathological", "1..60", "3/4:1"), 0,
+        "786c235b927defc257b6560852e1a8adaeb390a36e1b7fbdb9e07b11bfd37751"),
+    "coarse-inverse-pathological-sparse": (
+        ["coarse"], identity_onto_inverse("pathological", [1, 2, 5, 9, 30, 61, 80], "3/4:1"), 0,
+        "8a3ac9c3b93067e7a06b164ed3c05e9996d213de15e48732eb3bc3ab11552bfe"),
+    "coarse-inverse-ultrametric-run": (
+        ["coarse"], identity_onto_inverse("ultrametric_standard", "1..60", "1/2:30"), 0,
+        "a177b141639d3ba8f051f98faf25472f428babc742aa04c0f4be94e63389862f"),
+    "coarse-inverse-ultrametric-sparse": (
+        ["coarse"], identity_onto_inverse("ultrametric_standard",
+                                          [1, 4, 9, 16, 25, 29, 36, 49], "1/2:30"), 0,
+        "fa4db175591f5938769a0b9b65801ffb43b818437e912d454f55993f09ba9cec"),
 }
 
 
