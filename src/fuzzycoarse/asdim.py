@@ -362,11 +362,8 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
             f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
         )
     enlarged = ScaleParams(rho, params.t)
-    seen = {}
-    for x in window:
-        bp = space.ball_points(x, enlarged.threshold, params.t, window)
-        seen.setdefault(bp, x)
-    balls = sorted(seen, key=lambda s: s[0])
+    swept = space.balls(pts, enlarged.threshold, params.t, window)
+    balls = sorted(dict.fromkeys(map(window.points_of, swept)), key=lambda s: s[0])
     counts = {}
     for s in balls:
         for p in s:
@@ -650,8 +647,7 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
             )
         rho = refinement_ball_level(space, params)
         balls = {}
-        for x in window:
-            runs = space.ball_runs(x, 1 - rho, params.t, window)
+        for runs in space.balls(window.points, 1 - rho, params.t, window):
             balls.setdefault(tuple(runs), runs)
         ball_sets = [window.run_set(runs) for runs in balls.values()]
         refiner = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
@@ -679,9 +675,8 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
     means inconclusive, never a negative certificate.
     """
     inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
-    ball_of = {
-        x: space.ball_points(x, inner.threshold, params.t, window) for x in window
-    }
+    swept = space.balls(window.points, inner.threshold, params.t, window)
+    ball_of = dict(zip(window, map(window.points_of, swept)))
     if candidate is None:
         parent = {x: x for x in window}
 

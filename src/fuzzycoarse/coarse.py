@@ -203,7 +203,7 @@ def check_coarsely_onto(space_y: FuzzyMetricSpace, f: CoarseMap,
                         violation_cap: int = 3) -> CertReport:
     """Every target window point strictly within 1 - r of the image at t:
     the window points missing from ``scale_neighborhood`` of the image,
-    which takes one region per image point where the kind has one."""
+    which sweeps the balls of the sorted image."""
     if f.domain is None:
         raise PreconditionError("map needs a domain window to enumerate its image")
     rep = CertReport("coarsely-onto", map=f.describe(), window=window_y.label(),
@@ -288,9 +288,9 @@ def coarse_inverse(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
     g(y) is the smallest x in the source window whose image lands
     strictly within 1 - r of y at t; the onto property at (r, t) is the
     checked precondition.  The source window is swept in order, and each
-    x is given to the points of its image's ball (region runs where the
-    kind has a region) that have no preimage yet; a repeated image adds
-    nothing and is skipped.  The composite f(g(y)) is close to the
+    x is given to the points of its image's ball (window runs, galloped
+    where the kind has a flag) that have no preimage yet; a repeated image
+    adds nothing and is skipped.  The composite f(g(y)) is close to the
     identity at (r, t) by construction and is re-verified; closeness of
     g(f(x)) to the identity comes through a properness entry applicable
     at (1 - r, t), at the halved output level for strictness.

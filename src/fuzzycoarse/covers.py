@@ -249,9 +249,10 @@ def is_scale_disjoint(space: FuzzyMetricSpace, family: Family,
 def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
                        window: Window) -> tuple:
     """Window points within strict threshold of some point of u: the union
-    of the balls around the points of u."""
-    b, t = params.threshold, params.t
-    runs = [run for p in _clean_set(u) for run in space.ball_runs(p, b, t, window)]
+    of the balls around the points of u, swept in increasing order."""
+    u = _clean_set(u)
+    space._check_points(u)
+    runs = [run for ball in space.balls(u, params.threshold, params.t, window) for run in ball]
     return window.points_of(_coalesce_runs(runs))
 
 
@@ -337,7 +338,6 @@ def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParam
     point -> owners map, and members of several runs are tested run
     against run.
     """
-    b, t = params.threshold, params.t
     one, multi = [], []
     for runs in map(window.runs_of, cover.all_sets()):
         if len(runs) == 1:
@@ -348,8 +348,7 @@ def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParam
     ends = sorted(j for _, j in one)
 
     balls = []
-    for x in window:
-        runs = space.ball_runs(x, b, t, window)
+    for runs in space.balls(window.points, params.threshold, params.t, window):
         main = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
         extra = [k for run in runs if run != main for k in range(*run)]
         balls.append((main, extra, runs))
@@ -404,9 +403,8 @@ def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
             for i, j in runs:
                 for k in range(i, j):
                     owners.setdefault(k, []).append(sid)
-    b, t = params.threshold, params.t
-    for x in window:
-        runs = space.ball_runs(x, b, t, window)
+    balls = space.balls(window.points, params.threshold, params.t, window)
+    for x, runs in zip(window, balls):
         if not runs or hull_holds.holds(runs[0][0], runs[-1][1]):
             continue
         if len(runs) == 1 or not any(

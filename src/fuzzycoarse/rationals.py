@@ -59,8 +59,3 @@ def as_fraction(value) -> Fraction:
 def smallest_int_gt(x) -> int:
     """Smallest integer strictly greater than x."""
     return math.floor(as_fraction(x)) + 1
-
-
-def largest_int_lt(x) -> int:
-    """Largest integer strictly smaller than x."""
-    return math.ceil(as_fraction(x)) - 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, filterfalse, islice
@@ -35,7 +35,7 @@ from operator import lt
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
-from .rationals import as_fraction, largest_int_lt, smallest_int_gt
+from .rationals import as_fraction
 from .report import CertReport, fmt_pair, fmt_value
 from .tnorm import LUKASIEWICZ, MINIMUM, PRODUCT, TNorm
 
@@ -69,10 +69,7 @@ class Window:
 
     A set of window points is also described by its *runs*: sorted,
     disjoint, non-adjacent half-open index ranges ``(i, j)`` standing for
-    ``points[i:j]``.  On a window of consecutive integers the run of an
-    interval is found by integer arithmetic on its bounds, which avoids
-    comparing Fraction bounds with the points; on any other window it
-    takes one bisect per bound.
+    ``points[i:j]``.
     """
 
     __slots__ = ("points", "_set", "_first_int", "_checked_in")
@@ -101,20 +98,6 @@ class Window:
 
     def __hash__(self):
         return hash(self.points)
-
-    def span(self, lo, hi) -> tuple:
-        """Index range ``(i, j)`` of the window points in the open interval
-        (lo, hi), with ``i >= j`` when there are none.  ``None`` means
-        unbounded."""
-        n = len(self.points)
-        w0 = self._first_int
-        if w0 is not None:
-            i = 0 if lo is None else max(0, smallest_int_gt(lo) - w0)
-            j = n if hi is None else min(n, largest_int_lt(hi) - w0 + 1)
-            return i, j
-        i = 0 if lo is None else bisect_right(self.points, lo)
-        j = n if hi is None else bisect_left(self.points, hi)
-        return i, j
 
     def is_contiguous_ints(self) -> bool:
         return self._first_int is not None
@@ -149,13 +132,6 @@ class Window:
                 return [(i, j)]
         return _coalesce_runs((k, k + 1) for k in map(self.index_of, points)
                               if k is not None)
-
-    def region_runs(self, region) -> list:
-        """Runs of the window points in an (open intervals, extra points) region."""
-        intervals, extras = region
-        runs = [self.span(lo, hi) for lo, hi in intervals]
-        runs.extend((k, k + 1) for k in map(self.index_of, extras) if k is not None)
-        return _coalesce_runs(runs)
 
     def points_of(self, runs) -> tuple:
         """The window points of a run list, in window order."""
@@ -197,6 +173,19 @@ def _coalesce_runs(runs) -> list:
         else:
             out.append((i, j))
     return out
+
+
+def _gallop(pred, lo: int, hi: int) -> int:
+    """The first k in [lo, hi) with ``pred(k)``, or hi, for a predicate that
+    is false and then true on [lo, hi): probes lo, lo + 1, lo + 3, ...
+    until one holds, then bisects, so O(log(k - lo)) calls."""
+    step = 1
+    while lo < hi:
+        probe = min(lo + step, hi) - 1
+        if pred(probe):
+            return bisect_left(range(probe), True, lo, probe, key=pred)
+        lo, step = probe + 1, 2 * step
+    return hi
 
 
 def int_window(lo: int, hi: int) -> Window:
@@ -427,8 +416,9 @@ class _Kind:
     pair nests outward on the sorted line (x < y < z implies
     M(x,z) <= min(M(x,y), M(y,z))).  ``coordinate_decreasing`` declares
     that M(x, y) is non-increasing in each coordinate off the diagonal.
-    Both flags unlock exact fast paths in the covers layer and are
-    cross-validated against brute force in the test suite.
+    Both flags fix the shape of every ball (see
+    ``FuzzyMetricSpace.balls``) and unlock exact fast paths in the covers
+    layer; they are cross-validated against brute force in the test suite.
     """
 
     name = "kind"
@@ -441,12 +431,6 @@ class _Kind:
         """M(x, y, t) as integers ``(num, den)`` with ``den > 0``: the one
         statement of M, from which every Fraction value is built."""
         raise NotImplementedError
-
-    def region(self, x, bound: Fraction, t: Fraction):
-        """Open-threshold region {y : M(x,y,t) > bound} as
-        (open intervals, extra points), or None when there is no closed
-        form and callers must scan."""
-        return None
 
 
 class _StandardKind(_Kind):
@@ -461,17 +445,6 @@ class _StandardKind(_Kind):
         a = t.numerator * d.denominator
         return a, a + d.numerator * t.denominator
 
-    def region(self, x, bound, t):
-        # M > bound iff d < t(1-bound)/bound
-        theta = t * (1 - bound) / bound
-        if isinstance(self.metric, EuclideanLine):
-            return ((x - theta, x + theta),), ()
-        if isinstance(self.metric, MaxUltrametric):
-            if x < theta:
-                return ((None, theta),), ()
-            return (), (x,)
-        return None
-
 
 class _ReciprocalKind(_Kind):
     name = "reciprocal_product"
@@ -481,10 +454,6 @@ class _ReciprocalKind(_Kind):
     def pair(self, x, y, t):
         return (1, 1) if x == y else (1, x * y)
 
-    def region(self, x, bound, t):
-        # 1/(xy) > bound iff y < 1/(bound*x); the point itself always qualifies
-        return ((None, 1 / (bound * x)),), (x,)
-
 
 class _RatioKind(_Kind):
     name = "ratio_minmax"
@@ -493,9 +462,6 @@ class _RatioKind(_Kind):
 
     def pair(self, x, y, t):
         return (1, 1) if x == y else (min(x, y), max(x, y))
-
-    def region(self, x, bound, t):
-        return ((x * bound, x / bound),), ()
 
 
 class _PathologicalKind(_Kind):
@@ -512,14 +478,6 @@ class _PathologicalKind(_Kind):
             return 1, x
         return 1, 2
 
-    def region(self, x, bound, t):
-        if x == 1:
-            return ((None, 1 / bound),), ()
-        intervals = ((1, None),) if bound < Fraction(1, 2) else ()
-        extras = (x,)
-        if Fraction(1, x) > bound:
-            extras = (1, x)
-        return intervals, extras
 
 
 # ---------------------------------------------------------------------------
@@ -595,26 +553,61 @@ class FuzzyMetricSpace:
         test is one cross-multiplication and no Fraction is built."""
         return self._kind.pair(x, y, t)
 
-    def ball_points(self, x, bound: Fraction, t: Fraction, window: Window) -> tuple:
-        """Window points y with M(x, y, t) > bound, strictly."""
-        reg = self._kind.region(x, bound, t)
-        if reg is None:
-            pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
-            out = []
-            for y in window:
-                num, den = pair(x, y, t)
-                if num * bd > bn * den:
-                    out.append(y)
-            return tuple(out)
-        return window.points_of(window.region_runs(reg))
+    def balls(self, centers, bound: Fraction, t: Fraction, window: Window):
+        """Yield the window runs of each ball {y : M(x, y, t) > bound}, for
+        centres x of the universe in increasing order.
+
+        Every membership test is one integer cross-multiplication on
+        ``pair``; the kind's flags fix the shape of each ball.  A radial
+        ball is one run around the centre's place in the window, and both
+        of its ends only move right as the centre does, so each end is
+        galloped from where the last centre left it: a sweep of the whole
+        window costs O(n) ``pair`` calls and one centre O(log n).  A
+        coordinate-decreasing ball is a prefix of the window plus the
+        centre.  Any other kind scans the window.
+        """
+        self._check_window(window)
+        pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
+        pts = window.points
+        n = len(pts)
+
+        def outside(x):
+            def test(k):
+                num, den = pair(x, pts[k], t)
+                return num * bd <= bn * den
+            return test
+
+        if self._kind.radial:
+            left = right = 0
+            for x in centers:
+                c = bisect_left(pts, x)
+                out = outside(x)
+                left = _gallop(lambda k: not out(k), left, c)
+                right = _gallop(out, max(right, c), n)
+                yield [(left, right)] if left < right else []
+        elif self._kind.coordinate_decreasing:
+            for x in centers:
+                c = bisect_left(pts, x)
+                out = outside(x)
+                at_x = c < n and pts[c] == x
+                end = _gallop(out, 0, c)
+                if end == c:
+                    end = _gallop(out, c + at_x, n)
+                    yield [(0, end)] if end else []
+                else:
+                    yield [(0, end)] * (end > 0) + [(c, c + 1)] * at_x
+        else:
+            for x in centers:
+                out = outside(x)
+                yield _coalesce_runs((k, k + 1) for k in range(n) if not out(k))
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
-        """The points of ``ball_points`` as window runs, without listing
-        them when the kind has a closed-form region."""
-        reg = self._kind.region(x, bound, t)
-        if reg is None:
-            return window.runs_of(self.ball_points(x, bound, t, window))
-        return window.region_runs(reg)
+        """The window runs of the ball of one centre."""
+        return next(self.balls((x,), bound, t, window))
+
+    def ball_points(self, x, bound: Fraction, t: Fraction, window: Window) -> tuple:
+        """Window points y with M(x, y, t) > bound, strictly."""
+        return window.points_of(self.ball_runs(x, bound, t, window))
 
     def with_universe(self, universe: Universe) -> "FuzzyMetricSpace":
         return FuzzyMetricSpace(self._kind, self.tnorm, universe)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -468,7 +469,7 @@ scales = st.builds(ScaleParams, st.fractions(F(1, 12), F(11, 12), max_denominato
 def coarse_cases(draw):
     """(space_x, space_y, map, window_x, window_y): an affine map into the
     rationals, or a table map into the naturals (ratio, reciprocal) or into
-    the points of a table metric, which has no region."""
+    the points of a table metric, whose balls are window scans."""
     kind = draw(st.sampled_from(["affine", "ratio", "reciprocal", "table"]))
     lo = draw(st.integers(-6, 6)) if kind == "affine" else 1
     window_x = int_window(lo, lo + draw(st.integers(0, 14)))
@@ -538,35 +539,37 @@ def test_inverse_matches_brute(case, params):
     assert {y: g.apply(y) for y in window_y} == want
 
 
-def test_onto_and_inverse_make_no_value_calls_and_one_region_per_image(monkeypatch):
-    """On a 600-point grid target the onto check and the inverse read one
-    region per image point and never call the validated ``value``."""
+def test_onto_and_inverse_make_no_value_calls_and_few_pair_calls(monkeypatch):
+    """On a 600-point grid target the onto check sweeps the sorted image in
+    O(|image| + |W_y|) ``pair`` calls and the inverse gallops one ball per
+    image in O(log |W_y|) each; neither calls the validated ``value``."""
     wx = int_window(0, 299)
     wy = grid_window(0, F(599, 2), F(1, 2))
     assert len(wy) == 600
     space_y = standard_space(universe=RATIONALS)
     f = inclusion_map(domain=wx, proper=(entry("1/2", 1, "1/2", 1),))
-    calls = {"value": 0, "region": 0}
+    calls = {"value": 0, "pair": 0}
     value = FuzzyMetricSpace.value
-    region = type(space_y._kind).region
+    pair = type(space_y._kind).pair
 
     def counted_value(self, *args):
         calls["value"] += 1
         return value(self, *args)
 
-    def counted_region(self, *args):
-        calls["region"] += 1
-        return region(self, *args)
+    def counted_pair(self, *args):
+        calls["pair"] += 1
+        return pair(self, *args)
 
     monkeypatch.setattr(FuzzyMetricSpace, "value", counted_value)
-    monkeypatch.setattr(type(space_y._kind), "region", counted_region)
+    monkeypatch.setattr(type(space_y._kind), "pair", counted_pair)
     params = ScaleParams(F(1, 2), 1)
     assert check_coarsely_onto(space_y, f, params, wy).passed
-    assert calls == {"value": 0, "region": 300}
-    calls["region"] = 0
+    assert calls["value"] == 0 and calls["pair"] <= 3 * (300 + 600)
+    calls["pair"] = 0
     g, rep = coarse_inverse(STD, space_y, f, params, wy, wx)
     assert rep.passed
-    assert calls == {"value": 0, "region": 300}
+    # the two closeness checks of the report make one pair call per point
+    assert calls["value"] == 0 and calls["pair"] <= 3 * 300 * math.log2(600)
     assert g.apply(F(1, 2)) == 0 and g.apply(F(599, 2)) == 299
 
 

@@ -16,6 +16,7 @@ from fuzzycoarse import (
     ScaleParams,
     TableMetric,
     Window,
+    ball,
     cross_sup,
     grid_window,
     has_lebesgue_pair,
@@ -301,8 +302,8 @@ def rational_line():
 
 @pytest.mark.parametrize("factory", SPACES + [table_space, rational_line])
 def test_neighborhood_matches_brute(factory):
-    """The union of balls against the definition, with closed-form regions
-    and without, on a run window and sparse ones, for sets that hold points
+    """The union of balls against the definition, with the kind's flags and
+    without, on a run window and sparse ones, for sets that hold points
     outside the window."""
     space = factory()
     lo = -8 if 0 in space.universe else 1
@@ -311,7 +312,7 @@ def test_neighborhood_matches_brute(factory):
     if F(1, 2) in space.universe:
         windows.append(Window([-3, F(-1, 2), 0, F(1, 3), 2, F(7, 2), 9]))
         sets += [[F(1, 4)], [0, F(5, 2)], [9, F(23, 2)]]
-    for sp in (space, region_free(space)):
+    for sp in (space, flag_free(space)):
         for p in (ScaleParams(F(2, 5), F(3, 2)), ScaleParams(F(3, 4), 3)):
             for w in windows:
                 for u in sets:
@@ -530,6 +531,25 @@ def test_balls_that_skip_a_window_point():
     assert brute_lebesgue_violation(space, split, p, w) is None
 
 
+def test_window_points_outside_the_universe_are_refused():
+    """A ball never counts, or evaluates M at, a window point outside the
+    space's universe, and a neighbourhood never starts from one."""
+    space = reciprocal_product_space()
+    w = Window([-1, 0, 1, 2, 3])
+    p = ScaleParams(F(1, 2), 1)
+    cov = Cover.of([Family.of([list(w)])], w)
+    with pytest.raises(DomainError, match="point -1 is outside the naturals"):
+        ball(space, 2, p, w)
+    with pytest.raises(DomainError, match="point -1 is outside the naturals"):
+        scale_neighborhood(space, [2], p, w)
+    with pytest.raises(DomainError, match="point -1 is outside the naturals"):
+        scale_multiplicity(space, cov, p, w)
+    with pytest.raises(DomainError, match="point -1 is outside the naturals"):
+        first_lebesgue_violation(space, cov, p, w)
+    with pytest.raises(DomainError, match="point 0 is outside the naturals"):
+        scale_neighborhood(space, [0, 2], p, int_window(1, 3))
+
+
 def test_members_in_any_order_or_with_repeats():
     """A Family built directly may hold unsorted tuples with repeats."""
     ratio = ratio_minmax_space()
@@ -552,10 +572,11 @@ def test_members_in_any_order_or_with_repeats():
 # ---------------------------------------------------------------------------
 
 
-def region_free(space):
-    """The same space without closed-form regions: every ball is a window scan."""
+def flag_free(space):
+    """The same space with neither structural flag: every ball is a window
+    scan and every extremal pair a brute-force one."""
     kind = copy.copy(space._kind)
-    kind.region = lambda x, bound, t: None
+    kind.radial = kind.coordinate_decreasing = False
     return FuzzyMetricSpace(kind, space.tnorm, space.universe)
 
 
@@ -568,7 +589,7 @@ def spaces_and_windows(draw):
     """(space, window, points outside the window) over every built-in space.
 
     Windows are runs of integers, sparse integer sets, negative-integer
-    windows and rational grids.  Lattice and table spaces have no regions;
+    windows and rational grids.  Lattice and table spaces have neither flag;
     a random distance table makes balls that are not runs of the window.
     """
     case = draw(st.sampled_from(["standard", "rational", "line", "lattice", "table"]))
@@ -637,6 +658,25 @@ def split_into_families(sets, data):
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
+def test_balls_match_the_definition_and_the_flag_free_scan(data):
+    """One sweep over sorted centres, some outside the window, gives each
+    centre's ball as the definition does and as a window scan does."""
+    space, w, outside = data.draw(spaces_and_windows())
+    centres = sorted(set(data.draw(st.lists(st.sampled_from(list(w) + outside), max_size=8))))
+    p = data.draw(SCALES)
+    swept = list(space.balls(centres, p.threshold, p.t, w))
+    assert swept == list(flag_free(space).balls(centres, p.threshold, p.t, w))
+    assert swept == [w.runs_of(brute_ball_points(space, x, p, w)) for x in centres]
+    for x, runs in zip(centres, swept):
+        assert space.ball_runs(x, p.threshold, p.t, w) == runs
+
+
+def brute_ball_points(space, x, params, window):
+    return tuple(y for y in window if space.value(x, y, params.t) > params.threshold)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
 def test_scale_multiplicity_runs_scans_and_definition_agree(data):
     space, w, outside = data.draw(spaces_and_windows())
     sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 6))))
@@ -644,7 +684,7 @@ def test_scale_multiplicity_runs_scans_and_definition_agree(data):
     p = data.draw(SCALES)
     want = brute_scale_multiplicity(space, cov, p, w)
     assert scale_multiplicity(space, cov, p, w) == want
-    assert scale_multiplicity(region_free(space), cov, p, w) == want
+    assert scale_multiplicity(flag_free(space), cov, p, w) == want
 
 
 @given(data=st.data())
@@ -657,13 +697,13 @@ def test_lebesgue_runs_scans_and_definition_agree(data):
     cov = Cover.of(split_into_families(sets, data), w)
     p = data.draw(SCALES)
     if not set(w) <= set().union(*map(set, sets)):
-        for sp in (space, region_free(space)):
+        for sp in (space, flag_free(space)):
             with pytest.raises(PreconditionError):
                 first_lebesgue_violation(sp, cov, p, w)
         return
     want = brute_lebesgue_violation(space, cov, p, w)
     assert first_lebesgue_violation(space, cov, p, w) == want
-    assert first_lebesgue_violation(region_free(space), cov, p, w) == want
+    assert first_lebesgue_violation(flag_free(space), cov, p, w) == want
 
 
 def brute_refinement_violation(cover_v, cover_u):

@@ -4,7 +4,7 @@ import pytest
 
 from fuzzycoarse import parse_rational, format_rational, as_fraction
 from fuzzycoarse.errors import DomainError, ParseError
-from fuzzycoarse.rationals import largest_int_lt, smallest_int_gt
+from fuzzycoarse.rationals import smallest_int_gt
 
 
 def test_parse_simple():
@@ -36,5 +36,3 @@ def test_integer_neighbors():
     assert smallest_int_gt(Fraction(5, 2)) == 3
     assert smallest_int_gt(Fraction(2)) == 3
     assert smallest_int_gt(Fraction(-5, 2)) == -2
-    assert largest_int_lt(Fraction(5, 2)) == 2
-    assert largest_int_lt(Fraction(2)) == 1

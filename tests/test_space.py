@@ -57,30 +57,14 @@ def test_scale_params_validation():
         ScaleParams(F(1, 2), 0)
 
 
-def between(w, lo, hi):
-    """Window points in the open interval (lo, hi), through ``span``;
-    ``i >= j`` means there are none."""
-    i, j = w.span(lo, hi)
-    return w.points[i:j] if i < j else ()
-
-
-def test_window_between():
-    w = int_window(1, 10)
-    assert between(w, F(5, 2), F(9, 2)) == (3, 4)
-    assert between(w, 3, 5) == (4,)
-    assert between(w, None, 3) == (1, 2)
-    assert between(w, 8, None) == (9, 10)
-    assert between(w, 5, 3) == ()
-    assert w.label() == "1..10"
-    assert grid_window(0, 2, F(1, 2)).points == (0, F(1, 2), 1, F(3, 2), 2)
-
-
 def test_window_contiguity_is_decided_once_from_the_points():
     assert Window(range(-3, 4)).is_contiguous_ints()
     assert Window([3, 1, 2, 2]).is_contiguous_ints()
     assert not Window(range(0, 10, 2)).is_contiguous_ints()
     assert not Window([1, F(3, 2), 3]).is_contiguous_ints()
     assert not Window([]).is_contiguous_ints()
+    assert int_window(1, 10).label() == "1..10"
+    assert grid_window(0, 2, F(1, 2)).points == (0, F(1, 2), 1, F(3, 2), 2)
 
 
 def test_runs_of_takes_points_in_any_order():
@@ -94,19 +78,6 @@ def test_runs_of_takes_points_in_any_order():
     sparse = Window([1, 3, F(7, 2), 9])
     assert sparse.runs_of((9, 3)) == [(1, 2), (3, 4)]
     assert sparse.runs_of((3, F(7, 2), 9)) == [(1, 4)]
-
-
-BOUNDS = st.none() | st.fractions(-9, 12, max_denominator=3)
-
-
-@given(lo=BOUNDS, hi=BOUNDS, sparse=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_window_between_matches_its_definition(lo, hi, sparse):
-    w = Window([-5, -2, F(1, 2), 3, 8] if sparse else range(-5, 9))
-    want = tuple(p for p in w if (lo is None or p > lo) and (hi is None or p < hi))
-    assert between(w, lo, hi) == want
-    i, j = w.span(lo, hi)
-    assert max(0, j - i) == len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +305,29 @@ def test_ball_contains_center_and_monotone():
     b1 = set(ball(std, 0, ScaleParams(F(1, 2), 1), wz))
     b2 = set(ball(std, 0, ScaleParams(F(1, 2), 4), wz))
     assert b1 <= b2
+
+
+@pytest.mark.parametrize("factory", [ratio_minmax_space, reciprocal_product_space])
+@pytest.mark.parametrize("n", [10**3, 10**4])
+def test_ball_sweeps_make_linear_pair_calls(factory, n, monkeypatch):
+    """A whole-window sweep makes at most 6N ``pair`` calls and one ball at
+    most 5 log2 N.  On a radial kind each ball end gallops, at most
+    1 + 2 log2(d + 1) calls for a move of d, and the moves of one end add
+    up to at most N over a sweep."""
+    space = factory()
+    calls = []
+    pair = type(space._kind).pair
+    monkeypatch.setattr(type(space._kind), "pair",
+                        lambda self, *args: calls.append(0) or pair(self, *args))
+    w = int_window(1, n)
+    for bound in (F(1, 10), F(1, 2), F(999, 1000)):
+        calls.clear()
+        assert sum(map(len, space.balls(w.points, bound, F(1), w))) >= n
+        assert len(calls) <= 6 * n
+        for x in (1, 2, n // 3, n // 2, n - 1, n):
+            calls.clear()
+            space.ball_runs(x, bound, F(1), w)
+            assert len(calls) <= 5 * math.log2(n)
 
 
 def test_radiality_flags_hold():
