@@ -213,6 +213,8 @@ def cmd_coarse(args) -> int:
         ok = ok and rep.passed
     if "transport" in cfg:
         tcfg = cfg["transport"]
+        if not isinstance(tcfg, dict):
+            raise ParseError(f"transport must be an object, got {tcfg!r}")
         witness = witness_from_json(load_json_file(tcfg["witness"])) if "witness" in tcfg else None
         factory = None
         if witness is None and space_x.kind_name in asdim.WITNESS_CONSTRUCTORS:

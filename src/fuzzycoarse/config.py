@@ -240,10 +240,11 @@ def map_from_config(cfg) -> CoarseMap:
     kwargs = {}
     if "domain" in cfg:
         kwargs["domain"] = parse_window_spec(cfg["domain"])
-    if "expansive" in cfg:
-        kwargs["expansive"] = tuple(modulus_from_json(e) for e in cfg["expansive"])
-    if "proper" in cfg:
-        kwargs["proper"] = tuple(modulus_from_json(e) for e in cfg["proper"])
+    for key in ("expansive", "proper"):
+        if key in cfg:
+            if not isinstance(cfg[key], list):
+                raise ParseError(f"map {key} must be a list of modulus entries, got {cfg[key]!r}")
+            kwargs[key] = tuple(modulus_from_json(e) for e in cfg[key])
     if "onto" in cfg:
         kwargs["onto_params"] = scale_from_json(cfg["onto"])
     rule = cfg.get("rule", "identity")
@@ -271,6 +272,8 @@ def dump_json(obj) -> str:
 
 
 def load_json_file(path: str):
+    if not isinstance(path, str):
+        raise ParseError(f"a file path must be a string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from contextlib import redirect_stdout
 
 import pytest
@@ -273,6 +274,47 @@ def test_coarse_map_table_must_be_a_list_of_pairs(tmp_path):
             "window_x": "0..1", "window_y": "0..3", "scale": "1/2:1"}))
         code, out = run_cli(["coarse", "--config", str(path)])
         assert (code, out) == (2, "ERROR ParseError: table rule needs a list of [x, image] pairs\n")
+
+
+RATIO_IDENTITY = {"source_space": "ratio_minmax", "target_space": "ratio_minmax",
+                  "map": {"rule": "identity", "domain": "1..10"},
+                  "window_x": "1..10", "window_y": "1..10", "scale": "1/2:1"}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"transport": True}, "transport must be an object, got True"),
+    ({"map": {"rule": "identity", "expansive": "1/2"}},
+     "map expansive must be a list of modulus entries, got '1/2'"),
+    ({"map": {"rule": "identity", "proper": {"level_in": "1/2"}}},
+     "map proper must be a list of modulus entries, got {'level_in': '1/2'}"),
+], ids=["transport-bool", "expansive-string", "proper-object"])
+def test_coarse_sub_objects_are_type_checked(tmp_path, change, message):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(dict(RATIO_IDENTITY, **change)))
+    assert run_cli(["coarse", "--config", str(path)]) == (2, f"ERROR ParseError: {message}\n")
+
+
+def test_a_witness_path_must_be_a_string_and_no_descriptor_is_read(tmp_path):
+    """A JSON integer where a witness path belongs is refused, not taken as
+    a file descriptor, although the open descriptor holds a valid witness."""
+    witness = tmp_path / "witness.json"
+    assert run_cli(["witness", "--space", "ratio_minmax", "--scale", "1/2:1",
+                    "--window", "1..10", "--witness-out", str(witness)])[0] == 0
+    path = tmp_path / "config.json"
+    fd = os.open(witness, os.O_RDONLY)
+    try:
+        check = {"space": "ratio_minmax", "scales": ["1/2:1"]}
+        for argv, cfg, bad in (
+            (["coarse"], dict(RATIO_IDENTITY, transport={"witness": fd}), fd),
+            (["check"], dict(check, witness=fd), fd),
+            (["check"], dict(check, witness=["a"]), ["a"]),
+        ):
+            path.write_text(json.dumps(cfg))
+            assert run_cli(argv + ["--config", str(path)]) == (
+                2, f"ERROR ParseError: a file path must be a string, got {bad!r}\n")
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+    finally:
+        os.close(fd)
 
 
 def test_coarse_requires_config():
