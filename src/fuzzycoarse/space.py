@@ -479,7 +479,6 @@ class _PathologicalKind(_Kind):
         return 1, 2
 
 
-
 # ---------------------------------------------------------------------------
 # The space itself
 # ---------------------------------------------------------------------------
@@ -591,11 +590,12 @@ class FuzzyMetricSpace:
                 out = outside(x)
                 at_x = c < n and pts[c] == x
                 end = _gallop(out, 0, c)
-                if end == c:
+                if end == c:  # the whole prefix is inside: go on past the centre
                     end = _gallop(out, c + at_x, n)
-                    yield [(0, end)] if end else []
-                else:
-                    yield [(0, end)] * (end > 0) + [(c, c + 1)] * at_x
+                runs = [(0, end)] if end else []
+                if at_x and end < c:
+                    runs.append((c, c + 1))
+                yield runs
         else:
             for x in centers:
                 out = outside(x)
@@ -727,11 +727,10 @@ def _value_matrices(space, pts, t_values):
         nums, dens = [], []
         for x in pts:
             row_n, row_d = [], []
-            add_n, add_d = row_n.append, row_d.append
             for y in pts:
                 num, den = pair(x, y, t)
-                add_n(num)
-                add_d(den)
+                row_n.append(num)
+                row_d.append(den)
             nums.append(row_n)
             dens.append(row_d)
         vals = ([list(map(Fraction, row_n, row_d)) for row_n, row_d in zip(nums, dens)]
