@@ -291,8 +291,6 @@ def test_neighborhood_examples():
     assert got == tuple(range(-2, 3)) + tuple(range(8, 13))
     assert scale_neighborhood(std, [], p, w) == ()
     # neighborhood of a singleton is exactly its ball
-    from fuzzycoarse import ball
-
     assert scale_neighborhood(std, [4], p, w) == ball(std, 4, p, w)
 
 
@@ -666,13 +664,9 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
     p = data.draw(SCALES)
     swept = list(space.balls(centres, p.threshold, p.t, w))
     assert swept == list(flag_free(space).balls(centres, p.threshold, p.t, w))
-    assert swept == [w.runs_of(brute_ball_points(space, x, p, w)) for x in centres]
+    assert swept == [w.runs_of(tuple(brute_ball(space, x, p, w))) for x in centres]
     for x, runs in zip(centres, swept):
         assert space.ball_runs(x, p.threshold, p.t, w) == runs
-
-
-def brute_ball_points(space, x, params, window):
-    return tuple(y for y in window if space.value(x, y, params.t) > params.threshold)
 
 
 @given(data=st.data())
