@@ -721,19 +721,12 @@ def _value_matrices(space, pts, t_values):
     ``values`` holds Fractions only under a t-norm with no integer scanner,
     whose rule is evaluated on them, and is None otherwise."""
     generic = space.tnorm.name not in _SCANNERS
-    pair = space._pair
     mats = {}
     for t in t_values:
-        nums, dens = [], []
-        for x in pts:
-            row_n, row_d = [], []
-            for y in pts:
-                num, den = pair(x, y, t)
-                row_n.append(num)
-                row_d.append(den)
-            nums.append(row_n)
-            dens.append(row_d)
-        vals = ([list(map(Fraction, row_n, row_d)) for row_n, row_d in zip(nums, dens)]
+        rows = [[space._pair(x, y, t) for y in pts] for x in pts]
+        nums = [[p[0] for p in row] for row in rows]
+        dens = [[p[1] for p in row] for row in rows]
+        vals = ([[Fraction(p, q) for p, q in row] for row in rows]
                 if generic else None)
         mats[t] = (nums, dens, vals)
     return mats
