@@ -20,7 +20,8 @@ ultrametric_standard  t / (t + max(x, y)) off the diagonal, min t-norm
                       (non-Archimedean)
 
 Each kind states M once, as an integer pair ``(num, den)``; the space
-builds every Fraction value from it.
+builds every Fraction value from it, and every ball from it and the
+kind's two structural flags.
 """
 
 from __future__ import annotations
@@ -563,7 +564,8 @@ class FuzzyMetricSpace:
         galloped from where the last centre left it: a sweep of the whole
         window costs O(n) ``pair`` calls and one centre O(log n).  A
         coordinate-decreasing ball is a prefix of the window plus the
-        centre.  Any other kind scans the window.
+        centre.  Any other kind scans the window.  A window point outside
+        the universe raises ``DomainError`` before M is evaluated.
         """
         self._check_window(window)
         pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
