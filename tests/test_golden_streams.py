@@ -124,6 +124,18 @@ TRANSPORT_WITHOUT_CONSTRUCTOR = {
 
 METRIC_ON_RATIO = {"space": {"kind": "ratio_minmax", "metric": "euclidean"}}
 
+# The chain-inequality scanners under the minimum and Lukasiewicz
+# t-norms: pathological min fails at the first triple, pathological
+# Lukasiewicz passes, and a three-point table metric with d(0, 2) = 100
+# fails under Lukasiewicz at the largest s.
+PATHOLOGICAL_MIN = {"space": {"kind": "pathological", "tnorm": "min"}}
+LUKASIEWICZ_TABLE = {
+    "space": {"kind": "standard", "tnorm": "lukasiewicz",
+              "metric": {"rule": "table", "points": [0, 1, 2],
+                         "matrix": [[0, 1, 100], [1, 0, 1], [100, 1, 0]]}},
+    "window": [0, 1, 2],
+}
+
 
 def identity_onto_inverse(kind, window_y, scale):
     """The identity on 1..60 into the same kind, checked onto at the scale
@@ -252,6 +264,16 @@ CASES = {
         ["coarse"], identity_onto_inverse("ultrametric_standard",
                                           [1, 4, 9, 16, 25, 29, 36, 49], "1/2:30"), 0,
         "fa4db175591f5938769a0b9b65801ffb43b818437e912d454f55993f09ba9cec"),
+    # Streams decided by the min and Lukasiewicz chain scanners.
+    "axioms-pathological-min": (
+        ["verify-axioms", "--window", "1..20"] + GRID, PATHOLOGICAL_MIN, 1,
+        "bc322e3f0025495f412775c0fcf85f63d3961b8a7621749c26920b4703c6c6f8"),
+    "axioms-pathological-lukasiewicz": (
+        ["verify-axioms", "--space", "pathological", "--window", "1..20"] + GRID, None, 0,
+        "acff848c72b12a0694fc3caf8b89a8d19c859242329d8ab7a0f243bc4b78b255"),
+    "axioms-lukasiewicz-table": (
+        ["verify-axioms"] + GRID, LUKASIEWICZ_TABLE, 1,
+        "d7cee553030eb5caa79e616d2734d0910e8a95fa9d6baf109223d67be67a79c3"),
 }
 
 
