@@ -45,8 +45,8 @@ from .errors import (
 )
 from .rationals import as_fraction, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
-from .space import (FuzzyMetricSpace, ScaleParams, Window, _chain_violations, _min_transitive,
-                    _value_matrices)
+from .space import (FuzzyMetricSpace, ScaleParams, Window, _first_chain_violation,
+                    _min_transitive, _value_matrices)
 
 ONE = Fraction(1)
 
@@ -357,7 +357,7 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     space._check_window(window)
     mat = _value_matrices(space, pts, [params.t])[params.t]
     if not _min_transitive(mat):
-        bad = tuple(pts[i] for i in _chain_violations(space.tnorm, mat, mat, mat, 1)[0])
+        bad = tuple(pts[i] for i in _first_chain_violation(space.tnorm, mat, mat, mat))
         raise NonArchimedeanViolationError(
             f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
         )

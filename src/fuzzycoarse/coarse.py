@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Optional
 
 from .asdim import DimensionWitness, verify_witness
@@ -128,9 +128,9 @@ def _finite_table_note(rep: CertReport):
 
 def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpace,
                    space_y: FuzzyMetricSpace, f: CoarseMap, window_x: Window,
-                   proper: bool, violation_cap: int) -> CertReport:
+                   proper: bool) -> CertReport:
     """One verdict per entry (level_in @ t_in) -> (level_out @ t_out) over
-    every window pair x <= y.
+    every window pair x <= y, naming the first bad pair in scan order.
 
     The input side of a pair is (x, y) in ``space_x`` and the output side
     (f(x), f(y)) in ``space_y``; ``proper`` swaps the two sides.  Every
@@ -146,11 +146,11 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
     sides = [(space_x._pair, pts), (space_y._pair, images)]
     (pair_in, pts_in), (pair_out, pts_out) = sides[::-1] if proper else sides
     n = len(pts)
-    for entry in entries:
+
+    def first_bad(entry):
         ln, ld = entry.level_in.numerator, entry.level_in.denominator
         on, od = entry.level_out.numerator, entry.level_out.denominator
         t_in, t_out = entry.t_in, entry.t_out
-        bad = []
         for i in range(n):
             a, fa = pts_in[i], pts_out[i]
             for j in range(i, n):
@@ -158,21 +158,20 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
                 if num * ld >= ln * den:
                     num, den = pair_out(fa, pts_out[j], t_out)
                     if num * od < on * den:
-                        bad.append((pts[i], pts[j], num, den))
-                        if len(bad) >= violation_cap:
-                            break
-            if len(bad) >= violation_cap:
-                break
-        rep.add_verdict(not bad, predicate, entry=entry.describe(),
-                        witness=fmt_pair(bad[0][:2]) if bad else None,
-                        value=Fraction(*bad[0][2:]) if bad else None)
+                        return (pts[i], pts[j]), Fraction(num, den)
+        return None
+
+    for entry in entries:
+        bad = first_bad(entry)
+        rep.add_verdict(bad is None, predicate, entry=entry.describe(),
+                        witness=fmt_pair(bad[0]) if bad else None,
+                        value=bad[1] if bad else None)
     _finite_table_note(rep)
     return rep
 
 
 def check_uniformly_expansive(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
-                              f: CoarseMap, window_x: Window,
-                              violation_cap: int = 3) -> CertReport:
+                              f: CoarseMap, window_x: Window) -> CertReport:
     """Verify every expansiveness entry over every window pair.
 
     Entry (A, t) -> (B, t'): whenever M1(x, y, t) >= A, it must hold
@@ -181,12 +180,11 @@ def check_uniformly_expansive(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpa
     if not f.expansive:
         raise PreconditionError("expansiveness modulus table is empty")
     return _check_modulus("uniformly-expansive", "expansive-entry", f.expansive,
-                          space_x, space_y, f, window_x, False, violation_cap)
+                          space_x, space_y, f, window_x, False)
 
 
 def check_effectively_proper(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
-                             f: CoarseMap, window_x: Window,
-                             violation_cap: int = 3) -> CertReport:
+                             f: CoarseMap, window_x: Window) -> CertReport:
     """Verify every properness entry over every window pair.
 
     Entry (C, t) -> (D, t'): whenever M2(f(x), f(y), t) >= C, it must
@@ -195,15 +193,14 @@ def check_effectively_proper(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpac
     if not f.proper:
         raise PreconditionError("properness modulus table is empty")
     return _check_modulus("effectively-proper", "proper-entry", f.proper,
-                          space_x, space_y, f, window_x, True, violation_cap)
+                          space_x, space_y, f, window_x, True)
 
 
 def check_coarsely_onto(space_y: FuzzyMetricSpace, f: CoarseMap,
-                        params: ScaleParams, window_y: Window,
-                        violation_cap: int = 3) -> CertReport:
-    """Every target window point strictly within 1 - r of the image at t:
-    the window points missing from ``scale_neighborhood`` of the image,
-    which sweeps the balls of the sorted image."""
+                        params: ScaleParams, window_y: Window) -> CertReport:
+    """Every target window point strictly within 1 - r of the image at t.
+    ``scale_neighborhood`` sweeps the balls of the sorted image, and the
+    first window point outside them is the witness."""
     if f.domain is None:
         raise PreconditionError("map needs a domain window to enumerate its image")
     rep = CertReport("coarsely-onto", map=f.describe(), window=window_y.label(),
@@ -212,31 +209,29 @@ def check_coarsely_onto(space_y: FuzzyMetricSpace, f: CoarseMap,
     space_y._check_points(img)
     space_y._check_window(window_y)
     covered = set(scale_neighborhood(space_y, img, params, window_y))
-    bad = list(islice((y for y in window_y if y not in covered), violation_cap))
-    rep.add_verdict(not bad, "onto", image_size=len(img),
-                    witness=bad[0] if bad else None)
+    bad = next((y for y in window_y if y not in covered), None)
+    rep.add_verdict(bad is None, "onto", image_size=len(img), witness=bad)
     _finite_table_note(rep)
     return rep
 
 
 def check_close(space_y: FuzzyMetricSpace, f: CoarseMap, g: CoarseMap,
-                params: ScaleParams, window_x: Window,
-                violation_cap: int = 3) -> CertReport:
-    """Pointwise strict closeness of two maps over a window."""
+                params: ScaleParams, window_x: Window) -> CertReport:
+    """Pointwise strict closeness of two maps over a window, naming the
+    first point in window order where it fails."""
     rep = CertReport("close", f=f.describe(), g=g.describe(),
                      window=window_x.label(), r=params.r, t=params.t)
     images = [(f.apply(x), g.apply(x)) for x in window_x]
     space_y._check_points(chain.from_iterable(images))
     bn, bd, t = params.threshold.numerator, params.threshold.denominator, params.t
-    bad = []
+    bad = None
     for x, (fx, gx) in zip(window_x, images):
         num, den = space_y._pair(fx, gx, t)
         if num * bd <= bn * den:
-            bad.append((x, num, den))
-            if len(bad) >= violation_cap:
-                break
-    rep.add_verdict(not bad, "pointwise", witness=bad[0][0] if bad else None,
-                    value=Fraction(*bad[0][1:]) if bad else None)
+            bad = x, Fraction(num, den)
+            break
+    rep.add_verdict(bad is None, "pointwise", witness=bad[0] if bad else None,
+                    value=bad[1] if bad else None)
     return rep
 
 

@@ -718,19 +718,12 @@ def union_bound(space: FuzzyMetricSpace, params_a: ScaleParams, params_b: ScaleP
 
 
 def _value_matrices(space, pts, t_values):
-    """``(numerators, denominators, values)`` matrices of M over the window
-    points, one entry per t; ``_entry`` reads one value as a Fraction.
-    ``values`` holds Fractions only under a t-norm with no integer scanner,
-    whose rule is evaluated on them, and is None otherwise."""
-    generic = space.tnorm.name not in _SCANNERS
+    """``(numerators, denominators)`` matrices of M over the window points,
+    one entry per t; ``_entry`` reads one value as a Fraction."""
     mats = {}
     for t in t_values:
         rows = [[space._pair(x, y, t) for y in pts] for x in pts]
-        nums = [[p[0] for p in row] for row in rows]
-        dens = [[p[1] for p in row] for row in rows]
-        vals = ([[Fraction(p, q) for p, q in row] for row in rows]
-                if generic else None)
-        mats[t] = (nums, dens, vals)
+        mats[t] = ([[p[0] for p in row] for row in rows], [[p[1] for p in row] for row in rows])
     return mats
 
 
@@ -738,8 +731,8 @@ def _entry(mat, i, j) -> Fraction:
     return Fraction(mat[0][i][j], mat[1][i][j])
 
 
-def _scan_product(nA, dA, nB, dB, nC, dC, n, cap):
-    out = []
+def _scan_product(nA, dA, nB, dB, nC, dC):
+    n = len(nA)
     for i in range(n):
         nAi, dAi = nA[i], dA[i]
         for k in range(i, n):
@@ -747,14 +740,12 @@ def _scan_product(nA, dA, nB, dB, nC, dC, n, cap):
             nc, dc = nC[i][k], dC[i][k]
             for j in range(n):
                 if nAi[j] * nBk[j] * dc > nc * dAi[j] * dBk[j]:
-                    out.append((i, j, k))
-                    if len(out) >= cap:
-                        return out
-    return out
+                    return i, j, k
+    return None
 
 
-def _scan_min(nA, dA, nB, dB, nC, dC, n, cap):
-    out = []
+def _scan_min(nA, dA, nB, dB, nC, dC):
+    n = len(nA)
     for i in range(n):
         nAi, dAi = nA[i], dA[i]
         for k in range(i, n):
@@ -762,65 +753,57 @@ def _scan_min(nA, dA, nB, dB, nC, dC, n, cap):
             nc, dc = nC[i][k], dC[i][k]
             for j in range(n):
                 if nAi[j] * dc > nc * dAi[j] and nBk[j] * dc > nc * dBk[j]:
-                    out.append((i, j, k))
-                    if len(out) >= cap:
-                        return out
-    return out
+                    return i, j, k
+    return None
 
 
-def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC, n, cap):
-    out = []
+def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC):
+    n = len(nA)
     for i in range(n):
         nAi, dAi = nA[i], dA[i]
         for k in range(i, n):
             nBk, dBk = nB[k], dB[k]
             nc, dc = nC[i][k], dC[i][k]
+            if nc < 0:  # T >= 0 > C[i][k]: every j fails
+                return i, 0, k
             for j in range(n):
                 da, db = dAi[j], dBk[j]
                 lhs_num = nAi[j] * db + nBk[j] * da - da * db
                 if lhs_num > 0 and lhs_num * dc > nc * da * db:
-                    out.append((i, j, k))
-                    if len(out) >= cap:
-                        return out
-    return out
-
-
-def _scan_generic(rule, vA, vB, vC, n, cap):
-    out = []
-    for i in range(n):
-        rowA = vA[i]
-        for k in range(i, n):
-            rowB = vB[k]
-            c = vC[i][k]
-            for j in range(n):
-                if rule(rowA[j], rowB[j]) > c:
-                    out.append((i, j, k))
-                    if len(out) >= cap:
-                        return out
-    return out
+                    return i, j, k
+    return None
 
 
 _SCANNERS = {"product": _scan_product, "min": _scan_min, "lukasiewicz": _scan_lukasiewicz}
 
 
-def _chain_violations(tnorm: TNorm, mat_a, mat_b, mat_c, cap: int) -> list:
-    """Index triples (i, j, k), i <= k, with T(A[i][j], B[k][j]) > C[i][k],
-    in scan order, at most ``cap`` of them.
+def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c):
+    """The first index triple (i, j, k), i <= k, in scan order with
+    T(A[i][j], B[k][j]) > C[i][k], or None.
 
     Each matrix is an entry of ``_value_matrices``.  Built-in t-norms
     compare by integer cross-multiplication; any other rule is evaluated
-    on the entry's Fractions.
+    on Fractions built from the entries.
     """
-    n = len(mat_a[0])
     scanner = _SCANNERS.get(tnorm.name)
-    if scanner is None:
-        return _scan_generic(tnorm.rule, mat_a[2], mat_b[2], mat_c[2], n, cap)
-    return scanner(*mat_a[:2], *mat_b[:2], *mat_c[:2], n, cap)
+    if scanner is not None:
+        return scanner(*mat_a, *mat_b, *mat_c)
+    vA, vB = ([[Fraction(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*mat)]
+              for mat in (mat_a, mat_b))
+    n, rule = len(vA), tnorm.rule
+    for i in range(n):
+        rowA = vA[i]
+        for k in range(i, n):
+            rowB, c = vB[k], _entry(mat_c, i, k)
+            for j in range(n):
+                if rule(rowA[j], rowB[j]) > c:
+                    return i, j, k
+    return None
 
 
 def _min_transitive(mat) -> bool:
     """Whether min(M[i][j], M[k][j]) <= M[i][k] on every triple of one
-    ``_value_matrices`` entry: the verdict of ``_scan_min`` with cap 1.
+    ``_value_matrices`` entry: the verdict of ``_scan_min``.
 
     On a symmetric matrix with unit diagonal the triples through the
     diagonal reduce to M <= 1, and the rest hold exactly when every
@@ -830,15 +813,15 @@ def _min_transitive(mat) -> bool:
     O(n^2) in all, by integer cross-multiplication.  Any other matrix
     gets the cubic scan, which reads only the triples with i <= k.
     """
-    nums, dens = mat[0], mat[1]
+    nums, dens = mat
     n = len(nums)
     if any(nums[i][i] != dens[i][i] for i in range(n)):
-        return not _scan_min(nums, dens, nums, dens, nums, dens, n, 1)
+        return _scan_min(*mat, *mat, *mat) is None
     for i in range(n):
         ni, di = nums[i], dens[i]
         for j in range(i + 1, n):
             if ni[j] * dens[j][i] != nums[j][i] * di[j]:
-                return not _scan_min(nums, dens, nums, dens, nums, dens, n, 1)
+                return _scan_min(*mat, *mat, *mat) is None
             if ni[j] > di[j]:
                 return False  # M[i][j] > 1 = M[i][i] breaks the triple (i, j, i)
 
@@ -963,9 +946,9 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
     # rest by symmetry of M and commutativity of the t-norm.  The report
     # names the first violation in scan order, so the scan stops there.
-    scans = ((t, s, _chain_violations(space.tnorm, mats[t], mats[s], mats[t + s], 1))
+    scans = ((t, s, _first_chain_violation(space.tnorm, mats[t], mats[s], mats[t + s]))
              for t in t_list for s in t_list)
-    first = next(((t, s, found[0]) for t, s, found in scans if found), None)
+    first = next(((t, s, found) for t, s, found in scans if found), None)
     if first:
         t, s, (i, j, k) = first
         lhs = space.tnorm.rule(_entry(mats[t], i, j), _entry(mats[s], j, k))

@@ -344,26 +344,26 @@ def test_ball_partition_nonarch_check_matches_brute_force(make_space, top, t, vi
 
 def test_ball_partition_pass_runs_no_cubic_scan(monkeypatch):
     """A certified ultrametric window never reaches the cubic min scan; a
-    failure scans once, with cap 1, to name its triple."""
+    failure scans once to name its triple."""
     from fuzzycoarse import space as space_mod
 
-    caps = []
+    scans = []
 
     def counted(*args):
-        caps.append(args[-1])
-        return scan(*args)
+        scans.append(scan(*args))
+        return scans[-1]
 
     scan = space_mod._scan_min
     monkeypatch.setattr(space_mod, "_scan_min", counted)
     monkeypatch.setitem(space_mod._SCANNERS, "min", counted)
     ult = ultrametric_space()
     witness = witness_ball_partition(ult, ScaleParams(F(1, 4), 10), None, int_window(1, 400))
-    assert caps == []
+    assert scans == []
     assert verify_witness(ult, witness).passed
     with pytest.raises(NonArchimedeanViolationError):
         witness_ball_partition(standard_space(tnorm=MINIMUM), ScaleParams(F(1, 2), 4),
                                F(1, 4), Window(range(0, 12)))
-    assert caps == [1]
+    assert scans == [(0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------

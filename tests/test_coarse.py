@@ -379,8 +379,7 @@ def test_transport_wrong_scale_witness_rejected():
 # ---------------------------------------------------------------------------
 
 
-def brute_modulus(title, predicate, entries, space_x, space_y, f, window_x,
-                  proper, violation_cap):
+def brute_modulus(title, predicate, entries, space_x, space_y, f, window_x, proper):
     """The modulus check as one validated ``value`` call per tested pair."""
     rep = CertReport(title, map=f.describe(), window=window_x.label())
     pts = window_x.points
@@ -388,54 +387,37 @@ def brute_modulus(title, predicate, entries, space_x, space_y, f, window_x,
     (space_in, pts_in), (space_out, pts_out) = sides[::-1] if proper else sides
     n = len(pts)
     for e in entries:
-        bad = []
-        for i in range(n):
-            a, fa = pts_in[i], pts_out[i]
-            for j in range(i, n):
-                if space_in.value(a, pts_in[j], e.t_in) >= e.level_in:
-                    got = space_out.value(fa, pts_out[j], e.t_out)
-                    if got < e.level_out:
-                        bad.append((pts[i], pts[j], got))
-                        if len(bad) >= violation_cap:
-                            break
-            if len(bad) >= violation_cap:
-                break
-        rep.add_verdict(not bad, predicate, entry=e.describe(),
-                        witness=fmt_pair(bad[0][:2]) if bad else None,
-                        value=bad[0][2] if bad else None)
+        bad = next(((pts[i], pts[j], space_out.value(pts_out[i], pts_out[j], e.t_out))
+                    for i in range(n) for j in range(i, n)
+                    if space_in.value(pts_in[i], pts_in[j], e.t_in) >= e.level_in
+                    and space_out.value(pts_out[i], pts_out[j], e.t_out) < e.level_out),
+                   None)
+        rep.add_verdict(bad is None, predicate, entry=e.describe(),
+                        witness=fmt_pair(bad[:2]) if bad else None,
+                        value=bad[2] if bad else None)
     _finite_table_note(rep)
     return rep
 
 
-def brute_onto(space_y, f, params, window_y, violation_cap):
+def brute_onto(space_y, f, params, window_y):
     """Onto as a scan of every target point against every image point."""
     rep = CertReport("coarsely-onto", map=f.describe(), window=window_y.label(),
                      r=params.r, t=params.t)
     img = f.image(f.domain)
     b, t = params.threshold, params.t
-    bad = []
-    for y in window_y:
-        if not any(space_y.value(a, y, t) > b for a in img):
-            bad.append(y)
-            if len(bad) >= violation_cap:
-                break
-    rep.add_verdict(not bad, "onto", image_size=len(img), witness=bad[0] if bad else None)
+    bad = next((y for y in window_y if not any(space_y.value(a, y, t) > b for a in img)), None)
+    rep.add_verdict(bad is None, "onto", image_size=len(img), witness=bad)
     _finite_table_note(rep)
     return rep
 
 
-def brute_close(space_y, f, g, params, window_x, violation_cap):
+def brute_close(space_y, f, g, params, window_x):
     rep = CertReport("close", f=f.describe(), g=g.describe(),
                      window=window_x.label(), r=params.r, t=params.t)
-    bad = []
-    for x in window_x:
-        got = space_y.value(f.apply(x), g.apply(x), params.t)
-        if got <= params.threshold:
-            bad.append((x, got))
-            if len(bad) >= violation_cap:
-                break
-    rep.add_verdict(not bad, "pointwise", witness=bad[0][0] if bad else None,
-                    value=bad[0][1] if bad else None)
+    bad = next(((x, space_y.value(f.apply(x), g.apply(x), params.t)) for x in window_x
+                if space_y.value(f.apply(x), g.apply(x), params.t) <= params.threshold), None)
+    rep.add_verdict(bad is None, "pointwise", witness=bad[0] if bad else None,
+                    value=bad[1] if bad else None)
     return rep
 
 
@@ -493,30 +475,29 @@ def coarse_cases(draw):
     return space_x, space_y, f, window_x, window_y
 
 
-@given(case=coarse_cases(), entries=modulus_entries, cap=st.integers(1, 3),
-       proper=st.booleans())
+@given(case=coarse_cases(), entries=modulus_entries, proper=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_modulus_check_matches_brute(case, entries, cap, proper):
+def test_modulus_check_matches_brute(case, entries, proper):
     space_x, space_y, f, window_x, _ = case
-    args = ("t", "p", entries, space_x, space_y, f, window_x, proper, cap)
+    args = ("t", "p", entries, space_x, space_y, f, window_x, proper)
     assert _check_modulus(*args).lines() == brute_modulus(*args).lines()
 
 
-@given(case=coarse_cases(), params=scales, cap=st.integers(1, 3))
+@given(case=coarse_cases(), params=scales)
 @settings(max_examples=150, deadline=None)
-def test_onto_matches_brute(case, params, cap):
+def test_onto_matches_brute(case, params):
     _, space_y, f, _, window_y = case
-    assert check_coarsely_onto(space_y, f, params, window_y, cap).lines() == \
-        brute_onto(space_y, f, params, window_y, cap).lines()
+    assert check_coarsely_onto(space_y, f, params, window_y).lines() == \
+        brute_onto(space_y, f, params, window_y).lines()
 
 
-@given(case=coarse_cases(), params=scales, cap=st.integers(1, 3))
+@given(case=coarse_cases(), params=scales)
 @settings(max_examples=100, deadline=None)
-def test_close_matches_brute(case, params, cap):
+def test_close_matches_brute(case, params):
     _, space_y, f, window_x, _ = case
     g = table_map({x: f.apply(window_x.points[-1 - k]) for k, x in enumerate(window_x)})
-    assert check_close(space_y, f, g, params, window_x, cap).lines() == \
-        brute_close(space_y, f, g, params, window_x, cap).lines()
+    assert check_close(space_y, f, g, params, window_x).lines() == \
+        brute_close(space_y, f, g, params, window_x).lines()
 
 
 @given(case=coarse_cases(), params=scales)
@@ -587,14 +568,34 @@ def test_modulus_checks_make_no_value_calls(monkeypatch):
 
 def test_image_outside_the_universe_raises_before_any_verdict():
     """Points are checked before the scan, so an image outside the
-    universe raises even where ``violation_cap`` would end the scan first."""
+    universe raises even where the scan would stop at an earlier failure."""
     ratio = ratio_minmax_space()
     w = int_window(1, 6)
     f = table_map({1: 1, 2: 9, 3: 1, 4: 1, 5: 1, 6: 0},
                   expansive=(entry(F(1, 12), 1, 1, 1),), proper=(entry(1, 1, 1, 1),))
     with pytest.raises(DomainError, match="point 0 is outside the naturals"):
-        check_uniformly_expansive(ratio, ratio, f, w, violation_cap=1)
+        check_uniformly_expansive(ratio, ratio, f, w)
     with pytest.raises(DomainError, match="point 0 is outside the naturals"):
-        check_effectively_proper(ratio, ratio, f, w, violation_cap=1)
+        check_effectively_proper(ratio, ratio, f, w)
     with pytest.raises(DomainError, match="point 0 is outside the naturals"):
-        check_coarsely_onto(ratio, f, ScaleParams(F(1, 2), 1), w, violation_cap=1)
+        check_coarsely_onto(ratio, f, ScaleParams(F(1, 2), 1), w)
+
+
+def test_modulus_and_close_stop_at_their_first_counterexample(monkeypatch):
+    """x -> 3x fails the expansive entry first at the pair 0~1, after the
+    pairs 0~0 and 0~1 on each side, and x -> x + 10 is far from the
+    identity at every point; each check stops at its first failure."""
+    calls = []
+    pair = type(STD._kind).pair
+    monkeypatch.setattr(type(STD._kind), "pair",
+                        lambda self, *args: calls.append(args) or pair(self, *args))
+    w = int_window(0, 10)
+    f = affine_map(3, 0, expansive=(entry("1/2", 1, "1/2", 1),))
+    rep = check_uniformly_expansive(STD, STD, f, w)
+    assert [v.line() for v in rep.failures()] == [
+        "FAIL expansive-entry entry=(1/2@1)->(1/2@1) witness=0~1 value=1/4"]
+    assert [args[:2] for args in calls] == [(0, 0), (0, 0), (0, 1), (0, 3)]
+    calls.clear()
+    rep = check_close(STD, identity_map(), affine_map(1, 10), ScaleParams(F(1, 2), 1), w)
+    assert [v.line() for v in rep.failures()] == ["FAIL pointwise witness=0 value=1/11"]
+    assert len(calls) == 1

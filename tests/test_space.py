@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuzzycoarse import (
     LUKASIEWICZ,
+    MINIMUM,
     PRODUCT,
     EuclideanLattice,
     EuclideanLine,
@@ -650,6 +651,41 @@ def test_generic_scan_reports_what_the_integer_scan_reports():
     assert lines[0][0].startswith("FAIL chain-inequality")
 
 
+@st.composite
+def chain_matrix_triples(draw):
+    """Three integer ``(nums, dens)`` matrices on 1..7 points with
+    ``den > 0``: entries are any small rationals, zero, negative or above
+    1, on the diagonal too.  C is drawn from a low or a high range, so some
+    triples fail at once and others scan deep or pass."""
+    n = draw(st.integers(1, 7))
+
+    def matrix(top):
+        return ([[draw(st.integers(-2, top)) for _ in range(n)] for _ in range(n)],
+                [[draw(st.integers(1, 4)) for _ in range(n)] for _ in range(n)])
+
+    return matrix(4), matrix(4), matrix(draw(st.sampled_from([4, 40])))
+
+
+@given(mats=chain_matrix_triples())
+@example(mats=(([[-1]], [[1]]),) * 2 + (([[-1]], [[2]]),))
+@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("tnorm", [PRODUCT, MINIMUM, LUKASIEWICZ], ids=lambda tn: tn.name)
+def test_first_chain_violation_matches_brute_force_and_the_generic_path(tnorm, mats):
+    """Each integer scanner names the first (i, j, k), in (i, k >= i, j)
+    order, with T(A[i][j], B[k][j]) > C[i][k] in Fractions, and so does
+    the Fraction path that a clone of the rule under another name takes."""
+    from fuzzycoarse import TNorm
+    from fuzzycoarse.space import _first_chain_violation
+
+    a, b, c = ([[Fraction(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*m)] for m in mats)
+    n = len(a)
+    brute = next(((i, j, k) for i in range(n) for k in range(i, n) for j in range(n)
+                  if tnorm.rule(a[i][j], b[k][j]) > c[i][k]), None)
+    clone = TNorm(tnorm.name + "-clone", tnorm.rule)
+    assert _first_chain_violation(tnorm, *mats) == brute
+    assert _first_chain_violation(clone, *mats) == brute
+
+
 def test_booleans_do_not_make_a_window_of_consecutive_integers():
     assert int_window(1, 3).is_contiguous_ints()
     for pts in ([True, 2, 3], [0, True, 2]):
@@ -708,36 +744,33 @@ def min_matrices(draw):
 @example(mat=([[1, 1, 1], [1, 1, 1], [1, 1, 3]], [[1, 2, 2], [2, 1, 2], [2, 2, 4]]))
 @settings(max_examples=500, deadline=None)
 def test_min_transitive_matches_the_cubic_scan(mat):
-    """The spanning-tree decider gives the verdict of ``_scan_min`` with
-    cap 1 on ultrametrics, planted violations, asymmetric matrices and
-    non-unit diagonals, down to one and two points."""
+    """The spanning-tree decider gives the verdict of ``_scan_min`` on
+    ultrametrics, planted violations, asymmetric matrices and non-unit
+    diagonals, down to one and two points."""
     from fuzzycoarse.space import _min_transitive, _scan_min
 
-    nums, dens = mat
-    n = len(nums)
-    assert _min_transitive((nums, dens, None)) == (
-        not _scan_min(nums, dens, nums, dens, nums, dens, n, 1))
+    assert _min_transitive(mat) == (_scan_min(*mat, *mat, *mat) is None)
 
 
 def test_chain_failure_stops_at_the_first_violation(monkeypatch):
-    """``check_axioms`` scans each (t, s) with cap 1, stops at the first
+    """``check_axioms`` scans the (t, s) pairs in order, stops at the first
     one that fails and builds the reported lhs and rhs once."""
     from fuzzycoarse import space as space_mod
 
-    caps, entries = [], []
-    scan, entry = space_mod._chain_violations, space_mod._entry
+    scans, entries = [], []
+    scan, entry = space_mod._first_chain_violation, space_mod._entry
 
-    def counted_scan(tnorm, a, b, c, cap):
-        caps.append(cap)
-        return scan(tnorm, a, b, c, cap)
+    def counted_scan(tnorm, a, b, c):
+        scans.append(scan(tnorm, a, b, c))
+        return scans[-1]
 
     def counted_entry(mat, i, j):
         entries.append((i, j))
         return entry(mat, i, j)
 
-    monkeypatch.setattr(space_mod, "_chain_violations", counted_scan)
+    monkeypatch.setattr(space_mod, "_first_chain_violation", counted_scan)
     monkeypatch.setattr(space_mod, "_entry", counted_entry)
     rep = check_axioms(pathological_space(PRODUCT), int_window(1, 20), [Fraction(1, 2), 1, 2, 7])
     assert [f.line() for f in rep.failures()] == [
         "FAIL chain-inequality witness=1~2~5 t=1/2 s=1/2 lhs=1/4 rhs=1/5"]
-    assert caps == [1] and len(entries) == 3
+    assert scans == [(0, 1, 4)] and len(entries) == 3
