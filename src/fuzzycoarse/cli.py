@@ -27,7 +27,7 @@ from .config import (
 )
 from .errors import FuzzyCoarseError, ParseError
 from .rationals import as_fraction, parse_rational
-from .space import ScaleParams, check_axioms, threshold_bridge_suite
+from .space import check_axioms, threshold_bridge_suite
 
 EXIT_PASS = 0
 EXIT_CERTIFIED_FAIL = 1
@@ -54,14 +54,17 @@ class _Emitter:
 
 
 def _merged(args, config_keys):
-    """Flag values overridden by config-file entries when present."""
+    """Flag values overridden by config-file entries when present, without
+    the keys whose value is None (an unset flag or a JSON null), so that a
+    default applies only to those; ``""``, ``0`` and ``[]`` are kept for
+    their parsers to check."""
     merged = dict(config_keys)
     if getattr(args, "config", None):
         cfg = load_json_file(args.config)
         if not isinstance(cfg, dict):
             raise ParseError("config file must hold a JSON object")
         merged.update(cfg)
-    return merged
+    return {key: value for key, value in merged.items() if value is not None}
 
 
 def _space_of(merged):
@@ -72,14 +75,20 @@ def _space_of(merged):
 
 
 def _scales_of(merged):
-    raw = merged.get("scales") or []
-    scales = [s if isinstance(s, ScaleParams) else parse_scale(s) if isinstance(s, str)
-              else None for s in raw]
-    if any(s is None for s in scales):
-        raise ParseError("scales must be r:t strings")
-    if not scales:
+    raw = merged.get("scales", [])
+    if not isinstance(raw, list):
+        raise ParseError(f"scales must be a list of r:t strings, got {raw!r}")
+    if not raw:
         raise ParseError("at least one --scale r:t is required")
-    return scales
+    return [parse_scale(s) for s in raw]
+
+
+def _scale_of(merged):
+    """The one scale of a command that runs at a single scale."""
+    scales = _scales_of(merged)
+    if len(scales) > 1:
+        raise ParseError(f"this command runs at one scale, got {len(scales)}")
+    return scales[0]
 
 
 def cmd_verify_axioms(args) -> int:
@@ -87,15 +96,15 @@ def cmd_verify_axioms(args) -> int:
                             "t_grid": args.t_grid, "seed": args.seed,
                             "bridge_cases": args.bridge_cases})
     space = _space_of(merged)
-    window = parse_window_spec(merged.get("window") or "1..20")
-    grid = merged.get("t_grid") or "1/2,1,2,7"
+    window = parse_window_spec(merged.get("window", "1..20"))
+    grid = merged.get("t_grid", "1/2,1,2,7")
     if isinstance(grid, str):
         grid = grid.split(",")
     elif not isinstance(grid, list):
         grid = [grid]
     t_grid = [as_fraction(t) for t in grid]
-    cases = int_from_json(merged.get("bridge_cases") or 0, "bridge_cases")
-    seed = int_from_json(merged.get("seed") or 0, "seed")
+    cases = int_from_json(merged.get("bridge_cases", 0), "bridge_cases")
+    seed = int_from_json(merged.get("seed", 0), "seed")
     em = _Emitter(args.out)
     rep = check_axioms(space, window, t_grid)
     em.emit(rep)
@@ -117,8 +126,8 @@ def cmd_witness(args) -> int:
     merged = _merged(args, {"space": args.space, "window": args.window,
                             "scales": args.scale, "epsilon": args.epsilon})
     space = _space_of(merged)
-    window = parse_window_spec(merged.get("window") or "1..100")
-    params = _scales_of(merged)[0]
+    window = parse_window_spec(merged.get("window", "1..100"))
+    params = _scale_of(merged)
     epsilon = merged.get("epsilon")
     if isinstance(epsilon, str):
         epsilon = parse_rational(epsilon)
@@ -157,8 +166,8 @@ def cmd_pipeline(args) -> int:
     merged = _merged(args, {"space": args.space, "window": args.window,
                             "scales": args.scale})
     space = _space_of(merged)
-    window = parse_window_spec(merged.get("window") or "1..500")
-    params = _scales_of(merged)[0]
+    window = parse_window_spec(merged.get("window", "1..500"))
+    params = _scale_of(merged)
     if not _has_t_free_constructor(space):
         kinds = [k for k in asdim.WITNESS_CONSTRUCTORS
                  if _has_t_free_constructor(space_from_config(k))]
@@ -190,9 +199,7 @@ def cmd_coarse(args) -> int:
     fmap = map_from_config(cfg["map"])
     window_x = parse_window_spec(cfg["window_x"])
     window_y = parse_window_spec(cfg["window_y"])
-    params = parse_scale(cfg["scale"]) if isinstance(cfg["scale"], str) else None
-    if params is None:
-        raise ParseError("scale must be an r:t string")
+    params = parse_scale(cfg["scale"])
     em = _Emitter(args.out)
     ok = True
     if fmap.expansive:
@@ -235,10 +242,10 @@ def cmd_oracle(args) -> int:
     merged = _merged(args, {"space": args.space, "window": args.window,
                             "scales": args.scale, "bound": args.bound})
     space = _space_of(merged)
-    window = parse_window_spec(merged.get("window") or "1..6")
-    params = _scales_of(merged)[0]
+    window = parse_window_spec(merged.get("window", "1..6"))
+    params = _scale_of(merged)
     bound_spec = merged.get("bound")
-    bound = parse_scale(bound_spec) if isinstance(bound_spec, str) else params
+    bound = params if bound_spec is None else parse_scale(bound_spec)
     em = _Emitter(args.out)
     k = asdim.oracle_min_families(space, params, bound, window)
     em.emit(f"ORACLE min_families={k} scale={format_scale(params)} "

@@ -372,3 +372,50 @@ def test_witness_files_byte_identical(tmp_path):
         run_cli(["witness", "--space", "ratio_minmax", "--scale", "1/2:1",
                  "--window", "1..500", "--witness-out", str(p)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every scale through parse_scale; defaults only for absent values
+# ---------------------------------------------------------------------------
+
+ORACLE = ["oracle", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..6"]
+WITNESS = ["witness", "--space", "ratio_minmax", "--window", "1..10"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (ORACLE, {"bound": 5}, "scale must look like p/q:p/q, got 5"),
+    (ORACLE, {"bound": {"r": "1/4", "t": "1"}},
+     "scale must look like p/q:p/q, got {'r': '1/4', 't': '1'}"),
+    (WITNESS + ["--scale", "1/2:1", "--scale", "3/4:1"], None,
+     "this command runs at one scale, got 2"),
+    (["pipeline", "--space", "ratio_minmax", "--window", "1..10",
+      "--scale", "1/2:1", "--scale", "3/4:1"], None, "this command runs at one scale, got 2"),
+    (ORACLE + ["--scale", "3/4:1"], None, "this command runs at one scale, got 2"),
+    (WITNESS, {"scales": "1/2:1"}, "scales must be a list of r:t strings, got '1/2:1'"),
+], ids=["oracle-bound-int", "oracle-bound-object", "witness-two-scales",
+        "pipeline-two-scales", "oracle-two-scales", "scales-string"])
+def test_every_scale_is_read_as_one_r_t_string(tmp_path, argv, config, message):
+    """A bound that is not an r:t string is refused, not replaced by the
+    scale; a second scale is refused, not dropped; a scales string is not
+    read one character at a time."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert run_cli(argv) == (2, f"ERROR ParseError: {message}\n")
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (["verify-axioms", "--space", "ratio_minmax", "--window", "1..5"], {"t_grid": []},
+     "DomainError: t grid must be non-empty"),
+    (["verify-axioms", "--space", "ratio_minmax", "--window", "1..5"], {"t_grid": 0},
+     "DomainError: t grid values must be positive"),
+    (["verify-axioms", "--space", "ratio_minmax", "--window", "1..5"], {"t_grid": ""},
+     "ParseError: malformed rational '' (decimals are not accepted)"),
+    (["witness", "--space", "ratio_minmax", "--scale", "1/2:1"], {"window": ""},
+     "ParseError: window range must look like a..b, got ''"),
+], ids=["t-grid-empty-list", "t-grid-zero", "t-grid-empty-string", "witness-window-empty"])
+def test_a_falsy_config_value_is_checked_not_defaulted(tmp_path, argv, config, line):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(argv + ["--config", str(path)]) == (2, f"ERROR {line}\n")
