@@ -22,12 +22,12 @@ from itertools import chain, combinations
 from .covers import (
     Cover,
     Family,
+    _is_bounded,
     family_max_cross,
     family_min_intra,
     first_lebesgue_violation,
     first_refinement_violation,
     has_lebesgue_pair,
-    is_uniformly_bounded_family,
     min_intra_pair,
     missing_points,
     multiplicity,
@@ -135,7 +135,7 @@ def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
     times = grid.times() if space.t_dependent else [as_fraction(reference_t)]
     worst_by_t = {}
     for t in times:
-        worst = family_min_intra(space, fam, t)
+        worst = family_min_intra(space, fam.sets, t)
         if worst is None:
             return ScaleParams(Fraction(1, 2), times[0])
         worst_by_t[t] = worst[0]
@@ -201,8 +201,7 @@ def verify_witness(space: FuzzyMetricSpace, w: DimensionWitness) -> CertReport:
             rep.add_verdict(val < w.params.threshold, "disjoint", family=label,
                             sup=val, pair=fmt_pair(pair), bound=w.params.threshold)
 
-    union = Family.of(w.all_sets(), "union")
-    worst = family_min_intra(space, union, w.bound_params.t)
+    worst = family_min_intra(space, w.all_sets(), w.bound_params.t)
     if worst is None:
         rep.add_pass("bounded", min=None, note="vacuous",
                      r=w.bound_params.r, t=w.bound_params.t)
@@ -542,16 +541,14 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
                     measured=out_mult, bound=measured_in)
 
     if input_bound is not None:
-        in_fam = Family.of(cover.all_sets(), "input")
-        rep.add_verdict(is_uniformly_bounded_family(space, in_fam, input_bound),
+        rep.add_verdict(_is_bounded(space, cover.all_sets(), input_bound),
                         "input-bounded", r=input_bound.r, t=input_bound.t)
         level = space.tnorm(space.tnorm(want.threshold, input_bound.threshold),
                             want.threshold)
         out_bound = ScaleParams(1 - level, 2 * want.t + input_bound.t)
     else:
         out_bound = derive_bound_params(space, out.all_sets(), params.t, grid)
-    out_fam = Family.of(out.all_sets(), "output")
-    rep.add_verdict(is_uniformly_bounded_family(space, out_fam, out_bound),
+    rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),
                     "output-bounded", r=out_bound.r, t=out_bound.t)
     return out, rep
 
@@ -567,9 +564,8 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
     """
     rep = CertReport("refinement", space=space.describe(),
                      window=cover_u.window.label(), r=params.r, t=params.t)
-    u_fam = Family.of(cover_u.all_sets(), "refining")
-    if not is_uniformly_bounded_family(space, u_fam, params):
-        worst = family_min_intra(space, u_fam, params.t)
+    worst = family_min_intra(space, cover_u.all_sets(), params.t)
+    if worst is not None and worst[0] <= params.threshold:
         raise CertificationError(
             "hypothesis failure: refining cover is not uniformly bounded at "
             f"r={fmt_value(params.r)}, t={fmt_value(params.t)} "
@@ -676,35 +672,18 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
     """
     inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
     swept = space.balls(window.points, inner.threshold, params.t, window)
-    ball_of = dict(zip(window, map(window.points_of, swept)))
     if candidate is None:
-        parent = {x: x for x in window}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, bp in ball_of.items():
-            rx = find(x)
-            for y in bp:
-                ry = find(y)
-                if ry != rx:
-                    parent[ry] = rx
-        comps = {}
-        for x in window:
-            comps.setdefault(find(x), []).append(x)
-        sets = [tuple(sorted(v)) for v in comps.values()]
-        sets.sort(key=lambda s: s[0])
+        edges = ((i, k) for i, runs in enumerate(swept) for run in runs for k in range(*run))
+        pts = window.points
+        sets = [tuple(pts[i] for i in comp) for comp in _components(len(pts), edges)]
     else:
-        sets = [s for s in candidate.all_sets() if s]
+        sets = candidate.all_sets()
         if multiplicity(candidate, window) > 1:
             raise CertificationError("candidate cover has multiplicity above 1")
         if missing_points(sets, window):
             raise CertificationError("candidate cover misses window points")
         fsets = [frozenset(s) for s in sets]
-        for x, bp in ball_of.items():
+        for x, bp in zip(window, map(window.points_of, swept)):
             if not any(all(p in fs for p in bp) for fs in fsets):
                 raise CertificationError(
                     f"ball of {fmt_value(x)} at the inner level "
@@ -720,12 +699,9 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
 # ---------------------------------------------------------------------------
 
 
-def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) -> ScaleGraphReport:
-    """Components of the graph joining x, y when M(x, y, t) >= 1 - r."""
-    space._check_window(window)
-    pts = window.points
-    n = len(pts)
-    b, t = params.threshold, params.t
+def _components(n: int, edges) -> list:
+    """Connected components of the graph on indices 0..n-1 with the given
+    index pairs as edges: increasing index lists, ordered by first index."""
     parent = list(range(n))
 
     def find(i):
@@ -734,39 +710,49 @@ def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) ->
             i = parent[i]
         return i
 
-    def union(i, j):
+    for i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
-
-    if space.radially_monotone:
-        # an edge over a span forces every adjacent edge inside the span,
-        # so adjacent pairs decide connectivity
-        for i in range(n - 1):
-            if space._raw(pts[i], pts[i + 1], t) >= b:
-                union(i, i + 1)
-    elif space.coordinate_decreasing:
-        # M(x, y) only shrinks as y grows past x, so the edges from x go to
-        # a prefix of the later points
-        pair, bn, bd = space._pair, b.numerator, b.denominator
-        for i, x in enumerate(pts):
-            j = i + 1
-            while j < n:
-                num, den = pair(x, pts[j], t)
-                if num * bd < bn * den:
-                    break
-                union(i, j)
-                j += 1
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if space._raw(pts[i], pts[j], t) >= b:
-                    union(i, j)
-
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(pts[i])
-    components = tuple(sorted((tuple(v) for v in groups.values()), key=lambda c: c[0]))
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) -> ScaleGraphReport:
+    """Components of the graph joining x, y when M(x, y, t) >= 1 - r."""
+    space._check_window(window)
+    pts = window.points
+    n = len(pts)
+    b, t = params.threshold, params.t
+
+    def edges():
+        if space.radially_monotone:
+            # an edge over a span forces every adjacent edge inside the span,
+            # so adjacent pairs decide connectivity
+            for i in range(n - 1):
+                if space._raw(pts[i], pts[i + 1], t) >= b:
+                    yield i, i + 1
+        elif space.coordinate_decreasing:
+            # M(x, y) only shrinks as y grows past x, so the edges from x go
+            # to a prefix of the later points
+            pair, bn, bd = space._pair, b.numerator, b.denominator
+            for i, x in enumerate(pts):
+                j = i + 1
+                while j < n:
+                    num, den = pair(x, pts[j], t)
+                    if num * bd < bn * den:
+                        break
+                    yield i, j
+                    j += 1
+        else:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if space._raw(pts[i], pts[j], t) >= b:
+                        yield i, j
+
+    components = tuple(tuple(pts[i] for i in comp) for comp in _components(n, edges()))
     largest = max(components, key=len) if components else ()
     worst = min_intra_pair(space, largest, t) if len(largest) >= 2 else None
     if worst is None:

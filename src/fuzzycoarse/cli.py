@@ -200,6 +200,9 @@ def cmd_coarse(args) -> int:
     window_x = parse_window_spec(cfg["window_x"])
     window_y = parse_window_spec(cfg["window_y"])
     params = parse_scale(cfg["scale"])
+    inverse = cfg.get("inverse")
+    if inverse is not None and not isinstance(inverse, bool):
+        raise ParseError(f"inverse must be true, false or null, got {inverse!r}")
     em = _Emitter(args.out)
     ok = True
     if fmap.expansive:
@@ -214,7 +217,7 @@ def cmd_coarse(args) -> int:
         rep = coarse.check_coarsely_onto(space_y, fmap, fmap.onto_params, window_y)
         em.emit(rep)
         ok = ok and rep.passed
-    if cfg.get("inverse"):
+    if inverse:
         _, rep = coarse.coarse_inverse(space_x, space_y, fmap, params, window_y, window_x)
         em.emit(rep)
         ok = ok and rep.passed

@@ -482,7 +482,7 @@ def transport_witness(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
 
     fat_families = tuple(
         Family.of(
-            [scale_neighborhood(space_y, tuple(sorted({f.apply(p) for p in s})),
+            [scale_neighborhood(space_y, {f.apply(p) for p in s},
                                 r1t1, window_y)
              for s in fam.sets],
             f"N(f({fam.label}))" if fam.label else "N(f)",

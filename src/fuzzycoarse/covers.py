@@ -45,40 +45,27 @@ def _clean_set(s):
 class Family:
     """A labeled list of non-empty finite point sets.
 
-    ``Family.of`` turns each member into a sorted, duplicate-free tuple,
+    Construction turns each member into a sorted, duplicate-free tuple,
     except a step-1 ``range``, which it keeps as it is: a range is already
     sorted, and on a window of consecutive integers it is one run.  So
-    ``Family.of([range(1, 4)])`` and ``Family.of([(1, 2, 3)])`` hold the
-    same points but do not compare equal.  Empty member sets are dropped
-    on construction; how many were dropped is kept so reports can say so.
-
-    A Family built directly keeps its members as given, in any order and
-    with repeats; ``canonical`` records that ``Family.of`` built it, so
-    ``canonical_sets`` hands its members on without touching a point.
+    ``Family([range(1, 4)])`` and ``Family([(1, 2, 3)])`` hold the same
+    points but do not compare equal.  Empty member sets are dropped on
+    construction; how many were dropped is kept so reports can say so.
     """
 
     sets: tuple
     label: str = ""
-    dropped_empty: int = 0
-    canonical: bool = field(default=False, init=False, compare=False, repr=False)
+    dropped_empty: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        cleaned = [_clean_set(s) for s in self.sets]
+        kept = tuple(s for s in cleaned if s)
+        object.__setattr__(self, "sets", kept)
+        object.__setattr__(self, "dropped_empty", len(cleaned) - len(kept))
 
     @classmethod
     def of(cls, sets, label: str = "") -> "Family":
-        cleaned = [_clean_set(s) for s in sets]
-        kept = tuple(s for s in cleaned if s)
-        fam = cls(kept, label, len(cleaned) - len(kept))
-        object.__setattr__(fam, "canonical", True)
-        return fam
-
-    def canonical_sets(self) -> tuple:
-        """The member sets, each sorted and duplicate-free, in member order."""
-        return self.sets if self.canonical else tuple(map(_clean_set, self.sets))
-
-    def support(self) -> tuple:
-        pts = set()
-        for s in self.sets:
-            pts.update(s)
-        return tuple(sorted(pts))
+        return cls(sets, label)
 
     def __len__(self):
         return len(self.sets)
@@ -99,14 +86,6 @@ class Cover:
         out = []
         for fam in self.families:
             out.extend(fam.sets)
-        return tuple(out)
-
-    def set_labels(self) -> tuple:
-        out = []
-        for fam in self.families:
-            base = fam.label or "family"
-            for i, _ in enumerate(fam.sets):
-                out.append(f"{base}[{i}]")
         return tuple(out)
 
 
@@ -140,10 +119,11 @@ def min_intra_pair(space: FuzzyMetricSpace, s: tuple, t: Fraction):
     return best
 
 
-def family_min_intra(space: FuzzyMetricSpace, family: Family, t: Fraction):
-    """(value, pair, set_index) minimizing M within any one member set."""
+def family_min_intra(space: FuzzyMetricSpace, sets, t: Fraction):
+    """(value, pair, set_index) minimizing M within any one of a sequence
+    of sorted, duplicate-free member sets, such as ``Family.sets``."""
     best = None
-    for idx, s in enumerate(family.canonical_sets()):
+    for idx, s in enumerate(sets):
         cur = min_intra_pair(space, s, t)
         if cur is not None and (best is None or cur[0] < best[0]):
             best = (cur[0], cur[1], idx)
@@ -196,10 +176,7 @@ def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
         p, ij = shared
         return (ONE, (p, p), ij)
     if space.coordinate_decreasing:
-        minima = nsmallest(2, ((s[0], i) for i, s in enumerate(family.canonical_sets()) if s))
-        if len(minima) < 2:
-            return None
-        (p, i), (q, j) = minima[0], minima[1]
+        (p, i), (q, j) = nsmallest(2, ((s[0], i) for i, s in enumerate(sets)))
         return (space._raw(p, q, t), (min(p, q), max(p, q)), (min(i, j), max(i, j)))
     best = None
     for i, u in enumerate(sets):
@@ -217,11 +194,16 @@ def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
 # ---------------------------------------------------------------------------
 
 
+def _is_bounded(space: FuzzyMetricSpace, sets, params: ScaleParams) -> bool:
+    """Every pair within one member set strictly above 1 - r at time t."""
+    worst = family_min_intra(space, sets, params.t)
+    return worst is None or worst[0] > params.threshold
+
+
 def is_uniformly_bounded_family(space: FuzzyMetricSpace, family: Family,
                                 params: ScaleParams) -> bool:
     """Every intra-set pair strictly above 1 - r at time t."""
-    worst = family_min_intra(space, family, params.t)
-    return worst is None or worst[0] > params.threshold
+    return _is_bounded(space, family.sets, params)
 
 
 def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
@@ -435,8 +417,6 @@ def first_refinement_violation(cover_v: Cover, cover_u: Cover):
     runs_hold = _RunContainment(map(window.runs_of, u_sets))
     owners = u_frozen = None
     for s in cover_v.all_sets():
-        if not s:
-            continue
         runs = window.runs_of(s)
         if len(runs) == 1 and runs[0][1] - runs[0][0] == len(s):
             if runs_hold.holds(*runs[0]):

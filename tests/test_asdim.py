@@ -39,6 +39,8 @@ from fuzzycoarse import (
     witness_whole_window,
     zero_dim_witness_via_refinement,
 )
+from fuzzycoarse import covers
+from fuzzycoarse.config import witness_from_json, witness_to_json
 from fuzzycoarse.errors import (
     CertificationError,
     DomainError,
@@ -187,6 +189,29 @@ def test_reciprocal_witness_verifies(r):
         w = int_window(1, top)
         wit = witness_reciprocal_product(ScaleParams(r, 1), w)
         assert verify_witness(rec, wit).passed
+
+
+def test_member_sets_are_cleaned_once(monkeypatch):
+    """A member set is made sorted and duplicate-free when its Family is
+    built; verifying a witness, at any number of scales, sorts none again."""
+    rec = reciprocal_product_space()
+    wit = witness_reciprocal_product(ScaleParams(F(1, 2), 1), int_window(1, 10_000))
+    as_json = witness_to_json(wit)
+    cleaned = []
+    clean_set = covers._clean_set
+
+    def counting_clean_set(s):
+        cleaned.append(s)
+        return clean_set(s)
+
+    monkeypatch.setattr(covers, "_clean_set", counting_clean_set)
+    assert verify_witness(rec, wit).passed
+    assert cleaned == []
+    loaded = witness_from_json(as_json)
+    for r in (F(1, 4), F(1, 2), F(3, 4)):
+        verify_witness(rec, DimensionWitness(loaded.n, ScaleParams(r, 1), loaded.bound_params,
+                                             loaded.families, loaded.window))
+    assert len(cleaned) == len(loaded.all_sets()) == 9_999
 
 
 def test_reciprocal_witness_needs_initial_segment():

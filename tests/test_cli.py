@@ -294,6 +294,30 @@ def test_coarse_sub_objects_are_type_checked(tmp_path, change, message):
     assert run_cli(["coarse", "--config", str(path)]) == (2, f"ERROR ParseError: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1])
+def test_coarse_inverse_must_be_a_boolean(tmp_path, value):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(dict(RATIO_IDENTITY, inverse=value)))
+    assert run_cli(["coarse", "--config", str(path)]) == (
+        2, f"ERROR ParseError: inverse must be true, false or null, got {value!r}\n")
+
+
+@pytest.mark.parametrize("change,runs", [
+    ({"inverse": True}, True),
+    ({"inverse": False}, False),
+    ({"inverse": None}, False),
+    ({}, False),
+], ids=["true", "false", "null", "absent"])
+def test_coarse_inverse_runs_only_when_true(tmp_path, change, runs):
+    proper = [{"level_in": "1/2", "t_in": "1", "level_out": "1/2", "t_out": "1"}]
+    cfg = dict(RATIO_IDENTITY, map={"rule": "identity", "domain": "1..10", "proper": proper})
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(dict(cfg, **change)))
+    code, out = run_cli(["coarse", "--config", str(path)])
+    assert code == 0
+    assert ("coarse-inverse" in out) == runs
+
+
 def test_a_witness_path_must_be_a_string_and_no_descriptor_is_read(tmp_path):
     """A JSON integer where a witness path belongs is refused, not taken as
     a file descriptor, although the open descriptor holds a valid witness."""

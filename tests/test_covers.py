@@ -98,7 +98,14 @@ def test_family_drops_empty_sets():
     fam = Family.of([[3, 1, 1], [], [5]], "demo")
     assert fam.sets == ((1, 3), (5,))
     assert fam.dropped_empty == 1
-    assert fam.support() == (1, 3, 5)
+
+
+def test_family_is_canonical_when_built_directly():
+    members = ((5, 1, 9), (), (2, 2))
+    fam = Family(members, "x")
+    assert fam == Family.of(members, "x")
+    assert fam.sets == ((1, 5, 9), (2,))
+    assert fam.dropped_empty == 1
 
 
 def test_family_keeps_step_one_ranges():
@@ -110,7 +117,6 @@ def test_family_keeps_step_one_ranges():
 def test_cover_all_sets_and_labels():
     c = Cover.of([Family.of([[1]], "a"), Family.of([[2], [3]], "b")], int_window(1, 3))
     assert c.all_sets() == ((1,), (2,), (3,))
-    assert c.set_labels() == ("a[0]", "b[0]", "b[1]")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +215,7 @@ def test_extremal_fast_paths_match_brute(factory, sets, t):
     want_min = brute_min_intra(space, fam, t)
     want_max = brute_max_cross(space, fam, t)
     for built in (fam, Family(tuple(map(tuple, sets)) + ((),))):
-        got_min = family_min_intra(space, built, t)
+        got_min = family_min_intra(space, built.sets, t)
         assert (got_min is None) == (want_min is None)
         if got_min is not None:
             assert got_min[0] == want_min
@@ -236,7 +242,7 @@ def test_extremal_fast_paths_read_unsorted_members_as_sets():
     assert "FAIL disjoint family=family0 sup=1/3 pair=1~3 bound=1/4" in reports[0].lines()
     ratio = ratio_minmax_space()
     assert not is_uniformly_bounded_family(ratio, Family(((5, 1, 9),)), ScaleParams(F(3, 4), 1))
-    assert family_min_intra(ratio, Family(((5, 1, 9),)), 1) == (F(1, 9), (1, 9), 0)
+    assert family_min_intra(ratio, Family(((5, 1, 9),)).sets, 1) == (F(1, 9), (1, 9), 0)
 
 
 # Member lists with several shared points and repeated points: the
@@ -549,7 +555,7 @@ def test_window_points_outside_the_universe_are_refused():
 
 
 def test_members_in_any_order_or_with_repeats():
-    """A Family built directly may hold unsorted tuples with repeats."""
+    """Members given unsorted or with repeats are read as sets."""
     ratio = ratio_minmax_space()
     w = int_window(1, 10)
     p = ScaleParams(F(1, 2), 1)
