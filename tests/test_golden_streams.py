@@ -136,6 +136,17 @@ LUKASIEWICZ_TABLE = {
     "window": [0, 1, 2],
 }
 
+# The chain-inequality scan on and off certified radial windows: the rows
+# of reciprocal_product grow away from the diagonal on their left, so its
+# chain scans every middle point; the product twin of LUKASIEWICZ_TABLE is
+# radial and fails at 0~1~2; the ultrametric passes under the product.
+PRODUCT_TABLE = {
+    "space": {"kind": "standard", "tnorm": "product",
+              "metric": LUKASIEWICZ_TABLE["space"]["metric"]},
+    "window": [0, 1, 2],
+}
+ULTRAMETRIC_PRODUCT = {"space": {"kind": "ultrametric_standard", "tnorm": "product"}}
+
 
 def identity_onto_inverse(kind, window_y, scale):
     """The identity on 1..60 into the same kind, checked onto at the scale
@@ -274,6 +285,15 @@ CASES = {
     "axioms-lukasiewicz-table": (
         ["verify-axioms"] + GRID, LUKASIEWICZ_TABLE, 1,
         "d7cee553030eb5caa79e616d2734d0910e8a95fa9d6baf109223d67be67a79c3"),
+    "axioms-reciprocal": (
+        ["verify-axioms", "--space", "reciprocal_product", "--window", "1..20"] + GRID, None, 0,
+        "42d182716aa524429abfc6730ccdb926a2c85851c35f5a969e19d54666b387f3"),
+    "axioms-product-table": (
+        ["verify-axioms"] + GRID, PRODUCT_TABLE, 1,
+        "c70ec301e91025cc9695fd064189289424bc23e3974160f62d89e36272ad80f6"),
+    "axioms-ultrametric-product": (
+        ["verify-axioms", "--window", "1..20"] + GRID, ULTRAMETRIC_PRODUCT, 0,
+        "2b8684f6b7c735a03e863859b0b1126e03c8e66221f7b143ae10bd5d91967afb"),
 }
 
 
