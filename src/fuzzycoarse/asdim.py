@@ -46,7 +46,7 @@ from .errors import (
 from .rationals import as_fraction, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
 from .space import (FuzzyMetricSpace, ScaleParams, Window, _first_chain_violation,
-                    _min_transitive, _value_matrices)
+                    _value_matrices)
 
 ONE = Fraction(1)
 
@@ -355,8 +355,9 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     pts = window.points
     space._check_window(window)
     mat = _value_matrices(space, pts, [params.t])[params.t]
-    if not _min_transitive(mat):
-        bad = tuple(pts[i] for i in _first_chain_violation(space.tnorm, mat, mat, mat))
+    found = _first_chain_violation(space.tnorm, mat, mat, mat)
+    if found:
+        bad = tuple(pts[i] for i in found)
         raise NonArchimedeanViolationError(
             f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
         )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .coarse import CoarseMap, ModulusEntry, affine_map, identity_map, inclusion_map, table_map
 from .asdim import DimensionWitness
 from .covers import Family
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .rationals import _INT_RE, as_fraction, format_rational, parse_rational
 from .space import (
     EuclideanLattice,
@@ -163,7 +163,9 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
 
     A t-norm, metric or universe is passed only when the config names
     one, and only the builders with those parameters (the standard kind's)
-    take a metric or a universe."""
+    take a metric or a universe.  A universe on which the metric is not a
+    metric (``max_ultrametric`` on ``"integers"``) raises ``DomainError``
+    before any value is evaluated."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     if not isinstance(cfg, dict):
@@ -182,6 +184,9 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
             kwargs["universe"] = UNIVERSES[cfg["universe"]]
         except (KeyError, TypeError):
             raise ParseError(f"unknown universe tag {cfg['universe']!r}") from None
+        metric = kwargs.get("metric", EuclideanLine())
+        if cfg["universe"] not in metric.universe_names:
+            raise DomainError(f"{metric.name} is not a metric on the {cfg['universe']} universe")
     return build(**kwargs)
 
 

@@ -31,8 +31,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain, filterfalse, islice
-from operator import lt
+from operator import le, lt, mul
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
@@ -267,12 +268,14 @@ class Metric:
     """An exact metric; ``line_compatible`` means the distance respects the
     point order (d grows as pairs nest outward on the sorted line), and
     ``universe`` is the point set it is a metric on, which a standard space
-    takes when it is given none.  A distance is an exact rational: an int
+    takes when it is given none, and ``universe_names`` are the built-in
+    universes it is a metric on.  A distance is an exact rational: an int
     or a Fraction; any other value raises ``DomainError``."""
 
     name = "metric"
     line_compatible = False
     universe = INTEGERS
+    universe_names = frozenset()
 
     def distance(self, x, y):
         raise NotImplementedError
@@ -283,6 +286,7 @@ class EuclideanLine(Metric):
 
     name = "euclidean"
     line_compatible = True
+    universe_names = frozenset(UNIVERSES)
 
     def distance(self, x, y):
         d = abs(x - y)
@@ -328,6 +332,7 @@ class MaxUltrametric(Metric):
     name = "max_ultrametric"
     line_compatible = True
     universe = NATURALS
+    universe_names = frozenset({"naturals"})
 
     def distance(self, x, y):
         d = 0 if x == y else max(x, y)
@@ -731,42 +736,51 @@ def _entry(mat, i, j) -> Fraction:
     return Fraction(mat[0][i][j], mat[1][i][j])
 
 
-def _scan_product(nA, dA, nB, dB, nC, dC):
+# Each scanner returns the first (i, j, k), i <= k, in (i, k, j) order with
+# T(A[i][j], B[k][j]) > C[i][k], reading the matrices as ``_value_matrices``
+# entries with positive denominators.  With ``radial`` the middle point j
+# runs over [i, k] only (see ``_first_chain_violation``).
+
+
+def _scan_product(nA, dA, nB, dB, nC, dC, radial=False):
     n = len(nA)
     for i in range(n):
         nAi, dAi = nA[i], dA[i]
+        lo = i if radial else 0
         for k in range(i, n):
             nBk, dBk = nB[k], dB[k]
             nc, dc = nC[i][k], dC[i][k]
-            for j in range(n):
+            for j in range(lo, k + 1 if radial else n):
                 if nAi[j] * nBk[j] * dc > nc * dAi[j] * dBk[j]:
                     return i, j, k
     return None
 
 
-def _scan_min(nA, dA, nB, dB, nC, dC):
+def _scan_min(nA, dA, nB, dB, nC, dC, radial=False):
     n = len(nA)
     for i in range(n):
         nAi, dAi = nA[i], dA[i]
+        lo = i if radial else 0
         for k in range(i, n):
             nBk, dBk = nB[k], dB[k]
             nc, dc = nC[i][k], dC[i][k]
-            for j in range(n):
+            for j in range(lo, k + 1 if radial else n):
                 if nAi[j] * dc > nc * dAi[j] and nBk[j] * dc > nc * dBk[j]:
                     return i, j, k
     return None
 
 
-def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC):
+def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC, radial=False):
     n = len(nA)
     for i in range(n):
         nAi, dAi = nA[i], dA[i]
+        lo = i if radial else 0
         for k in range(i, n):
             nBk, dBk = nB[k], dB[k]
             nc, dc = nC[i][k], dC[i][k]
             if nc < 0:  # T >= 0 > C[i][k]: every j fails
                 return i, 0, k
-            for j in range(n):
+            for j in range(lo, k + 1 if radial else n):
                 da, db = dAi[j], dBk[j]
                 lhs_num = nAi[j] * db + nBk[j] * da - da * db
                 if lhs_num > 0 and lhs_num * dc > nc * da * db:
@@ -777,17 +791,44 @@ def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC):
 _SCANNERS = {"product": _scan_product, "min": _scan_min, "lukasiewicz": _scan_lukasiewicz}
 
 
-def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c):
+def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False,
+                           c_min_transitive=None):
     """The first index triple (i, j, k), i <= k, in scan order with
     T(A[i][j], B[k][j]) > C[i][k], or None.
 
     Each matrix is an entry of ``_value_matrices``.  Built-in t-norms
     compare by integer cross-multiplication; any other rule is evaluated
-    on Fractions built from the entries.
+    on Fractions built from the entries, over every triple.
+
+    A built-in t-norm skips only triples that a proof shows cannot come
+    first:
+
+    - under min, when A <= C and B <= C entrywise and C is min-transitive,
+      min(A[i][j], B[k][j]) <= min(C[i][j], C[k][j]) <= C[i][k] on every
+      triple, so the chain holds in O(n^2) and nothing is scanned.
+      ``c_min_transitive()`` says whether C is, by default through
+      ``_min_transitive``; a caller with many (A, B) pairs per C passes a
+      memo.
+    - ``radial`` says that A and B are certified: entries in (0, 1], unit
+      diagonals, and rows non-increasing moving away from the diagonal
+      (``_radial``).  As T(a, b) <= min(a, b) and T(a, 1) = a, a middle
+      point j > k gives at most A[i][j] <= A[i][k], the value of the
+      triple j = k, and j < i at most B[k][j] <= B[k][i], the value of the
+      triple j = i.  So the scan runs j over [i, k] only; when the triple
+      j = i fails, the j <= i that fails first is looked up again from 0.
     """
     scanner = _SCANNERS.get(tnorm.name)
     if scanner is not None:
-        return scanner(*mat_a, *mat_b, *mat_c)
+        if (tnorm.name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
+                and (c_min_transitive or partial(_min_transitive, mat_c))()):
+            return None
+        found = scanner(*mat_a, *mat_b, *mat_c, radial)
+        if radial and found and found[0] == found[1]:
+            i, _, k = found
+            c = _entry(mat_c, i, k)
+            found = next((i, j, k) for j in range(i + 1)
+                         if tnorm.rule(_entry(mat_a, i, j), _entry(mat_b, k, j)) > c)
+        return found
     vA, vB = ([[Fraction(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*mat)]
               for mat in (mat_a, mat_b))
     n, rule = len(vA), tnorm.rule
@@ -799,6 +840,28 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c):
                 if rule(rowA[j], rowB[j]) > c:
                     return i, j, k
     return None
+
+
+def _radial(mat) -> bool:
+    """Whether every row of one ``_value_matrices`` entry, read with
+    positive denominators, is non-increasing moving away from the
+    diagonal: 2(n - 1) cross-multiplications per row."""
+    nums, dens = mat
+    for i, (nr, dr) in enumerate(zip(nums, dens)):
+        rise = list(map(mul, nr[1:], dr))  # M[j] >= M[j - 1] iff rise >= fall at j - 1
+        fall = list(map(mul, nr, dr[1:]))
+        if not (all(map(le, fall[:i], rise[:i])) and all(map(le, rise[i:], fall[i:]))):
+            return False
+    return True
+
+
+def _dominated(mat, by) -> bool:
+    """Whether ``mat <= by`` entrywise, for two ``_value_matrices`` entries
+    with positive denominators."""
+    if mat is by:
+        return True
+    return all(all(map(le, map(mul, na, db), map(mul, nb, da)))
+               for na, da, nb, db in zip(*mat, *by))
 
 
 def _min_transitive(mat) -> bool:
@@ -883,7 +946,9 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     directions, symmetry, and the chain inequality
     M(x,y,t) * M(y,z,s) <= M(x,z,t+s).  Monotonicity of M in t can only
     be sampled on the grid, and continuity in t not at all; both carry
-    NOTE lines saying so.
+    NOTE lines saying so.  The chain scan skips only the triples that
+    ``_first_chain_violation`` proves cannot come first: on a window
+    certified radial here, and under min by transitivity at t + s.
     """
     pts = window.points
     if not pts:
@@ -931,11 +996,14 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
                           not 0 < nums[k][i][j] <= dens[k][i][j], diagonal=True)
     rep.add_verdict(bad is None, "range", witness=pair_at(bad), t=t_at(bad),
                     value=_entry(mats[t_at(bad)], *bad[1:]) if bad else None)
+    in_range = bad is None
 
     # (2) M = 1 exactly on the diagonal
     bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
                           (nums[k][i][j] == dens[k][i][j]) != (i == j), diagonal=True)
     rep.add_verdict(bad is None, "identity-of-indiscernibles", witness=pair_at(bad), t=t_at(bad))
+    # the radial fact that prunes the chain scan, certified on the grid
+    radial = in_range and bad is None and all(_radial(mats[t]) for t in t_list)
 
     # (3) symmetry: the full matrices hold both argument orders
     bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
@@ -946,7 +1014,10 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
     # rest by symmetry of M and commutativity of the t-norm.  The report
     # names the first violation in scan order, so the scan stops there.
-    scans = ((t, s, _first_chain_violation(space.tnorm, mats[t], mats[s], mats[t + s]))
+    # Whether M at t + s is min-transitive is decided once per sum.
+    min_transitive = cache(lambda u: _min_transitive(mats[u]))
+    scans = ((t, s, _first_chain_violation(space.tnorm, mats[t], mats[s], mats[t + s], radial,
+                                           partial(min_transitive, t + s)))
              for t in t_list for s in t_list)
     first = next(((t, s, found) for t, s, found in scans if found), None)
     if first:

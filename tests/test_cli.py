@@ -61,6 +61,37 @@ def test_verify_axioms_bridge_cases():
     assert "threshold-bridge" in out
 
 
+@pytest.mark.parametrize("metric, universe", [
+    ("max_ultrametric", "integers"),
+    ("max_ultrametric", "rationals"),
+    ({"rule": "euclidean_lattice", "dim": 1}, "integers"),
+], ids=["max-on-integers", "max-on-rationals", "lattice-on-integers"])
+def test_verify_axioms_refuses_a_universe_the_metric_is_not_a_metric_on(
+        tmp_path, metric, universe):
+    """max(x, y) on -3..3 is negative, and t + d is 0 at d(-3, -2) = -2
+    and t = 2; a lattice metric cannot measure an integer.  Each space is
+    refused before any value is evaluated, with exit 2 and no report."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"space": {"kind": "standard", "metric": metric,
+                                          "universe": universe}}))
+    name = metric if isinstance(metric, str) else metric["rule"]
+    assert run_cli(["verify-axioms", "--window", "-3..3", "--t-grid", "1,2",
+                    "--config", str(path)]) == (
+        2, f"ERROR DomainError: {name} is not a metric on the {universe} universe\n")
+
+
+def test_verify_axioms_takes_a_universe_the_metric_is_a_metric_on(tmp_path):
+    for metric, universe, window in (("max_ultrametric", "naturals", "1..6"),
+                                     ("euclidean", "rationals", "-3..3"),
+                                     ("euclidean", "naturals", "1..6")):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"space": {"kind": "standard", "metric": metric,
+                                              "universe": universe}}))
+        code, out = run_cli(["verify-axioms", "--window", window, "--t-grid", "1,2",
+                             "--config", str(path)])
+        assert code == 0 and "PASS chain-inequality" in out
+
+
 def test_verify_axioms_config_reads_a_t_grid_list(tmp_path):
     path = tmp_path / "axioms.json"
     path.write_text(json.dumps({"space": "ratio_minmax", "window": "1..6",

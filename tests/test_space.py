@@ -760,8 +760,8 @@ def test_chain_failure_stops_at_the_first_violation(monkeypatch):
     scans, entries = [], []
     scan, entry = space_mod._first_chain_violation, space_mod._entry
 
-    def counted_scan(tnorm, a, b, c):
-        scans.append(scan(tnorm, a, b, c))
+    def counted_scan(*args):
+        scans.append(scan(*args))
         return scans[-1]
 
     def counted_entry(mat, i, j):
@@ -774,3 +774,186 @@ def test_chain_failure_stops_at_the_first_violation(monkeypatch):
     assert [f.line() for f in rep.failures()] == [
         "FAIL chain-inequality witness=1~2~5 t=1/2 s=1/2 lhs=1/4 rhs=1/5"]
     assert scans == [(0, 1, 4)] and len(entries) == 3
+
+
+# -- the chain inequality from certified structure ---------------------------
+
+
+def _pairs(vals, draw):
+    """Fraction rows as a ``(nums, dens)`` matrix, each entry scaled by a
+    drawn factor so that equal values have unequal pairs."""
+    scale = [[draw(st.integers(1, 3)) for _ in row] for row in vals]
+    return ([[v.numerator * f for v, f in zip(row, fs)] for row, fs in zip(vals, scale)],
+            [[v.denominator * f for v, f in zip(row, fs)] for row, fs in zip(vals, scale)])
+
+
+@st.composite
+def chain_cases(draw):
+    """Matrix triples (A, B, C) for the pruned and the certified chain
+    paths, in three shapes:
+
+    - ``radial``: A and B in (0, 1] with unit diagonals, each row
+      non-increasing away from the diagonal; each row of C anything in
+      [-1/6, 5/2] or at least 1, so the time slices need not be monotone,
+      the triple j = i can fail, and the first failing row can lie deep
+      enough for an earlier j to fail too;
+    - ``valid``: A and B in (0, 1] with unit diagonals and rows in any
+      order;
+    - ``below``: C a random ultrametric similarity with up to two edits
+      (``min_matrices``), A and B at most 1/10 below C entrywise, so the
+      min certificate can hold, and fail when C was edited.
+
+    Then up to two edits set an entry of A or B to a negative value, a
+    value above 1, or a non-unit diagonal."""
+    n = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["radial", "valid", "below"]))
+
+    def level(lo, hi):
+        return F(draw(st.integers(lo, hi)), 12)
+
+    def radial():
+        rows = []
+        for i in range(n):
+            row = [F(1)] * n
+            for j in list(range(i + 1, n)) + list(range(i - 1, -1, -1)):
+                near = row[j - 1] if j > i else row[j + 1]
+                row[j] = max(F(1, 12), near - level(0, draw(st.sampled_from([1, 4]))))
+            rows.append(row)
+        return rows
+
+    def valid():
+        return [[F(1) if i == j else level(1, 12) for j in range(n)] for i in range(n)]
+
+    if mode == "below":
+        c = [[F(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*draw(min_matrices()))]
+        n = len(c)
+        a, b = ([[v - F(draw(st.integers(0, 2)), 20) for v in row] for row in c]
+                for _ in range(2))
+    else:
+        a, b = (radial(), radial()) if mode == "radial" else (valid(), valid())
+        c = [[level(draw(st.sampled_from([-2, 12])), 30) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        m = draw(st.sampled_from([a, b]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = draw(st.sampled_from([F(-1, 12), F(13, 12), F(11, 12)]))
+    return _pairs(a, draw), _pairs(b, draw), _pairs(c, draw)
+
+
+def _certified(mat):
+    """The shape ``check_axioms`` certifies before it prunes: entries in
+    (0, 1], unit diagonal, radial rows."""
+    from fuzzycoarse.space import _radial
+
+    nums, dens = mat
+    return (all(0 < p <= q for nr, dr in zip(nums, dens) for p, q in zip(nr, dr))
+            and all(nums[i][i] == dens[i][i] for i in range(len(nums))) and _radial(mat))
+
+
+ONES = ([[1, 1], [1, 1]], [[1, 1], [1, 1]])
+
+
+@given(mats=chain_cases())
+# the triple j = i fails at (i, k) = (1, 1) and so does j = 0 before it
+@example(mats=(ONES, ONES, ([[1, 1], [1, 1]], [[1, 1], [1, 2]])))
+# radial, failing in the middle: the product twin of the Lukasiewicz table
+@example(mats=(([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [[1, 3, 201], [3, 1, 3], [201, 3, 1]]),) * 2
+         + (([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [[1, 1, 101], [1, 1, 1], [101, 1, 1]]),))
+# a negative C entry under Lukasiewicz on certified rows
+@example(mats=(ONES, ONES, ([[1, -1], [1, 1]], [[1, 2], [1, 1]])))
+@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("tnorm", [PRODUCT, MINIMUM, LUKASIEWICZ], ids=lambda tn: tn.name)
+def test_pruned_and_certified_chain_paths_match_the_full_scan(tnorm, mats):
+    """On matrices certified radial, the scan over middle points in [i, k]
+    with the rescan from 0 names the triple of today's full scan; under
+    min the transitivity certificate passes only where the scan finds
+    nothing; uncertified matrices get the full scan."""
+    from fuzzycoarse.space import _first_chain_violation, _min_transitive
+
+    a, b, c = ([[Fraction(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*m)] for m in mats)
+    n = len(a)
+    brute = next(((i, j, k) for i in range(n) for k in range(i, n) for j in range(n)
+                  if tnorm.rule(a[i][j], b[k][j]) > c[i][k]), None)
+    radial = _certified(mats[0]) and _certified(mats[1])
+    assert _first_chain_violation(tnorm, *mats, radial) == brute
+    assert _first_chain_violation(tnorm, *mats, radial, lambda: _min_transitive(mats[2])) == brute
+
+
+def _counting(mat, counter):
+    """A copy of a ``_value_matrices`` entry whose rows add every entry
+    read from them to ``counter[0]``."""
+
+    class Row(list):
+        def __getitem__(self, key):
+            got = list.__getitem__(self, key)
+            counter[0] += len(got) if isinstance(key, slice) else 1
+            return got
+
+        def __iter__(self):
+            counter[0] += len(self)
+            return list.__iter__(self)
+
+    return tuple([Row(row) for row in part] for part in mat)
+
+
+def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypatch):
+    """Machine-independent pins on the chain inequality of ``check_axioms``:
+
+    - the product scan on ratio_minmax 1..60 reads A at n(n+1)(n+2)/6
+      triples per (t, s) pair, about a third of the n^2(n+1)/2 of the
+      full scan;
+    - ``_scan_min`` never runs on the PASS of ultrametric_standard 1..60,
+      and runs once on the FAIL of the pathological space under min;
+    - the entries that the min path reads grow with log-log slope at most
+      2.1 from 20 to 40 points."""
+    from fuzzycoarse import space as space_mod
+
+    grid = [Fraction(1, 2), 1, 2, 7]
+    chain_scan, scan_min, value_matrices = (
+        space_mod._first_chain_violation, space_mod._scan_min, space_mod._value_matrices)
+
+    visited = [0]
+
+    def counted_a(tnorm, a, b, c, *rest):
+        return chain_scan(tnorm, (_counting(a, visited)[0], a[1]), b, c, *rest)
+
+    monkeypatch.setattr(space_mod, "_first_chain_violation", counted_a)
+    n = 60
+    rep = check_axioms(ratio_minmax_space(), int_window(1, n), [1, 2])
+    assert "PASS chain-inequality triples=109800 time_pairs=4" in rep.lines()
+    assert visited[0] == 4 * n * (n + 1) * (n + 2) // 6 <= 0.35 * 4 * 109800
+
+    scans = []
+
+    def counted_min(*args):
+        scans.append(scan_min(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(space_mod, "_first_chain_violation", chain_scan)
+    monkeypatch.setattr(space_mod, "_scan_min", counted_min)
+    monkeypatch.setitem(space_mod._SCANNERS, "min", counted_min)
+    assert check_axioms(ultrametric_space(), int_window(1, 60), grid).passed
+    assert scans == []
+    rep = check_axioms(pathological_space(MINIMUM), int_window(1, 20), grid)
+    assert [f.predicate for f in rep.failures()] == ["chain-inequality"]
+    assert scans == [(0, 1, 2)]
+
+    reads = [0]
+
+    def counting_matrices(space, pts, t_values):
+        return {t: _counting(mat, reads) for t, mat in value_matrices(space, pts, t_values).items()}
+
+    def chain_reads(tnorm, *args):
+        before = reads[0]
+        found = chain_scan(tnorm, *args)
+        chain_reads.total += reads[0] - before
+        return found
+
+    monkeypatch.setattr(space_mod, "_value_matrices", counting_matrices)
+    monkeypatch.setattr(space_mod, "_first_chain_violation", chain_reads)
+    totals = []
+    for n in (20, 40):
+        chain_reads.total = 0
+        assert check_axioms(ultrametric_space(), int_window(1, n), grid).passed
+        totals.append(chain_reads.total)
+    assert scans == [(0, 1, 2)]
+    assert math.log(totals[1] / totals[0], 2) <= 2.1
