@@ -184,10 +184,10 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
             kwargs["universe"] = UNIVERSES[cfg["universe"]]
         except (KeyError, TypeError):
             raise ParseError(f"unknown universe tag {cfg['universe']!r}") from None
-        metric = kwargs.get("metric", EuclideanLine())
-        if cfg["universe"] not in metric.universe_names:
-            raise DomainError(f"{metric.name} is not a metric on the {cfg['universe']} universe")
-    return build(**kwargs)
+    space = build(**kwargs)
+    if "universe" in cfg and cfg["universe"] not in space.metric.universe_names:
+        raise DomainError(f"{space.metric.name} is not a metric on the {cfg['universe']} universe")
+    return space
 
 
 def family_to_json(fam: Family) -> dict:
