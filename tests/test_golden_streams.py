@@ -349,3 +349,91 @@ def test_golden_check_tied_cross_pair_on_a_table_metric(tmp_path):
         got = main(["check", "--config", str(config)])
     assert (got, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()) == (
         1, "344f3283686ff41bdb284fd1aed7f07889010c252c6b9a7df7dcf8eab9693138")
+
+
+# Witness files: the sha256 of the --witness-out file next to the stdout
+# of the run that wrote it, then of `check` runs that read the file back.
+# The ultrametric witness is the ball-partition one; the grid window pins
+# "p/q" string points next to integer points in one member list.
+GRID_WITNESS = {
+    "space": {"kind": "standard", "universe": "rationals"},
+    "window": {"grid": {"lo": "-2", "hi": "3", "step": "1/3"}},
+    "scales": ["1/2:1"],
+}
+
+# name -> (argv, config, exit code, sha256 of stdout, sha256 of the file)
+WITNESS_FILES = {
+    "ratio": (
+        ["witness", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..3000"],
+        None, 0,
+        "2d3008a14957c5d1875eb16362dea4053beb2d19c5bef95e7c2c81cad4c0bad0",
+        "c411237ad7ad8e04efb25e8054b99db605044e0598fba3b7788c1d626ff80428"),
+    "reciprocal": (
+        ["witness", "--space", "reciprocal_product", "--scale", "1/2:1", "--window", "1..2000"],
+        None, 0,
+        "55f18966508731d3420838557545ae2e6aa806ea84a354fec8f4f9dc65f77163",
+        "80823ce0d32c3d7cdb1ee4b8772aad34948ca2b46e048067017fb9d46cdfbc37"),
+    "ultrametric": (
+        ["witness", "--space", "ultrametric_standard", "--scale", "1/4:10", "--window", "1..120"],
+        None, 0,
+        "883166f05490949a2a887a89cd65d65b46a763843cae5accc2658be1dcd2a1a2",
+        "130d49c047312512dd3c469590aef1701431843c8213aacd3e967069a24e4337"),
+    "grid": (
+        ["witness"], GRID_WITNESS, 0,
+        "1ddb5756aad4943b8cf3d3d0c15e3695b95a9c88cb561a9c3d57fc1ac091d416",
+        "2bb10798bf0cbdc861a8a4ad619b48207e94068e7ace1087eadfb246f9007523"),
+}
+
+# name -> (witness file, check argv, config, exit code, sha256 of stdout);
+# each check mixes scales at two distinct times.
+WITNESS_CHECKS = {
+    "ratio": (
+        "ratio", ["check", "--space", "ratio_minmax",
+                  "--scale", "1/4:1", "--scale", "1/2:2", "--scale", "3/4:1"], None, 1,
+        "e84a07530deef0d48f31b6f7d6df628661f4cfef583a84f86fa669ee366beb97"),
+    "reciprocal": (
+        "reciprocal", ["check", "--space", "reciprocal_product",
+                       "--scale", "1/4:1", "--scale", "1/2:2", "--scale", "3/4:1"], None, 1,
+        "7012730b1d502549b55ff9381a226d6d7f06e0666c948c8744815e676a07c67a"),
+    "ultrametric": (
+        "ultrametric", ["check", "--space", "ultrametric_standard",
+                        "--scale", "1/4:10", "--scale", "1/2:20", "--scale", "3/4:10"],
+        None, 1,
+        "a05b7c6ab23079c8cdddd91eef66fdc86758c58549601e0f954337a0750e6657"),
+    "grid": (
+        "grid", ["check"], dict(GRID_WITNESS, scales=["1/4:1", "1/2:2", "3/4:1"]), 0,
+        "fd9b7ae753c818b7465839df23d0df6ac3b03e25aa7bc8fab3d5b48398e9dd6a"),
+}
+
+
+def _run(argv, config, tmp_path):
+    """(exit code, sha256 of stdout) of one CLI run."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        got = main(argv)
+    return got, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def _write_witness(name, tmp_path):
+    argv, config, _, _, _ = WITNESS_FILES[name]
+    path = tmp_path / f"{name}.witness.json"
+    return _run(argv + ["--witness-out", str(path)], config, tmp_path), path
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_FILES))
+def test_golden_witness_file(name, tmp_path):
+    _, _, code, digest, file_digest = WITNESS_FILES[name]
+    got, path = _write_witness(name, tmp_path)
+    assert got == (code, digest)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_digest
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CHECKS))
+def test_golden_witness_check(name, tmp_path):
+    source, argv, config, code, digest = WITNESS_CHECKS[name]
+    _, path = _write_witness(source, tmp_path)
+    assert _run(argv + ["--witness", str(path)], config, tmp_path) == (code, digest)
