@@ -86,6 +86,7 @@ from .asdim import (
     run_dimension_pipeline,
     scale_graph,
     verify_witness,
+    verify_witness_scales,
     witness_ball_partition,
     witness_ratio_minmax,
     witness_reciprocal_product,

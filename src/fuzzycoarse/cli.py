@@ -152,9 +152,8 @@ def cmd_check(args) -> int:
     w = witness_from_json(load_json_file(path))
     em = _Emitter(args.out)
     ok = True
-    for params in _scales_of(merged):
-        probe = asdim.DimensionWitness(w.n, params, w.bound_params, w.families, w.window)
-        rep = asdim.verify_witness(space, probe)
+    scales = _scales_of(merged)
+    for params, rep in zip(scales, asdim.verify_witness_scales(space, w, scales)):
         em.emit(f"SCALE {format_scale(params)}")
         em.emit(rep)
         ok = ok and rep.passed

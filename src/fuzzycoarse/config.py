@@ -11,11 +11,12 @@ import inspect
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .coarse import CoarseMap, ModulusEntry, affine_map, identity_map, inclusion_map, table_map
 from .asdim import DimensionWitness
 from .covers import Family
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .rationals import _INT_RE, as_fraction, format_rational, parse_rational
 from .space import (
     EuclideanLattice,
@@ -163,9 +164,9 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
 
     A t-norm, metric or universe is passed only when the config names
     one, and only the builders with those parameters (the standard kind's)
-    take a metric or a universe.  A universe on which the metric is not a
-    metric (``max_ultrametric`` on ``"integers"``) raises ``DomainError``
-    before any value is evaluated."""
+    take a metric or a universe.  ``standard_space`` refuses a universe on
+    which the metric is not a metric (``max_ultrametric`` on
+    ``"integers"``) with ``DomainError``."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     if not isinstance(cfg, dict):
@@ -184,20 +185,34 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
             kwargs["universe"] = UNIVERSES[cfg["universe"]]
         except (KeyError, TypeError):
             raise ParseError(f"unknown universe tag {cfg['universe']!r}") from None
-    space = build(**kwargs)
-    if "universe" in cfg and cfg["universe"] not in space.metric.universe_names:
-        raise DomainError(f"{space.metric.name} is not a metric on the {cfg['universe']} universe")
-    return space
+    return build(**kwargs)
+
+
+def _ints_only(seq) -> bool:
+    """Whether every item is an ``int`` (not a ``bool``); False if empty."""
+    return set(map(type, seq)) == {int}
+
+
+def _int_lists(seq) -> bool:
+    """Whether every item is a list and those lists hold integers only."""
+    return set(map(type, seq)) == {list} and _ints_only(chain.from_iterable(seq))
 
 
 def family_to_json(fam: Family) -> dict:
-    return {"label": fam.label,
-            "sets": [[point_to_json(p) for p in s] for s in fam.sets]}
+    if _ints_only(chain.from_iterable(fam.sets)):
+        sets = list(map(list, fam.sets))
+    else:
+        sets = [[point_to_json(p) for p in s] for s in fam.sets]
+    return {"label": fam.label, "sets": sets}
 
 
 def family_from_json(obj) -> Family:
+    """A family from {label, sets}.  Member lists of integers are passed to
+    ``Family`` as they are; it sorts and deduplicates them."""
     try:
-        sets = [[point_from_json(p) for p in s] for s in obj["sets"]]
+        sets = obj["sets"]
+        if not _int_lists(sets):
+            sets = [[point_from_json(p) for p in s] for s in sets]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"family object needs sets: {obj!r}") from exc
     return Family.of(sets, obj.get("label", ""))
@@ -272,8 +287,53 @@ def map_from_config(cfg) -> CoarseMap:
     raise ParseError(f"unknown map rule {rule!r}")
 
 
+def _int_list(seq, nl: str) -> str:
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(str, seq)) + nl + "]" if seq else "[]"
+
+
+def _dump(obj, nl: str, out: list) -> None:
+    """Append the indent-2, sorted-key JSON of ``obj`` to ``out``; ``nl`` is
+    a newline followed by the indent of the line that holds ``obj``."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if _ints_only(obj):
+            out.append(_int_list(obj, nl))
+        elif _int_lists(obj):
+            out.append("[" + inner + ("," + inner).join([_int_list(s, inner) for s in obj])
+                       + nl + "]")
+        elif not obj:
+            out.append("[]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _dump(item, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for
+    byte.  With an indent ``json`` runs its pure-Python encoder, one chunk
+    string per value; here a list of integers, such as a member set on an
+    integer window, is one ``str.join``, and so is a list of such lists."""
+    out = []
+    _dump(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json_file(path: str):

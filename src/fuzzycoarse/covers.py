@@ -35,9 +35,12 @@ ONE = Fraction(1)
 
 
 def _clean_set(s):
-    """A sorted, duplicate-free member set; a step-1 range already is one."""
+    """A sorted, duplicate-free member set; a step-1 range already is one,
+    and so is a tuple or list of fewer than two points."""
     if isinstance(s, range) and s.step == 1:
         return s
+    if isinstance(s, (tuple, list)) and len(s) < 2:
+        return tuple(s)
     return tuple(sorted(set(s)))
 
 

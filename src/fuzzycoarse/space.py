@@ -628,10 +628,17 @@ class FuzzyMetricSpace:
 def standard_space(metric: Optional[Metric] = None, tnorm: TNorm = PRODUCT,
                    universe: Optional[Universe] = None) -> FuzzyMetricSpace:
     """The space t/(t + d) induced by a metric (default |x - y| on the
-    integers), on the metric's universe unless another is given."""
+    integers), on the metric's universe unless another is given.  A given
+    universe must be the metric's own or a built-in one it names in
+    ``universe_names``; on any other (``MaxUltrametric`` on the integers)
+    t + d can be 0, and ``DomainError`` is raised before any value is."""
     m = metric if metric is not None else EuclideanLine()
-    return FuzzyMetricSpace(_StandardKind(m), tnorm,
-                            m.universe if universe is None else universe)
+    if universe is None:
+        universe = m.universe
+    elif universe is not m.universe and all(universe is not UNIVERSES[name]
+                                            for name in m.universe_names):
+        raise DomainError(f"{m.name} is not a metric on the {universe.name} universe")
+    return FuzzyMetricSpace(_StandardKind(m), tnorm, universe)
 
 
 def reciprocal_product_space(tnorm: TNorm = PRODUCT) -> FuzzyMetricSpace:

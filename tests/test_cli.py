@@ -174,6 +174,37 @@ def test_check_witness_at_grid(tmp_path):
     assert out.count("SCALE") == 2
 
 
+def test_check_finds_each_cross_pair_once_per_time(tmp_path, monkeypatch):
+    """k scales at d distinct times: the worst cross pair of each family is
+    found d times, the worst intra pair once, and each scale still gets
+    its own report."""
+    from fuzzycoarse import asdim
+
+    calls = {"cross": 0, "intra": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(asdim, "family_max_cross", counted("cross", asdim.family_max_cross))
+    monkeypatch.setattr(asdim, "family_min_intra", counted("intra", asdim.family_min_intra))
+    w_path = tmp_path / "w.json"
+    run_cli(["witness", "--space", "ratio_minmax", "--scale", "1/2:1",
+             "--window", "1..200", "--witness-out", str(w_path)])
+    assert calls == {"cross": 2, "intra": 1}  # two families, one scale
+    for scales, times in ((["1/4:1"], 1), (["1/4:1", "1/2:2", "3/4:1", "1/3:2"], 2),
+                          (["1/4:1", "1/2:2", "3/4:3"], 3)):
+        calls.update(cross=0, intra=0)
+        argv = ["check", "--space", "ratio_minmax", "--witness", str(w_path)]
+        code, out = run_cli(argv + [arg for s in scales for arg in ("--scale", s)])
+        assert calls == {"cross": 2 * times, "intra": 1}
+        assert [line for line in out.splitlines() if line.startswith("SCALE")] == [
+            f"SCALE {s}" for s in scales]
+        assert out.count("REPORT verify-witness") == len(scales)
+
+
 def test_check_corrupted_witness_fails(tmp_path):
     w_path = tmp_path / "w.json"
     run_cli(["witness", "--space", "ratio_minmax", "--scale", "1/2:1",

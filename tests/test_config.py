@@ -1,11 +1,15 @@
 import functools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzycoarse import Family, ScaleParams, int_window, grid_window
 from fuzzycoarse.asdim import DimensionWitness, witness_ratio_minmax
 from fuzzycoarse.config import (
+    dump_json,
     family_from_json,
     family_to_json,
     map_from_config,
@@ -89,6 +93,40 @@ def test_space_config_defaults_and_unhashable_tags():
 def test_family_roundtrip():
     fam = Family.of([[1, 2], [5]], "demo")
     assert family_from_json(family_to_json(fam)) == fam
+
+
+def test_family_from_json_reads_every_point_form():
+    """String points and lattice lists go through point_from_json; integer
+    members are cleaned by Family, as every member is."""
+    fam = family_from_json({"label": "mixed",
+                            "sets": [["3", "7/2"], [[1, 2], [0, 1]], [5, 3, 5, 1], [7], []]})
+    assert fam.sets == ((3, F(7, 2)), ((0, 1), (1, 2)), (1, 3, 5), (7,))
+    assert fam.dropped_empty == 1
+    assert family_from_json({"sets": [[4, 2, 2], [9]]}).sets == ((2, 4), (9,))
+
+
+@pytest.mark.parametrize("sets", [[[True]], [[1, 2], [True]], [[1, False]]])
+def test_family_from_json_refuses_boolean_points(sets):
+    with pytest.raises(ParseError, match="booleans are not points"):
+        family_from_json({"sets": sets})
+
+
+_INTS = st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+_SCALARS = (st.none() | st.booleans() | _INTS | st.floats()
+            | st.text() | st.sampled_from(["", "7/2", "caf\u00e9", "\u2192", "a\"b\\c\n\t\x00"]))
+_INT_LISTS = st.lists(_INTS)
+_LEAVES = (_SCALARS | _INT_LISTS
+           | st.lists(_INTS | st.sampled_from([True, False, None]))
+           | st.lists(_INT_LISTS)
+           | st.lists(st.lists(_INTS | st.none() | st.booleans())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES,
+                    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                    max_leaves=20))
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_witness_roundtrip():

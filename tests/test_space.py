@@ -32,7 +32,7 @@ from fuzzycoarse import (
     union_bound,
 )
 from fuzzycoarse.errors import DomainError, ExactnessError, UnsupportedOperationError
-from fuzzycoarse.space import RATIONALS, Metric
+from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, Metric
 
 F = Fraction
 
@@ -194,7 +194,22 @@ def test_standard_space_defaults_to_the_metric_universe():
     assert standard_space(EuclideanLattice(2)).universe.name == "lattice2"
     table = standard_space(TableMetric([10, 20], [[0, 1], [1, 0]]))
     assert 10 in table.universe and 15 not in table.universe
-    assert standard_space(MaxUltrametric(), universe=RATIONALS).universe is RATIONALS
+    with pytest.raises(DomainError, match="^max_ultrametric is not a metric on the rationals"):
+        standard_space(MaxUltrametric(), universe=RATIONALS)
+    assert standard_space(MaxUltrametric(), universe=NATURALS).universe is NATURALS
+    assert standard_space(universe=RATIONALS).universe is RATIONALS
+
+
+def test_check_axioms_never_sees_a_universe_the_metric_is_not_a_metric_on():
+    """max(-3, -2) = -2 makes t + d = 0 at t = 2; the space is refused when
+    it is built, before check_axioms divides by it."""
+    with pytest.raises(DomainError, match="^max_ultrametric is not a metric on the integers"):
+        check_axioms(standard_space(MaxUltrametric(), universe=INTEGERS), int_window(-3, 3),
+                     [1, 2])
+    lattice = EuclideanLattice(1)
+    with pytest.raises(DomainError, match="^euclidean_lattice is not a metric on the integers"):
+        standard_space(lattice, universe=INTEGERS)
+    assert standard_space(lattice, universe=lattice.universe).universe is lattice.universe
 
 
 def test_subspace_agrees_with_parent():
