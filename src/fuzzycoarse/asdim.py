@@ -182,12 +182,12 @@ def verify_witness_scales(space: FuzzyMetricSpace, w: DimensionWitness,
     found once per family and distinct t.  Each scale's verdicts compare
     those exact extremal values against its own threshold.
     """
-    window = w.window
+    window, sets = w.window, w.all_sets()
     space._check_window(window)
-    seen = set(chain.from_iterable(w.all_sets()))
+    seen = set(chain.from_iterable(sets))
     missing = tuple(p for p in window if p not in seen)
     if len(seen) + len(missing) > len(window):  # a set point lies outside the window
-        space._check_points(p for p in chain.from_iterable(w.all_sets()) if p not in window)
+        space._check_points(p for p in chain.from_iterable(sets) if p not in window)
     dropped = sum(f.dropped_empty for f in w.families)
     labels = [fam.label or f"family{idx}" for idx, fam in enumerate(w.families)]
     cross = {}  # t -> the worst cross pair of each family at t
@@ -212,8 +212,8 @@ def verify_witness_scales(space: FuzzyMetricSpace, w: DimensionWitness,
                 rep.add_verdict(val < params.threshold, "disjoint", family=label,
                                 sup=val, pair=fmt_pair(pair), bound=params.threshold)
 
-        if not reports:  # after the first scale's cross pairs, as verify_witness runs
-            worst_intra = family_min_intra(space, w.all_sets(), w.bound_params.t)
+        if not reports:  # once, after the first scale's cross pairs, as verify_witness
+            worst_intra = family_min_intra(space, sets, w.bound_params.t)
         if worst_intra is None:
             rep.add_pass("bounded", min=None, note="vacuous",
                          r=w.bound_params.r, t=w.bound_params.t)
