@@ -199,8 +199,8 @@ def _int_lists(seq) -> bool:
 
 
 def family_to_json(fam: Family) -> dict:
-    """{label, sets}; the members of an all-integer family are copied as
-    lists, and only other points go through ``point_to_json``."""
+    """{label, sets}: the members of an all-integer family are copied as
+    lists; the points of any other family go through ``point_to_json``."""
     if _ints_only(chain.from_iterable(fam.sets)):
         sets = list(map(list, fam.sets))
     else:
