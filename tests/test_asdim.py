@@ -2,6 +2,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzycoarse import (
     MINIMUM,
@@ -10,6 +12,7 @@ from fuzzycoarse import (
     DimensionWitness,
     Family,
     ScaleParams,
+    TableMetric,
     Window,
     derive_bound_params,
     derived_scale,
@@ -627,6 +630,82 @@ def test_zero_dim_inconclusive_on_spanning_component():
     with pytest.raises(SearchFailureError) as err:
         zero_dim_witness_via_refinement(ratio, ScaleParams(F(1, 2), 1), int_window(1, 100))
     assert "inconclusive" in str(err.value)
+
+
+def _clusters_space():
+    """Points 1..6 in three clusters {1,4}, {2,5}, {3,6} at distance 1,
+    10 apart: at the inner level of (1/2, 1) every ball is its cluster,
+    two runs of the window."""
+    close = {frozenset(c) for c in ((1, 4), (2, 5), (3, 6))}
+    pts = list(range(1, 7))
+    matrix = [[0 if x == y else 1 if frozenset((x, y)) in close else 10 for y in pts]
+              for x in pts]
+    return standard_space(TableMetric(pts, matrix))
+
+
+@pytest.mark.parametrize("space, w, sets, message", [
+    (reciprocal_product_space(), int_window(1, 10), [range(1, 4), range(3, 11)],
+     "candidate cover has multiplicity above 1"),
+    (reciprocal_product_space(), int_window(1, 10), [range(1, 4), range(6, 11)],
+     "candidate cover misses window points"),
+    (ratio_minmax_space(), int_window(1, 40), [range(1, 21), range(21, 41)],
+     "ball of 6 at the inner level 1/4 fits in no candidate member"),
+    (ratio_minmax_space(), int_window(1, 40), [[1, 2, 3, 4, 5, 30, 31], range(6, 30),
+                                               range(32, 41)],
+     "ball of 2 at the inner level 1/4 fits in no candidate member"),
+    (_clusters_space(), Window(range(1, 7)), [[1, 2, 4], [3, 5, 6]],
+     "ball of 2 at the inner level 1/4 fits in no candidate member"),
+    (reciprocal_product_space(), int_window(1, 10), [[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]],
+     "ball of 1 at the inner level 1/4 fits in no candidate member"),
+], ids=["overlap", "gap", "ratio-later-point", "ratio-split-member", "clusters-split-ball",
+        "reciprocal-first-point"])
+def test_zero_dim_candidate_refusals(space, w, sets, message):
+    cand = Cover.of([Family.of(sets)], w)
+    with pytest.raises(CertificationError) as err:
+        zero_dim_witness_via_refinement(space, ScaleParams(F(1, 2), 1), w, candidate=cand)
+    assert str(err.value) == message
+
+
+def test_zero_dim_candidate_of_split_members():
+    """Members of two runs each hold balls of two runs."""
+    space, w = _clusters_space(), Window(range(1, 7))
+    params = ScaleParams(F(1, 2), 1)
+    for sets in ([[1, 4], [2, 5], [3, 6]], [[1, 3, 4, 6], [2, 5]]):
+        cand = Cover.of([Family.of(sets)], w)
+        wit = zero_dim_witness_via_refinement(space, params, w, candidate=cand)
+        assert wit.families[0].sets == tuple(tuple(s) for s in sets)
+        assert verify_witness(space, wit).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_dim_candidate_matches_brute_force(data):
+    """A candidate partition is refused at the first window point whose
+    inner ball, found by evaluating M on every pair, fits in no member."""
+    space, w = data.draw(st.sampled_from([
+        (ratio_minmax_space(), int_window(1, 12)),
+        (reciprocal_product_space(), int_window(1, 12)),
+        (ultrametric_space(), int_window(1, 12)),
+        (_clusters_space(), Window(range(1, 7))),
+    ]))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(w), max_size=len(w)))
+    sets = [[p for p, k in zip(w, labels) if k == label] for label in sorted(set(labels))]
+    params = ScaleParams(data.draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)])),
+                         data.draw(st.sampled_from([1, 3])))
+    inner = (1 - params.r) / 2
+    bad = next((x for x in w
+                if not any(all(space.value(x, y, params.t) <= inner or y in s for y in w)
+                           for s in sets)), None)
+    cand = Cover.of([Family.of(sets)], w)
+    try:
+        zero_dim_witness_via_refinement(space, params, w, candidate=cand)
+    except CertificationError as err:
+        assert bad is not None
+        assert str(err).startswith(f"ball of {bad} at the inner level")
+    except SearchFailureError:
+        assert bad is None
+    else:
+        assert bad is None
 
 
 # ---------------------------------------------------------------------------
