@@ -70,7 +70,6 @@ from .covers import (
     scale_neighborhood,
 )
 from .asdim import (
-    BoundSearchGrid,
     DimensionWitness,
     ScaleGraphReport,
     derive_bound_params,

@@ -49,6 +49,7 @@ from .space import (FuzzyMetricSpace, ScaleParams, Window, _first_chain_violatio
                     _value_matrices)
 
 ONE = Fraction(1)
+ORACLE_MAX_POINTS = 10  # the oracle enumerates every set partition of its window
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,6 @@ class DimensionWitness:
                 f"witness for n={self.n} needs {self.n + 1} families, "
                 f"got {len(self.families)}"
             )
-
-    def all_sets(self) -> tuple:
-        out = []
-        for fam in self.families:
-            out.extend(fam.sets)
-        return tuple(out)
 
     def as_cover(self) -> Cover:
         return Cover(self.families, self.window)
@@ -103,43 +98,33 @@ class ScaleGraphReport:
         return max(self.components, key=len) if self.components else ()
 
 
-@dataclass(frozen=True)
-class BoundSearchGrid:
-    """Search grid for bound parameters: levels 1 - 1/k, times 2^j."""
-
-    max_k: int = 64
-    max_j: int = 10
-
-    def levels(self):
-        return [Fraction(1, k) for k in range(2, self.max_k + 1)]
-
-    def times(self):
-        return [Fraction(2) ** j for j in range(0, self.max_j + 1)]
-
-
-DEFAULT_GRID = BoundSearchGrid()
+# The fixed search grid for bound parameters: levels 1 - r' = 1/k for
+# k = 2..64, strongest first, and times t' = 2^j for j = 0..10.
+BOUND_LEVELS = tuple(Fraction(1, k) for k in range(2, 65))
+BOUND_TIMES = tuple(Fraction(2) ** j for j in range(11))
 
 
 def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
-                        grid: BoundSearchGrid = DEFAULT_GRID,
                         exact_fallback: bool = True) -> ScaleParams:
     """Find a scale at which every given set is internally bounded.
 
-    Scans the grid first (deterministically, strongest level first); if
-    the grid has no admissible point and ``exact_fallback`` is set, the
-    exact worst intra pair m yields the derived level 1 - r' = m/2.
-    With the fallback disabled a grid miss raises ``SearchFailureError``,
-    which callers treat as inconclusive rather than as a negative fact.
+    Scans the grid first (deterministically, strongest level first, at
+    the grid times for a t-dependent space and at ``reference_t``
+    otherwise); if the grid has no admissible point and
+    ``exact_fallback`` is set, the exact worst intra pair m yields the
+    derived level 1 - r' = m/2.  With the fallback disabled a grid miss
+    raises ``SearchFailureError``, which callers treat as inconclusive
+    rather than as a negative fact.
     """
     fam = Family.of(sets, "bound-search")
-    times = grid.times() if space.t_dependent else [as_fraction(reference_t)]
+    times = BOUND_TIMES if space.t_dependent else (as_fraction(reference_t),)
     worst_by_t = {}
     for t in times:
         worst = family_min_intra(space, fam.sets, t)
         if worst is None:
             return ScaleParams(Fraction(1, 2), times[0])
         worst_by_t[t] = worst[0]
-    for level in grid.levels():
+    for level in BOUND_LEVELS:
         for t in times:
             if worst_by_t[t] > level:
                 return ScaleParams(1 - level, t)
@@ -182,7 +167,7 @@ def verify_witness_scales(space: FuzzyMetricSpace, w: DimensionWitness,
     found once per family and distinct t.  Each scale's verdicts compare
     those exact extremal values against its own threshold.
     """
-    window, sets = w.window, w.all_sets()
+    window, sets = w.window, w.as_cover().all_sets()
     space._check_window(window)
     seen = set(chain.from_iterable(sets))
     missing = tuple(p for p in window if p not in seen)
@@ -232,16 +217,12 @@ def verify_witness_scales(space: FuzzyMetricSpace, w: DimensionWitness,
 # ---------------------------------------------------------------------------
 
 
-def witness_whole_window(space: FuzzyMetricSpace, window: Window, params: ScaleParams,
-                         bound_params: ScaleParams = None,
-                         grid: BoundSearchGrid = DEFAULT_GRID,
-                         exact_fallback: bool = True) -> DimensionWitness:
+def witness_whole_window(space: FuzzyMetricSpace, window: Window,
+                         params: ScaleParams) -> DimensionWitness:
     """The one-family witness {window}: any window bounded somewhere has
     dimension 0 at every scale.  Bound parameters are searched (grid,
-    then exact fallback) unless supplied."""
-    if bound_params is None:
-        bound_params = derive_bound_params(space, [window.points], params.t,
-                                           grid, exact_fallback)
+    then exact fallback)."""
+    bound_params = derive_bound_params(space, [window.points], params.t)
     fam = Family.of([window.points], "whole")
     return DimensionWitness(0, params, bound_params, (fam,), window)
 
@@ -412,8 +393,7 @@ def construct_witness(space: FuzzyMetricSpace, params: ScaleParams, window: Wind
 
 
 def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
-                         params: ScaleParams, window: Window,
-                         grid: BoundSearchGrid = DEFAULT_GRID) -> DimensionWitness:
+                         params: ScaleParams, window: Window) -> DimensionWitness:
     """Re-certify metrically separated families inside a standard space.
 
     With the canonical intermediate level s = (1+r)/2, a cross distance
@@ -445,8 +425,7 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
                             f"are only {fmt_value(d(x, y))} apart at {fmt_pair((x, y))}, "
                             f"below the claimed {fmt_value(sep)}"
                         )
-    bound = derive_bound_params(space, [s for f in fams for s in f.sets],
-                                params.t, grid)
+    bound = derive_bound_params(space, [s for f in fams for s in f.sets], params.t)
     return DimensionWitness(len(fams) - 1, params, bound, fams, window)
 
 
@@ -516,8 +495,7 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
 def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
                                      params: ScaleParams,
                                      input_bound: ScaleParams = None,
-                                     max_multiplicity: int = None,
-                                     grid: BoundSearchGrid = DEFAULT_GRID):
+                                     max_multiplicity: int = None):
     """Low-multiplicity cover at the derived scale -> Lebesgue cover at (r, t).
 
     Fattening every member set by its derived-scale neighborhood turns a
@@ -561,7 +539,7 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
                             want.threshold)
         out_bound = ScaleParams(1 - level, 2 * want.t + input_bound.t)
     else:
-        out_bound = derive_bound_params(space, out.all_sets(), params.t, grid)
+        out_bound = derive_bound_params(space, out.all_sets(), params.t)
     rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),
                     "output-bounded", r=out_bound.r, t=out_bound.t)
     return out, rep
@@ -613,13 +591,12 @@ class PipelineResult:
         return all(r.passed for r in self.reports)
 
 
-def refinement_ball_level(space: FuzzyMetricSpace, params: ScaleParams,
-                          max_k: int = 64) -> Fraction:
-    """Deterministic ball radius rho with (1-rho)*(1-rho) above 1 - r,
-    so balls at rho are internally bounded at (r, t) for t-independent
-    spaces (pairs inside such a ball chain through the center)."""
-    for k in range(2, max_k + 1):
-        rho = Fraction(1, k)
+def refinement_ball_level(space: FuzzyMetricSpace, params: ScaleParams) -> Fraction:
+    """Deterministic ball radius rho, the first of the bound-search levels
+    with (1-rho)*(1-rho) above 1 - r, so balls at rho are internally
+    bounded at (r, t) for t-independent spaces (pairs inside such a ball
+    chain through the center)."""
+    for rho in BOUND_LEVELS:
         if space.tnorm(1 - rho, 1 - rho) > params.threshold:
             return rho
     raise SearchFailureError(
@@ -628,20 +605,25 @@ def refinement_ball_level(space: FuzzyMetricSpace, params: ScaleParams,
 
 
 def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
-                           window: Window, witness_factory,
-                           refiner: Cover = None) -> PipelineResult:
+                           window: Window, witness_factory) -> PipelineResult:
     """Drive the full implication chain down to a refinement certificate.
 
     The multiplicity step consumes a witness at the scale derived from
     its own target, so the chain derives twice: the final target (r, t)
     needs the multiplicity cover at derived(r, t), which needs the
     witness at derived(derived(r, t)).  ``witness_factory`` is called
-    with that scale.  The refining cover defaults to the cover of balls
-    at a deterministically chosen smaller radius, which is bounded at
-    (r, t) for t-independent spaces.  On a window of consecutive integers
+    with that scale.  The refining cover is the cover of balls at a
+    deterministically chosen smaller radius, which is bounded at (r, t)
+    only for t-independent spaces; a t-dependent space is refused before
+    the factory or any step runs.  On a window of consecutive integers
     each ball that is one run is kept as a step-1 ``range``, so the cover
     costs O(N) memory although its sets hold about N^2/2 points.
     """
+    if space.t_dependent:
+        raise UnsupportedOperationError(
+            "the refining ball cover is only bounded at (r, t) for "
+            "t-independent spaces"
+        )
     level1 = derived_scale(space, params)
     level2 = derived_scale(space, level1)
     w = witness_factory(level2)
@@ -649,19 +631,13 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     c2, rep2 = lebesgue_cover_from_multiplicity(
         space, c1, params, input_bound=w.bound_params, max_multiplicity=w.n + 1
     )
-    if refiner is None:
-        if space.t_dependent:
-            raise UnsupportedOperationError(
-                "supply a refining cover: the default ball cover is only "
-                "bounded at (r, t) for t-independent spaces"
-            )
-        rho = refinement_ball_level(space, params)
-        balls = {}
-        for runs in space.balls(window.points, 1 - rho, params.t, window):
-            balls.setdefault(tuple(runs), runs)
-        ball_sets = [window.run_set(runs) for runs in balls.values()]
-        refiner = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
-    rep3 = refinement_via_lebesgue(space, refiner, c2, params)
+    rho = refinement_ball_level(space, params)
+    balls = {}
+    for runs in space.balls(window.points, 1 - rho, params.t, window):
+        balls.setdefault(tuple(runs), runs)
+    ball_sets = [window.run_set(runs) for runs in balls.values()]
+    ball_cover = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
+    rep3 = refinement_via_lebesgue(space, ball_cover, c2, params)
     return PipelineResult(w, c1, c2, (rep1, rep2, rep3))
 
 
@@ -671,8 +647,7 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
 
 
 def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams,
-                                    window: Window, candidate: Cover = None,
-                                    grid: BoundSearchGrid = DEFAULT_GRID) -> DimensionWitness:
+                                    window: Window, candidate: Cover = None) -> DimensionWitness:
     """A multiplicity-1 cover refined by slightly smaller balls is a
     one-family witness.
 
@@ -685,8 +660,9 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
     means inconclusive, never a negative certificate.
     """
     inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
-    swept = space.balls(window.points, inner.threshold, params.t, window)
+    space._check_window(window)  # before any candidate check, as every ball sweep does
     if candidate is None:
+        swept = space.balls(window.points, inner.threshold, params.t, window)
         edges = ((i, k) for i, runs in enumerate(swept) for run in runs for k in range(*run))
         pts = window.points
         sets = [tuple(pts[i] for i in comp) for comp in _components(len(pts), edges)]
@@ -696,14 +672,13 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
             raise CertificationError("candidate cover has multiplicity above 1")
         if missing_points(sets, window):
             raise CertificationError("candidate cover misses window points")
-        fsets = [frozenset(s) for s in sets]
-        for x, bp in zip(window, map(window.points_of, swept)):
-            if not any(all(p in fs for p in bp) for fs in fsets):
-                raise CertificationError(
-                    f"ball of {fmt_value(x)} at the inner level "
-                    f"{fmt_value(inner.threshold)} fits in no candidate member"
-                )
-    bound = derive_bound_params(space, sets, params.t, grid, exact_fallback=False)
+        x = first_lebesgue_violation(space, candidate, inner, window)
+        if x is not None:
+            raise CertificationError(
+                f"ball of {fmt_value(x)} at the inner level "
+                f"{fmt_value(inner.threshold)} fits in no candidate member"
+            )
+    bound = derive_bound_params(space, sets, params.t, exact_fallback=False)
     fam = Family.of(sets, "refined-partition")
     return DimensionWitness(0, params, bound, (fam,), window)
 
@@ -818,8 +793,7 @@ def _chromatic_number(n_nodes: int, conflicts) -> int:
 
 
 def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,
-                        bound_params: ScaleParams, window: Window,
-                        max_points: int = 10) -> int:
+                        bound_params: ScaleParams, window: Window) -> int:
     """Brute-force minimum number of separated families covering a tiny window.
 
     Enumerates every set partition of the window into internally bounded
@@ -834,9 +808,9 @@ def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,
     n = len(pts)
     if n == 0:
         raise DomainError("oracle window must be non-empty")
-    if n > max_points:
+    if n > ORACLE_MAX_POINTS:
         raise OracleSizeError(
-            f"oracle window limited to {max_points} points, got {n}"
+            f"oracle window limited to {ORACLE_MAX_POINTS} points, got {n}"
         )
     for p in pts:
         space._check_point(p)

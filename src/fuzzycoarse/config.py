@@ -123,7 +123,11 @@ def parse_window_spec(spec) -> Window:
     if isinstance(spec, list):
         if not spec:
             raise ParseError("window list must be non-empty")
-        return Window(point_from_json(p) for p in spec)
+        points = [point_from_json(p) for p in spec]
+        try:
+            return Window(points)
+        except TypeError:
+            raise ParseError(f"window points must be mutually comparable, got {spec!r}") from None
     if isinstance(spec, dict) and "grid" in spec:
         g = spec["grid"]
         try:

@@ -535,9 +535,14 @@ class FuzzyMetricSpace:
 
     def _check_window(self, window: Window):
         """``_check_points`` on the window points, once per window and
-        universe: a window remembers the universes that hold it."""
+        universe: a window remembers the universes that hold it.  The
+        integers of a built-in universe that fail it form a prefix (those
+        below 1 for the naturals, none for the others), so a window of
+        consecutive integers is checked at its two ends only."""
         if self.universe not in window._checked_in:
-            self._check_points(window.points)
+            pts = window.points
+            ends = window.is_contiguous_ints() and self.universe in UNIVERSES.values()
+            self._check_points((pts[0], pts[-1]) if ends else pts)
             window._checked_in.add(self.universe)
 
     def value(self, x, y, t) -> Fraction:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fuzzycoarse import (
     MINIMUM,
-    BoundSearchGrid,
     Cover,
     DimensionWitness,
     Family,
@@ -153,8 +152,7 @@ def test_whole_window_pathological_degradation():
 def test_whole_window_strict_grid_fails():
     pat = pathological_space()
     with pytest.raises(SearchFailureError):
-        witness_whole_window(pat, int_window(1, 100), ScaleParams(F(1, 2), 1),
-                             exact_fallback=False)
+        derive_bound_params(pat, [int_window(1, 100).points], 1, exact_fallback=False)
 
 
 def test_witness_structure_validation():
@@ -214,7 +212,7 @@ def test_member_sets_are_cleaned_once(monkeypatch):
     for r in (F(1, 4), F(1, 2), F(3, 4)):
         verify_witness(rec, DimensionWitness(loaded.n, ScaleParams(r, 1), loaded.bound_params,
                                              loaded.families, loaded.window))
-    assert len(cleaned) == len(loaded.all_sets()) == 9_999
+    assert len(cleaned) == len(loaded.as_cover().all_sets()) == 9_999
 
 
 def test_reciprocal_witness_needs_initial_segment():
@@ -581,14 +579,14 @@ def test_refinement_check_examples():
         refinement_via_lebesgue(std, tight, blocks, ScaleParams(F(1, 2), 3))
 
 
-def test_pipeline_needs_refiner_for_t_dependent_spaces():
-    std = standard_space()
-    w = int_window(-20, 20)
-    with pytest.raises(UnsupportedOperationError):
-        run_dimension_pipeline(
-            std, ScaleParams(F(1, 2), 1), w,
-            lambda scale: witness_whole_window(std, w, scale),
-        )
+def test_pipeline_refuses_a_t_dependent_space_before_any_work():
+    """The refining ball cover is bounded only for t-independent spaces,
+    so a t-dependent one is refused before the witness is built."""
+    calls = []
+    with pytest.raises(UnsupportedOperationError, match="t-independent"):
+        run_dimension_pipeline(standard_space(), ScaleParams(F(1, 2), 1), int_window(-20, 20),
+                               calls.append)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +698,6 @@ def test_zero_dim_candidate_matches_brute_force(data):
     try:
         zero_dim_witness_via_refinement(space, params, w, candidate=cand)
     except CertificationError as err:
-        assert bad is not None
         assert str(err).startswith(f"ball of {bad} at the inner level")
     except SearchFailureError:
         assert bad is None
@@ -858,7 +855,7 @@ def test_derive_bound_params_grid_then_fallback():
     # worst pair value 1/2: level 1/2 fails strictness, level 1/3 passes
     assert got == ScaleParams(F(2, 3), 1)
     ratio = ratio_minmax_space()
-    got2 = derive_bound_params(ratio, [[1, 200]], 1, grid=BoundSearchGrid(max_k=8))
+    got2 = derive_bound_params(ratio, [[1, 200]], 1)
     assert got2.threshold == F(1, 400)  # fallback: half the worst pair 1/200
 
 
@@ -889,3 +886,30 @@ def test_verify_witness_checks_points_against_the_universe(monkeypatch):
     for _ in range(3):
         verify_witness(sub, w)
     assert calls == odd
+
+
+def test_a_window_of_consecutive_integers_is_checked_at_its_ends(monkeypatch):
+    """The integers outside a built-in universe form a prefix, so a window of
+    consecutive integers costs two universe calls and a failure names the
+    same point as a scan; a lattice or finite universe scans every point."""
+    from fuzzycoarse.space import NATURALS, EuclideanLattice
+
+    params = ScaleParams(Fraction(1, 2), 1)
+    ratio = ratio_minmax_space()
+    calls = []
+    contains = NATURALS._contains
+    monkeypatch.setattr(NATURALS, "_contains", lambda p: calls.append(p) or contains(p))
+    big = int_window(1, 10**5)
+    verify_witness(ratio, witness_ratio_minmax(params, big))
+    assert calls == [1, 10**5]
+
+    def whole(w):
+        return DimensionWitness(0, params, params, (Family.of([w.points]),), w)
+
+    for space, w, name, point in [
+        (ratio, int_window(-3, 5), "naturals", -3),
+        (standard_space(EuclideanLattice(2)), int_window(-3, 5), "lattice2", -3),
+        (subspace(ratio, [1, 2, 4, 5]), int_window(1, 5), "finite", 3),
+    ]:
+        with pytest.raises(DomainError, match=f"point {point} is outside the {name} universe"):
+            verify_witness(space, whole(w))

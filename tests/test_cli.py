@@ -505,3 +505,13 @@ def test_a_falsy_config_value_is_checked_not_defaulted(tmp_path, argv, config, l
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run_cli(argv + ["--config", str(path)]) == (2, f"ERROR {line}\n")
+
+
+def test_a_window_of_incomparable_points_is_a_parse_error(tmp_path):
+    """Window points that cannot be ordered are a config error (exit 2),
+    not a certified failure."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"space": "ratio_minmax", "window": [1, [1, 2]],
+                                "scales": ["1/2:1"]}))
+    assert run_cli(["witness", "--config", str(path)]) == (
+        2, "ERROR ParseError: window points must be mutually comparable, got [1, [1, 2]]\n")

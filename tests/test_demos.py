@@ -1,7 +1,9 @@
-"""Every demo runs to completion against the library in ``src``, so a
-change that removes or renames an API a demo uses fails here."""
+"""Every demo, and the README's library tour, runs to completion against
+the library in ``src``, so a change that removes or renames an API one of
+them uses fails here."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +18,20 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def run_python(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    run_python([str(demo)])
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert tour is not None
+    run_python(["-c", tour.group(1)])

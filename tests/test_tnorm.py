@@ -87,22 +87,17 @@ def test_positivity_flags():
 @pytest.mark.parametrize("tnorm", ALL)
 def test_builtin_positivity_flag_matches_grid_search(tnorm):
     """The run-time trust in the built-in flags rests on this check."""
-    assert (positivity_counterexample(tnorm, 128) is None) is tnorm.positivity_preserving
+    assert (positivity_counterexample(tnorm) is None) is tnorm.positivity_preserving
     assert is_positivity_preserving(TNorm("custom", tnorm.rule)) is tnorm.positivity_preserving
 
 
 def test_lukasiewicz_counterexample_on_grid():
-    pair = positivity_counterexample(LUKASIEWICZ, 128)
+    pair = positivity_counterexample(LUKASIEWICZ)
     a, b = pair
     assert a > 0 and b > 0
     assert LUKASIEWICZ.rule(a, b) == 0
     # the named pair from the closed form
     assert LUKASIEWICZ.rule(F(1, 2), F(1, 3)) == 0
-
-
-def test_positivity_grid_size_guard():
-    with pytest.raises(DomainError):
-        positivity_counterexample(PRODUCT, 50)
 
 
 def test_from_name():
