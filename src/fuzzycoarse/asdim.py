@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 from .covers import (
     Cover,
     Family,
+    _first_ball_outside,
     _is_bounded,
+    coverage,
     family_max_cross,
     family_min_intra,
     first_lebesgue_violation,
@@ -31,6 +33,7 @@ from .covers import (
     min_intra_pair,
     missing_points,
     multiplicity,
+    outside_points,
     scale_multiplicity,
     scale_neighborhood,
 )
@@ -169,10 +172,9 @@ def verify_witness_scales(space: FuzzyMetricSpace, w: DimensionWitness,
     """
     window, sets = w.window, w.as_cover().all_sets()
     space._check_window(window)
-    seen = set(chain.from_iterable(sets))
-    missing = tuple(p for p in window if p not in seen)
-    if len(seen) + len(missing) > len(window):  # a set point lies outside the window
-        space._check_points(p for p in chain.from_iterable(sets) if p not in window)
+    missing, inside = coverage(sets, window)
+    if not inside:
+        space._check_points(outside_points(sets, window))
     dropped = sum(f.dropped_empty for f in w.families)
     labels = [fam.label or f"family{idx}" for idx, fam in enumerate(w.families)]
     cross = {}  # t -> the worst cross pair of each family at t
@@ -249,8 +251,8 @@ def witness_reciprocal_product(params: ScaleParams, window: Window) -> Dimension
     """
     top = _require_initial_segment(window)
     n_head = reciprocal_head_size(params.r)
-    sets = [tuple(range(1, min(n_head, top) + 1))]
-    sets.extend((m,) for m in range(n_head + 1, top + 1))
+    sets = [range(1, min(n_head, top) + 1)]
+    sets.extend(zip(range(n_head + 1, top + 1)))
     fam = Family.of(sets, "head-singletons")
     bound = ScaleParams(1 - Fraction(1, 2 * n_head * n_head), params.t)
     return DimensionWitness(0, params, bound, (fam,), window)
@@ -314,11 +316,11 @@ def witness_ratio_minmax(params: ScaleParams, window: Window) -> DimensionWitnes
     prev_top = 1
     for a, m in zip(blocks.starts, blocks.widths):
         if a > prev_top + 1:
-            v_sets.append(tuple(range(prev_top + 1, min(a - 1, top) + 1)))
-        u_sets.append(tuple(range(a, min(a + m, top) + 1)))
+            v_sets.append(range(prev_top + 1, min(a - 1, top) + 1))
+        u_sets.append(range(a, min(a + m, top) + 1))
         prev_top = a + m
     if prev_top < top:
-        v_sets.append(tuple(range(prev_top + 1, top + 1)))
+        v_sets.append(range(prev_top + 1, top + 1))
     fam_u = Family.of(u_sets, "blocks")
     fam_v = Family.of(v_sets, "gaps")
     return DimensionWitness(1, params, params, (fam_u, fam_v), window)
@@ -672,7 +674,7 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
             raise CertificationError("candidate cover has multiplicity above 1")
         if missing_points(sets, window):
             raise CertificationError("candidate cover misses window points")
-        x = first_lebesgue_violation(space, candidate, inner, window)
+        x = _first_ball_outside(space, sets, inner, window)
         if x is not None:
             raise CertificationError(
                 f"ball of {fmt_value(x)} at the inner level "

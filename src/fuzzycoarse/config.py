@@ -198,23 +198,31 @@ def _ints_only(seq) -> bool:
 
 
 def _int_lists(seq) -> bool:
-    """Whether every item is a list and those lists hold integers only."""
-    return set(map(type, seq)) == {list} and _ints_only(chain.from_iterable(seq))
+    """Whether ``seq`` is a non-empty sequence of lists, tuples and ranges
+    that hold integers only.  A range holds nothing else, so its points
+    are not read."""
+    types = set(map(type, seq))
+    if not types or not types <= {list, tuple, range}:
+        return False
+    lists = [s for s in seq if type(s) is not range] if range in types else seq
+    return set(map(type, chain.from_iterable(lists))) <= {int}
 
 
 def family_to_json(fam: Family) -> dict:
-    """{label, sets}: the members of an all-integer family are copied as
-    lists; the points of any other family go through ``point_to_json``."""
-    if _ints_only(chain.from_iterable(fam.sets)):
-        sets = list(map(list, fam.sets))
+    """{label, sets}: the members of an all-integer family are kept as they
+    are, tuples and ranges that ``dump_json`` writes as arrays (``json.dumps``
+    cannot write a range); the points of any other family go through
+    ``point_to_json``."""
+    if _int_lists(fam.sets):
+        sets = fam.sets
     else:
         sets = [[point_to_json(p) for p in s] for s in fam.sets]
     return {"label": fam.label, "sets": sets}
 
 
 def family_from_json(obj) -> Family:
-    """A family from {label, sets}.  Member lists of integers are passed to
-    ``Family`` as they are; it sorts and deduplicates them."""
+    """A family from {label, sets}.  Members that hold integers only are
+    passed to ``Family`` as they are; it makes them canonical."""
     try:
         sets = obj["sets"]
         if not _int_lists(sets):
@@ -312,7 +320,7 @@ def _dump(obj, nl: str, out: list) -> None:
             _dump(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, range)):
         if _ints_only(obj):
             out.append(_int_list(obj, nl))
         elif _int_lists(obj):
@@ -334,8 +342,9 @@ def _dump(obj, nl: str, out: list) -> None:
 def dump_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for
     byte.  With an indent ``json`` runs its pure-Python encoder, one chunk
-    string per value; here a list of integers, such as a member set on an
-    integer window, is one ``str.join``, and so is a list of such lists."""
+    string per value; here a list, tuple or range of integers, such as a
+    member set on an integer window, is one ``str.join``, and so is a list
+    of such members.  Tuples and ranges are written as arrays."""
     out = []
     _dump(obj, "\n", out)
     out.append("\n")

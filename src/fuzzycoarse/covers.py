@@ -25,7 +25,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import nsmallest
-from itertools import accumulate
+from itertools import accumulate, chain, filterfalse, islice
+from operator import itemgetter, lt
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
 from .report import CertReport
@@ -35,25 +36,39 @@ ONE = Fraction(1)
 
 
 def _clean_set(s):
-    """A sorted, duplicate-free member set; a step-1 range already is one,
-    and so is a tuple or list of fewer than two points."""
-    if isinstance(s, range) and s.step == 1:
+    """The canonical form of a member set: a step-1 ``range`` for two or
+    more consecutive ``int``s, a 1-tuple for one point, and a sorted,
+    duplicate-free tuple otherwise.
+
+    A tuple or list whose points already strictly increase is not sorted
+    again.  Points that merely compare equal to consecutive integers (a
+    ``Fraction`` or ``bool`` among them) keep the member a tuple.
+    """
+    if isinstance(s, (tuple, list)):
+        if len(s) < 2:
+            return tuple(s)
+        pts = s if all(map(lt, s, islice(s, 1, None))) else sorted(set(s))
+    elif isinstance(s, range) and s.step == 1 and len(s) > 1:
         return s
-    if isinstance(s, (tuple, list)) and len(s) < 2:
-        return tuple(s)
-    return tuple(sorted(set(s)))
+    else:
+        pts = sorted(set(s))
+    if (len(pts) > 1 and type(pts[0]) is int and type(pts[-1]) is int
+            and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int}):
+        return range(pts[0], pts[-1] + 1)
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
 class Family:
     """A labeled list of non-empty finite point sets.
 
-    Construction turns each member into a sorted, duplicate-free tuple,
-    except a step-1 ``range``, which it keeps as it is: a range is already
-    sorted, and on a window of consecutive integers it is one run.  So
-    ``Family([range(1, 4)])`` and ``Family([(1, 2, 3)])`` hold the same
-    points but do not compare equal.  Empty member sets are dropped on
-    construction; how many were dropped is kept so reports can say so.
+    Construction gives each member one form (see ``_clean_set``): a run
+    of two or more consecutive integers becomes a step-1 ``range``, a
+    single point a 1-tuple, anything else a sorted, duplicate-free tuple.
+    So ``Family([(1, 2, 3)]) == Family([range(1, 4)])``, and on a window
+    of consecutive integers a range member is one run, read from its two
+    ends.  Empty member sets are dropped on construction; how many were
+    dropped is kept so reports can say so.
     """
 
     sets: tuple
@@ -62,7 +77,7 @@ class Family:
 
     def __post_init__(self):
         cleaned = [_clean_set(s) for s in self.sets]
-        kept = tuple(s for s in cleaned if s)
+        kept = tuple(filter(None, cleaned))
         object.__setattr__(self, "sets", kept)
         object.__setattr__(self, "dropped_empty", len(cleaned) - len(kept))
 
@@ -92,11 +107,46 @@ class Cover:
         return tuple(out)
 
 
+def coverage(sets, window: Window) -> tuple:
+    """``(missing, inside)``: the window points that no member set holds,
+    in window order, and whether every member point lies in the window.
+
+    On a window of consecutive integers a step-1 range member is decided
+    from its two ends, as one run of window indices; the points of every
+    other member are gathered in one set."""
+    runs = window.is_contiguous_ints()
+    ranges = [s for s in sets if type(s) is range and s.step == 1] if runs else []
+    if ranges:
+        sets = [s for s in sets if not (type(s) is range and s.step == 1)]
+    seen = set(chain.from_iterable(sets))
+    gaps, k = [], 0
+    for i, j in _coalesce_runs(chain.from_iterable(map(window.runs_of, ranges))):
+        if k < i:
+            gaps.append((k, i))
+        k = j
+    if k < len(window):
+        gaps.append((k, len(window)))
+    missing = tuple(filterfalse(seen.__contains__, window.points_of(gaps)))
+    inside = window.holds(seen) and all(window.holds((s[0], s[-1])) for s in ranges if s)
+    return missing, inside
+
+
 def missing_points(sets, window: Window) -> tuple:
-    seen = set()
+    """The window points that no member set holds, in window order."""
+    return coverage(sets, window)[0]
+
+
+def outside_points(sets, window: Window):
+    """The member points outside the window, in member order; a step-1
+    range on a window of consecutive integers holds some only beyond its
+    ends."""
+    runs = window.is_contiguous_ints()
     for s in sets:
-        seen.update(s)
-    return tuple(p for p in window if p not in seen)
+        if runs and type(s) is range and s.step == 1:
+            yield from range(s.start, min(s.stop, window.points[0]))
+            yield from range(max(s.start, window.points[-1] + 1), s.stop)
+        else:
+            yield from filterfalse(window.__contains__, s)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +177,10 @@ def family_min_intra(space: FuzzyMetricSpace, sets, t: Fraction):
     of sorted, duplicate-free member sets, such as ``Family.sets``."""
     best = None
     for idx, s in enumerate(sets):
+        if len(s) < 2:
+            continue
         cur = min_intra_pair(space, s, t)
-        if cur is not None and (best is None or cur[0] < best[0]):
+        if best is None or cur[0] < best[0]:
             best = (cur[0], cur[1], idx)
     return best
 
@@ -148,6 +200,13 @@ def _first_shared_point(sets):
     return None if p is None else (p, shared[p])
 
 
+def _hull_ordered(sets) -> bool:
+    """Whether each member's last point lies below the next member's first:
+    then no point is shared, and on the sorted support the adjacent points
+    of distinct members are exactly the pairs (s_k[-1], s_k+1[0])."""
+    return all(map(lt, map(itemgetter(-1), sets), map(itemgetter(0), islice(sets, 1, None))))
+
+
 def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
     """(value, pair, (i, j)) maximizing M across distinct member sets.
 
@@ -155,11 +214,23 @@ def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
     pair facts; any other space scans each pair of sets in (i, j, p, q)
     order and keeps the first maximum.  A point held by two members is
     reported as the smallest such point, with the two smallest indices of
-    the members that hold it.
+    the members that hold it.  On a hull-ordered family both facts read
+    member ends only, with the same pairs in the same order as a sort of
+    every point.
     """
     sets = family.sets
     if len(sets) < 2:
         return None
+    if (space.radially_monotone or space.coordinate_decreasing) and _hull_ordered(sets):
+        if space.radially_monotone:
+            best = None
+            for k, (u, v) in enumerate(zip(sets, sets[1:])):
+                val = space._raw(u[-1], v[0], t)
+                if best is None or val > best[0]:
+                    best = (val, (u[-1], v[0]), (k, k + 1))
+            return best
+        p, q = sets[0][0], sets[1][0]
+        return (space._raw(p, q, t), (p, q), (0, 1))
     if space.radially_monotone:
         # sorted by (point, index), the first adjacent entries of one point
         # and two members are the smallest shared point
@@ -367,17 +438,23 @@ def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParam
 
 def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
                              params: ScaleParams, window: Window):
-    """First window point whose ball fits in no member set, or None.
+    """First window point whose ball fits in no member set, or None; a
+    cover that misses window points raises ``PreconditionError``."""
+    sets = cover.all_sets()
+    missing = missing_points(sets, window)
+    if missing:
+        raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
+    return _first_ball_outside(space, sets, params, window)
+
+
+def _first_ball_outside(space: FuzzyMetricSpace, sets, params: ScaleParams, window: Window):
+    """``first_lebesgue_violation`` for member sets known to cover the window.
 
     A ball lies in a member when one run of the member holds the ball's
     hull; only a ball of several runs can also lie in a member of several
     runs without that, so such balls are tested run by run against the
     members of several runs that own the ball's first point.
     """
-    sets = cover.all_sets()
-    missing = missing_points(sets, window)
-    if missing:
-        raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
     set_runs = [window.runs_of(s) for s in sets]
     hull_holds = _RunContainment(set_runs)
     split = {}

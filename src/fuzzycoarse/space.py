@@ -77,12 +77,16 @@ class Window:
     __slots__ = ("points", "_set", "_first_int", "_checked_in")
 
     def __init__(self, points):
-        pts = sorted(set(points))
-        self.points = tuple(pts)
+        if isinstance(points, range) and points.step == 1:
+            pts = tuple(points)  # sorted, duplicate-free and consecutive
+            contiguous = bool(pts)
+        else:
+            pts = tuple(sorted(set(points)))
+            contiguous = (bool(pts) and type(pts[0]) is int and type(pts[-1]) is int
+                          and len(pts) == pts[-1] - pts[0] + 1
+                          and all(type(p) is int for p in pts))
+        self.points = pts
         self._set = frozenset(pts)
-        contiguous = (bool(pts) and type(pts[0]) is int and type(pts[-1]) is int
-                      and len(pts) == pts[-1] - pts[0] + 1
-                      and all(type(p) is int for p in pts))
         self._first_int = pts[0] if contiguous else None
         self._checked_in = set()  # universes that hold every point
 
@@ -103,6 +107,10 @@ class Window:
 
     def is_contiguous_ints(self) -> bool:
         return self._first_int is not None
+
+    def holds(self, points) -> bool:
+        """Whether every one of the points is a window point."""
+        return self._set.issuperset(points)
 
     def index_of(self, p):
         """Index of a window point, or None for a point outside the window."""

@@ -178,7 +178,7 @@ def test_reciprocal_witness_structure():
     w = int_window(1, 12)
     wit = witness_reciprocal_product(ScaleParams(F(1, 2), 1), w)
     fam = wit.families[0]
-    assert fam.sets[0] == (1, 2)
+    assert type(fam.sets[0]) is range and tuple(fam.sets[0]) == (1, 2)
     assert fam.sets[1:] == tuple((m,) for m in range(3, 13))
     assert wit.n == 0
 
@@ -235,10 +235,10 @@ def test_ratio_blocks_frozen_values_at_half():
     wit = witness_ratio_minmax(ScaleParams(F(1, 2), 1), int_window(1, 100))
     u, v = wit.families
     assert u.sets[0] == (1,)
-    assert u.sets[1] == (3, 4)
-    assert u.sets[2] == tuple(range(9, 17))
+    assert type(u.sets[1]) is range and tuple(u.sets[1]) == (3, 4)
+    assert type(u.sets[2]) is range and tuple(u.sets[2]) == tuple(range(9, 17))
     assert v.sets[0] == (2,)
-    assert v.sets[1] == tuple(range(5, 9))
+    assert type(v.sets[1]) is range and tuple(v.sets[1]) == tuple(range(5, 9))
 
 
 def test_ratio_blocks_at_quarter():
@@ -302,7 +302,7 @@ def test_ball_partition_concrete():
     w = int_window(1, 200)
     wit = witness_ball_partition(ult, ScaleParams(F(1, 4), 10), F(1, 4), w)
     fam = wit.families[0]
-    assert fam.sets[0] == tuple(range(1, 10))
+    assert type(fam.sets[0]) is range and tuple(fam.sets[0]) == tuple(range(1, 10))
     assert fam.sets[1:] == tuple((m,) for m in range(10, 201))
     assert wit.bound_params == ScaleParams(F(1, 2), 10)
     assert verify_witness(ult, wit).passed
@@ -886,6 +886,62 @@ def test_verify_witness_checks_points_against_the_universe(monkeypatch):
     for _ in range(3):
         verify_witness(sub, w)
     assert calls == odd
+
+
+def test_verify_witness_names_the_points_a_point_scan_names():
+    """Range members are judged from their ends, and the report still names
+    the first uncovered window point and the first member point, in member
+    order, that lies outside both the window and the universe."""
+    ratio = ratio_minmax_space()
+    params = ScaleParams(F(1, 2), 1)
+
+    def witness(members, w):
+        return DimensionWitness(0, params, params, (Family.of(members),), w)
+
+    lines = verify_witness(ratio, witness([range(1, 4), (5, 7), range(8, 12)],
+                                          int_window(1, 10))).lines()
+    assert "FAIL cover missing=2 witness=4" in lines
+    for space, members, w, message in [
+        (ratio, [(9,), range(-1, 5), (0,)], int_window(3, 6), "point -1 is outside the naturals"),
+        (ratio, [range(3, 7), (0, 4)], int_window(3, 6), "point 0 is outside the naturals"),
+        (subspace(ratio, range(1, 8)), [range(1, 4), range(2, 10)], int_window(1, 3),
+         "point 8 is outside the finite"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            verify_witness(space, witness(members, w))
+
+
+def test_check_of_the_ratio_witness_reads_member_ends(monkeypatch):
+    """On 1..10**5 the ratio witness's families are hull-ordered runs: the
+    worst cross pair costs (members - 1) evaluations per family and distinct
+    t, the worst intra pair one per member of two or more points, and no
+    member is spelled out."""
+    from fuzzycoarse import FuzzyMetricSpace
+    from fuzzycoarse.asdim import verify_witness_scales
+
+    ratio = ratio_minmax_space()
+    wit = witness_ratio_minmax(ScaleParams(F(1, 2), 1), int_window(1, 10**5))
+    scales = [ScaleParams(F(1, 4), 1), ScaleParams(F(1, 2), 1), ScaleParams(F(3, 4), 1),
+              ScaleParams(F(1, 3), 2)]
+    times = []
+    raw = FuzzyMetricSpace._raw
+    monkeypatch.setattr(FuzzyMetricSpace, "_raw", lambda self, x, y, t: times.append(t)
+                        or raw(self, x, y, t))
+    verify_witness_scales(ratio, wit, scales)
+    cross = sum(len(fam) - 1 for fam in wit.families)
+    runs = sum(len(s) > 1 for s in wit.as_cover().all_sets())
+    assert wit.bound_params.t == 1
+    assert (times.count(1), times.count(2), len(times)) == (cross + runs, cross, 2 * cross + runs)
+    monkeypatch.undo()
+
+    tracemalloc.start()
+    try:
+        reports = verify_witness_scales(ratio, wit, scales)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rep.passed for rep in reports] == [True, True, False, True]
+    assert peak < 2 ** 20
 
 
 def test_a_window_of_consecutive_integers_is_checked_at_its_ends(monkeypatch):

@@ -334,7 +334,9 @@ def test_transport_singletons_through_doubling():
                                  witness_factory=factory)
     assert rep.passed
     assert out.n == 0
-    assert out.families[0].sets == ((-1, 0, 1), (199, 200, 201), (399, 400, 401))
+    assert out.families[0].sets == (range(-1, 2), range(199, 202), range(399, 402))
+    assert [tuple(s) for s in out.families[0].sets] == [(-1, 0, 1), (199, 200, 201),
+                                                        (399, 400, 401)]
     assert verify_witness(STD, out).passed
 
 

@@ -129,6 +129,30 @@ def test_dump_json_matches_json_dumps(obj):
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+_RUNS = st.builds(range, st.integers(-60, 60), st.integers(-60, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RUNS | _INT_LISTS | _INT_LISTS.map(tuple)), st.text())
+def test_dump_json_writes_tuples_and_ranges_as_arrays(members, label):
+    """A family of integer members, as ``family_to_json`` leaves it, is
+    written as ``json.dumps`` writes the same members as lists."""
+    as_lists = {"label": label, "sets": [list(s) for s in members]}
+    assert (dump_json({"label": label, "sets": members})
+            == json.dumps(as_lists, indent=2, sort_keys=True) + "\n")
+    assert dump_json(tuple(members)) == json.dumps(as_lists["sets"], indent=2) + "\n"
+
+
+def test_integer_members_are_written_as_they_are():
+    """No member of an integer family is copied: ranges and tuples go to
+    ``dump_json`` as they are, and are read back as the same family."""
+    wit = witness_ratio_minmax(ScaleParams(F(1, 2), 1), int_window(1, 300))
+    for fam in wit.families:
+        out = family_to_json(fam)
+        assert all(a is b for a, b in zip(out["sets"], fam.sets))
+        assert family_from_json(json.loads(dump_json(out))) == family_from_json(out) == fam
+
+
 def test_witness_roundtrip():
     wit = witness_ratio_minmax(ScaleParams(F(1, 2), 1), int_window(1, 60))
     back = witness_from_json(witness_to_json(wit))

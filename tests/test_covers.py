@@ -35,11 +35,15 @@ from fuzzycoarse import (
     ultrametric_space,
     verify_witness,
 )
+from fuzzycoarse.asdim import witness_ratio_minmax, witness_reciprocal_product
 from fuzzycoarse.covers import (
+    _clean_set,
+    coverage,
     family_max_cross,
     family_min_intra,
     first_lebesgue_violation,
     first_refinement_violation,
+    outside_points,
 )
 from fuzzycoarse.errors import DomainError, PreconditionError, UnsupportedOperationError
 from fuzzycoarse.space import RATIONALS
@@ -101,11 +105,12 @@ def test_family_drops_empty_sets():
 
 
 def test_family_is_canonical_when_built_directly():
-    members = ((5, 1, 9), (), (2, 2))
+    members = ((5, 1, 9), (), (2, 2), (4, 3))
     fam = Family(members, "x")
     assert fam == Family.of(members, "x")
-    assert fam.sets == ((1, 5, 9), (2,))
+    assert fam.sets == ((1, 5, 9), (2,), range(3, 5))
     assert fam.dropped_empty == 1
+    assert Family([(1, 2, 3)]) == Family([range(1, 4)]) == Family([[3, 1, 2, 2]])
 
 
 def test_family_keeps_step_one_ranges():
@@ -282,6 +287,134 @@ def test_max_cross_shared_point_matches_the_definition(factory, sets):
             assert got == (1, (p, p), tuple(sorted(holders[p])[:2]))
         else:
             assert got is None or got[0] < 1
+
+
+def brute_max_cross_pair(space, sets, t):
+    """(value, pair, (i, j)) from every cross pair of a family's members.
+
+    A shared point gives 1 at the smallest such point, with the two
+    smallest indices of the members that hold it.  Otherwise the value is
+    the maximum over every cross pair, and the pair is the one each kind
+    names: a space with neither flag the first maximum in (i, j, p, q)
+    order, a radial space the smallest maximal pair with no support point
+    strictly between its points, a coordinate-decreasing one the smallest
+    maximal pair."""
+    if len(sets) < 2:
+        return None
+    support = sorted(set().union(*sets))
+    holders = {p: [i for i, s in enumerate(sets) if p in s] for p in support}
+    shared = [p for p in support if len(holders[p]) > 1]
+    if shared:
+        return (1, (shared[0], shared[0]), tuple(holders[shared[0]][:2]))
+    scan = [(space.value(p, q, t), (p, q), (i, j))
+            for i, j in combinations(range(len(sets)), 2) for p in sets[i] for q in sets[j]]
+    top = max(v for v, _, _ in scan)
+    if not (space.radially_monotone or space.coordinate_decreasing):
+        return next(c for c in scan if c[0] == top)
+    best = [(min(pq), max(pq), ij) for v, pq, ij in scan if v == top]
+    if space.radially_monotone:
+        best = [c for c in best if not any(c[0] < r < c[1] for r in support)]
+    p, q, ij = min(best)
+    return (top, (p, q), ij)
+
+
+@st.composite
+def cross_families(draw, points):
+    """Families whose members are hull-ordered chunks of a sorted sample,
+    chunks that touch the next one's first point, chunks in shuffled
+    order, or arbitrary lists that overlap and share points."""
+    shape = draw(st.sampled_from(["chunks", "touching", "shuffled", "any"]))
+    if shape == "any":
+        return Family.of(draw(st.lists(st.lists(points, min_size=1, max_size=5),
+                                       min_size=1, max_size=5)))
+    pts = sorted(draw(st.sets(points, min_size=2, max_size=12)))
+    k = draw(st.integers(2, len(pts)))
+    cuts = sorted(draw(st.permutations(range(1, len(pts))))[:k - 1])
+    bounds = [0, *cuts, len(pts)]
+    chunks = [pts[a:b] for a, b in zip(bounds, bounds[1:])]
+    if shape == "touching":
+        chunks = [c + pts[b:b + 1] for c, b in zip(chunks, bounds[1:])]
+    if shape == "shuffled":
+        chunks = draw(st.permutations(chunks))
+    return Family.of(chunks)
+
+
+NATURAL_POINTS = st.integers(1, 30)
+CROSS_CASES = [
+    (ratio_minmax_space, NATURAL_POINTS),
+    (ultrametric_space, NATURAL_POINTS),
+    (pathological_space, NATURAL_POINTS),
+    (lambda: standard_space(universe=RATIONALS),
+     st.integers(-10, 10) | st.builds(F, st.integers(-20, 20), st.sampled_from([2, 3]))),
+    (reciprocal_product_space, NATURAL_POINTS),
+    (table_space, st.integers(1, 14)),
+    (lambda: standard_space(EuclideanLattice(1)), st.tuples(st.integers(-6, 6))),
+]
+
+
+@pytest.mark.parametrize("factory, points", CROSS_CASES)
+@given(data=st.data(), t=st.sampled_from([F(1, 2), 1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_max_cross_matches_a_scan_of_every_cross_pair(factory, points, data, t):
+    """Radial, coordinate-decreasing and flag-free spaces, on members in
+    any order, with touching or overlapping hulls, shared points, one-point
+    members and Fraction points: the whole (value, pair, (i, j))."""
+    space = factory()
+    fam = data.draw(cross_families(points))
+    assert family_max_cross(space, fam, t) == brute_max_cross_pair(space, fam.sets, t)
+
+
+@pytest.mark.parametrize("space, construct", [
+    (ratio_minmax_space(), witness_ratio_minmax),
+    (reciprocal_product_space(), witness_reciprocal_product),
+])
+def test_max_cross_of_constructed_witnesses_matches_the_scan(space, construct):
+    """The constructors' families are hull-ordered, with range members."""
+    members = []
+    for r in (F(1, 4), F(1, 2), F(3, 4)):
+        wit = construct(ScaleParams(r, 1), int_window(1, 90))
+        for fam in wit.families:
+            members += fam.sets
+            for t in (F(1, 2), 1):
+                assert family_max_cross(space, fam, t) == brute_max_cross_pair(space, fam.sets, t)
+    assert {type(s) for s in members} == {range, tuple}
+
+
+_FRACTIONS = st.builds(F, st.integers(-10, 16), st.sampled_from([1, 2]))
+_MEMBERS = st.one_of(
+    st.lists(st.integers(-5, 8)),
+    st.lists(st.integers(-5, 8)).map(sorted),
+    st.lists(st.integers(-5, 8) | _FRACTIONS),
+    st.lists(st.integers(0, 3) | st.booleans()),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    st.builds(range, st.integers(-5, 5), st.integers(-5, 10), st.sampled_from([1, 1, 2, -1])),
+    st.builds(lambda a: range(a, a + 1), st.integers(-5, 5)),
+)
+
+
+@given(members=_MEMBERS, form=st.sampled_from([list, tuple, set, iter]))
+@settings(max_examples=400, deadline=None)
+def test_clean_set_holds_the_sorted_points_in_one_form(members, form):
+    """The points of ``tuple(sorted(set(s)))``, as a step-1 range exactly
+    when there are two or more and they are consecutive ``int``s (not a
+    ``Fraction`` or ``bool`` among them), else as a tuple."""
+    want = tuple(sorted(set(members)))
+    got = _clean_set(members if isinstance(members, range) else form(members))
+    assert tuple(got) == want
+    run = (len(want) > 1 and all(type(p) is int for p in want)
+           and want[-1] - want[0] == len(want) - 1)
+    assert type(got) is (range if run else tuple)
+    assert not run or got.step == 1
+
+
+def test_clean_set_type_rule_examples():
+    assert _clean_set((1, F(3, 2), 3)) == (1, F(3, 2), 3)
+    assert _clean_set((1, F(2), 3)) == (1, 2, 3) and type(_clean_set((1, F(2), 3))) is tuple
+    assert type(_clean_set((True, 2))) is tuple and type(_clean_set([0, True])) is tuple
+    assert _clean_set(range(4, 5)) == (4,)
+    assert _clean_set([3, 1, 2, 2]) == range(1, 4)
+    assert _clean_set(range(5, 0, -1)) == range(1, 6)
+    assert _clean_set(((0, 1), (0, 2))) == ((0, 1), (0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +626,8 @@ def test_violation_witnesses():
     assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 1), w) is None
     c = Cover.of([Family.of([[1, 2], [3]])], int_window(1, 3))
     merged = Cover.of([Family.of([[1, 2, 3]])], int_window(1, 3))
-    assert first_refinement_violation(merged, c) == (1, 2, 3)
+    loose = first_refinement_violation(merged, c)
+    assert type(loose) is range and tuple(loose) == (1, 2, 3)
     assert first_refinement_violation(c, merged) is None
 
 
@@ -704,6 +838,28 @@ def test_lebesgue_runs_scans_and_definition_agree(data):
     want = brute_lebesgue_violation(space, cov, p, w)
     assert first_lebesgue_violation(space, cov, p, w) == want
     assert first_lebesgue_violation(flag_free(space), cov, p, w) == want
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_coverage_from_run_ends_matches_the_definition(data):
+    """Uncovered window points, whether every member point lies in the
+    window, and the member points outside it in member order, for range
+    members sticking out on either side, ranges of other steps and point
+    members, as given and in their ``Family`` form."""
+    _, w, outside = data.draw(spaces_and_windows())
+    sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 6))))
+    if w.is_contiguous_ints() and data.draw(st.booleans()):
+        lo = w.points[0] - data.draw(st.integers(0, 3))
+        sets.insert(data.draw(st.integers(0, len(sets))),
+                    range(lo, w.points[0] + data.draw(st.integers(0, len(w) + 3))))
+    if data.draw(st.booleans()):
+        sets.append(range(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 20)),
+                          data.draw(st.sampled_from([2, 3, -1]))))
+    held = set().union(*map(set, sets))
+    for members in (sets, Family.of(sets).sets):
+        assert coverage(members, w) == (tuple(p for p in w if p not in held), held <= set(w))
+        assert list(outside_points(members, w)) == [p for s in members for p in s if p not in w]
 
 
 def brute_refinement_violation(cover_v, cover_u):
