@@ -255,6 +255,15 @@ CASES = {
         ["pipeline", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..300"],
         None, 0,
         "787e171fce7604b8cf8c13c3b02032549bc2ccbf7215420383d3990149717276"),
+    # The two pipeline ops of the benchmark at their base windows.
+    "pipeline-ratio-4000": (
+        ["pipeline", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..4000"],
+        None, 0,
+        "975a4dc73788870892bcf5cc217b4e5c82f5c062115833fbc7eda5c187fd8651"),
+    "pipeline-reciprocal-1000": (
+        ["pipeline", "--space", "reciprocal_product", "--scale", "1/2:1", "--window", "1..1000"],
+        None, 0,
+        "45141a7ddc3a24bf936d999e14ed1e2f89c68dfd853f6dc15ba409cb8751c787"),
     "coarse-inverse-reciprocal-run": (
         ["coarse"], identity_onto_inverse("reciprocal_product", "1..60", "9/10:1"), 0,
         "9bfb6aecdb89c2e7af783cd874d94c42d180f6542ed0dad79cdc5764add50783"),
