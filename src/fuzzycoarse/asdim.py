@@ -17,25 +17,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .covers import (
     Cover,
     Family,
+    _check_outside_points,
     _first_ball_outside,
+    _first_lebesgue_violation,
     _is_bounded,
+    _level_neighborhood,
+    _scale_multiplicity,
     coverage,
     family_max_cross,
     family_min_intra,
-    first_lebesgue_violation,
     first_refinement_violation,
-    has_lebesgue_pair,
     min_intra_pair,
     missing_points,
     multiplicity,
-    outside_points,
-    scale_multiplicity,
-    scale_neighborhood,
+    scale_multiplicity,  # noqa: F401  not called here; perfbench traces it as asdim's name
 )
 from .errors import (
     CertificationError,
@@ -174,7 +175,7 @@ def verify_witness_scales(space: FuzzyMetricSpace, w: DimensionWitness,
     space._check_window(window)
     missing, inside = coverage(sets, window)
     if not inside:
-        space._check_points(outside_points(sets, window))
+        _check_outside_points(space, sets, window)
     dropped = sum(f.dropped_empty for f in w.families)
     labels = [fam.label or f"family{idx}" for idx, fam in enumerate(w.families)]
     cross = {}  # t -> the worst cross pair of each family at t
@@ -461,6 +462,17 @@ def derived_scale(space: FuzzyMetricSpace, params: ScaleParams) -> ScaleParams:
     return ScaleParams(1 - level, 2 * params.t)
 
 
+def _level(space: FuzzyMetricSpace, levels: dict, bound: Fraction, t: Fraction,
+           window: Window):
+    """The ``ball_level`` of the window at (bound, t), swept on first use
+    and kept in ``levels``, keyed by (bound, t, window), for the other
+    stages of one pipeline."""
+    key = (bound, t, window)
+    if key not in levels:
+        levels[key] = space.ball_level(bound, t, window)
+    return levels[key]
+
+
 def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness,
                                     params: ScaleParams):
     """Witness at the derived scale -> cover with scale multiplicity <= n+1.
@@ -472,6 +484,10 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
     re-verified before use; the multiplicity is then measured, not
     assumed.
     """
+    return _multiplicity_cover_from_witness(space, w, params, {})
+
+
+def _multiplicity_cover_from_witness(space, w, params, levels):
     want = derived_scale(space, params)
     if (w.params.r, w.params.t) != (want.r, want.t):
         raise PreconditionError(
@@ -485,7 +501,8 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
             f"witness fails verification: {vrep.failures()[0].line()}"
         )
     cover = w.as_cover()
-    measured = scale_multiplicity(space, cover, params, w.window)
+    measured = _scale_multiplicity(cover, w.window,
+                                   _level(space, levels, params.threshold, params.t, w.window))
     rep = CertReport("multiplicity-cover", space=space.describe(),
                      window=w.window.label(), r=params.r, t=params.t)
     rep.add_pass("witness-verified", r=w.params.r, t=w.params.t)
@@ -506,9 +523,16 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
     of the output is at most the input's scale multiplicity.  Both facts
     and the boundedness of the output are verified on the window.
     """
+    return _lebesgue_cover_from_multiplicity(space, cover, params, input_bound,
+                                             max_multiplicity, {})
+
+
+def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_multiplicity,
+                                      levels):
     window = cover.window
     want = derived_scale(space, params)
-    measured_in = scale_multiplicity(space, cover, want, window)
+    wanted = _level(space, levels, want.threshold, want.t, window)
+    measured_in = _scale_multiplicity(cover, window, wanted)
     if max_multiplicity is not None and measured_in > max_multiplicity:
         raise PreconditionError(
             f"input scale multiplicity {measured_in} exceeds the expected "
@@ -518,7 +542,7 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
         raise PreconditionError("input must cover the window")
 
     fat_families = tuple(
-        Family.of([scale_neighborhood(space, s, want, window) for s in fam.sets],
+        Family.of([_level_neighborhood(space, s, want, window, wanted) for s in fam.sets],
                   f"N({fam.label})" if fam.label else "N")
         for fam in cover.families
     )
@@ -527,7 +551,8 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
                      window=window.label(), r=params.r, t=params.t)
     rep.add_pass("input-scale-multiplicity", measured=measured_in,
                  r=want.r, t=want.t)
-    bad_point = first_lebesgue_violation(space, out, params, window)
+    bad_point = _first_lebesgue_violation(
+        out.all_sets(), window, partial(_level, space, levels, params.threshold, params.t, window))
     rep.add_verdict(bad_point is None, "lebesgue-pair", r=params.r, t=params.t,
                     witness=bad_point)
     out_mult = multiplicity(out, window)
@@ -556,6 +581,10 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
     and V has (r, t) as a Lebesgue pair.  The conclusion, that every
     U-set is contained in some V-set, is then verified directly.
     """
+    return _refinement_via_lebesgue(space, cover_u, cover_v, params, {})
+
+
+def _refinement_via_lebesgue(space, cover_u, cover_v, params, levels):
     rep = CertReport("refinement", space=space.describe(),
                      window=cover_u.window.label(), r=params.r, t=params.t)
     worst = family_min_intra(space, cover_u.all_sets(), params.t)
@@ -566,7 +595,10 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
             f"(worst pair {fmt_pair(worst[1])} at {fmt_value(worst[0])})"
         )
     rep.add_pass("refining-cover-bounded", r=params.r, t=params.t)
-    if not has_lebesgue_pair(space, cover_v, params, cover_v.window):
+    window = cover_v.window
+    if _first_lebesgue_violation(
+            cover_v.all_sets(), window,
+            partial(_level, space, levels, params.threshold, params.t, window)) is not None:
         raise CertificationError(
             "hypothesis failure: target cover lacks the Lebesgue pair "
             f"r={fmt_value(params.r)}, t={fmt_value(params.t)}"
@@ -629,17 +661,18 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     level1 = derived_scale(space, params)
     level2 = derived_scale(space, level1)
     w = witness_factory(level2)
-    c1, rep1 = multiplicity_cover_from_witness(space, w, level1)
-    c2, rep2 = lebesgue_cover_from_multiplicity(
-        space, c1, params, input_bound=w.bound_params, max_multiplicity=w.n + 1
+    levels = {}
+    c1, rep1 = _multiplicity_cover_from_witness(space, w, level1, levels)
+    c2, rep2 = _lebesgue_cover_from_multiplicity(
+        space, c1, params, w.bound_params, w.n + 1, levels
     )
     rho = refinement_ball_level(space, params)
     balls = {}
-    for runs in space.balls(window.points, 1 - rho, params.t, window):
+    for runs in _level(space, levels, 1 - rho, params.t, window):
         balls.setdefault(tuple(runs), runs)
     ball_sets = [window.run_set(runs) for runs in balls.values()]
     ball_cover = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
-    rep3 = refinement_via_lebesgue(space, ball_cover, c2, params)
+    rep3 = _refinement_via_lebesgue(space, ball_cover, c2, params, levels)
     return PipelineResult(w, c1, c2, (rep1, rep2, rep3))
 
 
@@ -674,7 +707,8 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
             raise CertificationError("candidate cover has multiplicity above 1")
         if missing_points(sets, window):
             raise CertificationError("candidate cover misses window points")
-        x = _first_ball_outside(space, sets, inner, window)
+        x = _first_ball_outside(sets, window,
+                                space.balls(window.points, inner.threshold, params.t, window))
         if x is not None:
             raise CertificationError(
                 f"ball of {fmt_value(x)} at the inner level "

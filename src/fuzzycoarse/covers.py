@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from heapq import nsmallest
 from itertools import accumulate, chain, filterfalse, islice
 from operator import itemgetter, lt
@@ -137,16 +138,29 @@ def missing_points(sets, window: Window) -> tuple:
 
 
 def outside_points(sets, window: Window):
-    """The member points outside the window, in member order; a step-1
-    range on a window of consecutive integers holds some only beyond its
-    ends."""
+    """The member points outside the window, in member order."""
+    return chain.from_iterable(_outside_parts(sets, window))
+
+
+def _outside_parts(sets, window: Window):
+    """``outside_points`` part by part: a step-1 range on a window of
+    consecutive integers holds some only beyond its ends, as up to two
+    step-1 ranges; any other member gives its points outside the window."""
     runs = window.is_contiguous_ints()
     for s in sets:
         if runs and type(s) is range and s.step == 1:
-            yield from range(s.start, min(s.stop, window.points[0]))
-            yield from range(max(s.start, window.points[-1] + 1), s.stop)
+            yield range(s.start, min(s.stop, window.points[0]))
+            yield range(max(s.start, window.points[-1] + 1), s.stop)
         else:
-            yield from filterfalse(window.__contains__, s)
+            yield filterfalse(window.__contains__, s)
+
+
+def _check_outside_points(space: FuzzyMetricSpace, sets, window: Window):
+    """Check the member points outside the window against the universe,
+    in member order; an out-of-window part of a range member is checked
+    at its ends (see ``FuzzyMetricSpace._check_points``)."""
+    for part in _outside_parts(sets, window):
+        space._check_points(part)
 
 
 # ---------------------------------------------------------------------------
@@ -159,30 +173,38 @@ def min_intra_pair(space: FuzzyMetricSpace, s: tuple, t: Fraction):
     duplicate-free set; None if |s| < 2."""
     if len(s) < 2:
         return None
+    (num, den), pair = _min_intra(space, s, t)
+    return Fraction(num, den), pair
+
+
+def _min_intra(space: FuzzyMetricSpace, s, t):
+    """``min_intra_pair`` with the value as an integer ``(num, den)``, for
+    |s| >= 2: the first minimum in (i, j) order, by cross-multiplication."""
     if space.radially_monotone:
-        return (space._raw(s[0], s[-1], t), (s[0], s[-1]))
+        return space._pair(s[0], s[-1], t), (s[0], s[-1])
     if space.coordinate_decreasing:
-        return (space._raw(s[-2], s[-1], t), (s[-2], s[-1]))
+        return space._pair(s[-2], s[-1], t), (s[-2], s[-1])
     best = None
     for i, x in enumerate(s):
         for y in s[i + 1:]:
-            v = space._raw(x, y, t)
-            if best is None or v < best[0]:
-                best = (v, (x, y))
+            num, den = space._pair(x, y, t)
+            if best is None or num * best[0][1] < best[0][0] * den:
+                best = ((num, den), (x, y))
     return best
 
 
 def family_min_intra(space: FuzzyMetricSpace, sets, t: Fraction):
     """(value, pair, set_index) minimizing M within any one of a sequence
-    of sorted, duplicate-free member sets, such as ``Family.sets``."""
+    of sorted, duplicate-free member sets, such as ``Family.sets``.  The
+    first minimum is found on integer values; only it becomes a Fraction."""
     best = None
     for idx, s in enumerate(sets):
         if len(s) < 2:
             continue
-        cur = min_intra_pair(space, s, t)
-        if best is None or cur[0] < best[0]:
-            best = (cur[0], cur[1], idx)
-    return best
+        (num, den), pair = _min_intra(space, s, t)
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, pair, idx)
+    return None if best is None else (Fraction(best[0], best[1]), best[2], best[3])
 
 
 def _first_shared_point(sets):
@@ -312,6 +334,20 @@ def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
     return window.points_of(_coalesce_runs(runs))
 
 
+def _level_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams, window: Window,
+                        level) -> tuple:
+    """``scale_neighborhood`` of a canonical member set u, with the balls of
+    its window points read from ``level``, the ``ball_level`` of the
+    window at the scale.  Only the points of u outside the window are
+    checked against the universe and galloped."""
+    runs = window.runs_of(u)
+    balls = [level[k] for i, j in runs for k in range(i, j)]
+    if len(balls) < len(u):
+        _check_outside_points(space, (u,), window)
+        balls += space.balls(outside_points((u,), window), params.threshold, params.t, window)
+    return window.points_of(_coalesce_runs(chain.from_iterable(balls)))
+
+
 def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScaleParams,
                         window: Window, input_bound: ScaleParams):
     """Fatten every member set by its strict-threshold neighborhood.
@@ -385,7 +421,14 @@ def multiplicity(cover: Cover, window: Window) -> int:
 
 def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
                        window: Window) -> int:
-    """Largest number of member sets met by any ball at scale (r, t).
+    """Largest number of member sets met by any ball at scale (r, t)."""
+    return _scale_multiplicity(cover, window,
+                               space.balls(window.points, params.threshold, params.t, window))
+
+
+def _scale_multiplicity(cover: Cover, window: Window, balls) -> int:
+    """``scale_multiplicity`` with the run lists of the balls of the window
+    points, in window order, such as a ``ball_level``.
 
     Balls and member sets are compared on the window.  A member that is
     one run [i, j) meets the longest run [a, b) of a ball iff i < b and
@@ -403,19 +446,19 @@ def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParam
     starts = sorted(i for i, _ in one)
     ends = sorted(j for _, j in one)
 
-    balls = []
-    for runs in space.balls(window.points, params.threshold, params.t, window):
+    mains = []
+    for runs in balls:
         main = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
         extra = [k for run in runs if run != main for k in range(*run)]
-        balls.append((main, extra, runs))
-    wanted = sorted({k for _, extra, _ in balls for k in extra})
+        mains.append((main, extra, runs))
+    wanted = sorted({k for _, extra, _ in mains for k in extra})
     owners = {}
     for sid, (i, j) in enumerate(one):
         for k in wanted[bisect_left(wanted, i):bisect_left(wanted, j)]:
             owners.setdefault(k, []).append(sid)
 
     best = 0
-    for (a, bb), extra, runs in balls:
+    for (a, bb), extra, runs in mains:
         hits = bisect_left(starts, bb) - bisect_right(ends, a) if a < bb else 0
         if extra:
             met = set()
@@ -440,15 +483,24 @@ def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
                              params: ScaleParams, window: Window):
     """First window point whose ball fits in no member set, or None; a
     cover that misses window points raises ``PreconditionError``."""
-    sets = cover.all_sets()
+    return _first_lebesgue_violation(
+        cover.all_sets(), window,
+        partial(space.balls, window.points, params.threshold, params.t, window))
+
+
+def _first_lebesgue_violation(sets, window: Window, sweep):
+    """``first_lebesgue_violation`` with the balls of the window points
+    from ``sweep()``, called once the sets are known to cover the window."""
     missing = missing_points(sets, window)
     if missing:
         raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
-    return _first_ball_outside(space, sets, params, window)
+    return _first_ball_outside(sets, window, sweep())
 
 
-def _first_ball_outside(space: FuzzyMetricSpace, sets, params: ScaleParams, window: Window):
-    """``first_lebesgue_violation`` for member sets known to cover the window.
+def _first_ball_outside(sets, window: Window, balls):
+    """The first window point whose ball fits in no member set, or None,
+    for member sets known to cover the window and the run lists of the
+    balls of the window points, in window order.
 
     A ball lies in a member when one run of the member holds the ball's
     hull; only a ball of several runs can also lie in a member of several
@@ -465,7 +517,6 @@ def _first_ball_outside(space: FuzzyMetricSpace, sets, params: ScaleParams, wind
             for i, j in runs:
                 for k in range(i, j):
                     owners.setdefault(k, []).append(sid)
-    balls = space.balls(window.points, params.threshold, params.t, window)
     for x, runs in zip(window, balls):
         if not runs or hull_holds.holds(runs[0][0], runs[-1][1]):
             continue

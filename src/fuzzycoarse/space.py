@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,13 +186,67 @@ def _coalesce_runs(runs) -> list:
     return out
 
 
+class _RadialLevel:
+    """The balls of a radial sweep over the window points (see
+    ``FuzzyMetricSpace.ball_level``): ball k is the run
+    ``[lefts[k], rights[k])``, empty when the ends meet."""
+
+    __slots__ = ("lefts", "rights")
+
+    def __init__(self, swept):
+        self.lefts, self.rights = array("q"), array("q")
+        for runs in swept:
+            i, j = runs[0] if runs else (0, 0)
+            self.lefts.append(i)
+            self.rights.append(j)
+
+    def __len__(self):
+        return len(self.lefts)
+
+    def __getitem__(self, k) -> list:
+        i, j = self.lefts[k], self.rights[k]
+        return [(i, j)] if i < j else []
+
+    def __iter__(self):
+        return ([(i, j)] if i < j else [] for i, j in zip(self.lefts, self.rights))
+
+
+class _PrefixLevel:
+    """The balls of a coordinate-decreasing sweep over the window points:
+    ball k is the prefix ``[0, ends[k])``, plus the centre run (k, k + 1)
+    when the prefix stops short of it.  A centre's prefix never ends at
+    the centre itself, so ``ends[k] < k`` is the centre flag."""
+
+    __slots__ = ("ends",)
+
+    def __init__(self, swept):
+        self.ends = array("q", (runs[0][1] if runs and runs[0][0] == 0 else 0
+                                for runs in swept))
+
+    def __len__(self):
+        return len(self.ends)
+
+    def __getitem__(self, k) -> list:
+        return self._runs(k, self.ends[k])
+
+    def __iter__(self):
+        return map(self._runs, range(len(self.ends)), self.ends)
+
+    @staticmethod
+    def _runs(k, end) -> list:
+        runs = [(0, end)] if end else []
+        if end < k:
+            runs.append((k, k + 1))
+        return runs
+
+
 def _gallop(pred, lo: int, hi: int) -> int:
     """The first k in [lo, hi) with ``pred(k)``, or hi, for a predicate that
     is false and then true on [lo, hi): probes lo, lo + 1, lo + 3, ...
     until one holds, then bisects, so O(log(k - lo)) calls."""
-    step = 1
+    start, step = lo, 1
     while lo < hi:
-        probe = min(lo + step, hi) - 1
+        probe = min(start + step, hi) - 1
         if pred(probe):
             return bisect_left(range(probe), True, lo, probe, key=pred)
         lo, step = probe + 1, 2 * step
@@ -537,20 +592,23 @@ class FuzzyMetricSpace:
             raise DomainError(f"point {p!r} is outside the {self.universe.name} universe")
 
     def _check_points(self, points):
-        """Raise ``DomainError`` for the first point outside the universe."""
+        """Raise ``DomainError`` for the first point outside the universe.
+
+        The integers of a built-in universe that fail it form a prefix
+        (those below 1 for the naturals, none for the others), so a
+        step-1 ``range`` is checked at its two ends only."""
+        if type(points) is range and points.step == 1 and self.universe in UNIVERSES.values():
+            points = (points[0], points[-1]) if points else ()
         for p in filterfalse(self.universe._contains, points):
             self._check_point(p)
 
     def _check_window(self, window: Window):
         """``_check_points`` on the window points, once per window and
-        universe: a window remembers the universes that hold it.  The
-        integers of a built-in universe that fail it form a prefix (those
-        below 1 for the naturals, none for the others), so a window of
-        consecutive integers is checked at its two ends only."""
+        universe: a window remembers the universes that hold it, and a
+        window of consecutive integers is checked as a range."""
         if self.universe not in window._checked_in:
             pts = window.points
-            ends = window.is_contiguous_ints() and self.universe in UNIVERSES.values()
-            self._check_points((pts[0], pts[-1]) if ends else pts)
+            self._check_points(range(pts[0], pts[-1] + 1) if window.is_contiguous_ints() else pts)
             window._checked_in.add(self.universe)
 
     def value(self, x, y, t) -> Fraction:
@@ -620,6 +678,19 @@ class FuzzyMetricSpace:
             for x in centers:
                 out = outside(x)
                 yield _coalesce_runs((k, k + 1) for k in range(n) if not out(k))
+
+    def ball_level(self, bound: Fraction, t: Fraction, window: Window):
+        """The balls of every window point at one (bound, t), from one sweep
+        of ``balls``: item k is the run list of the ball of
+        ``window.points[k]``.  Radial kinds keep the two run ends of each
+        ball, coordinate-decreasing kinds the prefix end, any other kind
+        the run lists."""
+        swept = self.balls(window.points, bound, t, window)
+        if self._kind.radial:
+            return _RadialLevel(swept)
+        if self._kind.coordinate_decreasing:
+            return _PrefixLevel(swept)
+        return list(swept)
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
         """The window runs of the ball of one centre."""
@@ -996,6 +1067,13 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
 
     sums = sorted({t + s for t in t_list for s in t_list})
     mats = _value_matrices(space, pts, sorted(set(t_list) | set(sums)))
+    # Matrices that compare equal share one object, so that each chain
+    # scan below runs once per distinct (A, B, C) triple of objects.
+    distinct = []
+    for t, mat in mats.items():
+        mats[t] = next((d for d in distinct if d == mat), mat)
+        if mats[t] is mat:
+            distinct.append(mat)
     n = len(pts)
 
     # Every value is num/den with den > 0, so each comparison below is one
@@ -1034,11 +1112,19 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
     # rest by symmetry of M and commutativity of the t-norm.  The report
     # names the first violation in scan order, so the scan stops there.
-    # Whether M at t + s is min-transitive is decided once per sum.
+    # Whether M at t + s is min-transitive is decided once per sum, and a
+    # triple of matrix objects is scanned once.
     min_transitive = cache(lambda u: _min_transitive(mats[u]))
-    scans = ((t, s, _first_chain_violation(space.tnorm, mats[t], mats[s], mats[t + s], radial,
-                                           partial(min_transitive, t + s)))
-             for t in t_list for s in t_list)
+    found_in = {}
+
+    def scan(t, s):
+        key = (id(mats[t]), id(mats[s]), id(mats[t + s]))
+        if key not in found_in:
+            found_in[key] = _first_chain_violation(space.tnorm, mats[t], mats[s], mats[t + s],
+                                                   radial, partial(min_transitive, t + s))
+        return found_in[key]
+
+    scans = ((t, s, scan(t, s)) for t in t_list for s in t_list)
     first = next(((t, s, found) for t, s, found in scans if found), None)
     if first:
         t, s, (i, j, k) = first

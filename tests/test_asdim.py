@@ -41,7 +41,7 @@ from fuzzycoarse import (
     witness_whole_window,
     zero_dim_witness_via_refinement,
 )
-from fuzzycoarse import covers
+from fuzzycoarse import asdim, covers
 from fuzzycoarse.config import witness_from_json, witness_to_json
 from fuzzycoarse.errors import (
     CertificationError,
@@ -539,6 +539,44 @@ def test_pipeline_memory_stays_linear(space, construct):
     assert peak < 64 * 2 ** 20
 
 
+def test_pipeline_sweeps_each_ball_level_once(monkeypatch):
+    """The ratio pipeline on 1..4000 needs balls at 3 (bound, t) levels:
+    the derived scale, the target scale and the refining radius.  Each is
+    swept once and read by every stage, so the whole call makes at most
+    11 ``pair`` calls per point, and a neighbourhood of members inside the
+    window makes none.  The levels live for one call."""
+    from fuzzycoarse import FuzzyMetricSpace
+
+    n = 4000
+    ratio = ratio_minmax_space()
+    w = int_window(1, n)
+    pairs, builds, in_neighborhoods = [0], [], []
+    pair = type(ratio._kind).pair
+    monkeypatch.setattr(type(ratio._kind), "pair",
+                        lambda self, *args: pairs.__setitem__(0, pairs[0] + 1) or pair(self, *args))
+    ball_level = FuzzyMetricSpace.ball_level
+    monkeypatch.setattr(FuzzyMetricSpace, "ball_level",
+                        lambda self, *args: builds.append(args[:2]) or ball_level(self, *args))
+    neighborhood = covers._level_neighborhood
+
+    def counted_neighborhood(*args):
+        before = pairs[0]
+        got = neighborhood(*args)
+        in_neighborhoods.append(pairs[0] - before)
+        return got
+
+    monkeypatch.setattr(asdim, "_level_neighborhood", counted_neighborhood)
+    for _ in range(2):
+        pairs[0] = 0
+        builds.clear()
+        result = run_dimension_pipeline(ratio, ScaleParams(F(1, 2), 1), w,
+                                        lambda scale: witness_ratio_minmax(scale, w))
+        assert result.passed
+        assert builds == [(F(1, 8), 2), (F(1, 2), 1), (F(3, 4), 1)]
+        assert pairs[0] <= 11 * n
+    assert in_neighborhoods and set(in_neighborhoods) == {0}
+
+
 def test_pipeline_singleton_ball_cover_on_integers():
     """Fattened singleton balls on the integer line: Lebesgue pair holds."""
     std = standard_space()
@@ -911,6 +949,27 @@ def test_verify_witness_names_the_points_a_point_scan_names():
             verify_witness(space, witness(members, w))
 
 
+def test_range_members_outside_the_window_are_checked_at_their_ends(monkeypatch):
+    """A range member's points outside a window of consecutive integers
+    cost two universe calls per part, not one per point, and a part that
+    starts below 1 on the naturals is refused at its first point, as a
+    point scan refuses it."""
+    from fuzzycoarse.space import NATURALS
+
+    params = ScaleParams(F(1, 2), 1)
+    ratio = ratio_minmax_space()
+    calls = []
+    contains = NATURALS._contains
+    monkeypatch.setattr(NATURALS, "_contains", lambda p: calls.append(p) or contains(p))
+    wide = DimensionWitness(0, params, params, (Family.of([range(1, 10**6)]),), int_window(1, 10))
+    assert not verify_witness(ratio, wide).passed  # 1 and 10**6 - 1 are far apart: a verdict
+    assert calls == [1, 10, 11, 10**6 - 1]
+    low = DimensionWitness(0, params, params, (Family.of([range(-5, 5), (8,)]),),
+                           int_window(3, 10))
+    with pytest.raises(DomainError, match="point -5 is outside the naturals"):
+        verify_witness(ratio, low)
+
+
 def test_check_of_the_ratio_witness_reads_member_ends(monkeypatch):
     """On 1..10**5 the ratio witness's families are hull-ordered runs: the
     worst cross pair costs (members - 1) evaluations per family and distinct
@@ -924,9 +983,10 @@ def test_check_of_the_ratio_witness_reads_member_ends(monkeypatch):
     scales = [ScaleParams(F(1, 4), 1), ScaleParams(F(1, 2), 1), ScaleParams(F(3, 4), 1),
               ScaleParams(F(1, 3), 2)]
     times = []
-    raw = FuzzyMetricSpace._raw
-    monkeypatch.setattr(FuzzyMetricSpace, "_raw", lambda self, x, y, t: times.append(t)
-                        or raw(self, x, y, t))
+    for name in ("_raw", "_pair"):  # a value is evaluated as a Fraction or an integer pair
+        evaluate = getattr(FuzzyMetricSpace, name)
+        monkeypatch.setattr(FuzzyMetricSpace, name, lambda self, x, y, t, evaluate=evaluate:
+                            times.append(t) or evaluate(self, x, y, t))
     verify_witness_scales(ratio, wit, scales)
     cross = sum(len(fam) - 1 for fam in wit.families)
     runs = sum(len(s) > 1 for s in wit.as_cover().all_sets())

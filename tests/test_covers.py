@@ -38,11 +38,15 @@ from fuzzycoarse import (
 from fuzzycoarse.asdim import witness_ratio_minmax, witness_reciprocal_product
 from fuzzycoarse.covers import (
     _clean_set,
+    _first_ball_outside,
+    _level_neighborhood,
+    _scale_multiplicity,
     coverage,
     family_max_cross,
     family_min_intra,
     first_lebesgue_violation,
     first_refinement_violation,
+    missing_points,
     outside_points,
 )
 from fuzzycoarse.errors import DomainError, PreconditionError, UnsupportedOperationError
@@ -807,6 +811,41 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
     assert swept == [w.runs_of(tuple(brute_ball(space, x, p, w))) for x in centres]
     for x, runs in zip(centres, swept):
         assert space.ball_runs(x, p.threshold, p.t, w) == runs
+
+
+def outcome(fn, *args):
+    """What a call returns, or the message of the ``DomainError`` it raises."""
+    try:
+        return fn(*args)
+    except DomainError as err:
+        return str(err)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_ball_level_holds_the_ball_of_each_window_point(data):
+    """Item k of a ball level is the run list that ``balls`` yields for
+    window point k, on radial, coordinate-decreasing and scan kinds over
+    run, sparse and rational-grid windows; the stages read a level as
+    they read a sweep, and a neighbourhood read from it, with member
+    points outside the window checked and galloped, is
+    ``scale_neighborhood``."""
+    space, w, outside = data.draw(spaces_and_windows())
+    p = data.draw(SCALES)
+    level = space.ball_level(p.threshold, p.t, w)
+    assert len(level) == len(w)
+    for k, x in enumerate(w.points):
+        assert level[k] == next(space.balls((x,), p.threshold, p.t, w))
+    assert list(level) == list(space.balls(w.points, p.threshold, p.t, w))
+    sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
+    cov = Cover.of(split_into_families(sets, data), w)
+    assert _scale_multiplicity(cov, w, level) == scale_multiplicity(space, cov, p, w)
+    for s in cov.all_sets():
+        assert (outcome(_level_neighborhood, space, s, p, w, level)
+                == outcome(scale_neighborhood, space, s, p, w))
+    if not missing_points(cov.all_sets(), w):
+        assert (_first_ball_outside(cov.all_sets(), w, level)
+                == first_lebesgue_violation(space, cov, p, w))
 
 
 @given(data=st.data())

@@ -913,8 +913,9 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     """Machine-independent pins on the chain inequality of ``check_axioms``:
 
     - the product scan on ratio_minmax 1..60 reads A at n(n+1)(n+2)/6
-      triples per (t, s) pair, about a third of the n^2(n+1)/2 of the
-      full scan;
+      triples, about a third of the n^2(n+1)/2 of the full scan, and runs
+      once for all 16 (t, s) pairs of a 4-time grid, whose matrices are
+      equal and so shared;
     - ``_scan_min`` never runs on the PASS of ultrametric_standard 1..60,
       and runs once on the FAIL of the pathological space under min;
     - the entries that the min path reads grow with log-log slope at most
@@ -925,16 +926,18 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     chain_scan, scan_min, value_matrices = (
         space_mod._first_chain_violation, space_mod._scan_min, space_mod._value_matrices)
 
-    visited = [0]
+    visited, chain_scans = [0], [0]
 
     def counted_a(tnorm, a, b, c, *rest):
+        chain_scans[0] += 1
         return chain_scan(tnorm, (_counting(a, visited)[0], a[1]), b, c, *rest)
 
     monkeypatch.setattr(space_mod, "_first_chain_violation", counted_a)
     n = 60
-    rep = check_axioms(ratio_minmax_space(), int_window(1, n), [1, 2])
-    assert "PASS chain-inequality triples=109800 time_pairs=4" in rep.lines()
-    assert visited[0] == 4 * n * (n + 1) * (n + 2) // 6 <= 0.35 * 4 * 109800
+    rep = check_axioms(ratio_minmax_space(), int_window(1, n), grid)
+    assert "PASS chain-inequality triples=109800 time_pairs=16" in rep.lines()
+    assert chain_scans == [1]
+    assert visited[0] == n * (n + 1) * (n + 2) // 6 == 37820 <= 0.35 * 109800
 
     scans = []
 
