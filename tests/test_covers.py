@@ -46,6 +46,7 @@ from fuzzycoarse.covers import (
     family_min_intra,
     first_lebesgue_violation,
     first_refinement_violation,
+    min_intra_pair,
     missing_points,
     outside_points,
 )
@@ -252,6 +253,18 @@ def test_extremal_fast_paths_read_unsorted_members_as_sets():
     ratio = ratio_minmax_space()
     assert not is_uniformly_bounded_family(ratio, Family(((5, 1, 9),)), ScaleParams(F(3, 4), 1))
     assert family_min_intra(ratio, Family(((5, 1, 9),)).sets, 1) == (F(1, 9), (1, 9), 0)
+
+
+def test_intra_minima_name_the_first_of_equal_values():
+    """The integer minima keep the first of equal values: the first member
+    among members with the same worst pair value, and within a member
+    scanned pair by pair the first pair in (i, j) order."""
+    ratio = ratio_minmax_space()
+    assert family_min_intra(ratio, Family.of([(2, 4), (1, 2), (3, 6)]).sets, 1) == (
+        F(1, 2), (2, 4), 0)
+    table = standard_space(TableMetric(range(3), [[0, 2, 1], [2, 0, 2], [1, 2, 0]]))
+    assert min_intra_pair(table, (0, 1, 2), 1) == (F(1, 3), (0, 1))
+    assert family_min_intra(table, [(0, 2), (0, 1, 2)], 1) == (F(1, 3), (0, 1), 1)
 
 
 # Member lists with several shared points and repeated points: the
@@ -608,6 +621,21 @@ def test_lebesgue_examples():
     non_cover = Cover.of([Family.of([[0, 1]])], w)
     with pytest.raises(PreconditionError):
         has_lebesgue_pair(std, non_cover, ScaleParams(F(1, 2), 1), w)
+
+
+def test_a_failing_lebesgue_check_stops_at_its_first_bad_ball(monkeypatch):
+    """The public check streams the sweep: on 1..4000 the ball of 2 is the
+    first that no singleton holds, and the balls of the other points are
+    never galloped."""
+    ratio = ratio_minmax_space()
+    w = int_window(1, 4000)
+    singles = Cover.of([Family.of([(p,) for p in w])], w)
+    calls = []
+    pair = type(ratio._kind).pair
+    monkeypatch.setattr(type(ratio._kind), "pair",
+                        lambda self, *args: calls.append(0) or pair(self, *args))
+    assert first_lebesgue_violation(ratio, singles, ScaleParams(F(1, 2), 1), w) == 2
+    assert len(calls) <= 10
 
 
 def test_refines():
