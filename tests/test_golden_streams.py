@@ -370,6 +370,13 @@ GRID_WITNESS = {
     "scales": ["1/2:1"],
 }
 
+def window_witness(window):
+    """A whole-window witness on the standard line over a config window:
+    stdout pins the window's label and the file the window as written
+    back."""
+    return {"space": {"kind": "standard"}, "window": window, "scales": ["1/2:1"]}
+
+
 # name -> (argv, config, exit code, sha256 of stdout, sha256 of the file)
 WITNESS_FILES = {
     "ratio": (
@@ -391,6 +398,28 @@ WITNESS_FILES = {
         ["witness"], GRID_WITNESS, 0,
         "1ddb5756aad4943b8cf3d3d0c15e3695b95a9c88cb561a9c3d57fc1ac091d416",
         "2bb10798bf0cbdc861a8a4ad619b48207e94068e7ace1087eadfb246f9007523"),
+    # Integer windows given as a list in any order with repeats, as evenly
+    # spaced lists of step 2, as one point and as a grid of integer step.
+    "window-unsorted": (
+        ["witness"], window_witness([3, 1, 2, 2]), 0,
+        "e5eb37b01f4b1f93d2b21b7a41cab00962d6c264c7ff7bef73977b45f7970d99",
+        "5a4e2e7bc93ee28ec52cbf493886812b60e17d6d233991fe3b114bba004f30a7"),
+    "window-step-2": (
+        ["witness"], window_witness([1, 3, 5, 7]), 0,
+        "53ef1342d8c3ba2b38415b98c9926dbc04ebe6514a7e0579a732bb80ac85e07e",
+        "bf1b2b9b5c3605c89bb82fd0341e6c08efbf9889a1dce587b75d3580438d59f1"),
+    "window-negative-step-2": (
+        ["witness"], window_witness([-6, -4, -2]), 0,
+        "1344b5dc0a16ff20fa894a1c197b4414ec65a52edbce162eb8415ede21631a59",
+        "d9bbe4bde8d4e211b03f8bf31c1f9f1a5273310d6c52a2c03a847a7dd36cf021"),
+    "window-one-point": (
+        ["witness"], window_witness([5]), 0,
+        "953c14461ccebab7bc43ca5c43cf1abbf15f38c8163e0ce5644c2e35faa2cf22",
+        "e1bccc35068e256058dd7ba9f549c555d026a0ffb6d6bd0a6d9d300440d5e620"),
+    "window-integer-grid": (
+        ["witness"], window_witness({"grid": {"lo": "0", "hi": "20", "step": "2"}}), 0,
+        "b7637d8e3eb6bf83ce791077422a68557ab9ac0f2abdaf8ff563a9c1c3f8da04",
+        "01cee9379e1ead9afdda72e377ea117e6c38529bf70b3db96f65b45ede2a3360"),
 }
 
 # name -> (witness file, check argv, config, exit code, sha256 of stdout);
