@@ -232,13 +232,13 @@ def witness_whole_window(space: FuzzyMetricSpace, window: Window,
 
 def is_initial_segment(window: Window) -> bool:
     """Whether the window is 1..W for some W, as the kind constructors need."""
-    return window.is_contiguous_ints() and window.points[0] == 1
+    return window.is_contiguous_ints() and window.index_of(1) == 0
 
 
 def _require_initial_segment(window: Window):
     if not is_initial_segment(window):
         raise DomainError("this construction needs a window 1..W of integers")
-    return window.points[-1]
+    return len(window)
 
 
 def witness_reciprocal_product(params: ScaleParams, window: Window) -> DimensionWitness:
@@ -436,7 +436,7 @@ def restrict_witness(w: DimensionWitness, subset) -> DimensionWitness:
     """Intersect every member set with a subset; separation and
     boundedness are hereditary, so certification survives."""
     keep = set(subset)
-    if not keep <= set(w.window.points):
+    if not w.window.holds(keep):
         raise DomainError("subset must lie inside the witness window")
     fams = tuple(
         Family.of([tuple(p for p in s if p in keep) for s in fam.sets], fam.label)
@@ -840,14 +840,14 @@ def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,
     deliberately independent of every fast path in the library and
     evaluates M directly.
     """
-    pts = list(window.points)
-    n = len(pts)
+    n = len(window)
     if n == 0:
         raise DomainError("oracle window must be non-empty")
     if n > ORACLE_MAX_POINTS:
         raise OracleSizeError(
             f"oracle window limited to {ORACLE_MAX_POINTS} points, got {n}"
         )
+    pts = list(window.points)
     for p in pts:
         space._check_point(p)
 

@@ -14,6 +14,7 @@ at the onto scale, and re-verifies the result on the target window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -359,32 +360,26 @@ def coarse_inverse(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
 
 def _separation_scan(space_y: FuzzyMetricSpace, onto: ScaleParams,
                      target: ScaleParams):
-    """Exact scan of s -> (1-r1) * s * (1-r1) on a uniform rational grid.
+    """Exact chain s -> (1-r1) * s * (1-r1) on the uniform grid k/EPS_GRID.
 
     Returns (s_star, epsilon): the largest grid level strictly below the
     target threshold and the chain value there.  Image pairs kept at or
     below epsilon force fattened cross pairs strictly below s_star.
-    Refuses degenerate scans (a constant chain separates nothing).
+    Refuses degenerate scans: a chain equal at the grid ends 0 and 1 is
+    constant on the grid, as t-norms are monotone, and separates nothing.
+    The threshold 1 - r lies in (0, 1), so s_star is a level in [0, 1).
     """
     lvl = onto.threshold
 
     def chain(s):
         return space_y.tnorm(space_y.tnorm(lvl, s), lvl)
 
-    grid = [Fraction(k, EPS_GRID) for k in range(EPS_GRID + 1)]
-    values = [chain(s) for s in grid]
-    if values[0] == values[-1]:
+    if chain(Fraction(0)) == chain(Fraction(1)):
         raise DerivationError(
             "separation scan is constant on the grid; the chain cannot "
             "distinguish levels under this t-norm"
         )
-    below = [s for s in grid if s < target.threshold]
-    if not below:
-        raise DerivationError(
-            f"target threshold {fmt_value(target.threshold)} leaves no grid "
-            f"level below it at granularity 1/{EPS_GRID}"
-        )
-    s_star = below[-1]
+    s_star = Fraction(math.ceil(EPS_GRID * target.threshold) - 1, EPS_GRID)
     epsilon = chain(s_star)
     if epsilon <= 0:
         raise DerivationError(

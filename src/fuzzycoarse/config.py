@@ -107,7 +107,7 @@ def point_from_json(obj):
 
 def window_to_spec(window: Window):
     if window.is_contiguous_ints():
-        return f"{window.points[0]}..{window.points[-1]}"
+        return window.label()  # lo..hi, the range spec
     return [point_to_json(p) for p in window.points]
 
 

@@ -32,9 +32,9 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from itertools import chain, filterfalse, islice
-from operator import le, lt, mul
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, filterfalse, islice, product, repeat
+from operator import add, eq, le, mul
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
@@ -65,81 +65,102 @@ class ScaleParams:
 
 
 class Window:
-    """A finite, sorted, duplicate-free tuple of points.
+    """A finite, sorted, duplicate-free sequence of points.
 
     Windows are how infinite universes are made enumerable: every scan,
     ball and certificate is relative to one.
+
+    A window stores one of two forms.  Evenly spaced ``int`` points, however
+    they were given, are a ``range`` of positive step, read by integer
+    arithmetic and spelled out only when ``points`` is read.  Any other
+    points, and no points, are a sorted tuple and its frozenset.
 
     A set of window points is also described by its *runs*: sorted,
     disjoint, non-adjacent half-open index ranges ``(i, j)`` standing for
     ``points[i:j]``.
     """
 
-    __slots__ = ("points", "_set", "_first_int", "_checked_in")
-
     def __init__(self, points):
-        if isinstance(points, range) and points.step == 1:
-            pts = tuple(points)  # sorted, duplicate-free and consecutive
-            contiguous = bool(pts)
-        else:
-            pts = tuple(sorted(set(points)))
-            contiguous = (bool(pts) and type(pts[0]) is int and type(pts[-1]) is int
-                          and len(pts) == pts[-1] - pts[0] + 1
-                          and all(type(p) is int for p in pts))
-        self.points = pts
-        self._set = frozenset(pts)
-        self._first_int = pts[0] if contiguous else None
+        if type(points) is range and points.step < 0:
+            points = points[::-1]
+        if type(points) is not range or len(points) < 2:
+            # dict.fromkeys keeps the input order, so sorted input sorts in O(n)
+            points = tuple(sorted(dict.fromkeys(points)))
+            if points and all(type(p) is int for p in points):  # evenly spaced: a range
+                step = points[1] - points[0] if len(points) > 1 else 1
+                r = range(points[0], points[0] + step * len(points), step)
+                if all(map(eq, r, points)):
+                    points = r
+        self._seq = points
+        self._set = None if type(points) is range else frozenset(points)
         self._checked_in = set()  # universes that hold every point
 
+    @cached_property
+    def points(self) -> tuple:
+        """The points as a tuple, built on first use: hot loops index and
+        bisect a tuple several times faster than a range."""
+        return tuple(self._seq)
+
     def __iter__(self):
-        return iter(self.points)
+        return iter(self._seq)
 
     def __len__(self):
-        return len(self.points)
+        return len(self._seq)
 
     def __contains__(self, p):
-        return p in self._set
+        if self._set is not None:
+            return p in self._set
+        return p in self._seq if type(p) is int else self.index_of(p) is not None
 
     def __eq__(self, other):
-        return isinstance(other, Window) and self.points == other.points
+        if not isinstance(other, Window):
+            return False
+        a, b = self._seq, other._seq
+        return a == b if type(a) is type(b) else len(a) == len(b) and all(map(eq, a, b))
 
     def __hash__(self):
-        return hash(self.points)
+        return hash((len(self), self._seq[0], self._seq[-1]) if self._seq else 0)
 
     def is_contiguous_ints(self) -> bool:
-        return self._first_int is not None
+        return type(self._seq) is range and self._seq.step == 1
 
     def holds(self, points) -> bool:
         """Whether every one of the points is a window point."""
-        return self._set.issuperset(points)
+        if self._set is not None:
+            return self._set.issuperset(points)
+        return all(p in self._seq if type(p) is int else p in self for p in points)
 
     def index_of(self, p):
         """Index of a window point, or None for a point outside the window."""
-        if p not in self._set:
+        s = self._seq
+        if self._set is not None:
+            return bisect_left(s, p) if p in self._set else None
+        try:  # a range holds 2.0, True and Fraction(2) as a frozenset holding 2 does
+            q = int(p)
+        except (TypeError, ValueError, OverflowError):
             return None
-        return bisect_left(self.points, p)
+        return (q - s.start) // s.step if q == p and q in s else None
 
     def runs_of(self, points) -> list:
         """Runs of the window points among a sequence of points, in any
         order and possibly with repeats.
 
         A step-1 ``range`` on a window of consecutive integers is clipped
-        in O(1); a strictly increasing sequence that is one run is
-        recognised with one subset test, one order check and two index
-        lookups.
+        in O(1).  A sequence equal point by point to the window points from
+        the place of its first point on is one run; on a range window that
+        place is integer arithmetic.
         """
         if not points:
             return []
-        w0 = self._first_int
-        if w0 is not None and isinstance(points, range) and points.step == 1:
-            i = max(0, points.start - w0)
-            j = min(len(self.points), points.stop - w0)
+        s = self._seq
+        if type(points) is range and points.step == 1 and self.is_contiguous_ints():
+            i = max(0, points.start - s.start)
+            j = min(len(s), points.stop - s.start)
             return [(i, j)] if i < j else []
-        if self._set.issuperset(points):
-            i = self.index_of(points[0])
+        i = self.index_of(points[0])
+        if i is not None:
             j = i + len(points)
-            if (j <= len(self.points) and self.points[j - 1] == points[-1]
-                    and all(map(lt, points, islice(points, 1, None)))):
+            if j == i + 1 or j <= len(s) and all(map(eq, islice(points, 1, None), s[i + 1:j])):
                 return [(i, j)]
         return _coalesce_runs((k, k + 1) for k in map(self.index_of, points)
                               if k is not None)
@@ -151,22 +172,19 @@ class Window:
     def run_set(self, runs):
         """A member set holding the points of a run list: a step-1 ``range``
         for one run of consecutive integers, otherwise a tuple."""
-        if self._first_int is not None and len(runs) == 1:
-            i, j = runs[0]
-            return range(self._first_int + i, self._first_int + j)
+        if len(runs) == 1 and self.is_contiguous_ints():
+            return self._seq[slice(*runs[0])]
         return self.points_of(runs)
 
     def label(self) -> str:
-        if not self.points:
+        s = self._seq
+        if not s:
             return "empty"
         if self.is_contiguous_ints():
-            return f"{self.points[0]}..{self.points[-1]}"
-        if len(self.points) <= 8:
-            return "{" + ",".join(fmt_value(p) for p in self.points) + "}"
-        return (
-            f"{fmt_value(self.points[0])}..{fmt_value(self.points[-1])}"
-            f"(#{len(self.points)})"
-        )
+            return f"{s[0]}..{s[-1]}"
+        if len(s) <= 8:
+            return "{" + ",".join(map(fmt_value, s)) + "}"
+        return f"{fmt_value(s[0])}..{fmt_value(s[-1])}(#{len(s)})"
 
     def __repr__(self):
         return f"Window({self.label()})"
@@ -264,12 +282,8 @@ def grid_window(lo, hi, step) -> Window:
     lo, hi, step = as_fraction(lo), as_fraction(hi), as_fraction(step)
     if step <= 0 or lo > hi:
         raise DomainError("grid window needs step > 0 and lo <= hi")
-    pts = []
-    p = lo
-    while p <= hi:
-        pts.append(int(p) if p.denominator == 1 else p)
-        p += step
-    return Window(pts)
+    pts = accumulate(repeat(step, (hi - lo) // step), initial=lo)
+    return Window([int(p) if p.denominator == 1 else p for p in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +469,10 @@ def check_metric_axioms(metric: Metric, window: Window) -> CertReport:
     rep.add_verdict(bad_sym is None, "symmetry", witness=fmt_pair(bad_sym))
     rep.add_verdict(bad_pos is None, "positivity", witness=fmt_pair(bad_pos))
 
-    bad_tri = None
     strong = isinstance(metric, MaxUltrametric)
-    for i in range(n):
-        for j in range(n):
-            dij = dm[i][j]
-            for k in range(n):
-                bound = max(dij, dm[j][k]) if strong else dij + dm[j][k]
-                if dm[i][k] > bound:
-                    bad_tri = (pts[i], pts[j], pts[k])
-                    break
-            if bad_tri:
-                break
-        if bad_tri:
-            break
+    join = max if strong else add
+    bad_tri = next(((pts[i], pts[j], pts[k]) for i, j, k in product(range(n), repeat=3)
+                    if dm[i][k] > join(dm[i][j], dm[j][k])), None)
     rep.add_verdict(bad_tri is None, "strong-triangle" if strong else "triangle", witness=bad_tri)
     return rep
 
@@ -596,8 +600,8 @@ class FuzzyMetricSpace:
 
         The integers of a built-in universe that fail it form a prefix
         (those below 1 for the naturals, none for the others), so a
-        step-1 ``range`` is checked at its two ends only."""
-        if type(points) is range and points.step == 1 and self.universe in UNIVERSES.values():
+        ``range`` of positive step is checked at its two ends only."""
+        if type(points) is range and points.step > 0 and self.universe in UNIVERSES.values():
             points = (points[0], points[-1]) if points else ()
         for p in filterfalse(self.universe._contains, points):
             self._check_point(p)
@@ -605,10 +609,9 @@ class FuzzyMetricSpace:
     def _check_window(self, window: Window):
         """``_check_points`` on the window points, once per window and
         universe: a window remembers the universes that hold it, and a
-        window of consecutive integers is checked as a range."""
+        range window is checked as a range."""
         if self.universe not in window._checked_in:
-            pts = window.points
-            self._check_points(range(pts[0], pts[-1] + 1) if window.is_contiguous_ints() else pts)
+            self._check_points(window._seq)
             window._checked_in.add(self.universe)
 
     def value(self, x, y, t) -> Fraction:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fuzzycoarse import (
     LUKASIEWICZ,
+    MINIMUM,
+    PRODUCT,
     ClosenessCert,
     CoarseMap,
     DimensionWitness,
@@ -36,7 +38,7 @@ from fuzzycoarse import (
     ultrametric_space,
     verify_witness,
 )
-from fuzzycoarse.coarse import _check_modulus, _finite_table_note
+from fuzzycoarse.coarse import EPS_GRID, _check_modulus, _finite_table_note, _separation_scan
 from fuzzycoarse.errors import (
     CertificationError,
     DerivationError,
@@ -366,6 +368,43 @@ def test_transport_degenerate_scan_refused():
         transport_witness(STD, luk_space, f, None, ScaleParams(F(1, 3), 1), wx,
                           witness_factory=block_witness_factory(STD, wx))
     assert "constant" in str(err.value)
+
+
+def separation_scan_by_grid(space_y, onto, thresholds):
+    """The scan as a loop over every level k/EPS_GRID, k = 0..EPS_GRID: per
+    target threshold, ``(s_star, epsilon)`` or the word of the refusal."""
+    lvl = onto.threshold
+
+    def chain(s):
+        return space_y.tnorm(space_y.tnorm(lvl, s), lvl)
+
+    grid = [F(k, EPS_GRID) for k in range(EPS_GRID + 1)]
+    values = [chain(s) for s in grid]
+    for threshold in thresholds:
+        below = [k for k, s in enumerate(grid) if s < threshold]
+        if values[0] == values[-1]:
+            yield "constant"
+        elif not below:
+            yield "no level below"
+        else:
+            yield (grid[below[-1]], values[below[-1]]) if values[below[-1]] > 0 else "is 0"
+
+
+@pytest.mark.parametrize("tnorm", [PRODUCT, MINIMUM, LUKASIEWICZ], ids=lambda t: t.name)
+def test_separation_scan_matches_the_grid_loop(tnorm):
+    """Three chain evaluations pick the level and value of the loop over
+    every grid level, or refuse where it does, at every target threshold
+    k/1000."""
+    space_y = standard_space(tnorm=tnorm, universe=RATIONALS)
+    targets = [ScaleParams(1 - F(k, 1000), 1) for k in range(1, 1000)]
+    for onto in (ScaleParams(F(1, 10), 1), ScaleParams(F(1, 2), 1), ScaleParams(F(9, 10), 1)):
+        expected = separation_scan_by_grid(space_y, onto, [p.threshold for p in targets])
+        for target, want in zip(targets, expected):
+            try:
+                got = _separation_scan(space_y, onto, target)
+            except DerivationError as err:
+                got = next(w for w in ("constant", "is 0") if w in str(err))
+            assert got == want, (onto, target)
 
 
 def test_transport_wrong_scale_witness_rejected():

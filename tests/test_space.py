@@ -1,4 +1,6 @@
+import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from fuzzycoarse import (
     grid_window,
     int_window,
     is_bounded,
+    oracle_min_families,
     pathological_space,
     ratio_minmax_space,
     reciprocal_product_space,
@@ -31,7 +34,13 @@ from fuzzycoarse import (
     ultrametric_space,
     union_bound,
 )
-from fuzzycoarse.errors import DomainError, ExactnessError, UnsupportedOperationError
+from fuzzycoarse.errors import (
+    DomainError,
+    ExactnessError,
+    OracleSizeError,
+    UnsupportedOperationError,
+)
+from fuzzycoarse.report import fmt_value
 from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, Metric
 
 F = Fraction
@@ -79,6 +88,139 @@ def test_runs_of_takes_points_in_any_order():
     sparse = Window([1, 3, F(7, 2), 9])
     assert sparse.runs_of((9, 3)) == [(1, 2), (3, 4)]
     assert sparse.runs_of((3, F(7, 2), 9)) == [(1, 4)]
+    assert Window(range(1, 4)).runs_of((1, F(5, 2), 3)) == [(0, 1), (2, 3)]
+
+
+class SortedTupleWindow:
+    """Reference model of a window: a sorted, duplicate-free tuple and its
+    frozenset, read by bisection and membership alone."""
+
+    def __init__(self, points):
+        self.points = tuple(sorted(set(points)))
+        self.set = frozenset(self.points)
+        pts = self.points
+        self.contiguous = (bool(pts) and all(type(p) is int for p in pts)
+                           and len(pts) == pts[-1] - pts[0] + 1)
+
+    def index_of(self, p):
+        return bisect.bisect_left(self.points, p) if p in self.set else None
+
+    def runs_of(self, points):
+        runs = []
+        for k in sorted({self.index_of(p) for p in points} - {None}):
+            if runs and runs[-1][1] == k:
+                runs[-1] = (runs[-1][0], k + 1)
+            else:
+                runs.append((k, k + 1))
+        return runs
+
+    def run_set(self, runs):
+        pts = tuple(p for i, j in runs for p in self.points[i:j])
+        if self.contiguous and len(runs) == 1:
+            return range(pts[0], pts[-1] + 1)
+        return pts
+
+    def label(self):
+        pts = self.points
+        if not pts:
+            return "empty"
+        if self.contiguous:
+            return f"{pts[0]}..{pts[-1]}"
+        if len(pts) <= 8:
+            return "{" + ",".join(fmt_value(p) for p in pts) + "}"
+        return f"{fmt_value(pts[0])}..{fmt_value(pts[-1])}(#{len(pts)})"
+
+
+SMALL = st.integers(-12, 12)
+RANGES = st.builds(range, SMALL, SMALL, SMALL.filter(bool))
+GRID_STEPS = st.sampled_from([F(1, 3), F(1, 2), F(1), F(2), F(3), F(4, 3)])
+
+
+@st.composite
+def window_routes(draw):
+    """``(points, window)``: a window built by one route, and its points as
+    a list for the reference model."""
+    route = draw(st.sampled_from(["range", "spaced list", "int list", "mixed list",
+                                  "lattice", "grid"]))
+    if route == "range":
+        r = draw(RANGES)
+        return list(r), Window(r)
+    if route == "grid":
+        lo, n, step = F(draw(SMALL), 2), draw(st.integers(0, 10)), draw(GRID_STEPS)
+        pts = [lo + k * step for k in range(n + 1)]
+        return ([int(p) if p.denominator == 1 else p for p in pts],
+                grid_window(lo, pts[-1], step))
+    pts = draw({
+        "spaced list": RANGES.flatmap(lambda r: st.permutations(list(r) + list(r)[:2])),
+        "int list": st.lists(SMALL, max_size=10),
+        "mixed list": st.lists(st.one_of(SMALL, st.booleans(), SMALL.map(F)), max_size=10),
+        "lattice": st.lists(st.tuples(SMALL, SMALL), max_size=6),
+    }[route])
+    return pts, Window(pts)
+
+
+PROBES = st.one_of(SMALL, st.booleans(), st.fractions(-13, 13, max_denominator=3),
+                   st.fractions(-13, 13, max_denominator=2).map(float),
+                   st.tuples(SMALL, SMALL))
+
+
+@settings(max_examples=400, deadline=None)
+@given(window_routes(), window_routes(), st.lists(PROBES, max_size=6), st.data())
+def test_window_matches_the_sorted_tuple_and_frozenset_model(a, b, probes, data):
+    """Every window reads as a sorted tuple and its frozenset would, however
+    it was built and whichever form it keeps, for probes of every type."""
+    (pts, w), (other_pts, other) = a, b
+    ref = SortedTupleWindow(pts)
+    assert w.points == ref.points and list(map(type, w.points)) == list(map(type, ref.points))
+    assert len(w) == len(ref.points) and tuple(w) == ref.points
+    assert w.is_contiguous_ints() == ref.contiguous and w.label() == ref.label()
+    for p in probes:
+        assert (p in w, w.index_of(p)) == (p in ref.set, ref.index_of(p))
+    assert w.holds(probes) == ref.set.issuperset(probes)
+    assert w.holds(w.points[1:])
+    i = data.draw(st.integers(0, len(w)))
+    j = data.draw(st.integers(i, len(w)))
+    members = [probes, w.points[i:j], w.points[i:j][::-1]]
+    if ref.contiguous:
+        members.append(range(w.points[0] + data.draw(SMALL), w.points[0] + data.draw(SMALL)))
+    for member in members:
+        runs = w.runs_of(member)
+        assert runs == ref.runs_of(member)
+        if runs:
+            got, want = w.run_set(runs), ref.run_set(runs)
+            assert (type(got), tuple(got)) == (type(want), tuple(want))
+    again = Window(pts[::-1] + pts)
+    no_ints = Window([F(p) if type(p) is int else p for p in pts])  # never a range
+    for twin in (again, no_ints):
+        assert twin == w and w == twin and hash(twin) == hash(w)
+    assert (w == other) == (ref.points == SortedTupleWindow(other_pts).points)
+    if w == other:
+        assert hash(w) == hash(other)
+
+
+def test_a_billion_point_window_is_never_spelled_out(monkeypatch):
+    """int_window(1, 10**9) answers its length, membership, indices and
+    label, is checked against the naturals at its two ends and is refused
+    by the oracle, in well under a megabyte."""
+    calls = []
+    contains = NATURALS._contains
+    monkeypatch.setattr(NATURALS, "_contains", lambda p: calls.append(p) or contains(p))
+    tracemalloc.start()
+    try:
+        w = int_window(1, 10**9)
+        assert len(w) == 10**9 and 10**9 in w and 10**9 + 1 not in w and F(7) in w
+        assert w.index_of(10**9) == 10**9 - 1 and w.index_of(F(1, 2)) is None
+        assert w.label() == "1..1000000000"
+        assert w.runs_of(range(10**9 - 1, 10**9 + 5)) == [(10**9 - 2, 10**9)]
+        ratio_minmax_space()._check_window(w)
+        with pytest.raises(OracleSizeError):
+            oracle_min_families(ratio_minmax_space(), ScaleParams(F(1, 2), 1),
+                                ScaleParams(F(1, 2), 1), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) <= 2
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
