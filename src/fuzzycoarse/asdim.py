@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 from .covers import (
     Cover,
@@ -53,7 +53,7 @@ from .space import (FuzzyMetricSpace, ScaleParams, Window, _first_chain_violatio
                     _value_matrices)
 
 ONE = Fraction(1)
-ORACLE_MAX_POINTS = 10  # the oracle enumerates every set partition of its window
+ORACLE_MAX_POINTS = 10  # the colouring search is exponential in the worst case and has no budget
 
 
 @dataclass(frozen=True)
@@ -697,8 +697,16 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
     inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
     space._check_window(window)  # before any candidate check, as every ball sweep does
     if candidate is None:
-        swept = space.balls(window.points, inner.threshold, params.t, window)
-        edges = ((i, k) for i, runs in enumerate(swept) for run in runs for k in range(*run))
+        swept = list(space.balls(window.points, inner.threshold, params.t, window))
+        # a centre joins every point of its ball: join it to the first index
+        # of each run, and chain the points of each chunk of overlapping runs
+        # (a run starting inside the chunk extends it from its end), so there
+        # is at most one edge per run and one per point
+        edges = [(i, run[0]) for i, runs in enumerate(swept) for run in runs]
+        end = 0
+        for lo, hi in sorted(chain.from_iterable(swept)):
+            edges.extend((k - 1, k) for k in range(max(lo + 1, end), hi))
+            end = max(end, hi)
         pts = window.points
         sets = [tuple(pts[i] for i in comp) for comp in _components(len(pts), edges)]
     else:
@@ -720,7 +728,7 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
 
 
 # ---------------------------------------------------------------------------
-# Scale graph and the brute-force oracle
+# Scale graph and the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -788,56 +796,17 @@ def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) ->
                             spanning=len(components) == 1 and n > 0)
 
 
-def _partitions(items):
-    """All set partitions of a list, deterministically ordered."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def _chromatic_number(n_nodes: int, conflicts) -> int:
-    """Exact chromatic number of a tiny conflict graph."""
-    if n_nodes == 0:
-        return 0
-
-    def colorable(k):
-        colors = [-1] * n_nodes
-
-        def assign(i):
-            if i == n_nodes:
-                return True
-            used = {colors[j] for j in range(i) if conflicts[i][j]}
-            for c in range(min(k, i + 1)):
-                if c not in used:
-                    colors[i] = c
-                    if assign(i + 1):
-                        return True
-            colors[i] = -1
-            return False
-
-        return assign(0)
-
-    for k in range(1, n_nodes + 1):
-        if colorable(k):
-            return k
-    return n_nodes
-
-
 def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,
                         bound_params: ScaleParams, window: Window) -> int:
-    """Brute-force minimum number of separated families covering a tiny window.
+    """Exact minimum number of separated families covering a tiny window.
 
-    Enumerates every set partition of the window into internally bounded
-    blocks (at bound_params) and, for each, the minimum number of
-    families needed so no family holds two blocks with a cross pair at
-    or above 1 - r; that is a chromatic number of the block conflict
-    graph.  The result speaks only about the fixed scales given; it is
-    deliberately independent of every fast path in the library and
+    Two points with M >= 1 - r at the separation scale can never sit in
+    distinct members of one family, and boundedness is hereditary, so a
+    set of points forms one family exactly when every component of its
+    separation graph is bounded at bound_params.  The answer is the least
+    k for which a backtracking search colours the window points with k
+    such classes.  The result speaks only about the fixed scales given;
+    it is deliberately independent of every fast path in the library and
     evaluates M directly.
     """
     n = len(window)
@@ -855,36 +824,30 @@ def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,
     bnd_level, t_bnd = bound_params.threshold, bound_params.t
     m_sep = [[space.value(x, y, t_sep) for y in pts] for x in pts]
     m_bnd = [[space.value(x, y, t_bnd) for y in pts] for x in pts]
-    index = {p: i for i, p in enumerate(pts)}
 
-    bounded_cache = {}
+    def is_family(members):
+        edges = [(a, b) for a, b in combinations(range(len(members)), 2)
+                 if m_sep[members[a]][members[b]] >= sep_level]
+        return all(m_bnd[members[a]][members[b]] > bnd_level
+                   for comp in _components(len(members), edges)
+                   for a, b in combinations(comp, 2))
 
-    def block_bounded(block):
-        key = tuple(block)
-        if key not in bounded_cache:
-            idxs = [index[p] for p in block]
-            bounded_cache[key] = all(
-                m_bnd[i][j] > bnd_level
-                for a, i in enumerate(idxs)
-                for j in idxs[a + 1:]
-            )
-        return bounded_cache[key]
+    classes = []
 
-    def blocks_conflict(b1, b2):
-        return any(m_sep[index[x]][index[y]] >= sep_level for x in b1 for y in b2)
+    def colour(i, k):
+        """Whether points i.. extend the colour classes to at most k valid ones."""
+        if i == n:
+            return True
+        for members in classes:
+            members.append(i)
+            if is_family(members) and colour(i + 1, k):
+                return True
+            members.pop()
+        if len(classes) < k:
+            classes.append([i])
+            if colour(i + 1, k):
+                return True
+            classes.pop()
+        return False
 
-    best = n  # singleton blocks always exist and need at most n families
-    for part in _partitions(pts):
-        blocks = [tuple(sorted(b)) for b in part]
-        if not all(block_bounded(b) for b in blocks):
-            continue
-        k = len(blocks)
-        conflicts = [[False] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if blocks_conflict(blocks[i], blocks[j]):
-                    conflicts[i][j] = conflicts[j][i] = True
-        best = min(best, _chromatic_number(k, conflicts))
-        if best == 1:
-            break
-    return best
+    return next(k for k in range(1, n + 1) if colour(0, k))

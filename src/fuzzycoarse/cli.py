@@ -34,23 +34,17 @@ EXIT_CERTIFIED_FAIL = 1
 EXIT_USAGE = 2
 
 
-class _Emitter:
-    def __init__(self, out_path=None):
-        self.lines = []
-        self.out_path = out_path
-
-    def emit(self, report_or_line):
-        if isinstance(report_or_line, str):
-            self.lines.append(report_or_line)
-        else:
-            self.lines.extend(report_or_line.lines())
-
-    def flush(self):
-        text = "\n".join(self.lines) + "\n" if self.lines else ""
-        sys.stdout.write(text)
-        if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+def _render(args, items) -> int:
+    """Write the lines of the reports and strings to stdout and to
+    ``--out``; exit 1 exactly when one of them is a failed verdict."""
+    lines = [line for item in items
+             for line in ([item] if isinstance(item, str) else item.lines())]
+    text = "".join(line + "\n" for line in lines)
+    sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return EXIT_CERTIFIED_FAIL if any(line.startswith("FAIL ") for line in lines) else EXIT_PASS
 
 
 def _merged(args, config_keys):
@@ -105,16 +99,10 @@ def cmd_verify_axioms(args) -> int:
     t_grid = [as_fraction(t) for t in grid]
     cases = int_from_json(merged.get("bridge_cases", 0), "bridge_cases")
     seed = int_from_json(merged.get("seed", 0), "seed")
-    em = _Emitter(args.out)
-    rep = check_axioms(space, window, t_grid)
-    em.emit(rep)
-    ok = rep.passed
+    reports = [check_axioms(space, window, t_grid)]
     if cases > 0:
-        bridge = threshold_bridge_suite(seed=seed, cases=cases)
-        em.emit(bridge)
-        ok = ok and bridge.passed
-    em.flush()
-    return EXIT_PASS if ok else EXIT_CERTIFIED_FAIL
+        reports.append(threshold_bridge_suite(seed=seed, cases=cases))
+    return _render(args, reports)
 
 
 def _has_t_free_constructor(space) -> bool:
@@ -132,14 +120,11 @@ def cmd_witness(args) -> int:
     if isinstance(epsilon, str):
         epsilon = parse_rational(epsilon)
     w = asdim.construct_witness(space, params, window, epsilon)
-    rep = asdim.verify_witness(space, w)
-    em = _Emitter(args.out)
-    em.emit(rep)
-    em.flush()
+    code = _render(args, [asdim.verify_witness(space, w)])
     if args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(witness_to_json(w)))
-    return EXIT_PASS if rep.passed else EXIT_CERTIFIED_FAIL
+    return code
 
 
 def cmd_check(args) -> int:
@@ -150,15 +135,10 @@ def cmd_check(args) -> int:
     if not path:
         raise ParseError("a witness file is required (--witness or config)")
     w = witness_from_json(load_json_file(path))
-    em = _Emitter(args.out)
-    ok = True
     scales = _scales_of(merged)
-    for params, rep in zip(scales, asdim.verify_witness_scales(space, w, scales)):
-        em.emit(f"SCALE {format_scale(params)}")
-        em.emit(rep)
-        ok = ok and rep.passed
-    em.flush()
-    return EXIT_PASS if ok else EXIT_CERTIFIED_FAIL
+    reports = asdim.verify_witness_scales(space, w, scales)
+    return _render(args, [item for params, rep in zip(scales, reports)
+                          for item in (f"SCALE {format_scale(params)}", rep)])
 
 
 def cmd_pipeline(args) -> int:
@@ -176,12 +156,7 @@ def cmd_pipeline(args) -> int:
     def factory(scale):
         return asdim.construct_witness(space, scale, window)
 
-    result = asdim.run_dimension_pipeline(space, params, window, factory)
-    em = _Emitter(args.out)
-    for rep in result.reports:
-        em.emit(rep)
-    em.flush()
-    return EXIT_PASS if result.passed else EXIT_CERTIFIED_FAIL
+    return _render(args, asdim.run_dimension_pipeline(space, params, window, factory).reports)
 
 
 def cmd_coarse(args) -> int:
@@ -202,24 +177,15 @@ def cmd_coarse(args) -> int:
     inverse = cfg.get("inverse")
     if inverse is not None and not isinstance(inverse, bool):
         raise ParseError(f"inverse must be true, false or null, got {inverse!r}")
-    em = _Emitter(args.out)
-    ok = True
+    reports = []
     if fmap.expansive:
-        rep = coarse.check_uniformly_expansive(space_x, space_y, fmap, window_x)
-        em.emit(rep)
-        ok = ok and rep.passed
+        reports.append(coarse.check_uniformly_expansive(space_x, space_y, fmap, window_x))
     if fmap.proper:
-        rep = coarse.check_effectively_proper(space_x, space_y, fmap, window_x)
-        em.emit(rep)
-        ok = ok and rep.passed
+        reports.append(coarse.check_effectively_proper(space_x, space_y, fmap, window_x))
     if fmap.onto_params is not None:
-        rep = coarse.check_coarsely_onto(space_y, fmap, fmap.onto_params, window_y)
-        em.emit(rep)
-        ok = ok and rep.passed
+        reports.append(coarse.check_coarsely_onto(space_y, fmap, fmap.onto_params, window_y))
     if inverse:
-        _, rep = coarse.coarse_inverse(space_x, space_y, fmap, params, window_y, window_x)
-        em.emit(rep)
-        ok = ok and rep.passed
+        reports.append(coarse.coarse_inverse(space_x, space_y, fmap, params, window_y, window_x)[1])
     if "transport" in cfg:
         tcfg = cfg["transport"]
         if not isinstance(tcfg, dict):
@@ -232,12 +198,9 @@ def cmd_coarse(args) -> int:
             def factory(scale):
                 return asdim.construct_witness(space_x, scale, source_window)
 
-        _, rep = coarse.transport_witness(space_x, space_y, fmap, witness, params,
-                                          window_y, witness_factory=factory)
-        em.emit(rep)
-        ok = ok and rep.passed
-    em.flush()
-    return EXIT_PASS if ok else EXIT_CERTIFIED_FAIL
+        reports.append(coarse.transport_witness(space_x, space_y, fmap, witness, params,
+                                                window_y, witness_factory=factory)[1])
+    return _render(args, reports)
 
 
 def cmd_oracle(args) -> int:
@@ -248,19 +211,14 @@ def cmd_oracle(args) -> int:
     params = _scale_of(merged)
     bound_spec = merged.get("bound")
     bound = params if bound_spec is None else parse_scale(bound_spec)
-    em = _Emitter(args.out)
     k = asdim.oracle_min_families(space, params, bound, window)
-    em.emit(f"ORACLE min_families={k} scale={format_scale(params)} "
-            f"bound={format_scale(bound)} window={window.label()}")
-    ok = True
+    lines = [f"ORACLE min_families={k} scale={format_scale(params)} "
+             f"bound={format_scale(bound)} window={window.label()}"]
     if _has_t_free_constructor(space) and asdim.is_initial_segment(window):
         w = asdim.construct_witness(space, params, window)
-        consistent = k <= w.n + 1
-        em.emit(f"{'PASS' if consistent else 'FAIL'} oracle-vs-constructor "
-                f"oracle={k} constructor_families={w.n + 1}")
-        ok = consistent
-    em.flush()
-    return EXIT_PASS if ok else EXIT_CERTIFIED_FAIL
+        lines.append(f"{'PASS' if k <= w.n + 1 else 'FAIL'} oracle-vs-constructor "
+                     f"oracle={k} constructor_families={w.n + 1}")
+    return _render(args, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, scales=False)
     p.set_defaults(fn=cmd_coarse)
 
-    p = sub.add_parser("oracle", help="brute-force minimum family count on a tiny window")
+    p = sub.add_parser("oracle", help="exact minimum family count on a tiny window")
     common(p)
     p.add_argument("--bound", help="bound scale r:t (defaults to --scale)")
     p.set_defaults(fn=cmd_oracle)

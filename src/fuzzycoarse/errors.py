@@ -42,4 +42,4 @@ class NonArchimedeanViolationError(FuzzyCoarseError):
 
 
 class OracleSizeError(FuzzyCoarseError):
-    """The brute-force oracle only accepts very small windows."""
+    """The oracle only accepts very small windows."""

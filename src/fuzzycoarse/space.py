@@ -73,7 +73,8 @@ class Window:
     A window stores one of two forms.  Evenly spaced ``int`` points, however
     they were given, are a ``range`` of positive step, read by integer
     arithmetic and spelled out only when ``points`` is read.  Any other
-    points, and no points, are a sorted tuple and its frozenset.
+    points, and no points, are a sorted tuple and, as its membership set,
+    the key view of the dict that removed its duplicates.
 
     A set of window points is also described by its *runs*: sorted,
     disjoint, non-adjacent half-open index ranges ``(i, j)`` standing for
@@ -83,16 +84,18 @@ class Window:
     def __init__(self, points):
         if type(points) is range and points.step < 0:
             points = points[::-1]
+        keys = None
         if type(points) is not range or len(points) < 2:
             # dict.fromkeys keeps the input order, so sorted input sorts in O(n)
-            points = tuple(sorted(dict.fromkeys(points)))
+            keys = dict.fromkeys(points).keys()
+            points = tuple(sorted(keys))
             if points and all(type(p) is int for p in points):  # evenly spaced: a range
                 step = points[1] - points[0] if len(points) > 1 else 1
                 r = range(points[0], points[0] + step * len(points), step)
                 if all(map(eq, r, points)):
                     points = r
         self._seq = points
-        self._set = None if type(points) is range else frozenset(points)
+        self._set = None if type(points) is range else keys
         self._checked_in = set()  # universes that hold every point
 
     @cached_property
@@ -127,7 +130,7 @@ class Window:
     def holds(self, points) -> bool:
         """Whether every one of the points is a window point."""
         if self._set is not None:
-            return self._set.issuperset(points)
+            return all(map(self._set.__contains__, points))
         return all(p in self._seq if type(p) is int else p in self for p in points)
 
     def index_of(self, p):

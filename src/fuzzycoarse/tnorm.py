@@ -109,37 +109,14 @@ def check_tnorm_axioms(tnorm: TNorm, grid) -> CertReport:
     comm = next(((a, b) for a, b in combinations_with_replacement(pts, 2) if ev(a, b) != ev(b, a)), None)
     rep.add_verdict(comm is None, "commutative", witness=comm)
 
-    assoc = None
-    for a in pts:
-        for b in pts:
-            ab = ev(a, b)
-            for c in pts:
-                if ev(ab, c) != ev(a, ev(b, c)):
-                    assoc = (a, b, c)
-                    break
-            if assoc:
-                break
-        if assoc:
-            break
+    vals = [[ev(a, b) for b in pts] for a in pts]
+    assoc = next(((a, b, c) for a, row in zip(pts, vals) for b, ab in zip(pts, row) for c in pts
+                  if ev(ab, c) != ev(a, ev(b, c))), None)
     rep.add_verdict(assoc is None, "associative", witness=assoc)
 
-    mono = None
-    n = len(pts)
-    vals = [[ev(a, b) for b in pts] for a in pts]
-    for i in range(n):
-        for k in range(i, n):
-            row_i, row_k = vals[i], vals[k]
-            for j in range(n):
-                for m in range(j, n):
-                    if row_i[j] > row_k[m]:
-                        mono = (pts[i], pts[j], pts[k], pts[m])
-                        break
-                if mono:
-                    break
-            if mono:
-                break
-        if mono:
-            break
+    pairs = list(combinations_with_replacement(range(len(pts)), 2))
+    mono = next(((pts[i], pts[j], pts[k], pts[m]) for i, k in pairs for j, m in pairs
+                 if vals[i][j] > vals[k][m]), None)
     rep.add_verdict(mono is None, "monotone", witness=mono)
 
     rep.add_verdict(

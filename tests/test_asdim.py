@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzycoarse import (
+    LUKASIEWICZ,
     MINIMUM,
+    PRODUCT,
     Cover,
     DimensionWitness,
     Family,
@@ -743,6 +745,60 @@ def test_zero_dim_candidate_matches_brute_force(data):
         assert bad is None
 
 
+def _per_point_edges(space, params, w):
+    """The zero-dimension search's graph spelled out: each centre joined to
+    every point of its ball at the inner level."""
+    inner = ScaleParams((1 + params.r) / 2, params.t)
+    swept = space.balls(w.points, inner.threshold, params.t, w)
+    return [(i, k) for i, runs in enumerate(swept) for run in runs for k in range(*run)]
+
+
+def _recording_components(monkeypatch):
+    """Wrap ``asdim._components`` and return the list of edge lists it gets."""
+    seen = []
+    components = asdim._components
+
+    def recording(n, edges):
+        seen.append(list(edges))
+        return components(n, seen[-1])
+
+    monkeypatch.setattr(asdim, "_components", recording)
+    return seen
+
+
+def test_zero_dim_components_match_the_per_point_edges(monkeypatch):
+    """Centres joined to their runs' first points and overlapping runs
+    joined as paths give the components of the per-point ball edges."""
+    components = asdim._components
+    seen = _recording_components(monkeypatch)
+    cases = [(factory(), w) for factory in (ratio_minmax_space, reciprocal_product_space,
+                                            pathological_space, ultrametric_space,
+                                            standard_space)
+             for w in (int_window(1, 60), Window(range(1, 120, 3)),
+                       Window([1, 2, 3, 5, 8, 13, 21, 34, 55, 89]))]
+    cases += [(standard_space(), int_window(-20, 20)), (_clusters_space(), Window(range(1, 7)))]
+    for space, w in cases:
+        for params in (ScaleParams(F(1, 2), 1), ScaleParams(F(1, 4), 3), ScaleParams(F(3, 4), 10)):
+            seen.clear()
+            try:
+                zero_dim_witness_via_refinement(space, params, w)
+            except SearchFailureError:
+                pass
+            assert len(seen) == 1
+            assert (components(len(w), seen[0])
+                    == components(len(w), _per_point_edges(space, params, w)))
+
+
+def test_zero_dim_search_edges_are_linear_in_the_window(monkeypatch):
+    """On ratio 1..2000 every inner ball holds a large share of the window,
+    yet the search hands the component finder at most three edges a point."""
+    seen = _recording_components(monkeypatch)
+    w = int_window(1, 2000)
+    with pytest.raises(SearchFailureError):
+        zero_dim_witness_via_refinement(ratio_minmax_space(), ScaleParams(F(1, 2), 1), w)
+    assert len(seen) == 1 and len(seen[0]) <= 3 * len(w)
+
+
 # ---------------------------------------------------------------------------
 # scale graph
 # ---------------------------------------------------------------------------
@@ -815,8 +871,140 @@ def test_scale_graph_refuses_points_outside_the_universe(factory):
 
 
 # ---------------------------------------------------------------------------
-# the brute-force oracle
+# the oracle, and the set-partition oracle it is checked against
 # ---------------------------------------------------------------------------
+
+
+def _partitions(items):
+    """All set partitions of a list, deterministically ordered."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _chromatic_number(n_nodes: int, conflicts) -> int:
+    """Exact chromatic number of a tiny conflict graph."""
+    if n_nodes == 0:
+        return 0
+
+    def colorable(k):
+        colors = [-1] * n_nodes
+
+        def assign(i):
+            if i == n_nodes:
+                return True
+            used = {colors[j] for j in range(i) if conflicts[i][j]}
+            for c in range(min(k, i + 1)):
+                if c not in used:
+                    colors[i] = c
+                    if assign(i + 1):
+                        return True
+            colors[i] = -1
+            return False
+
+        return assign(0)
+
+    for k in range(1, n_nodes + 1):
+        if colorable(k):
+            return k
+    return n_nodes
+
+
+def _partition_oracle(space, params, bound_params, window) -> int:
+    """Minimum number of separated families by brute force: every set
+    partition of the window into internally bounded blocks (at
+    bound_params), and for each the chromatic number of the graph joining
+    blocks with a cross pair at or above 1 - r."""
+    pts = list(window.points)
+    n = len(pts)
+    sep_level, t_sep = params.threshold, params.t
+    bnd_level, t_bnd = bound_params.threshold, bound_params.t
+    m_sep = [[space.value(x, y, t_sep) for y in pts] for x in pts]
+    m_bnd = [[space.value(x, y, t_bnd) for y in pts] for x in pts]
+    index = {p: i for i, p in enumerate(pts)}
+
+    bounded_cache = {}
+
+    def block_bounded(block):
+        key = tuple(block)
+        if key not in bounded_cache:
+            idxs = [index[p] for p in block]
+            bounded_cache[key] = all(
+                m_bnd[i][j] > bnd_level
+                for a, i in enumerate(idxs)
+                for j in idxs[a + 1:]
+            )
+        return bounded_cache[key]
+
+    def blocks_conflict(b1, b2):
+        return any(m_sep[index[x]][index[y]] >= sep_level for x in b1 for y in b2)
+
+    best = n  # singleton blocks always exist and need at most n families
+    for part in _partitions(pts):
+        blocks = [tuple(sorted(b)) for b in part]
+        if not all(block_bounded(b) for b in blocks):
+            continue
+        k = len(blocks)
+        conflicts = [[False] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                if blocks_conflict(blocks[i], blocks[j]):
+                    conflicts[i][j] = conflicts[j][i] = True
+        best = min(best, _chromatic_number(k, conflicts))
+        if best == 1:
+            break
+    return best
+
+
+ORACLE_KINDS = [standard_space, reciprocal_product_space, ratio_minmax_space,
+                pathological_space, ultrametric_space]
+ORACLE_SCALES = st.builds(ScaleParams, st.integers(1, 15).map(lambda i: F(i, 16)),
+                          st.sampled_from([F(1, 2), 1, 2, 5, 20]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_the_partition_oracle(data):
+    """The colouring search and the set-partition enumeration agree on
+    windows of up to 8 points: the built-in kinds on integer windows and
+    random table metrics under each built-in t-norm, at random scales."""
+    pts = sorted(data.draw(st.sets(st.integers(1, 24), min_size=1, max_size=8)))
+    if data.draw(st.booleans()):
+        space = data.draw(st.sampled_from(ORACLE_KINDS))()
+    else:
+        n = len(pts)
+        d = {(i, j): data.draw(st.integers(1, 12)) for i in range(n) for j in range(i + 1, n)}
+        matrix = [[0 if i == j else d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        space = standard_space(TableMetric(pts, matrix),
+                               tnorm=data.draw(st.sampled_from([PRODUCT, MINIMUM, LUKASIEWICZ])))
+    params, bound = data.draw(ORACLE_SCALES), data.draw(ORACLE_SCALES)
+    w = Window(pts)
+    assert oracle_min_families(space, params, bound, w) == _partition_oracle(space, params, bound, w)
+
+
+def test_oracle_evaluates_m_only_through_value(monkeypatch):
+    """The oracle stays independent of every fast path: two n x n matrices
+    of ``value`` and nothing else."""
+    from fuzzycoarse.space import FuzzyMetricSpace
+
+    calls = dict.fromkeys(("value", "_raw", "_pair", "balls", "ball_level"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(FuzzyMetricSpace, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(FuzzyMetricSpace, name, counted)
+    for space, w in [(ratio_minmax_space(), int_window(1, 10)),
+                     (ultrametric_space(), Window([2, 3, 5, 7, 11])),
+                     (_clusters_space(), Window(range(1, 7)))]:
+        calls.update(dict.fromkeys(calls, 0))
+        oracle_min_families(space, ScaleParams(F(1, 2), 1), ScaleParams(F(1, 4), 2), w)
+        assert calls == {"value": 2 * len(w) ** 2, "_raw": 0, "_pair": 0, "balls": 0,
+                         "ball_level": 0}
 
 
 def test_oracle_examples():

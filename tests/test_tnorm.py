@@ -14,6 +14,7 @@ from fuzzycoarse import (
     tnorm_from_name,
 )
 from fuzzycoarse.errors import DomainError
+from fuzzycoarse.report import fmt_value
 from fuzzycoarse.tnorm import TNorm, positivity_counterexample
 
 F = Fraction
@@ -67,6 +68,27 @@ def test_axiom_reports_pass(tnorm, grid):
     rep = check_tnorm_axioms(tnorm, grid)
     assert rep.passed
     assert any("continuity" in c.predicate for c in rep.checks)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda a, b: (a + b) / 2,
+    lambda a, b: max(a - b, F(0)),
+    lambda a, b: F(1, 16) if a == b == F(3, 4) else a * b,
+    PRODUCT.rule,
+], ids=["average", "truncated-difference", "dented-product", "product"])
+def test_axiom_report_names_the_first_failing_triple_and_quadruple(rule):
+    """Associativity and monotonicity report the first counterexample of a
+    plain nested scan in argument order."""
+    grid = [0, F(1, 4), F(1, 2), F(3, 4), 1]
+    n = len(grid)
+    assoc = next(((a, b, c) for a in grid for b in grid for c in grid
+                  if rule(rule(a, b), c) != rule(a, rule(b, c))), None)
+    mono = next(((grid[i], grid[j], grid[k], grid[m])
+                  for i in range(n) for k in range(i, n) for j in range(n) for m in range(j, n)
+                  if rule(grid[i], grid[j]) > rule(grid[k], grid[m])), None)
+    rep = check_tnorm_axioms(TNorm("custom", rule), grid)
+    got = {c.predicate: dict(c.details).get("witness") for c in rep.checks}
+    assert (got["associative"], got["monotone"]) == (fmt_value(assoc), fmt_value(mono))
 
 
 def test_axiom_report_rejects_bad_grid():
