@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
+from operator import le
 from typing import Callable, Optional
 
 from .asdim import DimensionWitness, verify_witness
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .rationals import as_fraction
 from .report import CertReport, fmt_pair, fmt_value
-from .space import FuzzyMetricSpace, ScaleParams, Window
+from .space import FuzzyMetricSpace, ScaleParams, Window, _gallop
 
 EPS_GRID = 256  # granularity of the exact scan used in transport derivation
 
@@ -131,19 +132,31 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
                    space_y: FuzzyMetricSpace, f: CoarseMap, window_x: Window,
                    proper: bool) -> CertReport:
     """One verdict per entry (level_in @ t_in) -> (level_out @ t_out) over
-    every window pair x <= y, naming the first bad pair in scan order.
+    the window pairs x <= y, naming the first bad pair in (x, y) order.
 
     The input side of a pair is (x, y) in ``space_x`` and the output side
     (f(x), f(y)) in ``space_y``; ``proper`` swaps the two sides.  Every
     point is checked against its universe once, before the scan.  Each
     level test is one integer cross-multiplication; only a reported value
     is built as a Fraction.
+
+    When both kinds are radial or coordinate-decreasing and the images do
+    not decrease in window order (checked here, not read from the map's
+    rule), both sides are non-decreasing point sequences.  Then for
+    j >= i the input value M(a_i, a_j) does not increase with j and is 1
+    at j = i, so the pairs of row i that meet the closed premise form a
+    run [i, b); on that run the output value does not increase either, so
+    its failing pairs form a suffix.  Each row gallops to b, tests b - 1
+    and, if that fails, gallops to the first failing pair: O(n log n)
+    ``pair`` calls per entry.  Every other case tests every pair.
     """
     rep = CertReport(title, map=f.describe(), window=window_x.label())
     pts = window_x.points
     images = [f.apply(x) for x in pts]
     space_x._check_window(window_x)
     space_y._check_points(images)
+    runs = (all(s.radially_monotone or s.coordinate_decreasing for s in (space_x, space_y))
+            and all(map(le, images, islice(images, 1, None))))
     sides = [(space_x._pair, pts), (space_y._pair, images)]
     (pair_in, pts_in), (pair_out, pts_out) = sides[::-1] if proper else sides
     n = len(pts)
@@ -154,12 +167,26 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
         t_in, t_out = entry.t_in, entry.t_out
         for i in range(n):
             a, fa = pts_in[i], pts_out[i]
-            for j in range(i, n):
-                num, den = pair_in(a, pts_in[j], t_in)
-                if num * ld >= ln * den:
+            if runs:
+                def below_in(j):
+                    num, den = pair_in(a, pts_in[j], t_in)
+                    return num * ld < ln * den
+
+                def below_out(j):
                     num, den = pair_out(fa, pts_out[j], t_out)
-                    if num * od < on * den:
-                        return (pts[i], pts[j]), Fraction(num, den)
+                    return num * od < on * den
+
+                last = _gallop(below_in, i + 1, n) - 1
+                if last > i and below_out(last):
+                    j = _gallop(below_out, i + 1, last)
+                    return (pts[i], pts[j]), Fraction(*pair_out(fa, pts_out[j], t_out))
+            else:
+                for j in range(i, n):
+                    num, den = pair_in(a, pts_in[j], t_in)
+                    if num * ld >= ln * den:
+                        num, den = pair_out(fa, pts_out[j], t_out)
+                        if num * od < on * den:
+                            return (pts[i], pts[j]), Fraction(num, den)
         return None
 
     for entry in entries:

@@ -30,6 +30,7 @@ from fuzzycoarse import (
     inclusion_map,
     int_window,
     lift_metric_families,
+    pathological_space,
     ratio_minmax_space,
     reciprocal_product_space,
     standard_space,
@@ -491,11 +492,14 @@ scales = st.builds(ScaleParams, st.fractions(F(1, 12), F(11, 12), max_denominato
 @st.composite
 def coarse_cases(draw):
     """(space_x, space_y, map, window_x, window_y): an affine map into the
-    rationals, or a table map into the naturals (ratio, reciprocal) or into
-    the points of a table metric, whose balls are window scans."""
-    kind = draw(st.sampled_from(["affine", "ratio", "reciprocal", "table"]))
+    rationals, or a table map from a radial (ratio) or coordinate-decreasing
+    (reciprocal) source into the naturals (ratio, pathological,
+    reciprocal) or into the points of a table metric, whose balls are
+    window scans.  About half of the table maps have sorted targets, with
+    repeats, so that both flagged sides meet non-decreasing images."""
+    kind = draw(st.sampled_from(["affine", "ratio", "pathological", "reciprocal", "table"]))
     lo = draw(st.integers(-6, 6)) if kind == "affine" else 1
-    window_x = int_window(lo, lo + draw(st.integers(0, 14)))
+    window_x = int_window(lo, lo + draw(st.integers(0, 39)))
     if kind == "affine":
         a = draw(st.fractions(-3, 3, max_denominator=4))
         b = draw(st.fractions(-3, 3, max_denominator=4))
@@ -506,13 +510,16 @@ def coarse_cases(draw):
         targets = st.sampled_from(DIFF_TABLE.points)
         space_y = standard_space(DIFF_TABLE)
         window_y = Window(DIFF_TABLE.points)
-        space_x = STD
     else:
         targets = st.integers(1, 16)
-        space_y = ratio_minmax_space() if kind == "ratio" else reciprocal_product_space()
+        space_y = {"ratio": ratio_minmax_space, "pathological": pathological_space,
+                   "reciprocal": reciprocal_product_space}[kind]()
         window_y = int_window(1, 16)
-        space_x = ratio_minmax_space()
-    f = table_map({x: draw(targets) for x in window_x})
+    space_x = draw(st.sampled_from([ratio_minmax_space(), reciprocal_product_space()]))
+    images = draw(st.lists(targets, min_size=len(window_x), max_size=len(window_x)))
+    if draw(st.booleans()):
+        images.sort()
+    f = table_map(dict(zip(window_x, images)))
     return space_x, space_y, f, window_x, window_y
 
 
@@ -623,20 +630,121 @@ def test_image_outside_the_universe_raises_before_any_verdict():
 
 
 def test_modulus_and_close_stop_at_their_first_counterexample(monkeypatch):
-    """x -> 3x fails the expansive entry first at the pair 0~1, after the
+    """x -> -3x fails the expansive entry first at the pair 0~1, after the
     pairs 0~0 and 0~1 on each side, and x -> x + 10 is far from the
-    identity at every point; each check stops at its first failure."""
+    identity at every point; each check stops at its first failure.  Its
+    images decrease, so the modulus check tests every pair in order."""
     calls = []
     pair = type(STD._kind).pair
     monkeypatch.setattr(type(STD._kind), "pair",
                         lambda self, *args: calls.append(args) or pair(self, *args))
     w = int_window(0, 10)
-    f = affine_map(3, 0, expansive=(entry("1/2", 1, "1/2", 1),))
+    f = affine_map(-3, 0, expansive=(entry("1/2", 1, "1/2", 1),))
     rep = check_uniformly_expansive(STD, STD, f, w)
     assert [v.line() for v in rep.failures()] == [
         "FAIL expansive-entry entry=(1/2@1)->(1/2@1) witness=0~1 value=1/4"]
-    assert [args[:2] for args in calls] == [(0, 0), (0, 0), (0, 1), (0, 3)]
+    assert [args[:2] for args in calls] == [(0, 0), (0, 0), (0, 1), (0, -3)]
     calls.clear()
     rep = check_close(STD, identity_map(), affine_map(1, 10), ScaleParams(F(1, 2), 1), w)
     assert [v.line() for v in rep.failures()] == ["FAIL pointwise witness=0 value=1/11"]
     assert len(calls) == 1
+
+
+def test_modulus_run_scan_stops_at_the_first_counterexample(monkeypatch):
+    """x -> 3x has increasing images, so row 0 gallops its premise run
+    from 1 (M(0, 1) = 1/2 holds, M(0, 2) = 1/3 does not), tests the run's
+    last pair 0~1 on the output side, (0, 3), and finds it failing; the
+    first failing pair is that one, and its value is read once more."""
+    calls = []
+    pair = type(STD._kind).pair
+    monkeypatch.setattr(type(STD._kind), "pair",
+                        lambda self, *args: calls.append(args) or pair(self, *args))
+    f = affine_map(3, 0, expansive=(entry("1/2", 1, "1/2", 1),))
+    rep = check_uniformly_expansive(STD, STD, f, int_window(0, 10))
+    assert [v.line() for v in rep.failures()] == [
+        "FAIL expansive-entry entry=(1/2@1)->(1/2@1) witness=0~1 value=1/4"]
+    assert [args[:2] for args in calls] == [(0, 1), (0, 2), (0, 3), (0, 3)]
+
+
+def count_pair_calls(monkeypatch, *spaces) -> list:
+    """A one-item list counting the ``pair`` calls of the spaces' kinds."""
+    calls = [0]
+    for cls in {type(s._kind) for s in spaces}:
+        def counted(self, *args, pair=cls.pair):
+            calls[0] += 1
+            return pair(self, *args)
+        monkeypatch.setattr(cls, "pair", counted)
+    return calls
+
+
+LOOSE = entry("1/2", 1, "1/12", 1)
+
+
+@pytest.mark.parametrize("name, space_x, space_y, f, window, runs", [
+    ("demo inclusion", STD, STDQ, inclusion_map(), int_window(0, 39), True),
+    ("decreasing images", STD, STD, affine_map(-1, 0), int_window(0, 39), False),
+    ("table-metric target", ratio_minmax_space(), standard_space(DIFF_TABLE),
+     table_map({x: DIFF_TABLE.points[(x - 1) // 8] for x in range(1, 41)}),
+     int_window(1, 40), False),
+])
+def test_modulus_run_scan_is_taken_only_on_ordered_sides(monkeypatch, name, space_x,
+                                                          space_y, f, window, runs):
+    """Both checks of a passing entry test every pair, n(n + 1)/2 premises
+    at least, unless both kinds carry a flag and the images do not
+    decrease; then each row gallops, under 2 n log2 n calls in all."""
+    n = len(window)
+    for proper in (False, True):
+        args = ("t", "p", (LOOSE,), space_x, space_y, f, window, proper)
+        want = brute_modulus(*args).lines()
+        calls = count_pair_calls(monkeypatch, space_x, space_y)
+        rep = _check_modulus(*args)
+        assert rep.passed and rep.lines() == want
+        if runs:
+            assert calls[0] <= 2 * n * math.ceil(math.log2(n))
+        else:
+            assert calls[0] >= n * (n + 1) // 2
+
+
+# non-decreasing images with repeats, into 1..22
+ORDERED_IMAGES = [1 + k * k // 40 for k in range(30)]
+
+
+@pytest.mark.parametrize("space_x, space_y", [
+    (ratio_minmax_space(), pathological_space()),
+    (ratio_minmax_space(), reciprocal_product_space()),
+    (reciprocal_product_space(), ratio_minmax_space()),
+    (reciprocal_product_space(), reciprocal_product_space()),
+], ids=["radial-radial", "radial-decreasing", "decreasing-radial", "decreasing-decreasing"])
+@pytest.mark.parametrize("proper", [False, True])
+def test_modulus_run_scan_matches_brute_on_flagged_sides(space_x, space_y, proper):
+    """Every entry of a level grid reports the same verdict, first bad
+    pair and value as the pair-by-pair scan, on each pairing of flags."""
+    window = int_window(1, 30)
+    f = table_map(dict(zip(window, ORDERED_IMAGES)))
+    grid = [F(1, 12), F(1, 3), F(1, 2), F(3, 4), 1]
+    entries = [ModulusEntry(a, t, b, t) for a in grid for b in [F(1, 1000), *grid]
+               for t in (1, 3)]
+    args = ("t", "p", entries, space_x, space_y, f, window, proper)
+    rep = _check_modulus(*args)
+    assert rep.lines() == brute_modulus(*args).lines()
+    assert 0 < len(rep.failures()) < len(entries)
+
+
+DEMO_ENTRIES = [(check_uniformly_expansive, entry("1/2", 1, "1/2", 1)),
+                (check_uniformly_expansive, entry("1/2", 128, "1/2", 128)),
+                (check_effectively_proper, entry("1/2", 1, "1/2", 1)),
+                (check_effectively_proper, entry("1/8", 3, "1/2", 21))]
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_modulus_work_on_the_demo_map_is_n_log_n(monkeypatch, n):
+    """The inclusion of the demo config, the standard line into the
+    rational standard line, makes at most 2 n ceil(log2 n) ``pair`` calls
+    per entry of either modulus, where testing every pair takes
+    n(n + 1)/2 premises: 45,150 per entry at 300 points."""
+    window = int_window(0, n - 1)
+    calls = count_pair_calls(monkeypatch, STD, STDQ)
+    for check, e in DEMO_ENTRIES:
+        calls[0] = 0
+        assert check(STD, STDQ, inclusion_map(expansive=(e,), proper=(e,)), window).passed
+        assert calls[0] <= 2 * n * math.ceil(math.log2(n))
