@@ -680,15 +680,16 @@ def count_pair_calls(monkeypatch, *spaces) -> list:
 LOOSE = entry("1/2", 1, "1/12", 1)
 
 
-@pytest.mark.parametrize("name, space_x, space_y, f, window, runs", [
-    ("demo inclusion", STD, STDQ, inclusion_map(), int_window(0, 39), True),
-    ("decreasing images", STD, STD, affine_map(-1, 0), int_window(0, 39), False),
-    ("table-metric target", ratio_minmax_space(), standard_space(DIFF_TABLE),
-     table_map({x: DIFF_TABLE.points[(x - 1) // 8] for x in range(1, 41)}),
-     int_window(1, 40), False),
+@pytest.mark.parametrize("space_x, space_y, f, window, runs", [
+    pytest.param(STD, STDQ, inclusion_map(), int_window(0, 39), True, id="demo-inclusion"),
+    pytest.param(STD, STD, affine_map(-1, 0), int_window(0, 39), False,
+                 id="decreasing-images"),
+    pytest.param(ratio_minmax_space(), standard_space(DIFF_TABLE),
+                 table_map({x: DIFF_TABLE.points[(x - 1) // 8] for x in range(1, 41)}),
+                 int_window(1, 40), False, id="table-metric-target"),
 ])
-def test_modulus_run_scan_is_taken_only_on_ordered_sides(monkeypatch, name, space_x,
-                                                          space_y, f, window, runs):
+def test_modulus_run_scan_is_taken_only_on_ordered_sides(monkeypatch, space_x, space_y,
+                                                          f, window, runs):
     """Both checks of a passing entry test every pair, n(n + 1)/2 premises
     at least, unless both kinds carry a flag and the images do not
     decrease; then each row gallops, under 2 n log2 n calls in all."""
