@@ -23,7 +23,9 @@ from itertools import chain, combinations
 from .covers import (
     Cover,
     Family,
+    _check_members,
     _check_outside_points,
+    _fattened_bound,
     _first_ball_outside,
     _first_lebesgue_violation,
     _is_bounded,
@@ -118,13 +120,21 @@ def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
     ``exact_fallback`` is set, the exact worst intra pair m yields the
     derived level 1 - r' = m/2.  With the fallback disabled a grid miss
     raises ``SearchFailureError``, which callers treat as inconclusive
-    rather than as a negative fact.
+    rather than as a negative fact.  Member points are checked against
+    the universe first.
     """
     fam = Family.of(sets, "bound-search")
+    _check_members(space, fam.sets)
+    return _bound_params(space, fam.sets, reference_t, exact_fallback)
+
+
+def _bound_params(space, sets, reference_t, exact_fallback=True) -> ScaleParams:
+    """``derive_bound_params`` on canonical member sets whose points lie in
+    the universe."""
     times = BOUND_TIMES if space.t_dependent else (as_fraction(reference_t),)
     worst_by_t = {}
     for t in times:
-        worst = family_min_intra(space, fam.sets, t)
+        worst = family_min_intra(space, sets, t)
         if worst is None:
             return ScaleParams(Fraction(1, 2), times[0])
         worst_by_t[t] = worst[0]
@@ -225,9 +235,9 @@ def witness_whole_window(space: FuzzyMetricSpace, window: Window,
     """The one-family witness {window}: any window bounded somewhere has
     dimension 0 at every scale.  Bound parameters are searched (grid,
     then exact fallback)."""
-    bound_params = derive_bound_params(space, [window.points], params.t)
+    space._check_window(window)
     fam = Family.of([window.points], "whole")
-    return DimensionWitness(0, params, bound_params, (fam,), window)
+    return DimensionWitness(0, params, _bound_params(space, fam.sets, params.t), (fam,), window)
 
 
 def is_initial_segment(window: Window) -> bool:
@@ -512,9 +522,7 @@ def _multiplicity_cover_from_witness(space, w, params, levels):
 
 
 def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
-                                     params: ScaleParams,
-                                     input_bound: ScaleParams = None,
-                                     max_multiplicity: int = None):
+                                     params: ScaleParams, input_bound: ScaleParams = None):
     """Low-multiplicity cover at the derived scale -> Lebesgue cover at (r, t).
 
     Fattening every member set by its derived-scale neighborhood turns a
@@ -523,8 +531,7 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
     of the output is at most the input's scale multiplicity.  Both facts
     and the boundedness of the output are verified on the window.
     """
-    return _lebesgue_cover_from_multiplicity(space, cover, params, input_bound,
-                                             max_multiplicity, {})
+    return _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, None, {})
 
 
 def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_multiplicity,
@@ -562,9 +569,8 @@ def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_mul
     if input_bound is not None:
         rep.add_verdict(_is_bounded(space, cover.all_sets(), input_bound),
                         "input-bounded", r=input_bound.r, t=input_bound.t)
-        level = space.tnorm(space.tnorm(want.threshold, input_bound.threshold),
-                            want.threshold)
-        out_bound = ScaleParams(1 - level, 2 * want.t + input_bound.t)
+        level, t_out = _fattened_bound(space, want, input_bound)
+        out_bound = ScaleParams(1 - level, t_out)
     else:
         out_bound = derive_bound_params(space, out.all_sets(), params.t)
     rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),

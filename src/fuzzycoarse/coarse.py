@@ -22,7 +22,7 @@ from operator import le
 from typing import Callable, Optional
 
 from .asdim import DimensionWitness, verify_witness
-from .covers import Family, scale_neighborhood
+from .covers import Family, _fattened_bound, scale_neighborhood
 from .errors import (
     CertificationError,
     DerivationError,
@@ -494,11 +494,10 @@ def transport_witness(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
             f"level_in <= {fmt_value(bnd.threshold)} with positive output"
         )
     image_bound = ScaleParams(1 - exp_entry.level_out / 2, exp_entry.t_out)
-    level = space_y.tnorm(space_y.tnorm(r1t1.threshold, image_bound.threshold),
-                          r1t1.threshold)
+    level, t_out = _fattened_bound(space_y, r1t1, image_bound)
     if level <= 0:
         raise DerivationError("fattened bound level collapsed to 0")
-    out_bound = ScaleParams(1 - level / 2, 2 * r1t1.t + image_bound.t)
+    out_bound = ScaleParams(1 - level / 2, t_out)
     rep.add_note("derived-target-bound", r=out_bound.r, t=out_bound.t,
                  via_entry=exp_entry.describe())
 

@@ -17,11 +17,13 @@ The scale predicates (multiplicity, scale multiplicity, Lebesgue pairs,
 refinement) look at member sets and balls on the window only, as runs of
 window indices (see ``Window``), and decide most questions from run
 endpoints with a bisect.  Member sets may be tuples or step-1 ranges.
+Multiplicity is the largest depth of the members' runs; M is symmetric,
+so scale multiplicity is the depth of the unions of the members' balls.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -296,9 +298,17 @@ def _is_bounded(space: FuzzyMetricSpace, sets, params: ScaleParams) -> bool:
     return worst is None or worst[0] > params.threshold
 
 
+def _check_members(space: FuzzyMetricSpace, sets):
+    """``FuzzyMetricSpace._check_points`` on each member, in member order:
+    a range member is checked at its ends."""
+    for s in sets:
+        space._check_points(s)
+
+
 def is_uniformly_bounded_family(space: FuzzyMetricSpace, family: Family,
                                 params: ScaleParams) -> bool:
     """Every intra-set pair strictly above 1 - r at time t."""
+    _check_members(space, family.sets)
     return _is_bounded(space, family.sets, params)
 
 
@@ -312,14 +322,14 @@ def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
     ft = as_fraction(t)
     if ft <= 0:
         raise DomainError(f"t must be positive, got {ft}")
-    for p in (*fam.sets[0], *fam.sets[1]):
-        space._check_point(p)
+    _check_members(space, fam.sets)
     return family_max_cross(space, fam, ft)[0]
 
 
 def is_scale_disjoint(space: FuzzyMetricSpace, family: Family,
                       params: ScaleParams) -> bool:
     """Every pair of distinct member sets has cross sup strictly below 1 - r."""
+    _check_members(space, family.sets)
     worst = family_max_cross(space, family, params.t)
     return worst is None or worst[0] < params.threshold
 
@@ -341,11 +351,27 @@ def _level_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams, window:
     window at the scale.  Only the points of u outside the window are
     checked against the universe and galloped."""
     runs = window.runs_of(u)
-    balls = [level[k] for i, j in runs for k in range(i, j)]
-    if len(balls) < len(u):
+    union = _ball_union(level, runs)
+    if sum(j - i for i, j in runs) < len(u):
         _check_outside_points(space, (u,), window)
-        balls += space.balls(outside_points((u,), window), params.threshold, params.t, window)
-    return window.points_of(_coalesce_runs(chain.from_iterable(balls)))
+        union = _coalesce_runs(chain(union, *space.balls(
+            outside_points((u,), window), params.threshold, params.t, window)))
+    return window.points_of(union)
+
+
+def _ball_union(level, runs) -> list:
+    """The union of the balls ``level[k]`` of the window indices k in
+    ``runs``, as sorted, coalesced runs."""
+    return _coalesce_runs(chain.from_iterable(level[k] for i, j in runs for k in range(i, j)))
+
+
+def _fattened_bound(space: FuzzyMetricSpace, fatten: ScaleParams, bound: ScaleParams) -> tuple:
+    """``(level, t)`` at which members bounded at ``bound`` stay bounded
+    once fattened by their neighbourhoods at ``fatten``: a pair of a
+    fattened member chains through a pair of the member, so M is above
+    T(T(1 - r, 1 - r'), 1 - r) at time 2t + t'."""
+    level = space.tnorm(space.tnorm(fatten.threshold, bound.threshold), fatten.threshold)
+    return level, 2 * fatten.t + bound.t
 
 
 def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScaleParams,
@@ -372,13 +398,11 @@ def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScalePa
         [scale_neighborhood(space, s, params, window) for s in family.sets],
         label=f"N({family.label})" if family.label else "N",
     )
-    level = space.tnorm(space.tnorm(params.threshold, input_bound.threshold),
-                        params.threshold)
-    t_out = 2 * params.t + input_bound.t
+    level, t_out = _fattened_bound(space, params, input_bound)
     if level <= 0:
         raise UnsupportedOperationError("derived boundedness level collapsed to 0")
     derived = ScaleParams(1 - level, t_out)
-    ok_out = is_uniformly_bounded_family(space, fat, derived)
+    ok_out = _is_bounded(space, fat.sets, derived)  # window points, checked by the sweeps
     rep.add_verdict(ok_out, "output-bounded", level=level, t_out=t_out)
 
     if not missing_points(family.sets, window):
@@ -406,77 +430,36 @@ class _RunContainment:
 
 def multiplicity(cover: Cover, window: Window) -> int:
     """Largest number of member sets containing any one window point."""
-    events = []
-    for s in cover.all_sets():
-        for i, j in window.runs_of(s):
-            events.append((i, 1))
-            events.append((j, -1))
-    events.sort()
-    best = depth = 0
-    for _, step in events:
-        depth += step
-        best = max(best, depth)
-    return best
+    return _max_depth(map(window.runs_of, cover.all_sets()))
+
+
+def _max_depth(run_lists) -> int:
+    """The largest number of run lists, each of disjoint runs, holding one
+    index: the largest prefix sum of +1 at each run start and -1 at each
+    run end, sorted so that an end at k comes before a start at k."""
+    events = sorted(chain.from_iterable(((i, 1), (j, -1)) for runs in run_lists for i, j in runs))
+    return max(accumulate(step for _, step in events), default=0)
 
 
 def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
                        window: Window) -> int:
     """Largest number of member sets met by any ball at scale (r, t)."""
     return _scale_multiplicity(cover, window,
-                               space.balls(window.points, params.threshold, params.t, window))
+                               space.ball_level(params.threshold, params.t, window))
 
 
-def _scale_multiplicity(cover: Cover, window: Window, balls) -> int:
+def _scale_multiplicity(cover: Cover, window: Window, level) -> int:
     """``scale_multiplicity`` with the run lists of the balls of the window
     points, in window order, such as a ``ball_level``.
 
-    Balls and member sets are compared on the window.  A member that is
-    one run [i, j) meets the longest run [a, b) of a ball iff i < b and
-    j > a, so those members are counted with two bisects; members that
-    hold only the ball's remaining points are found through a
-    point -> owners map, and members of several runs are tested run
-    against run.
+    Balls and member sets are compared on the window.  M(x, y, t) =
+    M(y, x, t), so the ball of x meets a member exactly when x lies in
+    the union of the balls of the member's window points, and the answer
+    is the largest depth of those unions.  Every built-in kind's ``pair``
+    is symmetric by its formula, and ``TableMetric`` refuses an
+    asymmetric table.
     """
-    one, multi = [], []
-    for runs in map(window.runs_of, cover.all_sets()):
-        if len(runs) == 1:
-            one.append(runs[0])
-        elif runs:
-            multi.append(([i for i, _ in runs], [j for _, j in runs]))
-    starts = sorted(i for i, _ in one)
-    ends = sorted(j for _, j in one)
-
-    mains = []
-    for runs in balls:
-        main = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
-        extra = [k for run in runs if run != main for k in range(*run)]
-        mains.append((main, extra, runs))
-    wanted = sorted({k for _, extra, _ in mains for k in extra})
-    owners = {}
-    for sid, (i, j) in enumerate(one):
-        for k in wanted[bisect_left(wanted, i):bisect_left(wanted, j)]:
-            owners.setdefault(k, []).append(sid)
-
-    best = 0
-    for (a, bb), extra, runs in mains:
-        hits = bisect_left(starts, bb) - bisect_right(ends, a) if a < bb else 0
-        if extra:
-            met = set()
-            for k in extra:
-                for sid in owners.get(k, ()):
-                    i, j = one[sid]
-                    if j <= a or i >= bb:
-                        met.add(sid)
-            hits += len(met)
-        for s_starts, s_ends in multi:
-            for lo, hi in runs:
-                k = bisect_left(s_starts, hi)
-                if k > 0 and s_ends[k - 1] > lo:
-                    hits += 1
-                    break
-        if hits > best:
-            best = hits
-    return best
+    return _max_depth(_ball_union(level, window.runs_of(s)) for s in cover.all_sets())
 
 
 def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,

@@ -207,56 +207,30 @@ def _coalesce_runs(runs) -> list:
     return out
 
 
-class _RadialLevel:
-    """The balls of a radial sweep over the window points (see
-    ``FuzzyMetricSpace.ball_level``): ball k is the run
-    ``[lefts[k], rights[k])``, empty when the ends meet."""
+class _Level:
+    """The balls of a radial or coordinate-decreasing sweep over the window
+    points (see ``FuzzyMetricSpace.ball_level``): ball k is the run
+    ``[lo[k], hi[k])``, plus the centre run (k, k + 1) when that run stops
+    short of k.  A radial ball is one run that holds its centre, as
+    M(x, x, t) = 1 is above the bound; a coordinate-decreasing ball is a
+    prefix that never ends at its centre, plus the centre."""
 
-    __slots__ = ("lefts", "rights")
-
-    def __init__(self, swept):
-        self.lefts, self.rights = array("q"), array("q")
-        for runs in swept:
-            i, j = runs[0] if runs else (0, 0)
-            self.lefts.append(i)
-            self.rights.append(j)
-
-    def __len__(self):
-        return len(self.lefts)
-
-    def __getitem__(self, k) -> list:
-        i, j = self.lefts[k], self.rights[k]
-        return [(i, j)] if i < j else []
-
-    def __iter__(self):
-        return ([(i, j)] if i < j else [] for i, j in zip(self.lefts, self.rights))
-
-
-class _PrefixLevel:
-    """The balls of a coordinate-decreasing sweep over the window points:
-    ball k is the prefix ``[0, ends[k])``, plus the centre run (k, k + 1)
-    when the prefix stops short of it.  A centre's prefix never ends at
-    the centre itself, so ``ends[k] < k`` is the centre flag."""
-
-    __slots__ = ("ends",)
+    __slots__ = ("lo", "hi")
 
     def __init__(self, swept):
-        self.ends = array("q", (runs[0][1] if runs and runs[0][0] == 0 else 0
-                                for runs in swept))
+        self.lo, self.hi = array("q"), array("q")
+        for k, runs in enumerate(swept):
+            i, j = runs[0] if runs else (k, k)
+            self.lo.append(i)
+            self.hi.append(j)
 
     def __len__(self):
-        return len(self.ends)
+        return len(self.lo)
 
     def __getitem__(self, k) -> list:
-        return self._runs(k, self.ends[k])
-
-    def __iter__(self):
-        return map(self._runs, range(len(self.ends)), self.ends)
-
-    @staticmethod
-    def _runs(k, end) -> list:
-        runs = [(0, end)] if end else []
-        if end < k:
+        i, j = self.lo[k], self.hi[k]
+        runs = [(i, j)] if i < j else []
+        if j < k:
             runs.append((k, k + 1))
         return runs
 
@@ -688,14 +662,11 @@ class FuzzyMetricSpace:
     def ball_level(self, bound: Fraction, t: Fraction, window: Window):
         """The balls of every window point at one (bound, t), from one sweep
         of ``balls``: item k is the run list of the ball of
-        ``window.points[k]``.  Radial kinds keep the two run ends of each
-        ball, coordinate-decreasing kinds the prefix end, any other kind
-        the run lists."""
+        ``window.points[k]``.  Kinds with a flag keep two run ends per
+        ball in arrays (see ``_Level``), any other kind the run lists."""
         swept = self.balls(window.points, bound, t, window)
-        if self._kind.radial:
-            return _RadialLevel(swept)
-        if self._kind.coordinate_decreasing:
-            return _PrefixLevel(swept)
+        if self._kind.radial or self._kind.coordinate_decreasing:
+            return _Level(swept)
         return list(swept)
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:

@@ -18,6 +18,8 @@ from fuzzycoarse import (
     Window,
     ball,
     cross_sup,
+    derive_bound_params,
+    derived_scale,
     grid_window,
     has_lebesgue_pair,
     int_window,
@@ -567,6 +569,27 @@ def test_scale_multiplicity_matches_brute(factory):
             brute_scale_multiplicity(space, cov, p, w)
 
 
+def test_scale_multiplicity_reads_one_ball_level(monkeypatch):
+    """The public count builds the ball level of the window once and reads
+    it: on ratio 1..4000 with the ratio witness cover that is one radial
+    sweep, at most 4 ``pair`` calls per point."""
+    n = 4000
+    ratio = ratio_minmax_space()
+    w = int_window(1, n)
+    target = ScaleParams(F(1, 2), 1)
+    cov = witness_ratio_minmax(derived_scale(ratio, target), w).as_cover()
+    pairs, builds = [], []
+    pair = type(ratio._kind).pair
+    monkeypatch.setattr(type(ratio._kind), "pair",
+                        lambda self, *args: pairs.append(0) or pair(self, *args))
+    ball_level = FuzzyMetricSpace.ball_level
+    monkeypatch.setattr(FuzzyMetricSpace, "ball_level",
+                        lambda self, *args: builds.append(args[:2]) or ball_level(self, *args))
+    assert scale_multiplicity(ratio, cov, target, w) == 2
+    assert builds == [(target.threshold, target.t)]
+    assert len(pairs) <= 4 * n
+
+
 def brute_lebesgue_violation(space, cover, params, window):
     sets = [frozenset(s) for s in cover.all_sets()]
     for x in window:
@@ -720,6 +743,22 @@ def test_window_points_outside_the_universe_are_refused():
         scale_neighborhood(space, [0, 2], p, int_window(1, 3))
 
 
+@pytest.mark.parametrize("factory, pair", [(ultrametric_space, (-2, -1)),
+                                           (ratio_minmax_space, (0, 1))])
+def test_member_points_outside_the_universe_are_refused(factory, pair):
+    """The boundedness and disjointness predicates and the bound search
+    check member points before M is evaluated, where the ultrametric
+    would divide by zero and the ratio rule would give a verdict."""
+    space, p = factory(), ScaleParams(F(1, 2), 1)
+    match = f"point {pair[0]} is outside the naturals"
+    with pytest.raises(DomainError, match=match):
+        is_uniformly_bounded_family(space, Family.of([pair]), p)
+    with pytest.raises(DomainError, match=match):
+        is_scale_disjoint(space, Family.of([[pair[0]], [pair[1]]]), p)
+    with pytest.raises(DomainError, match=match):
+        derive_bound_params(space, [pair], 1)
+
+
 def test_members_in_any_order_or_with_repeats():
     """Members given unsorted or with repeats are read as sets."""
     ratio = ratio_minmax_space()
@@ -868,6 +907,9 @@ def test_ball_level_holds_the_ball_of_each_window_point(data):
     sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
     cov = Cover.of(split_into_families(sets, data), w)
     assert _scale_multiplicity(cov, w, level) == scale_multiplicity(space, cov, p, w)
+    inside = Cover.of([Family.of([s for s in cov.all_sets() if w.holds(s)])], w)
+    unions = Family.of([_level_neighborhood(space, s, p, w, level) for s in inside.all_sets()])
+    assert _scale_multiplicity(inside, w, level) == multiplicity(Cover.of([unions], w), w)
     for s in cov.all_sets():
         assert (outcome(_level_neighborhood, space, s, p, w, level)
                 == outcome(scale_neighborhood, space, s, p, w))
