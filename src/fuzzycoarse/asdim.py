@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, combinations
+from functools import cache, partial
+from itertools import combinations
+from operator import ge, gt
 
 from .covers import (
     Cover,
@@ -472,17 +473,6 @@ def derived_scale(space: FuzzyMetricSpace, params: ScaleParams) -> ScaleParams:
     return ScaleParams(1 - level, 2 * params.t)
 
 
-def _level(space: FuzzyMetricSpace, levels: dict, bound: Fraction, t: Fraction,
-           window: Window):
-    """The ``ball_level`` of the window at (bound, t), swept on first use
-    and kept in ``levels``, keyed by (bound, t, window), for the other
-    stages of one pipeline."""
-    key = (bound, t, window)
-    if key not in levels:
-        levels[key] = space.ball_level(bound, t, window)
-    return levels[key]
-
-
 def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness,
                                     params: ScaleParams):
     """Witness at the derived scale -> cover with scale multiplicity <= n+1.
@@ -494,10 +484,10 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
     re-verified before use; the multiplicity is then measured, not
     assumed.
     """
-    return _multiplicity_cover_from_witness(space, w, params, {})
+    return _multiplicity_cover_from_witness(space, w, params, space.ball_level)
 
 
-def _multiplicity_cover_from_witness(space, w, params, levels):
+def _multiplicity_cover_from_witness(space, w, params, level):
     want = derived_scale(space, params)
     if (w.params.r, w.params.t) != (want.r, want.t):
         raise PreconditionError(
@@ -511,8 +501,7 @@ def _multiplicity_cover_from_witness(space, w, params, levels):
             f"witness fails verification: {vrep.failures()[0].line()}"
         )
     cover = w.as_cover()
-    measured = _scale_multiplicity(cover, w.window,
-                                   _level(space, levels, params.threshold, params.t, w.window))
+    measured = _scale_multiplicity(cover, w.window, level(params.threshold, params.t, w.window))
     rep = CertReport("multiplicity-cover", space=space.describe(),
                      window=w.window.label(), r=params.r, t=params.t)
     rep.add_pass("witness-verified", r=w.params.r, t=w.params.t)
@@ -531,14 +520,15 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
     of the output is at most the input's scale multiplicity.  Both facts
     and the boundedness of the output are verified on the window.
     """
-    return _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, None, {})
+    return _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, None,
+                                             space.ball_level)
 
 
 def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_multiplicity,
-                                      levels):
+                                      level):
     window = cover.window
     want = derived_scale(space, params)
-    wanted = _level(space, levels, want.threshold, want.t, window)
+    wanted = level(want.threshold, want.t, window)
     measured_in = _scale_multiplicity(cover, window, wanted)
     if max_multiplicity is not None and measured_in > max_multiplicity:
         raise PreconditionError(
@@ -559,7 +549,7 @@ def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_mul
     rep.add_pass("input-scale-multiplicity", measured=measured_in,
                  r=want.r, t=want.t)
     bad_point = _first_lebesgue_violation(
-        out.all_sets(), window, partial(_level, space, levels, params.threshold, params.t, window))
+        out.all_sets(), window, partial(level, params.threshold, params.t, window))
     rep.add_verdict(bad_point is None, "lebesgue-pair", r=params.r, t=params.t,
                     witness=bad_point)
     out_mult = multiplicity(out, window)
@@ -585,12 +575,14 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
     Hypotheses checked first: every member of U is internally bounded at
     (r, t) (so each U-set sits inside a ball around any of its points),
     and V has (r, t) as a Lebesgue pair.  The conclusion, that every
-    U-set is contained in some V-set, is then verified directly.
+    U-set is contained in some V-set, is then verified directly.  The
+    points of U are checked against the universe before M is evaluated.
     """
-    return _refinement_via_lebesgue(space, cover_u, cover_v, params, {})
+    _check_members(space, cover_u.all_sets())
+    return _refinement_via_lebesgue(space, cover_u, cover_v, params, space.ball_level)
 
 
-def _refinement_via_lebesgue(space, cover_u, cover_v, params, levels):
+def _refinement_via_lebesgue(space, cover_u, cover_v, params, level):
     rep = CertReport("refinement", space=space.describe(),
                      window=cover_u.window.label(), r=params.r, t=params.t)
     worst = family_min_intra(space, cover_u.all_sets(), params.t)
@@ -604,7 +596,7 @@ def _refinement_via_lebesgue(space, cover_u, cover_v, params, levels):
     window = cover_v.window
     if _first_lebesgue_violation(
             cover_v.all_sets(), window,
-            partial(_level, space, levels, params.threshold, params.t, window)) is not None:
+            partial(level, params.threshold, params.t, window)) is not None:
         raise CertificationError(
             "hypothesis failure: target cover lacks the Lebesgue pair "
             f"r={fmt_value(params.r)}, t={fmt_value(params.t)}"
@@ -657,28 +649,26 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     only for t-independent spaces; a t-dependent space is refused before
     the factory or any step runs.  On a window of consecutive integers
     each ball that is one run is kept as a step-1 ``range``, so the cover
-    costs O(N) memory although its sets hold about N^2/2 points.
+    costs O(N) memory although its sets hold about N^2/2 points.  The
+    stages read one ``cache`` of ``space.ball_level`` made for the call.
     """
     if space.t_dependent:
         raise UnsupportedOperationError(
             "the refining ball cover is only bounded at (r, t) for "
             "t-independent spaces"
         )
-    level1 = derived_scale(space, params)
-    level2 = derived_scale(space, level1)
-    w = witness_factory(level2)
-    levels = {}
-    c1, rep1 = _multiplicity_cover_from_witness(space, w, level1, levels)
+    scale1 = derived_scale(space, params)
+    scale2 = derived_scale(space, scale1)
+    w = witness_factory(scale2)
+    level = cache(space.ball_level)
+    c1, rep1 = _multiplicity_cover_from_witness(space, w, scale1, level)
     c2, rep2 = _lebesgue_cover_from_multiplicity(
-        space, c1, params, w.bound_params, w.n + 1, levels
+        space, c1, params, w.bound_params, w.n + 1, level
     )
     rho = refinement_ball_level(space, params)
-    balls = {}
-    for runs in _level(space, levels, 1 - rho, params.t, window):
-        balls.setdefault(tuple(runs), runs)
-    ball_sets = [window.run_set(runs) for runs in balls.values()]
+    ball_sets = list(dict.fromkeys(map(window.run_set, level(1 - rho, params.t, window))))
     ball_cover = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
-    rep3 = _refinement_via_lebesgue(space, ball_cover, c2, params, levels)
+    rep3 = _refinement_via_lebesgue(space, ball_cover, c2, params, level)
     return PipelineResult(w, c1, c2, (rep1, rep2, rep3))
 
 
@@ -696,24 +686,16 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
     smaller ball threshold of each other (the ball around either point
     sits inside one member), so the members are separated at (r, t).
     Without a supplied candidate the finest admissible cover is used:
-    the components of the ball-overlap relation.  Boundedness is
+    the components of the graph joining x and y when M(x, y, t) is above
+    the inner level, which holds each inner ball.  Boundedness is
     searched on the grid only; a miss raises ``SearchFailureError`` and
     means inconclusive, never a negative certificate.
     """
     inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
     space._check_window(window)  # before any candidate check, as every ball sweep does
     if candidate is None:
-        swept = list(space.balls(window.points, inner.threshold, params.t, window))
-        # a centre joins every point of its ball: join it to the first index
-        # of each run, and chain the points of each chunk of overlapping runs
-        # (a run starting inside the chunk extends it from its end), so there
-        # is at most one edge per run and one per point
-        edges = [(i, run[0]) for i, runs in enumerate(swept) for run in runs]
-        end = 0
-        for lo, hi in sorted(chain.from_iterable(swept)):
-            edges.extend((k - 1, k) for k in range(max(lo + 1, end), hi))
-            end = max(end, hi)
         pts = window.points
+        edges = _threshold_edges(space, pts, inner.threshold, params.t, strict=True)
         sets = [tuple(pts[i] for i in comp) for comp in _components(len(pts), edges)]
     else:
         sets = candidate.all_sets()
@@ -759,47 +741,49 @@ def _components(n: int, edges) -> list:
     return list(groups.values())
 
 
+def _threshold_edges(space: FuzzyMetricSpace, pts, bound: Fraction, t: Fraction, strict):
+    """Index pairs i < j of the sorted points ``pts`` that give the
+    components of the graph joining x and y when M(x, y, t) > bound
+    (``strict``) or M(x, y, t) >= bound (otherwise).
+
+    On a radial or coordinate-decreasing kind M(pts[i], pts[j], t) does not
+    grow as j moves right of i, so an edge over a span joins its left end
+    to every point inside it, and under either flag each component is a
+    run of ``pts``.  Point j then joins the run before it exactly when it
+    is joined to the earlier point with the largest M: pts[j - 1] on a
+    radial kind, pts[0] on a coordinate-decreasing one.  That gives the
+    edge (j - 1, j) from one ``pair`` call per point.  Any other kind tests
+    every pair i < j.  Only pairs i < j are evaluated, so this relies on
+    M(x, y, t) = M(y, x, t), as ``covers._scale_multiplicity`` does.
+    """
+    pair, bn, bd = space._pair, bound.numerator, bound.denominator
+    above = gt if strict else ge
+
+    def joined(x, y):
+        num, den = pair(x, y, t)
+        return above(num * bd, bn * den)
+
+    radial = space.radially_monotone
+    if radial or space.coordinate_decreasing:
+        return ((j - 1, j) for j in range(1, len(pts))
+                if joined(pts[j - 1] if radial else pts[0], pts[j]))
+    return ((i, j) for j in range(len(pts)) for i in range(j) if joined(pts[i], pts[j]))
+
+
 def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) -> ScaleGraphReport:
     """Components of the graph joining x, y when M(x, y, t) >= 1 - r."""
     space._check_window(window)
     pts = window.points
-    n = len(pts)
-    b, t = params.threshold, params.t
-
-    def edges():
-        if space.radially_monotone:
-            # an edge over a span forces every adjacent edge inside the span,
-            # so adjacent pairs decide connectivity
-            for i in range(n - 1):
-                if space._raw(pts[i], pts[i + 1], t) >= b:
-                    yield i, i + 1
-        elif space.coordinate_decreasing:
-            # M(x, y) only shrinks as y grows past x, so the edges from x go
-            # to a prefix of the later points
-            pair, bn, bd = space._pair, b.numerator, b.denominator
-            for i, x in enumerate(pts):
-                j = i + 1
-                while j < n:
-                    num, den = pair(x, pts[j], t)
-                    if num * bd < bn * den:
-                        break
-                    yield i, j
-                    j += 1
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if space._raw(pts[i], pts[j], t) >= b:
-                        yield i, j
-
-    components = tuple(tuple(pts[i] for i in comp) for comp in _components(n, edges()))
+    edges = _threshold_edges(space, pts, params.threshold, params.t, strict=False)
+    components = tuple(tuple(pts[i] for i in comp) for comp in _components(len(pts), edges))
     largest = max(components, key=len) if components else ()
-    worst = min_intra_pair(space, largest, t) if len(largest) >= 2 else None
+    worst = min_intra_pair(space, largest, params.t) if len(largest) >= 2 else None
     if worst is None:
         min_internal, pair = ONE, (largest[0], largest[0]) if largest else None
     else:
         min_internal, pair = worst
     return ScaleGraphReport(params, components, min_internal, pair,
-                            spanning=len(components) == 1 and n > 0)
+                            spanning=len(components) == 1)
 
 
 def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,

@@ -432,6 +432,27 @@ def test_coarse_transport_with_builtin_constructor(tmp_path):
     assert "NOTE derived-source-scale r=7/8 t=1" in out
 
 
+@pytest.mark.parametrize("argv, config, code", [
+    (["pipeline", "--space", "ratio_minmax", "--scale", "1/2:1", "--window", "1..300"],
+     None, 0),
+    (["verify-axioms", "--window", "1..5", "--t-grid", "1"],
+     {"space": {"kind": "pathological", "tnorm": "product"}}, 1),
+], ids=["pass", "certified-fail"])
+def test_out_copies_the_stream_to_a_file(tmp_path, argv, config, code):
+    """``--out`` writes the bytes of stdout to its file and leaves the exit
+    code as it is without the flag."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    plain = run_cli(argv)
+    out_file = tmp_path / "stream.txt"
+    copied = run_cli(argv + ["--out", str(out_file)])
+    assert plain[0] == copied[0] == code
+    assert copied[1] == plain[1]
+    assert out_file.read_bytes() == copied[1].encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

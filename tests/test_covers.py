@@ -30,6 +30,7 @@ from fuzzycoarse import (
     pathological_space,
     ratio_minmax_space,
     reciprocal_product_space,
+    refinement_via_lebesgue,
     refines,
     scale_multiplicity,
     scale_neighborhood,
@@ -37,7 +38,8 @@ from fuzzycoarse import (
     ultrametric_space,
     verify_witness,
 )
-from fuzzycoarse.asdim import witness_ratio_minmax, witness_reciprocal_product
+from fuzzycoarse.asdim import (_components, _threshold_edges, witness_ratio_minmax,
+                               witness_reciprocal_product)
 from fuzzycoarse.covers import (
     _clean_set,
     _first_ball_outside,
@@ -744,11 +746,13 @@ def test_window_points_outside_the_universe_are_refused():
 
 
 @pytest.mark.parametrize("factory, pair", [(ultrametric_space, (-2, -1)),
-                                           (ratio_minmax_space, (0, 1))])
+                                           (ratio_minmax_space, (0, 1)),
+                                           (reciprocal_product_space, (0, 2))])
 def test_member_points_outside_the_universe_are_refused(factory, pair):
-    """The boundedness and disjointness predicates and the bound search
-    check member points before M is evaluated, where the ultrametric
-    would divide by zero and the ratio rule would give a verdict."""
+    """The boundedness and disjointness predicates, the bound search and
+    the refinement check of the refining cover check member points before
+    M is evaluated, where the ultrametric and the reciprocal rule would
+    divide by zero and the ratio rule would give a verdict."""
     space, p = factory(), ScaleParams(F(1, 2), 1)
     match = f"point {pair[0]} is outside the naturals"
     with pytest.raises(DomainError, match=match):
@@ -757,6 +761,10 @@ def test_member_points_outside_the_universe_are_refused(factory, pair):
         is_scale_disjoint(space, Family.of([[pair[0]], [pair[1]]]), p)
     with pytest.raises(DomainError, match=match):
         derive_bound_params(space, [pair], 1)
+    w = int_window(1, 3)
+    with pytest.raises(DomainError, match=match):
+        refinement_via_lebesgue(space, Cover.of([Family.of([pair])], w),
+                                Cover.of([Family.of([w.points])], w), p)
 
 
 def test_members_in_any_order_or_with_repeats():
@@ -878,6 +886,27 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
     assert swept == [w.runs_of(tuple(brute_ball(space, x, p, w))) for x in centres]
     for x, runs in zip(centres, swept):
         assert space.ball_runs(x, p.threshold, p.t, w) == runs
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_threshold_edges_give_the_components_of_every_pair(data):
+    """The strict and the closed threshold graphs have the same components
+    from a flagged kind's one edge per point, from the pair scan of its
+    flag-free copy and from M on every pair, over run, sparse and
+    rational-grid windows.  The threshold is a scale's level or a value
+    of M on the window, where the two graphs differ."""
+    space, w, _ = data.draw(spaces_and_windows())
+    p = data.draw(SCALES)
+    pts = w.points
+    value = {(i, j): space.value(pts[i], pts[j], p.t)
+             for i, j in combinations(range(len(pts)), 2)}
+    b = data.draw(st.sampled_from(sorted(set(value.values())) + [p.threshold]))
+    for strict in (True, False):
+        brute = [ij for ij, v in value.items() if (v > b if strict else v >= b)]
+        expected = _components(len(pts), brute)
+        for sp in (space, flag_free(space)):
+            assert _components(len(pts), _threshold_edges(sp, pts, b, p.t, strict)) == expected
 
 
 def outcome(fn, *args):
