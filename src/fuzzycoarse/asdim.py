@@ -520,12 +520,15 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
     of the output is at most the input's scale multiplicity.  Both facts
     and the boundedness of the output are verified on the window.
     """
-    return _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, None,
-                                             space.ball_level)
+    out, rep, _ = _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, None,
+                                                    space.ball_level)
+    return out, rep
 
 
 def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_multiplicity,
                                       level):
+    """``lebesgue_cover_from_multiplicity`` on a ``level`` reader; also
+    returns the first point whose ball fits in no output member, or None."""
     window = cover.window
     want = derived_scale(space, params)
     wanted = level(want.threshold, want.t, window)
@@ -565,7 +568,7 @@ def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_mul
         out_bound = derive_bound_params(space, out.all_sets(), params.t)
     rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),
                     "output-bounded", r=out_bound.r, t=out_bound.t)
-    return out, rep
+    return out, rep, bad_point
 
 
 def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Cover,
@@ -579,10 +582,16 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
     points of U are checked against the universe before M is evaluated.
     """
     _check_members(space, cover_u.all_sets())
-    return _refinement_via_lebesgue(space, cover_u, cover_v, params, space.ball_level)
+    window = cover_v.window
+    target_violation = partial(
+        _first_lebesgue_violation, cover_v.all_sets(), window,
+        partial(space.ball_level, params.threshold, params.t, window))
+    return _refinement_via_lebesgue(space, cover_u, cover_v, params, target_violation)
 
 
-def _refinement_via_lebesgue(space, cover_u, cover_v, params, level):
+def _refinement_via_lebesgue(space, cover_u, cover_v, params, target_violation):
+    """``refinement_via_lebesgue`` with V's first Lebesgue violation at
+    (r, t), or None, from ``target_violation()``, called once U is bounded."""
     rep = CertReport("refinement", space=space.describe(),
                      window=cover_u.window.label(), r=params.r, t=params.t)
     worst = family_min_intra(space, cover_u.all_sets(), params.t)
@@ -593,10 +602,7 @@ def _refinement_via_lebesgue(space, cover_u, cover_v, params, level):
             f"(worst pair {fmt_pair(worst[1])} at {fmt_value(worst[0])})"
         )
     rep.add_pass("refining-cover-bounded", r=params.r, t=params.t)
-    window = cover_v.window
-    if _first_lebesgue_violation(
-            cover_v.all_sets(), window,
-            partial(level, params.threshold, params.t, window)) is not None:
+    if target_violation() is not None:
         raise CertificationError(
             "hypothesis failure: target cover lacks the Lebesgue pair "
             f"r={fmt_value(params.r)}, t={fmt_value(params.t)}"
@@ -650,7 +656,9 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     the factory or any step runs.  On a window of consecutive integers
     each ball that is one run is kept as a step-1 ``range``, so the cover
     costs O(N) memory although its sets hold about N^2/2 points.  The
-    stages read one ``cache`` of ``space.ball_level`` made for the call.
+    stages read one ``cache`` of ``space.ball_level`` made for the call, and
+    the refinement step takes the Lebesgue verdict the second step found on
+    the same cover and scale instead of deciding it again.
     """
     if space.t_dependent:
         raise UnsupportedOperationError(
@@ -662,13 +670,13 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     w = witness_factory(scale2)
     level = cache(space.ball_level)
     c1, rep1 = _multiplicity_cover_from_witness(space, w, scale1, level)
-    c2, rep2 = _lebesgue_cover_from_multiplicity(
+    c2, rep2, bad_point = _lebesgue_cover_from_multiplicity(
         space, c1, params, w.bound_params, w.n + 1, level
     )
     rho = refinement_ball_level(space, params)
     ball_sets = list(dict.fromkeys(map(window.run_set, level(1 - rho, params.t, window))))
     ball_cover = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
-    rep3 = _refinement_via_lebesgue(space, ball_cover, c2, params, level)
+    rep3 = _refinement_via_lebesgue(space, ball_cover, c2, params, lambda: bad_point)
     return PipelineResult(w, c1, c2, (rep1, rep2, rep3))
 
 

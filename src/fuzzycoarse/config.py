@@ -11,7 +11,8 @@ import inspect
 import json
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_not
 
 from .coarse import CoarseMap, ModulusEntry, affine_map, identity_map, inclusion_map, table_map
 from .asdim import DimensionWitness
@@ -204,7 +205,7 @@ def _int_lists(seq) -> bool:
     types = set(map(type, seq))
     if not types or not types <= {list, tuple, range}:
         return False
-    lists = [s for s in seq if type(s) is not range] if range in types else seq
+    lists = compress(seq, map(is_not, map(type, seq), repeat(range))) if range in types else seq
     return set(map(type, chain.from_iterable(lists))) <= {int}
 
 
@@ -324,8 +325,9 @@ def _dump(obj, nl: str, out: list) -> None:
         if _ints_only(obj):
             out.append(_int_list(obj, nl))
         elif _int_lists(obj):
-            out.append("[" + inner + ("," + inner).join([_int_list(s, inner) for s in obj])
-                       + nl + "]")
+            point = ("[" + inner + "  {}" + inner + "]").format  # a one-point member
+            out.append("[" + inner + ("," + inner).join(
+                [point(*s) if len(s) == 1 else _int_list(s, inner) for s in obj]) + nl + "]")
         elif not obj:
             out.append("[]")
         else:

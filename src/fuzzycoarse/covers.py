@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from heapq import nsmallest
-from itertools import accumulate, chain, filterfalse, islice
-from operator import itemgetter, lt
+from itertools import accumulate, chain, compress, filterfalse, islice, repeat
+from operator import is_, is_not, itemgetter, lt
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
 from .report import CertReport
@@ -61,6 +61,9 @@ def _clean_set(s):
     return tuple(pts)
 
 
+_SEQUENCES = (tuple, list)
+
+
 @dataclass(frozen=True)
 class Family:
     """A labeled list of non-empty finite point sets.
@@ -71,7 +74,9 @@ class Family:
     So ``Family([(1, 2, 3)]) == Family([range(1, 4)])``, and on a window
     of consecutive integers a range member is one run, read from its two
     ends.  Empty member sets are dropped on construction; how many were
-    dropped is kept so reports can say so.
+    dropped is kept so reports can say so.  A one-point tuple or list is
+    made a 1-tuple inline, without a ``_clean_set`` call, so a family of
+    many singletons is built in bulk.
     """
 
     sets: tuple
@@ -79,7 +84,8 @@ class Family:
     dropped_empty: int = field(default=0, init=False)
 
     def __post_init__(self):
-        cleaned = [_clean_set(s) for s in self.sets]
+        cleaned = [tuple(s) if type(s) in _SEQUENCES and len(s) == 1 else _clean_set(s)
+                   for s in self.sets]
         kept = tuple(filter(None, cleaned))
         object.__setattr__(self, "sets", kept)
         object.__setattr__(self, "dropped_empty", len(cleaned) - len(kept))
@@ -114,13 +120,14 @@ def coverage(sets, window: Window) -> tuple:
     """``(missing, inside)``: the window points that no member set holds,
     in window order, and whether every member point lies in the window.
 
-    On a window of consecutive integers a step-1 range member is decided
-    from its two ends, as one run of window indices; the points of every
-    other member are gathered in one set."""
-    runs = window.is_contiguous_ints()
-    ranges = [s for s in sets if type(s) is range and s.step == 1] if runs else []
-    if ranges:
-        sets = [s for s in sets if not (type(s) is range and s.step == 1)]
+    On a window of consecutive integers a range member is decided as runs
+    of window indices, a step-1 one from its two ends; the points of every
+    other member are gathered in one set.  ``sets`` is a sequence; it is
+    split into ranges and other members without a list per member."""
+    ranges = []
+    if window.is_contiguous_ints():
+        ranges = list(compress(sets, map(is_, map(type, sets), repeat(range))))
+        sets = compress(sets, map(is_not, map(type, sets), repeat(range)))
     seen = set(chain.from_iterable(sets))
     gaps, k = [], 0
     for i, j in _coalesce_runs(chain.from_iterable(map(window.runs_of, ranges))):
@@ -198,11 +205,10 @@ def _min_intra(space: FuzzyMetricSpace, s, t):
 def family_min_intra(space: FuzzyMetricSpace, sets, t: Fraction):
     """(value, pair, set_index) minimizing M within any one of a sequence
     of sorted, duplicate-free member sets, such as ``Family.sets``.  The
-    first minimum is found on integer values; only it becomes a Fraction."""
+    first minimum is found on integer values; only it becomes a Fraction.
+    One-point members hold no pair and are skipped in bulk."""
     best = None
-    for idx, s in enumerate(sets):
-        if len(s) < 2:
-            continue
+    for idx, s in compress(enumerate(sets), map(lt, repeat(1), map(len, sets))):
         (num, den), pair = _min_intra(space, s, t)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, pair, idx)

@@ -64,6 +64,9 @@ class ScaleParams:
         return 1 - self.r
 
 
+_COLLECTIONS = (set, frozenset, tuple, list)  # sized and iterable more than once
+
+
 class Window:
     """A finite, sorted, duplicate-free sequence of points.
 
@@ -128,10 +131,16 @@ class Window:
         return type(self._seq) is range and self._seq.step == 1
 
     def holds(self, points) -> bool:
-        """Whether every one of the points is a window point."""
+        """Whether every one of the points is a window point.  On a step-1
+        range window a non-empty collection of ``int``s is decided in bulk,
+        by its least and greatest point."""
         if self._set is not None:
             return all(map(self._set.__contains__, points))
-        return all(p in self._seq if type(p) is int else p in self for p in points)
+        s = self._seq
+        if (s.step == 1 and type(points) in _COLLECTIONS and points
+                and set(map(type, points)) == {int}):
+            return s.start <= min(points) and max(points) < s.stop
+        return all(p in s if type(p) is int else p in self for p in points)
 
     def index_of(self, p):
         """Index of a window point, or None for a point outside the window."""

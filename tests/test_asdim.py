@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ from fuzzycoarse import (
     zero_dim_witness_via_refinement,
 )
 from fuzzycoarse import asdim, covers
-from fuzzycoarse.config import witness_from_json, witness_to_json
+from fuzzycoarse.config import dump_json, witness_from_json, witness_to_json
 from fuzzycoarse.errors import (
     CertificationError,
     DomainError,
@@ -196,10 +197,12 @@ def test_reciprocal_witness_verifies(r):
 
 def test_member_sets_are_cleaned_once(monkeypatch):
     """A member set is made sorted and duplicate-free when its Family is
-    built; verifying a witness, at any number of scales, sorts none again."""
+    built; verifying a witness, at any number of scales, sorts none again.
+    Reading the witness file cleans only its multi-point members: the
+    9,998 one-point lists become 1-tuples in bulk, without a call each."""
     rec = reciprocal_product_space()
     wit = witness_reciprocal_product(ScaleParams(F(1, 2), 1), int_window(1, 10_000))
-    as_json = witness_to_json(wit)
+    as_json = json.loads(dump_json(witness_to_json(wit)))
     cleaned = []
     clean_set = covers._clean_set
 
@@ -214,7 +217,8 @@ def test_member_sets_are_cleaned_once(monkeypatch):
     for r in (F(1, 4), F(1, 2), F(3, 4)):
         verify_witness(rec, DimensionWitness(loaded.n, ScaleParams(r, 1), loaded.bound_params,
                                              loaded.families, loaded.window))
-    assert len(cleaned) == len(loaded.as_cover().all_sets()) == 9_999
+    assert cleaned == [s for s in as_json["families"][0]["sets"] if len(s) > 1] == [[1, 2]]
+    assert len(loaded.as_cover().all_sets()) == 9_999 and loaded == wit
 
 
 def test_reciprocal_witness_needs_initial_segment():
@@ -620,6 +624,23 @@ def test_refinement_check_examples():
     tight = Cover.of([Family.of([[x] for x in wz], "s")], wz)
     with pytest.raises(CertificationError):
         refinement_via_lebesgue(std, tight, blocks, ScaleParams(F(1, 2), 3))
+
+
+def test_pipeline_decides_the_target_lebesgue_pair_once(monkeypatch):
+    """The second step decides whether its fattened cover has the Lebesgue
+    pair at (r, t); the refinement step takes that verdict as its
+    hypothesis and decides it no second time on the same cover."""
+    rec = reciprocal_product_space()
+    w = int_window(1, 1000)
+    calls = []
+    first = asdim._first_lebesgue_violation
+    monkeypatch.setattr(asdim, "_first_lebesgue_violation",
+                        lambda *args: calls.append(args[0]) or first(*args))
+    result = run_dimension_pipeline(rec, ScaleParams(F(1, 2), 1), w,
+                                    lambda scale: witness_reciprocal_product(scale, w))
+    assert result.passed and len(calls) == 1
+    assert calls[0] == result.lebesgue_cover.all_sets()
+    assert "PASS target-lebesgue-pair r=1/2 t=1" in result.reports[2].lines()
 
 
 def test_pipeline_refuses_a_t_dependent_space_before_any_work():

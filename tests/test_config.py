@@ -132,11 +132,19 @@ def test_dump_json_matches_json_dumps(obj):
 _RUNS = st.builds(range, st.integers(-60, 60), st.integers(-60, 60))
 
 
+_POINT_RUNS = st.lists(_INTS.map(lambda p: [p]) | _INTS.map(lambda p: (p,))
+                      | _INTS.map(lambda p: range(p, p + 1)) | st.sampled_from([[], (), range(0)]),
+                      min_size=1, max_size=8)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_RUNS | _INT_LISTS | _INT_LISTS.map(tuple)), st.text())
+@given(st.lists(st.lists(_RUNS | _INT_LISTS | _INT_LISTS.map(tuple), min_size=1, max_size=1)
+                | _POINT_RUNS).map(lambda runs: [s for run in runs for s in run]),
+       st.text())
 def test_dump_json_writes_tuples_and_ranges_as_arrays(members, label):
     """A family of integer members, as ``family_to_json`` leaves it, is
-    written as ``json.dumps`` writes the same members as lists."""
+    written as ``json.dumps`` writes the same members as lists; runs of
+    one-point and empty members among them are written in bulk."""
     as_lists = {"label": label, "sets": [list(s) for s in members]}
     assert (dump_json({"label": label, "sets": members})
             == json.dumps(as_lists, indent=2, sort_keys=True) + "\n")

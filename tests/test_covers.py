@@ -428,6 +428,34 @@ def test_clean_set_holds_the_sorted_points_in_one_form(members, form):
     assert not run or got.step == 1
 
 
+_POINTS = st.sampled_from([
+    st.integers(-5, 8),
+    st.integers(-5, 8) | _FRACTIONS,
+    st.integers(0, 3) | st.booleans(),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+])
+_FEW_POINTS = _POINTS.flatmap(lambda pts: st.lists(pts, max_size=3))
+_MAKERS = {"list": list, "tuple": tuple, "set": set, "generator": lambda pts: (p for p in pts)}
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(_MAKERS)), _FEW_POINTS)
+                | st.integers(-5, 5).map(lambda p: ("range", [p]))))
+@settings(max_examples=100, deadline=None)
+def test_family_builds_one_point_members_as_clean_set_does(members):
+    """``Family`` makes a one-point tuple or list a 1-tuple inline; every
+    member, of any point type or container, generators without a ``len``
+    among them, takes the form ``_clean_set`` gives it."""
+    def make(kind, pts):
+        return range(pts[0], pts[0] + 1) if kind == "range" else _MAKERS[kind](pts)
+
+    fam = Family.of([make(kind, pts) for kind, pts in members])
+    want = [_clean_set(make(kind, pts)) for kind, pts in members]
+    kept = [s for s in want if s]
+    assert fam.sets == tuple(kept) and fam.dropped_empty == len(want) - len(kept)
+    assert [(type(s), list(map(type, s))) for s in fam.sets] == [
+        (type(s), list(map(type, s))) for s in kept]
+
+
 def test_clean_set_type_rule_examples():
     assert _clean_set((1, F(3, 2), 3)) == (1, F(3, 2), 3)
     assert _clean_set((1, F(2), 3)) == (1, 2, 3) and type(_clean_set((1, F(2), 3))) is tuple
@@ -998,6 +1026,32 @@ def test_coverage_from_run_ends_matches_the_definition(data):
     for members in (sets, Family.of(sets).sets):
         assert coverage(members, w) == (tuple(p for p in w if p not in held), held <= set(w))
         assert list(outside_points(members, w)) == [p for s in members for p in s if p not in w]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_coverage_splits_ranges_from_point_members_in_bulk(data):
+    """Runs of one-point members around ranges of step 1 and of other
+    steps, reaching past the window or not, on run and non-run windows,
+    against a scan of every member point."""
+    lo = data.draw(st.integers(-4, 4))
+    w = data.draw(st.sampled_from([
+        int_window(lo, lo + 8), Window(range(lo, lo + 16, 2)), Window([lo, lo + 1, lo + 5]),
+        grid_window(lo, lo + 3, F(1, 2))]))
+    points = st.integers(lo - 3, lo + 18) | st.sampled_from([True, F(3, 2), F(lo), lo + 1.0])
+    sets = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if data.draw(st.booleans()):
+            sets += [(p,) for p in data.draw(st.lists(points, max_size=6))]
+        else:
+            start = data.draw(st.integers(lo - 3, lo + 12))
+            sets.append(range(start, start + data.draw(st.integers(0, 8)),
+                              data.draw(st.sampled_from([1, 1, 2, 3]))))
+    window_points = frozenset(w.points)
+    held = [p for s in sets for p in s]
+    want = (tuple(p for p in w.points if p not in set(held)),
+            all(p in window_points for p in held))
+    assert coverage(sets, w) == coverage(tuple(sets), w) == want
 
 
 def brute_refinement_violation(cover_v, cover_u):

@@ -164,6 +164,23 @@ PROBES = st.one_of(SMALL, st.booleans(), st.fractions(-13, 13, max_denominator=3
                    st.tuples(SMALL, SMALL))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.builds(range, SMALL, SMALL, st.integers(1, 3)).filter(lambda r: len(r) > 1),
+       st.lists(SMALL | st.sampled_from([True, False, F(2), 2.0, F(1, 2), 10**40, -10**40]),
+                max_size=6),
+       st.sampled_from([set, frozenset, tuple, list, iter]))
+def test_window_holds_matches_point_by_point_membership(seq, points, form):
+    """``holds`` on a range window, step 1 or not, answers as ``in`` does:
+    in bulk for a collection of ``int``s on a step-1 window, point by
+    point otherwise."""
+    w = Window(seq)
+    assert w.holds(form(points)) == all(p in w for p in points)
+    assert w.holds(form([])) and w.holds(form(seq))
+    for edge in (w.points[0] - 1, w.points[-1], w.points[-1] + 1, w.points[-1] + seq.step,
+                 w.points[0] + F(1, 2), w.points[-1] - 0.5):
+        assert w.holds(form([w.points[0], edge])) == (edge in w)
+
+
 @settings(max_examples=400, deadline=None)
 @given(window_routes(), window_routes(), st.lists(PROBES, max_size=6), st.data())
 def test_window_matches_the_sorted_tuple_and_frozenset_model(a, b, probes, data):
