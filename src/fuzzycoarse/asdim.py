@@ -750,20 +750,10 @@ def _components(n: int, edges) -> list:
 
 
 def _threshold_edges(space: FuzzyMetricSpace, pts, bound: Fraction, t: Fraction, strict):
-    """Index pairs i < j of the sorted points ``pts`` that give the
-    components of the graph joining x and y when M(x, y, t) > bound
-    (``strict``) or M(x, y, t) >= bound (otherwise).
-
-    On a radial or coordinate-decreasing kind M(pts[i], pts[j], t) does not
-    grow as j moves right of i, so an edge over a span joins its left end
-    to every point inside it, and under either flag each component is a
-    run of ``pts``.  Point j then joins the run before it exactly when it
-    is joined to the earlier point with the largest M: pts[j - 1] on a
-    radial kind, pts[0] on a coordinate-decreasing one.  That gives the
-    edge (j - 1, j) from one ``pair`` call per point.  Any other kind tests
-    every pair i < j.  Only pairs i < j are evaluated, so this relies on
-    M(x, y, t) = M(y, x, t), as ``covers._scale_multiplicity`` does.
-    """
+    """Index pairs i < j of the sorted points ``pts``, as the space's order
+    picks them, that give the components of the graph joining x and y when
+    M(x, y, t) > bound (``strict``) or M(x, y, t) >= bound (otherwise).
+    Only pairs i < j are evaluated, so this relies on M being symmetric."""
     pair, bn, bd = space._pair, bound.numerator, bound.denominator
     above = gt if strict else ge
 
@@ -771,11 +761,7 @@ def _threshold_edges(space: FuzzyMetricSpace, pts, bound: Fraction, t: Fraction,
         num, den = pair(x, y, t)
         return above(num * bd, bn * den)
 
-    radial = space.radially_monotone
-    if radial or space.coordinate_decreasing:
-        return ((j - 1, j) for j in range(1, len(pts))
-                if joined(pts[j - 1] if radial else pts[0], pts[j]))
-    return ((i, j) for j in range(len(pts)) for i in range(j) if joined(pts[i], pts[j]))
+    return space.order.edges(pts, joined)
 
 
 def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) -> ScaleGraphReport:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
-from operator import le
+from functools import partial
+from itertools import chain
 from typing import Callable, Optional
 
 from .asdim import DimensionWitness, verify_witness
@@ -128,6 +128,14 @@ def _finite_table_note(rep: CertReport):
 # ---------------------------------------------------------------------------
 
 
+def _below(pair, pts, num, den, t, i):
+    """The test M(pts[i], pts[j], t) < num/den, as a function of j."""
+    def test(j):
+        n, d = pair(pts[i], pts[j], t)
+        return n * den < num * d
+    return test
+
+
 def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpace,
                    space_y: FuzzyMetricSpace, f: CoarseMap, window_x: Window,
                    proper: bool) -> CertReport:
@@ -140,53 +148,46 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
     level test is one integer cross-multiplication; only a reported value
     is built as a Fraction.
 
-    When both kinds are radial or coordinate-decreasing and the images do
-    not decrease in window order (checked here, not read from the map's
-    rule), both sides are non-decreasing point sequences.  Then for
-    j >= i the input value M(a_i, a_j) does not increase with j and is 1
-    at j = i, so the pairs of row i that meet the closed premise form a
-    run [i, b); on that run the output value does not increase either, so
-    its failing pairs form a suffix.  Each row gallops to b, tests b - 1
-    and, if that fails, gallops to the first failing pair: O(n log n)
-    ``pair`` calls per entry.  Every other case tests every pair.
+    When each side's order says M does not grow along the rows of its
+    points (``rows_fall_on``; images are checked, not read from the map's
+    rule), the pairs of row i meeting the closed premise form a run [i, b)
+    whose end the input order gives (``run_ends``), with the failing pairs
+    a suffix: row i tests b - 1 and, if that fails, gallops to the first.
+    Otherwise every pair is tested.
     """
     rep = CertReport(title, map=f.describe(), window=window_x.label())
     pts = window_x.points
     images = [f.apply(x) for x in pts]
     space_x._check_window(window_x)
     space_y._check_points(images)
-    runs = (all(s.radially_monotone or s.coordinate_decreasing for s in (space_x, space_y))
-            and all(map(le, images, islice(images, 1, None))))
-    sides = [(space_x._pair, pts), (space_y._pair, images)]
-    (pair_in, pts_in), (pair_out, pts_out) = sides[::-1] if proper else sides
+    sides = [(space_x, pts), (space_y, images)]
+    (space_in, pts_in), (space_out, pts_out) = sides[::-1] if proper else sides
+    runs = space_in.order.rows_fall_on(pts_in) and space_out.order.rows_fall_on(pts_out)
+    pair_in, pair_out = space_in._pair, space_out._pair
     n = len(pts)
 
     def first_bad(entry):
         ln, ld = entry.level_in.numerator, entry.level_in.denominator
         on, od = entry.level_out.numerator, entry.level_out.denominator
         t_in, t_out = entry.t_in, entry.t_out
+
+        if runs:
+            below_out = partial(_below, pair_out, pts_out, on, od, t_out)
+            for i, b in enumerate(space_in.order.run_ends(
+                    n, partial(_below, pair_in, pts_in, ln, ld, t_in))):
+                out = below_out(i)
+                if b - 1 > i and out(b - 1):
+                    j = _gallop(out, i + 1, b - 1)
+                    return (pts[i], pts[j]), Fraction(*pair_out(pts_out[i], pts_out[j], t_out))
+            return None
         for i in range(n):
             a, fa = pts_in[i], pts_out[i]
-            if runs:
-                def below_in(j):
-                    num, den = pair_in(a, pts_in[j], t_in)
-                    return num * ld < ln * den
-
-                def below_out(j):
+            for j in range(i, n):
+                num, den = pair_in(a, pts_in[j], t_in)
+                if num * ld >= ln * den:
                     num, den = pair_out(fa, pts_out[j], t_out)
-                    return num * od < on * den
-
-                last = _gallop(below_in, i + 1, n) - 1
-                if last > i and below_out(last):
-                    j = _gallop(below_out, i + 1, last)
-                    return (pts[i], pts[j]), Fraction(*pair_out(fa, pts_out[j], t_out))
-            else:
-                for j in range(i, n):
-                    num, den = pair_in(a, pts_in[j], t_in)
-                    if num * ld >= ln * den:
-                        num, den = pair_out(fa, pts_out[j], t_out)
-                        if num * od < on * den:
-                            return (pts[i], pts[j]), Fraction(num, den)
+                    if num * od < on * den:
+                        return (pts[i], pts[j]), Fraction(num, den)
         return None
 
     for entry in entries:
@@ -312,7 +313,7 @@ def coarse_inverse(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
     strictly within 1 - r of y at t; the onto property at (r, t) is the
     checked precondition.  The source window is swept in order, and each
     x is given to the points of its image's ball (window runs, galloped
-    where the kind has a flag) that have no preimage yet; a repeated image
+    where the kind's order allows) that have no preimage yet; a repeated image
     adds nothing and is skipped.  The composite f(g(y)) is close to the
     identity at (r, t) by construction and is re-verified; closeness of
     g(f(x)) to the identity comes through a properness entry applicable

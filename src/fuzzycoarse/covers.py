@@ -3,15 +3,9 @@
 All sets are finite and live inside a window, so suprema and infima are
 maxima and minima and every predicate is decided exactly.
 
-The extremal helpers (``family_max_cross``, ``family_min_intra``) are
-where the library earns its running time: for spaces whose closeness
-rule shrinks as pairs nest outward on the sorted line, the worst cross
-pair between differently-labeled points is always realized by two
-points adjacent in the sorted support, and the worst intra pair of a
-set by its endpoints.  For the reciprocal-product rule, which decreases
-in each coordinate, the worst cross pair is realized by the two
-smallest set minima.  Brute force remains available and the fast paths
-are checked against it in the test suite.
+The extremal helpers (``family_max_cross``, ``family_min_intra``) take
+their pairs from the space's order (see ``space``), which reads a few
+points per member where a scan reads every pair.
 
 The scale predicates (multiplicity, scale multiplicity, Lebesgue pairs,
 refinement) look at member sets and balls on the window only, as runs of
@@ -27,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from heapq import nsmallest
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import is_, is_not, itemgetter, lt
 
@@ -178,46 +171,31 @@ def _check_outside_points(space: FuzzyMetricSpace, sets, window: Window):
 
 
 def min_intra_pair(space: FuzzyMetricSpace, s: tuple, t: Fraction):
-    """(value, pair) minimizing M over pairs within one sorted,
-    duplicate-free set; None if |s| < 2."""
-    if len(s) < 2:
-        return None
-    (num, den), pair = _min_intra(space, s, t)
-    return Fraction(num, den), pair
-
-
-def _min_intra(space: FuzzyMetricSpace, s, t):
-    """``min_intra_pair`` with the value as an integer ``(num, den)``, for
-    |s| >= 2: the first minimum in (i, j) order, by cross-multiplication."""
-    if space.radially_monotone:
-        return space._pair(s[0], s[-1], t), (s[0], s[-1])
-    if space.coordinate_decreasing:
-        return space._pair(s[-2], s[-1], t), (s[-2], s[-1])
-    best = None
-    for i, x in enumerate(s):
-        for y in s[i + 1:]:
-            num, den = space._pair(x, y, t)
-            if best is None or num * best[0][1] < best[0][0] * den:
-                best = ((num, den), (x, y))
-    return best
+    """(value, pair) minimizing M over the pairs of one sorted, duplicate-free
+    set, once its points pass the universe check; None if |s| < 2."""
+    space._check_points(s)
+    worst = family_min_intra(space, (s,), t)
+    return worst and worst[:2]
 
 
 def family_min_intra(space: FuzzyMetricSpace, sets, t: Fraction):
     """(value, pair, set_index) minimizing M within any one of a sequence
-    of sorted, duplicate-free member sets, such as ``Family.sets``.  The
-    first minimum is found on integer values; only it becomes a Fraction.
+    of sorted, duplicate-free member sets, such as ``Family.sets``, whose
+    points the caller has checked against the universe.  The first
+    minimum is found on integer values; only it becomes a Fraction.
     One-point members hold no pair and are skipped in bulk."""
     best = None
     for idx, s in compress(enumerate(sets), map(lt, repeat(1), map(len, sets))):
-        (num, den), pair = _min_intra(space, s, t)
+        (num, den), pr = space.order.min_intra(s, space._pair, t)
         if best is None or num * best[1] < best[0] * den:
-            best = (num, den, pair, idx)
+            best = (num, den, pr, idx)
     return None if best is None else (Fraction(best[0], best[1]), best[2], best[3])
 
 
 def _first_shared_point(sets):
-    """``(p, (i, j))`` for the smallest point held by two distinct members,
-    with the two smallest indices of the members that hold it, or None."""
+    """``(1, (p, p), (i, j))`` for the smallest point p held by two distinct
+    members, with the two smallest indices of the members that hold it,
+    or None."""
     if sum(map(len, sets)) == len(set().union(*sets)):
         return None  # no point is listed twice
     owner, shared = {}, {}
@@ -227,70 +205,27 @@ def _first_shared_point(sets):
             if k != i and p not in shared:
                 shared[p] = (k, i)
     p = min(shared, default=None)
-    return None if p is None else (p, shared[p])
+    return None if p is None else (ONE, (p, p), shared[p])
 
 
 def _hull_ordered(sets) -> bool:
     """Whether each member's last point lies below the next member's first:
-    then no point is shared, and on the sorted support the adjacent points
-    of distinct members are exactly the pairs (s_k[-1], s_k+1[0])."""
+    then no point is shared."""
     return all(map(lt, map(itemgetter(-1), sets), map(itemgetter(0), islice(sets, 1, None))))
 
 
 def family_max_cross(space: FuzzyMetricSpace, family: Family, t: Fraction):
-    """(value, pair, (i, j)) maximizing M across distinct member sets.
-
-    The only code that knows the radial and coordinate-decreasing cross
-    pair facts; any other space scans each pair of sets in (i, j, p, q)
-    order and keeps the first maximum.  A point held by two members is
-    reported as the smallest such point, with the two smallest indices of
-    the members that hold it.  On a hull-ordered family both facts read
-    member ends only, with the same pairs in the same order as a sort of
-    every point.
-    """
+    """(value, pair, (i, j)) maximizing M across distinct member sets, for
+    members whose points the caller has checked against the universe.  A
+    point held by two members gives the smallest such point and the two
+    smallest indices of its members (a hull-ordered family holds none and
+    is not scanned for one); otherwise the space's order names the pair."""
     sets = family.sets
     if len(sets) < 2:
         return None
-    if (space.radially_monotone or space.coordinate_decreasing) and _hull_ordered(sets):
-        if space.radially_monotone:
-            best = None
-            for k, (u, v) in enumerate(zip(sets, sets[1:])):
-                val = space._raw(u[-1], v[0], t)
-                if best is None or val > best[0]:
-                    best = (val, (u[-1], v[0]), (k, k + 1))
-            return best
-        p, q = sets[0][0], sets[1][0]
-        return (space._raw(p, q, t), (p, q), (0, 1))
-    if space.radially_monotone:
-        # sorted by (point, index), the first adjacent entries of one point
-        # and two members are the smallest shared point
-        labeled = sorted((p, i) for i, s in enumerate(sets) for p in s)
-        best = None
-        for (p, i), (q, j) in zip(labeled, labeled[1:]):
-            if i == j:
-                continue
-            if p == q:
-                return (ONE, (p, p), (i, j))
-            val = space._raw(p, q, t)
-            if best is None or val > best[0]:
-                best = (val, (p, q), (min(i, j), max(i, j)))
-        return best
-    shared = _first_shared_point(sets)
-    if shared is not None:
-        p, ij = shared
-        return (ONE, (p, p), ij)
-    if space.coordinate_decreasing:
-        (p, i), (q, j) = nsmallest(2, ((s[0], i) for i, s in enumerate(sets)))
-        return (space._raw(p, q, t), (min(p, q), max(p, q)), (min(i, j), max(i, j)))
-    best = None
-    for i, u in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            for p in u:
-                for q in sets[j]:
-                    val = space._raw(p, q, t)
-                    if best is None or val > best[0]:
-                        best = (val, (p, q), (i, j))
-    return best
+    hull_ordered = _hull_ordered(sets)
+    shared = None if hull_ordered else _first_shared_point(sets)
+    return shared or space.order.max_cross(sets, space._raw, t, hull_ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ pathological          1/2 off the diagonal except 1/x against the point 1
 ultrametric_standard  t / (t + max(x, y)) off the diagonal, min t-norm
                       (non-Archimedean)
 
-Each kind states M once, as an integer pair ``(num, den)``; the space
-builds every Fraction value from it, and every ball from it and the
-kind's two structural flags.
+Each kind states M once, as an integer pair ``(num, den)``, and declares
+one order (``_Radial``, ``_Prefix`` or ``_Unordered``) that every fast
+path rests on; every Fraction value and every ball is built from them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, filterfalse, islice, product, repeat
-from operator import add, eq, le, mul
+from heapq import nsmallest
+from itertools import accumulate, chain, combinations, filterfalse, islice, product, repeat
+from operator import add, eq, itemgetter, le, mul
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
@@ -217,12 +218,12 @@ def _coalesce_runs(runs) -> list:
 
 
 class _Level:
-    """The balls of a radial or coordinate-decreasing sweep over the window
+    """The balls of a ``_Radial`` or ``_Prefix`` sweep over the window
     points (see ``FuzzyMetricSpace.ball_level``): ball k is the run
     ``[lo[k], hi[k])``, plus the centre run (k, k + 1) when that run stops
     short of k.  A radial ball is one run that holds its centre, as
-    M(x, x, t) = 1 is above the bound; a coordinate-decreasing ball is a
-    prefix that never ends at its centre, plus the centre."""
+    M(x, x, t) = 1 is above the bound; a prefix ball never ends at its
+    centre, and the centre is added."""
 
     __slots__ = ("lo", "hi")
 
@@ -255,6 +256,141 @@ def _gallop(pred, lo: int, hi: int) -> int:
             return bisect_left(range(probe), True, lo, probe, key=pred)
         lo, step = probe + 1, 2 * step
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Orders: what M does along the sorted line
+# ---------------------------------------------------------------------------
+
+
+class _Unordered:
+    """No order fact: each primitive tests every point or pair of the sorted
+    points it is given, through the test or M function passed in."""
+
+    def balls(self, pts, centers, outside):
+        """Per increasing centre x, the runs of the k without ``outside(x)(k)``."""
+        n = len(pts)
+        for x in centers:
+            out = outside(x)
+            yield _coalesce_runs((k, k + 1) for k in range(n) if not out(k))
+
+    level = list  # keeps the balls of a whole-window sweep for ``ball_level``
+
+    def edges(self, pts, joined):  # pairs i < j with the components of the graph ``joined``
+        return ((i, j) for j in range(len(pts)) for i in range(j) if joined(pts[i], pts[j]))
+
+    def min_intra(self, s, pair, t):
+        """``((num, den), (x, y))``, the first least ``pair(x, y, t)`` in s."""
+        best = None
+        for i, x in enumerate(s):
+            for y in s[i + 1:]:
+                num, den = pair(x, y, t)
+                if best is None or num * best[0][1] < best[0][0] * den:
+                    best = ((num, den), (x, y))
+        return best
+
+    def max_cross(self, sets, value, t, hull_ordered):
+        """``(value, (p, q), (i, j))`` for members i < j sharing no point (each
+        ending below the next if ``hull_ordered``): the first largest."""
+        return max(((value(p, q, t), (p, q), (i, j)) for i, j in combinations(range(len(sets)), 2)
+                    for p in sets[i] for q in sets[j]), key=itemgetter(0))
+
+    def rows_fall_on(self, points) -> bool:  # is M(a_i, a_j) known not to grow in j >= i?
+        return False
+
+
+class _Line(_Unordered):
+    """M(a_i, a_j) does not grow as j moves right of i on sorted points, so
+    a ball is a run plus its centre (kept as a ``_Level``), an edge over a
+    span joins its left end to every point inside, making each threshold
+    component a run that a_j joins iff joined to the earlier point with
+    the largest M, and a closed premise holds on a run [i, b) of row i."""
+
+    level = _Level
+
+    def rows_fall_on(self, points) -> bool:
+        return all(map(le, points, islice(points, 1, None)))
+
+
+class _Radial(_Line):
+    """x < y < z implies M(x, z) <= min(M(x, y), M(y, z)) at every t
+    (``ratio_minmax``, ``pathological``, a line metric's standard space),
+    so M(a_i, a_j) does not grow as i moves left of j either.  A ball is
+    one run whose ends move right with its centre, each galloped from
+    where the last left it (O(n) tests a sweep), as is a premise run's
+    end.  The earlier point with the largest M is a_(j-1), the weakest
+    pair of a set its ends, and the strongest cross pair of members that
+    share no point adjacent in their union: (s_k[-1], s_k+1[0]) if hull-ordered."""
+
+    def balls(self, pts, centers, outside):
+        n = len(pts)
+        left = right = 0
+        for x in centers:
+            c = bisect_left(pts, x)
+            out = outside(x)
+            left = _gallop(lambda k: not out(k), left, c)
+            right = _gallop(out, max(right, c), n)
+            yield [(left, right)] if left < right else []
+
+    def edges(self, pts, joined):
+        return ((j - 1, j) for j in range(1, len(pts)) if joined(pts[j - 1], pts[j]))
+
+    def min_intra(self, s, pair, t):
+        return pair(s[0], s[-1], t), (s[0], s[-1])
+
+    def max_cross(self, sets, value, t, hull_ordered):
+        if hull_ordered:
+            adjacent = (((u[-1], k), (v[0], k + 1)) for k, (u, v) in enumerate(zip(sets, sets[1:])))
+        else:
+            labeled = sorted((p, i) for i, s in enumerate(sets) for p in s)
+            adjacent = zip(labeled, labeled[1:])
+        return max(((value(p, q, t), (p, q), (min(i, j), max(i, j)))
+                    for (p, i), (q, j) in adjacent if i != j), key=itemgetter(0))
+
+    def run_ends(self, n, outside):  # b of the run [i, b) without outside(i), per row i
+        b = 0
+        for i in range(n):
+            b = _gallop(outside(i), max(b, i + 1), n)
+            yield b
+
+
+class _Prefix(_Line):
+    """M(x, y) does not grow in either coordinate off the diagonal, at
+    every t (``reciprocal_product``).  A ball is a window prefix plus its
+    centre, the earlier point with the largest M is a_0, the weakest pair
+    of a set its last two points, and the strongest pair across members
+    that share no point their two smallest minima.  A premise run of a
+    later row can end earlier, so each row gallops from i + 1."""
+
+    def balls(self, pts, centers, outside):
+        n = len(pts)
+        for x in centers:
+            c = bisect_left(pts, x)
+            out = outside(x)
+            at_x = c < n and pts[c] == x
+            end = _gallop(out, 0, c)
+            if end == c:  # the whole prefix is inside: go on past the centre
+                end = _gallop(out, c + at_x, n)
+            runs = [(0, end)] if end else []
+            if at_x and end < c:
+                runs.append((c, c + 1))
+            yield runs
+
+    def edges(self, pts, joined):
+        return ((j - 1, j) for j in range(1, len(pts)) if joined(pts[0], pts[j]))
+
+    def min_intra(self, s, pair, t):
+        return pair(s[-2], s[-1], t), (s[-2], s[-1])
+
+    def max_cross(self, sets, value, t, hull_ordered):
+        if hull_ordered:
+            p, q = sets[0][0], sets[1][0]
+            return (value(p, q, t), (p, q), (0, 1))
+        (p, i), (q, j) = nsmallest(2, ((s[0], i) for i, s in enumerate(sets)))
+        return (value(p, q, t), (min(p, q), max(p, q)), (min(i, j), max(i, j)))
+
+    def run_ends(self, n, outside):
+        return (_gallop(outside(i), i + 1, n) for i in range(n))
 
 
 def int_window(lo: int, hi: int) -> Window:
@@ -469,21 +605,12 @@ def check_metric_axioms(metric: Metric, window: Window) -> CertReport:
 
 
 class _Kind:
-    """Evaluation strategy for one space kind.
-
-    ``radial`` declares the structural fact that M can only shrink as a
-    pair nests outward on the sorted line (x < y < z implies
-    M(x,z) <= min(M(x,y), M(y,z))).  ``coordinate_decreasing`` declares
-    that M(x, y) is non-increasing in each coordinate off the diagonal.
-    Both flags fix the shape of every ball (see
-    ``FuzzyMetricSpace.balls``) and unlock exact fast paths in the covers
-    layer; they are cross-validated against brute force in the test suite.
-    """
+    """One space kind: M as an integer pair, and the one ``order`` that its
+    fast paths rest on, checked against brute force in the test suite."""
 
     name = "kind"
     t_dependent = True
-    radial = False
-    coordinate_decreasing = False
+    order = _Unordered()
     metric: Optional[Metric] = None
 
     def pair(self, x, y, t: Fraction) -> tuple:
@@ -496,7 +623,7 @@ class _StandardKind(_Kind):
     def __init__(self, metric: Metric, name="standard"):
         self.metric = metric
         self.name = name
-        self.radial = metric.line_compatible
+        self.order = _Radial() if metric.line_compatible else _Unordered()
 
     def pair(self, x, y, t):
         # t/(t+d) = tn*dd / (tn*dd + dn*td)
@@ -508,7 +635,7 @@ class _StandardKind(_Kind):
 class _ReciprocalKind(_Kind):
     name = "reciprocal_product"
     t_dependent = False
-    coordinate_decreasing = True
+    order = _Prefix()
 
     def pair(self, x, y, t):
         return (1, 1) if x == y else (1, x * y)
@@ -517,7 +644,7 @@ class _ReciprocalKind(_Kind):
 class _RatioKind(_Kind):
     name = "ratio_minmax"
     t_dependent = False
-    radial = True
+    order = _Radial()
 
     def pair(self, x, y, t):
         return (1, 1) if x == y else (min(x, y), max(x, y))
@@ -526,7 +653,7 @@ class _RatioKind(_Kind):
 class _PathologicalKind(_Kind):
     name = "pathological"
     t_dependent = False
-    radial = True
+    order = _Radial()
 
     def pair(self, x, y, t):
         if x == y:
@@ -548,6 +675,7 @@ class FuzzyMetricSpace:
 
     def __init__(self, kind: _Kind, tnorm: TNorm, universe: Universe):
         self._kind = kind
+        self.order = kind.order  # the fast paths, as primitives of one order object
         self.tnorm = tnorm
         self.universe = universe
 
@@ -558,14 +686,6 @@ class FuzzyMetricSpace:
     @property
     def t_dependent(self) -> bool:
         return self._kind.t_dependent
-
-    @property
-    def radially_monotone(self) -> bool:
-        return self._kind.radial
-
-    @property
-    def coordinate_decreasing(self) -> bool:
-        return self._kind.coordinate_decreasing
 
     @property
     def metric(self) -> Optional[Metric]:
@@ -619,23 +739,13 @@ class FuzzyMetricSpace:
         return self._kind.pair(x, y, t)
 
     def balls(self, centers, bound: Fraction, t: Fraction, window: Window):
-        """Yield the window runs of each ball {y : M(x, y, t) > bound}, for
-        centres x of the universe in increasing order.
-
-        Every membership test is one integer cross-multiplication on
-        ``pair``; the kind's flags fix the shape of each ball.  A radial
-        ball is one run around the centre's place in the window, and both
-        of its ends only move right as the centre does, so each end is
-        galloped from where the last centre left it: a sweep of the whole
-        window costs O(n) ``pair`` calls and one centre O(log n).  A
-        coordinate-decreasing ball is a prefix of the window plus the
-        centre.  Any other kind scans the window.  A window point outside
-        the universe raises ``DomainError`` before M is evaluated.
-        """
+        """The window runs of each ball {y : M(x, y, t) > bound}, for centres
+        x of the universe in increasing order, swept by the kind's order
+        with one integer cross-multiplication per test.  A window point
+        outside the universe raises ``DomainError`` before M is evaluated."""
         self._check_window(window)
         pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
         pts = window.points
-        n = len(pts)
 
         def outside(x):
             def test(k):
@@ -643,40 +753,13 @@ class FuzzyMetricSpace:
                 return num * bd <= bn * den
             return test
 
-        if self._kind.radial:
-            left = right = 0
-            for x in centers:
-                c = bisect_left(pts, x)
-                out = outside(x)
-                left = _gallop(lambda k: not out(k), left, c)
-                right = _gallop(out, max(right, c), n)
-                yield [(left, right)] if left < right else []
-        elif self._kind.coordinate_decreasing:
-            for x in centers:
-                c = bisect_left(pts, x)
-                out = outside(x)
-                at_x = c < n and pts[c] == x
-                end = _gallop(out, 0, c)
-                if end == c:  # the whole prefix is inside: go on past the centre
-                    end = _gallop(out, c + at_x, n)
-                runs = [(0, end)] if end else []
-                if at_x and end < c:
-                    runs.append((c, c + 1))
-                yield runs
-        else:
-            for x in centers:
-                out = outside(x)
-                yield _coalesce_runs((k, k + 1) for k in range(n) if not out(k))
+        return self.order.balls(pts, centers, outside)
 
     def ball_level(self, bound: Fraction, t: Fraction, window: Window):
         """The balls of every window point at one (bound, t), from one sweep
-        of ``balls``: item k is the run list of the ball of
-        ``window.points[k]``.  Kinds with a flag keep two run ends per
-        ball in arrays (see ``_Level``), any other kind the run lists."""
-        swept = self.balls(window.points, bound, t, window)
-        if self._kind.radial or self._kind.coordinate_decreasing:
-            return _Level(swept)
-        return list(swept)
+        of ``balls``, as the order keeps them: item k is the run list of
+        the ball of ``window.points[k]``."""
+        return self.order.level(self.balls(window.points, bound, t, window))
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
         """The window runs of the ball of one centre."""
@@ -766,14 +849,9 @@ def ball(space: FuzzyMetricSpace, x, params: ScaleParams, window: Window) -> tup
 def is_bounded(space: FuzzyMetricSpace, subset, params: ScaleParams) -> bool:
     """Whether every pair of the finite subset is strictly above 1 - r at t."""
     pts = sorted(set(subset))
-    for p in pts:
-        space._check_point(p)
-    b, t = params.threshold, params.t
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if space._raw(x, y, t) <= b:
-                return False
-    return True
+    space._check_points(pts)
+    return len(pts) < 2 or (Fraction(*space.order.min_intra(pts, space._pair, params.t)[0])
+                            > params.threshold)
 
 
 def union_bound(space: FuzzyMetricSpace, params_a: ScaleParams, params_b: ScaleParams,

@@ -900,15 +900,15 @@ def test_scale_graph_matches_brute(factory, r, t):
 
 def test_scale_graph_uses_the_coordinate_decreasing_flag_not_a_formula():
     """M = 1/max(x, y) off the diagonal is coordinate-decreasing but not
-    1/(xy): at r = 3/4 the points 2, 3 and 4 are joined, although no
-    product of two of them is at most 4."""
+    1/(xy): declared ``_Prefix``, at r = 3/4 the points 2, 3 and 4 are
+    joined, although no product of two of them is at most 4."""
     from fuzzycoarse import PRODUCT
-    from fuzzycoarse.space import NATURALS, FuzzyMetricSpace, _Kind
+    from fuzzycoarse.space import NATURALS, FuzzyMetricSpace, _Kind, _Prefix
 
     class InverseMax(_Kind):
         name = "inverse_max"
         t_dependent = False
-        coordinate_decreasing = True
+        order = _Prefix()
 
         def pair(self, x, y, t):
             return (1, 1) if x == y else (1, max(x, y))

@@ -737,6 +737,22 @@ DEMO_ENTRIES = [(check_uniformly_expansive, entry("1/2", 1, "1/2", 1)),
                 (check_effectively_proper, entry("1/8", 3, "1/2", 21))]
 
 
+def test_radial_modulus_sweep_moves_each_run_end_right(monkeypatch):
+    """On the radial input side of the demo map a premise run never ends
+    earlier for a later row, so each row gallops from the last end: the
+    (1/2@1) and (1/2@128) entries take at most 3n ``pair`` calls per
+    check at 2,000 points, expansive and proper (32,705 for (1/2@128)
+    when each row galloped from i + 1)."""
+    n = 2000
+    window = int_window(0, n - 1)
+    calls = count_pair_calls(monkeypatch, STD, STDQ)
+    for check in (check_uniformly_expansive, check_effectively_proper):
+        for e in (entry("1/2", 1, "1/2", 1), entry("1/2", 128, "1/2", 128)):
+            calls[0] = 0
+            assert check(STD, STDQ, inclusion_map(expansive=(e,), proper=(e,)), window).passed
+            assert calls[0] <= 3 * n
+
+
 @pytest.mark.parametrize("n", [300, 2000])
 def test_modulus_work_on_the_demo_map_is_n_log_n(monkeypatch, n):
     """The inclusion of the demo config, the standard line into the

@@ -31,6 +31,7 @@ from fuzzycoarse import (
     ratio_minmax_space,
     reciprocal_product_space,
     refinement_via_lebesgue,
+    scale_graph,
     refines,
     scale_multiplicity,
     scale_neighborhood,
@@ -42,6 +43,8 @@ from fuzzycoarse.asdim import (_components, _threshold_edges, witness_ratio_minm
                                witness_reciprocal_product)
 from fuzzycoarse.covers import (
     _clean_set,
+    _first_shared_point,
+    _hull_ordered,
     _first_ball_outside,
     _level_neighborhood,
     _scale_multiplicity,
@@ -55,7 +58,7 @@ from fuzzycoarse.covers import (
     outside_points,
 )
 from fuzzycoarse.errors import DomainError, PreconditionError, UnsupportedOperationError
-from fuzzycoarse.space import RATIONALS
+from fuzzycoarse.space import RATIONALS, _Prefix, _Radial, _Unordered
 
 F = Fraction
 
@@ -315,11 +318,10 @@ def brute_max_cross_pair(space, sets, t):
 
     A shared point gives 1 at the smallest such point, with the two
     smallest indices of the members that hold it.  Otherwise the value is
-    the maximum over every cross pair, and the pair is the one each kind
-    names: a space with neither flag the first maximum in (i, j, p, q)
-    order, a radial space the smallest maximal pair with no support point
-    strictly between its points, a coordinate-decreasing one the smallest
-    maximal pair."""
+    the maximum over every cross pair, and the pair is the one each order
+    names: ``_Unordered`` the first maximum in (i, j, p, q) order,
+    ``_Radial`` the smallest maximal pair with no support point strictly
+    between its points, ``_Prefix`` the smallest maximal pair."""
     if len(sets) < 2:
         return None
     support = sorted(set().union(*sets))
@@ -330,10 +332,10 @@ def brute_max_cross_pair(space, sets, t):
     scan = [(space.value(p, q, t), (p, q), (i, j))
             for i, j in combinations(range(len(sets)), 2) for p in sets[i] for q in sets[j]]
     top = max(v for v, _, _ in scan)
-    if not (space.radially_monotone or space.coordinate_decreasing):
+    if type(space.order) is _Unordered:
         return next(c for c in scan if c[0] == top)
     best = [(min(pq), max(pq), ij) for v, pq, ij in scan if v == top]
-    if space.radially_monotone:
+    if type(space.order) is _Radial:
         best = [c for c in best if not any(c[0] < r < c[1] for r in support)]
     p, q, ij = min(best)
     return (top, (p, q), ij)
@@ -377,7 +379,7 @@ CROSS_CASES = [
 @given(data=st.data(), t=st.sampled_from([F(1, 2), 1, 3]))
 @settings(max_examples=60, deadline=None)
 def test_max_cross_matches_a_scan_of_every_cross_pair(factory, points, data, t):
-    """Radial, coordinate-decreasing and flag-free spaces, on members in
+    """Radial, prefix and unordered spaces, on members in
     any order, with touching or overlapping hulls, shared points, one-point
     members and Fraction points: the whole (value, pair, (i, j))."""
     space = factory()
@@ -488,8 +490,8 @@ def rational_line():
 
 @pytest.mark.parametrize("factory", SPACES + [table_space, rational_line])
 def test_neighborhood_matches_brute(factory):
-    """The union of balls against the definition, with the kind's flags and
-    without, on a run window and sparse ones, for sets that hold points
+    """The union of balls against the definition, with the kind's order and
+    unordered, on a run window and sparse ones, for sets that hold points
     outside the window."""
     space = factory()
     lo = -8 if 0 in space.universe else 1
@@ -498,7 +500,7 @@ def test_neighborhood_matches_brute(factory):
     if F(1, 2) in space.universe:
         windows.append(Window([-3, F(-1, 2), 0, F(1, 3), 2, F(7, 2), 9]))
         sets += [[F(1, 4)], [0, F(5, 2)], [9, F(23, 2)]]
-    for sp in (space, flag_free(space)):
+    for sp in (space, unordered(space)):
         for p in (ScaleParams(F(2, 5), F(3, 2)), ScaleParams(F(3, 4), 3)):
             for w in windows:
                 for u in sets:
@@ -817,11 +819,11 @@ def test_members_in_any_order_or_with_repeats():
 # ---------------------------------------------------------------------------
 
 
-def flag_free(space):
-    """The same space with neither structural flag: every ball is a window
+def unordered(space):
+    """The same space with the ``_Unordered`` order: every ball is a window
     scan and every extremal pair a brute-force one."""
     kind = copy.copy(space._kind)
-    kind.radial = kind.coordinate_decreasing = False
+    kind.order = _Unordered()
     return FuzzyMetricSpace(kind, space.tnorm, space.universe)
 
 
@@ -830,14 +832,16 @@ LINE_KINDS = [ratio_minmax_space, reciprocal_product_space, pathological_space,
 
 
 @st.composite
-def spaces_and_windows(draw):
-    """(space, window, points outside the window) over every built-in space.
+def spaces_and_windows(draw, cases=("standard", "rational", "line", "lattice", "table"),
+                       line_kinds=LINE_KINDS):
+    """(space, window, points outside the window) over every built-in space,
+    or the given cases and line kinds.
 
     Windows are runs of integers, sparse integer sets, negative-integer
-    windows and rational grids.  Lattice and table spaces have neither flag;
+    windows and rational grids.  Lattice and table spaces are unordered;
     a random distance table makes balls that are not runs of the window.
     """
-    case = draw(st.sampled_from(["standard", "rational", "line", "lattice", "table"]))
+    case = draw(st.sampled_from(cases))
     if case == "table":
         n = 7
         d = {(i, j): draw(st.integers(1, 4)) for i in range(n) for j in range(i + 1, n)}
@@ -857,7 +861,7 @@ def spaces_and_windows(draw):
     if case == "standard":
         space, floor = standard_space(), -15
     else:
-        space, floor = draw(st.sampled_from(LINE_KINDS))(), 1
+        space, floor = draw(st.sampled_from(line_kinds))(), 1
     if draw(st.booleans()):
         lo = draw(st.integers(floor, floor + 10))
         w = int_window(lo, lo + draw(st.integers(0, 13)))
@@ -910,7 +914,7 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
     centres = sorted(set(data.draw(st.lists(st.sampled_from(list(w) + outside), max_size=8))))
     p = data.draw(SCALES)
     swept = list(space.balls(centres, p.threshold, p.t, w))
-    assert swept == list(flag_free(space).balls(centres, p.threshold, p.t, w))
+    assert swept == list(unordered(space).balls(centres, p.threshold, p.t, w))
     assert swept == [w.runs_of(tuple(brute_ball(space, x, p, w))) for x in centres]
     for x, runs in zip(centres, swept):
         assert space.ball_runs(x, p.threshold, p.t, w) == runs
@@ -920,8 +924,8 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
 @settings(max_examples=300, deadline=None)
 def test_threshold_edges_give_the_components_of_every_pair(data):
     """The strict and the closed threshold graphs have the same components
-    from a flagged kind's one edge per point, from the pair scan of its
-    flag-free copy and from M on every pair, over run, sparse and
+    from an ordered kind's one edge per point, from the pair scan of its
+    unordered copy and from M on every pair, over run, sparse and
     rational-grid windows.  The threshold is a scale's level or a value
     of M on the window, where the two graphs differ."""
     space, w, _ = data.draw(spaces_and_windows())
@@ -933,8 +937,81 @@ def test_threshold_edges_give_the_components_of_every_pair(data):
     for strict in (True, False):
         brute = [ij for ij, v in value.items() if (v > b if strict else v >= b)]
         expected = _components(len(pts), brute)
-        for sp in (space, flag_free(space)):
+        for sp in (space, unordered(space)):
             assert _components(len(pts), _threshold_edges(sp, pts, b, p.t, strict)) == expected
+
+
+@pytest.mark.parametrize("cases, line_kinds", [
+    (("standard", "rational", "line"), [ratio_minmax_space, pathological_space, ultrametric_space]),
+    (("line",), [reciprocal_product_space]),
+], ids=["radial", "prefix"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_order_primitives_match_the_unordered_order(cases, line_kinds, data):
+    """Each primitive of a line order against ``_Unordered`` on the same
+    sorted points, over run, sparse and rational-grid windows: the same
+    ball runs and threshold components under a strict and a closed test,
+    the same weakest intra and strongest cross values (with the pair and
+    member indices each order names on ties), and, on a non-decreasing
+    sequence with repeated points, premise runs that are the pairs
+    meeting a closed premise."""
+    space, w, outside = data.draw(spaces_and_windows(cases, line_kinds))
+    order, plain = space.order, _Unordered()
+    p = data.draw(SCALES)
+    pts, t, pair = w.points, p.t, space._pair
+    centres = sorted(set(data.draw(st.lists(st.sampled_from(list(w) + outside), max_size=8))))
+    values = sorted({space.value(x, y, t) for x, y in combinations(pts, 2)})
+    b = data.draw(st.sampled_from(values + [p.threshold]))
+    for strict in (True, False):
+        def below(x, y):
+            num, den = pair(x, y, t)
+            lhs, rhs = num * b.denominator, b.numerator * den
+            return lhs <= rhs if strict else lhs < rhs
+
+        def outside_of(x):
+            return lambda k: below(x, pts[k])
+
+        def joined(x, y):
+            return not below(x, y)
+
+        assert (list(order.balls(pts, centres, outside_of))
+                == list(plain.balls(pts, centres, outside_of)))
+        assert (_components(len(pts), order.edges(pts, joined))
+                == _components(len(pts), plain.edges(pts, joined)))
+
+    sets = Family.of(data.draw(member_sets(w, outside, data.draw(st.integers(1, 5))))).sets
+    for s in sets:
+        if len(s) > 1:
+            (num, den), (x, y) = order.min_intra(s, pair, t)
+            assert F(num, den) == F(*plain.min_intra(s, pair, t)[0]) == space.value(x, y, t)
+            assert {x, y} <= set(s) and x < y
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, len(pts)), max_size=4))))
+    chunks = Family.of([pts[i:j] for i, j in zip([0, *cuts], [*cuts, len(pts)])]).sets
+    for fam in (sets, chunks):
+        if len(fam) > 1 and _first_shared_point(fam) is None:
+            got = order.max_cross(fam, space._raw, t, _hull_ordered(fam))
+            assert got[0] == plain.max_cross(fam, space._raw, t, False)[0]
+            assert got == brute_max_cross_pair(space, fam, t)
+
+    seq = sorted(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=12)))
+    assert order.rows_fall_on(seq) and not plain.rows_fall_on(seq)
+    n = len(seq)
+    ends = order.run_ends(n, lambda i: lambda j: space.value(seq[i], seq[j], t) < b)
+    for i, end in enumerate(ends):
+        assert [j for j in range(i, n) if space.value(seq[i], seq[j], t) >= b] == list(range(i, end))
+
+
+def test_extremal_checks_refuse_points_outside_the_universe():
+    """-2 and -1 lie outside the naturals, where t + max(x, y) can be 0:
+    each public check raises ``DomainError`` before M is evaluated."""
+    sp, p = ultrametric_space(), ScaleParams(F(1, 2), 1)
+    for call in (lambda: min_intra_pair(sp, (-2, -1), 1),
+                 lambda: cross_sup(sp, (-2,), (-1,), 1),
+                 lambda: is_scale_disjoint(sp, Family.of([(-2,), (-1,)]), p),
+                 lambda: is_uniformly_bounded_family(sp, Family.of([(-2, -1)]), p),
+                 lambda: scale_graph(sp, p, int_window(-2, -1))):
+        with pytest.raises(DomainError, match="point -2 is outside the naturals universe"):
+            call()
 
 
 def outcome(fn, *args):
@@ -984,7 +1061,7 @@ def test_scale_multiplicity_runs_scans_and_definition_agree(data):
     p = data.draw(SCALES)
     want = brute_scale_multiplicity(space, cov, p, w)
     assert scale_multiplicity(space, cov, p, w) == want
-    assert scale_multiplicity(flag_free(space), cov, p, w) == want
+    assert scale_multiplicity(unordered(space), cov, p, w) == want
 
 
 @given(data=st.data())
@@ -997,13 +1074,13 @@ def test_lebesgue_runs_scans_and_definition_agree(data):
     cov = Cover.of(split_into_families(sets, data), w)
     p = data.draw(SCALES)
     if not set(w) <= set().union(*map(set, sets)):
-        for sp in (space, flag_free(space)):
+        for sp in (space, unordered(space)):
             with pytest.raises(PreconditionError):
                 first_lebesgue_violation(sp, cov, p, w)
         return
     want = brute_lebesgue_violation(space, cov, p, w)
     assert first_lebesgue_violation(space, cov, p, w) == want
-    assert first_lebesgue_violation(flag_free(space), cov, p, w) == want
+    assert first_lebesgue_violation(unordered(space), cov, p, w) == want
 
 
 @given(data=st.data())

@@ -2,6 +2,8 @@ import bisect
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +43,7 @@ from fuzzycoarse.errors import (
     UnsupportedOperationError,
 )
 from fuzzycoarse.report import fmt_value
-from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, Metric
+from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, Metric, _Prefix, _Radial, _Unordered
 
 F = Fraction
 
@@ -507,25 +509,46 @@ def test_ball_sweeps_make_linear_pair_calls(factory, n, monkeypatch):
 
 
 def test_radiality_flags_hold():
-    """The structural flags that unlock fast paths, against brute force."""
-    for factory in (standard_space, ratio_minmax_space, pathological_space,
-                    ultrametric_space):
-        sp = factory()
+    """Each built-in kind's declared order against brute force: M of a
+    ``_Radial`` kind shrinks as a pair nests outward, M of a ``_Prefix``
+    kind does not grow in either coordinate off the diagonal, and the
+    lattice and table metrics declare no order."""
+    table = TableMetric([0, 1, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    cases = [(standard_space(), _Radial), (ratio_minmax_space(), _Radial),
+             (pathological_space(), _Radial), (ultrametric_space(), _Radial),
+             (standard_space(universe=RATIONALS), _Radial), (reciprocal_product_space(), _Prefix),
+             (standard_space(EuclideanLattice(1)), _Unordered), (standard_space(table), _Unordered)]
+    for sp, order in cases:
+        assert type(sp.order) is order
+        if order is _Unordered:
+            continue
         lo = 1 if sp.universe.name == "naturals" else -6
         pts = list(int_window(lo, 12))
-        if sp.radially_monotone:
-            for t in (F(1, 2), 2):
-                for i, x in enumerate(pts):
-                    for j in range(i + 1, len(pts)):
-                        for k in range(j + 1, len(pts)):
-                            v = sp.value(x, pts[k], t)
-                            assert v <= sp.value(x, pts[j], t)
-                            assert v <= sp.value(pts[j], pts[k], t)
-    rec = reciprocal_product_space()
-    assert rec.coordinate_decreasing
-    for x in range(1, 10):
-        for y in range(x + 1, 10):
-            assert rec.value(x + 1, y + 1, 1) <= rec.value(x, y, 1)
+        for t in (F(1, 2), 2):
+            for x, y, z in combinations(pts, 3):
+                if order is _Radial:
+                    assert sp.value(x, z, t) <= min(sp.value(x, y, t), sp.value(y, z, t))
+            for x in pts:  # off the diagonal, M(x, .) does not grow
+                for y, z in combinations(pts, 2):
+                    if order is _Prefix and x not in (y, z):
+                        assert sp.value(x, z, t) <= sp.value(x, y, t)
+
+
+def test_only_the_space_module_names_the_orders():
+    """Callers reach a kind's fast paths through ``FuzzyMetricSpace.order``
+    alone: no other library module names an order flag, a kind or a
+    concrete order class."""
+    import re
+
+    import fuzzycoarse
+
+    names = re.compile(r"\b(radially_monotone|coordinate_decreasing|_kind"
+                       r"|_Unordered|_Line|_Radial|_Prefix)\b")
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(Path(fuzzycoarse.__file__).parent.glob("*.py"))
+            if path.name != "space.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if names.search(line)]
+    assert hits == []
 
 
 # ---------------------------------------------------------------------------
