@@ -58,7 +58,7 @@ from fuzzycoarse.covers import (
     outside_points,
 )
 from fuzzycoarse.errors import DomainError, PreconditionError, UnsupportedOperationError
-from fuzzycoarse.space import RATIONALS, _Prefix, _Radial, _Unordered
+from fuzzycoarse.space import RATIONALS, _Radial, _Unordered
 
 F = Fraction
 
