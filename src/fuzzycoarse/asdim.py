@@ -29,6 +29,7 @@ from .covers import (
     _fattened_bound,
     _first_ball_outside,
     _first_lebesgue_violation,
+    _first_shared_point,
     _is_bounded,
     _level_neighborhood,
     _scale_multiplicity,
@@ -237,7 +238,7 @@ def witness_whole_window(space: FuzzyMetricSpace, window: Window,
     dimension 0 at every scale.  Bound parameters are searched (grid,
     then exact fallback)."""
     space._check_window(window)
-    fam = Family.of([window.points], "whole")
+    fam = Family.of([window.run_set([(0, len(window))])], "whole")
     return DimensionWitness(0, params, _bound_params(space, fam.sets, params.t), (fam,), window)
 
 
@@ -371,16 +372,12 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
         )
     enlarged = ScaleParams(rho, params.t)
     swept = space.balls(pts, enlarged.threshold, params.t, window)
-    balls = sorted(dict.fromkeys(map(window.points_of, swept)), key=lambda s: s[0])
-    counts = {}
-    for s in balls:
-        for p in s:
-            counts[p] = counts.get(p, 0) + 1
-    overlap = next((p for p, c in counts.items() if c > 1), None)
-    if overlap is not None:
+    balls = list(map(window.run_set, sorted(dict.fromkeys(map(tuple, swept)))))
+    shared = _first_shared_point(balls)
+    if shared is not None:
         raise NonArchimedeanViolationError(
             f"distinct balls at (r+eps,t)=({fmt_value(rho)},{fmt_value(params.t)}) "
-            f"share the point {overlap}; they must be equal or disjoint"
+            f"share the point {shared[1][0]}; they must be equal or disjoint"
         )
     fam = Family.of(balls, "ball-partition")
     return DimensionWitness(0, params, enlarged, (fam,), window)
@@ -695,9 +692,11 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
     sits inside one member), so the members are separated at (r, t).
     Without a supplied candidate the finest admissible cover is used:
     the components of the graph joining x and y when M(x, y, t) is above
-    the inner level, which holds each inner ball.  Boundedness is
-    searched on the grid only; a miss raises ``SearchFailureError`` and
-    means inconclusive, never a negative certificate.
+    the inner level, which holds each inner ball.  A supplied candidate's
+    member points are checked against the universe before anything else
+    of it.  Boundedness is searched on the grid only; a miss raises
+    ``SearchFailureError`` and means inconclusive, never a negative
+    certificate.
     """
     inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
     space._check_window(window)  # before any candidate check, as every ball sweep does
@@ -707,6 +706,7 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
         sets = [tuple(pts[i] for i in comp) for comp in _components(len(pts), edges)]
     else:
         sets = candidate.all_sets()
+        _check_members(space, sets)
         if multiplicity(candidate, window) > 1:
             raise CertificationError("candidate cover has multiplicity above 1")
         if missing_points(sets, window):

@@ -94,14 +94,17 @@ def int_from_json(obj, what: str) -> int:
 
 
 def point_from_json(obj):
+    """A point from JSON, or from ``family_to_json``, which hands over
+    Fractions and lattice tuples as they are."""
     if isinstance(obj, bool):
         raise ParseError("booleans are not points")
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):
-        f = parse_rational(obj)
-        return int(f) if f.denominator == 1 else f
-    if isinstance(obj, list):
+        obj = parse_rational(obj)
+    if isinstance(obj, Fraction):
+        return int(obj) if obj.denominator == 1 else obj
+    if isinstance(obj, (list, tuple)):
         return tuple(point_from_json(c) for c in obj)
     raise ParseError(f"cannot read point {obj!r}")
 
@@ -210,15 +213,11 @@ def _int_lists(seq) -> bool:
 
 
 def family_to_json(fam: Family) -> dict:
-    """{label, sets}: the members of an all-integer family are kept as they
-    are, tuples and ranges that ``dump_json`` writes as arrays (``json.dumps``
-    cannot write a range); the points of any other family go through
-    ``point_to_json``."""
-    if _int_lists(fam.sets):
-        sets = fam.sets
-    else:
-        sets = [[point_to_json(p) for p in s] for s in fam.sets]
-    return {"label": fam.label, "sets": sets}
+    """{label, sets}, with the members kept as they are: tuples and ranges
+    that ``dump_json`` writes as arrays (``json.dumps`` cannot write a
+    range), their points written by ``point_to_json``.  So no point is
+    read here, and a write reads each point once, in ``dump_json``."""
+    return {"label": fam.label, "sets": fam.sets}
 
 
 def family_from_json(obj) -> Family:
@@ -338,7 +337,7 @@ def _dump(obj, nl: str, out: list) -> None:
                 sep = "," + inner
             out.append(nl + "]")
     else:
-        out.append(json.dumps(obj))
+        out.append(json.dumps(point_to_json(obj)))
 
 
 def dump_json(obj) -> str:
@@ -346,7 +345,8 @@ def dump_json(obj) -> str:
     byte.  With an indent ``json`` runs its pure-Python encoder, one chunk
     string per value; here a list, tuple or range of integers, such as a
     member set on an integer window, is one ``str.join``, and so is a list
-    of such members.  Tuples and ranges are written as arrays."""
+    of such members.  Tuples and ranges are written as arrays, and a
+    Fraction as its "p/q" string (see ``point_to_json``)."""
     out = []
     _dump(obj, "\n", out)
     out.append("\n")

@@ -25,6 +25,7 @@ from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import is_, is_not, itemgetter, lt
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
+from .rationals import as_fraction
 from .report import CertReport
 from .space import FuzzyMetricSpace, ScaleParams, Window, _coalesce_runs
 
@@ -255,8 +256,6 @@ def is_uniformly_bounded_family(space: FuzzyMetricSpace, family: Family,
 
 def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
     """Maximum of M over the cross product of two non-empty finite sets."""
-    from .rationals import as_fraction
-
     fam = Family.of((u, v))
     if fam.dropped_empty:
         raise DomainError("cross supremum over an empty set is undefined")
@@ -286,18 +285,19 @@ def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
 
 
 def _level_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams, window: Window,
-                        level) -> tuple:
+                        level):
     """``scale_neighborhood`` of a canonical member set u, with the balls of
     its window points read from ``level``, the ``ball_level`` of the
-    window at the scale.  Only the points of u outside the window are
-    checked against the universe and galloped."""
+    window at the scale, as a member set (see ``Window.run_set``).  Only
+    the points of u outside the window are checked against the universe
+    and galloped."""
     runs = window.runs_of(u)
     union = _ball_union(level, runs)
     if sum(j - i for i, j in runs) < len(u):
         _check_outside_points(space, (u,), window)
         union = _coalesce_runs(chain(union, *space.balls(
             outside_points((u,), window), params.threshold, params.t, window)))
-    return window.points_of(union)
+    return window.run_set(union)
 
 
 def _ball_union(level, runs) -> list:
@@ -351,24 +351,6 @@ def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScalePa
     return fat, rep
 
 
-class _RunContainment:
-    """Decides whether some member set holds a run of window indices.
-
-    A run lies in a set exactly when it lies in one of the set's runs, so
-    all runs are sorted by start with a prefix maximum of their ends:
-    the answer is one bisect.
-    """
-
-    def __init__(self, set_runs):
-        runs = sorted(run for runs in set_runs for run in runs)
-        self.starts = [i for i, _ in runs]
-        self.reach = list(accumulate((j for _, j in runs), max))
-
-    def holds(self, i: int, j: int) -> bool:
-        k = bisect_right(self.starts, i)
-        return k > 0 and self.reach[k - 1] >= j
-
-
 def multiplicity(cover: Cover, window: Window) -> int:
     """Largest number of member sets containing any one window point."""
     return _max_depth(map(window.runs_of, cover.all_sets()))
@@ -384,7 +366,9 @@ def _max_depth(run_lists) -> int:
 
 def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
                        window: Window) -> int:
-    """Largest number of member sets met by any ball at scale (r, t)."""
+    """Largest number of member sets met by any ball at scale (r, t), once
+    the member points pass the universe check."""
+    _check_members(space, cover.all_sets())
     return _scale_multiplicity(cover, window,
                                space.ball_level(params.threshold, params.t, window))
 
@@ -406,9 +390,12 @@ def _scale_multiplicity(cover: Cover, window: Window, level) -> int:
 def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
                              params: ScaleParams, window: Window):
     """First window point whose ball fits in no member set, or None; a
-    cover that misses window points raises ``PreconditionError``."""
+    member point outside the universe raises ``DomainError``, then a cover
+    that misses window points ``PreconditionError``."""
+    sets = cover.all_sets()
+    _check_members(space, sets)
     return _first_lebesgue_violation(
-        cover.all_sets(), window,
+        sets, window,
         partial(space.balls, window.points, params.threshold, params.t, window))
 
 
@@ -421,33 +408,46 @@ def _first_lebesgue_violation(sets, window: Window, sweep):
     return _first_ball_outside(sets, window, sweep())
 
 
+def _run_containment(set_runs):
+    """The test of whether some member set holds a run list, for the window
+    runs of each member set: ``holds(runs)`` for a sorted, non-empty run
+    list.
+
+    A run list lies in a set exactly when each of its runs lies in one of
+    the set's runs.  All runs are sorted by start with a prefix maximum of
+    their ends, so a list whose hull lies in one run is found by one
+    bisect.  Otherwise only a set of several runs can hold the list, and
+    one of its runs holds the list's first index: going back from the
+    bisect while the prefix maximum passes that index reads every such run.
+    """
+    runs = sorted((i, j, sid) for sid, own in enumerate(set_runs) for i, j in own)
+    starts = [i for i, _, _ in runs]
+    reach = list(accumulate((j for _, j, _ in runs), max))
+
+    def holds(lst):
+        first = lst[0][0]
+        k = bisect_right(starts, first)
+        if k and reach[k - 1] >= lst[-1][1]:
+            return True
+        while len(lst) > 1 and k and reach[k - 1] > first:
+            k -= 1
+            _, end, sid = runs[k]
+            own = set_runs[sid]
+            if end > first and len(own) > 1 and all(
+                    own[bisect_right(own, i, key=itemgetter(0)) - 1][1] >= j for i, j in lst):
+                return True
+        return False
+
+    return holds
+
+
 def _first_ball_outside(sets, window: Window, balls):
     """The first window point whose ball fits in no member set, or None,
     for member sets known to cover the window and the run lists of the
-    balls of the window points, in window order.
-
-    A ball lies in a member when one run of the member holds the ball's
-    hull; only a ball of several runs can also lie in a member of several
-    runs without that, so such balls are tested run by run against the
-    members of several runs that own the ball's first point.
-    """
-    set_runs = [window.runs_of(s) for s in sets]
-    hull_holds = _RunContainment(set_runs)
-    split = {}
-    owners = {}
-    for sid, runs in enumerate(set_runs):
-        if len(runs) > 1:
-            split[sid] = _RunContainment([runs])
-            for i, j in runs:
-                for k in range(i, j):
-                    owners.setdefault(k, []).append(sid)
+    balls of the window points, in window order."""
+    holds = _run_containment([window.runs_of(s) for s in sets])
     for x, runs in zip(window, balls):
-        if not runs or hull_holds.holds(runs[0][0], runs[-1][1]):
-            continue
-        if len(runs) == 1 or not any(
-            all(split[sid].holds(i, j) for i, j in runs)
-            for sid in owners.get(runs[0][0], ())
-        ):
+        if runs and not holds(runs):
             return x
     return None
 
@@ -458,35 +458,31 @@ def has_lebesgue_pair(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams
     return first_lebesgue_violation(space, cover, params, window) is None
 
 
-def first_refinement_violation(cover_v: Cover, cover_u: Cover):
-    """First member set of V contained in no member set of U, or None.
+def first_refinement_violation(refining: Cover, target: Cover):
+    """First member set of the refining cover contained in no member set of
+    the target cover, or None.
 
-    The set is returned as V holds it: a tuple or a step-1 range.
-
-    A V-set that is one run of U's window lies in a U-set iff it lies in
-    one of that set's window runs, which is one bisect; any other V-set
-    is checked point by point against the U-sets owning its first point.
+    The set is returned as the refining cover holds it: a tuple or a
+    step-1 range.  A set whose points all lie in the target's window is
+    decided on window runs (see ``_run_containment``); any other is
+    compared point by point with each target member.
     """
-    window = cover_u.window
-    u_sets = cover_u.all_sets()
-    runs_hold = _RunContainment(map(window.runs_of, u_sets))
-    owners = u_frozen = None
-    for s in cover_v.all_sets():
+    window = target.window
+    targets = target.all_sets()
+    holds = _run_containment([window.runs_of(u) for u in targets])
+    for s in refining.all_sets():
         runs = window.runs_of(s)
-        if len(runs) == 1 and runs[0][1] - runs[0][0] == len(s):
-            if runs_hold.holds(*runs[0]):
-                continue
-            return s
-        if owners is None:
-            owners, u_frozen = {}, [frozenset(u) for u in u_sets]
-            for idx, u in enumerate(u_sets):
-                for p in u:
-                    owners.setdefault(p, []).append(idx)
-        if not any(u_frozen[idx].issuperset(s) for idx in owners.get(s[0], ())):
+        # one run is read without a generator: a refining ball cover is mostly one-run sets
+        in_window = runs[0][1] - runs[0][0] if len(runs) == 1 else sum(j - i for i, j in runs)
+        if in_window == len(s):
+            if not holds(runs):
+                return s
+        elif not any(map(set(s).issubset, targets)):
             return s
     return None
 
 
-def refines(cover_v: Cover, cover_u: Cover) -> bool:
-    """Whether every member set of V is contained in some member set of U."""
-    return first_refinement_violation(cover_v, cover_u) is None
+def refines(refining: Cover, target: Cover) -> bool:
+    """Whether every member set of the refining cover is contained in some
+    member set of the target cover."""
+    return first_refinement_violation(refining, target) is None

@@ -41,7 +41,7 @@ from typing import Optional
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
 from .rationals import as_fraction
 from .report import CertReport, fmt_pair, fmt_value
-from .tnorm import LUKASIEWICZ, MINIMUM, PRODUCT, TNorm
+from .tnorm import LUKASIEWICZ, MINIMUM, PRODUCT, TNorm, is_positivity_preserving
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,9 @@ class Window:
 
     def run_set(self, runs):
         """A member set holding the points of a run list: a step-1 ``range``
-        for one run of consecutive integers, otherwise a tuple."""
-        if len(runs) == 1 and self.is_contiguous_ints():
+        for one run of two or more points of a window of consecutive
+        integers, otherwise a tuple."""
+        if len(runs) == 1 and runs[0][1] - runs[0][0] > 1 and self.is_contiguous_ints():
             return self._seq[slice(*runs[0])]
         return self.points_of(runs)
 
@@ -416,10 +417,9 @@ def grid_window(lo, hi, step) -> Window:
 class Universe:
     """Membership rule for the points a space is defined on."""
 
-    def __init__(self, name: str, contains, description: str):
+    def __init__(self, name: str, contains):
         self.name = name
         self._contains = contains
-        self.description = description
 
     def __contains__(self, p):
         return self._contains(p)
@@ -432,11 +432,10 @@ def _is_scalar(p):
     return isinstance(p, int) and not isinstance(p, bool) or isinstance(p, Fraction)
 
 
-NATURALS = Universe("naturals", lambda p: isinstance(p, int) and not isinstance(p, bool) and p >= 1,
-                    "integers >= 1")
-INTEGERS = Universe("integers", lambda p: isinstance(p, int) and not isinstance(p, bool),
-                    "all integers")
-RATIONALS = Universe("rationals", _is_scalar, "all exact rationals")
+NATURALS = Universe("naturals",
+                    lambda p: isinstance(p, int) and not isinstance(p, bool) and p >= 1)
+INTEGERS = Universe("integers", lambda p: isinstance(p, int) and not isinstance(p, bool))
+RATIONALS = Universe("rationals", _is_scalar)
 
 
 def lattice_universe(dim: int) -> Universe:
@@ -446,13 +445,12 @@ def lattice_universe(dim: int) -> Universe:
         f"lattice{dim}",
         lambda p: isinstance(p, tuple) and len(p) == dim
         and all(isinstance(c, int) and not isinstance(c, bool) for c in p),
-        f"integer tuples of length {dim}",
     )
 
 
 def finite_universe(points) -> Universe:
     pts = frozenset(points)
-    return Universe("finite", pts.__contains__, f"{len(pts)} fixed points")
+    return Universe("finite", pts.__contains__)
 
 
 UNIVERSES = {"naturals": NATURALS, "integers": INTEGERS, "rationals": RATIONALS}
@@ -1121,8 +1119,6 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
         window=window.label(),
         t_grid="{" + ",".join(fmt_value(t) for t in t_list) + "}",
     )
-    from .tnorm import is_positivity_preserving
-
     rep.add_note(
         "tnorm-positivity",
         tnorm=space.tnorm.name,

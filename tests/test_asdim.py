@@ -728,6 +728,17 @@ def test_zero_dim_candidate_refusals(space, w, sets, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sets, point", [([range(1, 6), [0, 1]], 0), ([[1, 2], [0]], 0)],
+                         ids=["overlap", "gap"])
+def test_zero_dim_candidate_points_outside_the_universe_are_refused(sets, point):
+    """A candidate member point outside the universe is refused before the
+    multiplicity and cover checks, which would name another failure."""
+    cand = Cover.of([Family.of(sets)], int_window(1, 5))
+    with pytest.raises(DomainError, match=f"point {point} is outside the naturals universe"):
+        zero_dim_witness_via_refinement(ratio_minmax_space(), ScaleParams(F(1, 2), 1),
+                                        int_window(1, 5), candidate=cand)
+
+
 def test_zero_dim_candidate_of_split_members():
     """Members of two runs each hold balls of two runs."""
     space, w = _clusters_space(), Window(range(1, 7))

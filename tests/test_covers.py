@@ -47,6 +47,7 @@ from fuzzycoarse.covers import (
     _hull_ordered,
     _first_ball_outside,
     _level_neighborhood,
+    _run_containment,
     _scale_multiplicity,
     coverage,
     family_max_cross,
@@ -779,12 +780,18 @@ def test_window_points_outside_the_universe_are_refused():
                                            (ratio_minmax_space, (0, 1)),
                                            (reciprocal_product_space, (0, 2))])
 def test_member_points_outside_the_universe_are_refused(factory, pair):
-    """The boundedness and disjointness predicates, the bound search and
-    the refinement check of the refining cover check member points before
-    M is evaluated, where the ultrametric and the reciprocal rule would
-    divide by zero and the ratio rule would give a verdict."""
+    """The boundedness and disjointness predicates, the bound search, the
+    refinement check of the refining cover, scale multiplicity and the
+    Lebesgue checks check member points before M is evaluated, where the
+    ultrametric and the reciprocal rule would divide by zero and the
+    ratio rule would give a verdict (2 and True on the cover below)."""
     space, p = factory(), ScaleParams(F(1, 2), 1)
     match = f"point {pair[0]} is outside the naturals"
+    five = int_window(1, 5)
+    cover = Cover.of([Family.of([pair, range(1, 6)])], five)
+    for check in (scale_multiplicity, first_lebesgue_violation, has_lebesgue_pair):
+        with pytest.raises(DomainError, match=match):
+            check(space, cover, p, five)
     with pytest.raises(DomainError, match=match):
         is_uniformly_bounded_family(space, Family.of([pair]), p)
     with pytest.raises(DomainError, match=match):
@@ -1022,6 +1029,20 @@ def outcome(fn, *args):
         return str(err)
 
 
+def refusal(space, sets):
+    """The ``DomainError`` message for the first member point outside the
+    space's universe, in member order, or None."""
+    bad = next((p for s in sets for p in s if p not in space.universe), None)
+    return None if bad is None else f"point {bad!r} is outside the {space.universe.name} universe"
+
+
+def level_neighborhood_points(*args):
+    """The points of ``_level_neighborhood(*args)``, a tuple or a range."""
+    got = _level_neighborhood(*args)
+    assert type(got) in (tuple, range)
+    return tuple(got)
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_ball_level_holds_the_ball_of_each_window_point(data):
@@ -1029,7 +1050,7 @@ def test_ball_level_holds_the_ball_of_each_window_point(data):
     window point k, on radial, coordinate-decreasing and scan kinds over
     run, sparse and rational-grid windows; the stages read a level as
     they read a sweep, and a neighbourhood read from it, with member
-    points outside the window checked and galloped, is
+    points outside the window checked and galloped, holds the points of
     ``scale_neighborhood``."""
     space, w, outside = data.draw(spaces_and_windows())
     p = data.draw(SCALES)
@@ -1040,16 +1061,18 @@ def test_ball_level_holds_the_ball_of_each_window_point(data):
     assert list(level) == list(space.balls(w.points, p.threshold, p.t, w))
     sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
     cov = Cover.of(split_into_families(sets, data), w)
-    assert _scale_multiplicity(cov, w, level) == scale_multiplicity(space, cov, p, w)
+    assert (outcome(scale_multiplicity, space, cov, p, w)
+            == (refusal(space, cov.all_sets()) or _scale_multiplicity(cov, w, level)))
     inside = Cover.of([Family.of([s for s in cov.all_sets() if w.holds(s)])], w)
     unions = Family.of([_level_neighborhood(space, s, p, w, level) for s in inside.all_sets()])
     assert _scale_multiplicity(inside, w, level) == multiplicity(Cover.of([unions], w), w)
     for s in cov.all_sets():
-        assert (outcome(_level_neighborhood, space, s, p, w, level)
+        assert (outcome(level_neighborhood_points, space, s, p, w, level)
                 == outcome(scale_neighborhood, space, s, p, w))
     if not missing_points(cov.all_sets(), w):
-        assert (_first_ball_outside(cov.all_sets(), w, level)
-                == first_lebesgue_violation(space, cov, p, w))
+        sets = cov.all_sets()
+        assert (outcome(first_lebesgue_violation, space, cov, p, w)
+                == (refusal(space, sets) or _first_ball_outside(sets, w, level)))
 
 
 @given(data=st.data())
@@ -1059,20 +1082,40 @@ def test_scale_multiplicity_runs_scans_and_definition_agree(data):
     sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 6))))
     cov = Cover.of(split_into_families(sets, data), w)
     p = data.draw(SCALES)
-    want = brute_scale_multiplicity(space, cov, p, w)
-    assert scale_multiplicity(space, cov, p, w) == want
-    assert scale_multiplicity(unordered(space), cov, p, w) == want
+    want = refusal(space, cov.all_sets()) or brute_scale_multiplicity(space, cov, p, w)
+    assert outcome(scale_multiplicity, space, cov, p, w) == want
+    assert outcome(scale_multiplicity, unordered(space), cov, p, w) == want
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_lebesgue_runs_scans_and_definition_agree(data):
+    """The first ball outside every member against the definition, and the
+    run containment test against set inclusion on every ball.  Members
+    may be unions of balls, which on unordered kinds and sparse windows
+    hold balls of several runs only through a member of several runs, or
+    such a union less one point."""
     space, w, outside = data.draw(spaces_and_windows())
+    p = data.draw(SCALES)
     sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
+    balls = [set(brute_ball(space, x, p, w)) for x in w]
+    for _ in range(data.draw(st.integers(0, 3))):
+        union = set().union(*data.draw(st.lists(st.sampled_from(balls), min_size=1, max_size=2)))
+        if data.draw(st.booleans()):
+            union.discard(data.draw(st.sampled_from(sorted(union))))
+        sets.insert(data.draw(st.integers(0, len(sets))), union)
     if data.draw(st.booleans()):
         sets += [(p,) for p in w]  # make it a cover
     cov = Cover.of(split_into_families(sets, data), w)
-    p = data.draw(SCALES)
+    members = cov.all_sets()
+    holds = _run_containment([w.runs_of(s) for s in members])
+    for ball in balls:
+        assert holds(w.runs_of(tuple(ball))) == any(ball <= set(s) for s in members)
+    refused = refusal(space, members)
+    if refused:
+        for sp in (space, unordered(space)):
+            assert outcome(first_lebesgue_violation, sp, cov, p, w) == refused
+        return
     if not set(w) <= set().union(*map(set, sets)):
         for sp in (space, unordered(space)):
             with pytest.raises(PreconditionError):
@@ -1143,9 +1186,22 @@ def brute_multiplicity(cover, window):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_refinement_and_multiplicity_runs_points_and_definition_agree(data):
+    """The first refining set in no target member against the definition,
+    and the run containment test against set inclusion on every refining
+    set inside the window.  Some refining sets are drawn inside a target
+    member: several runs of it, or points of it outside the window."""
     _, w, outside = data.draw(spaces_and_windows())
-    cov_v = Cover.of([Family.of(data.draw(member_sets(w, outside, data.draw(st.integers(0, 5)))))], w)
     cov_u = Cover.of([Family.of(data.draw(member_sets(w, outside, data.draw(st.integers(0, 5)))))], w)
+    refining = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
+    targets = cov_u.all_sets()
+    for u in data.draw(st.lists(st.sampled_from(targets), max_size=3)) if targets else ():
+        refining.insert(data.draw(st.integers(0, len(refining))),
+                        data.draw(st.sets(st.sampled_from(list(u)), min_size=1)))
+    cov_v = Cover.of([Family.of(refining)], w)
+    holds = _run_containment([w.runs_of(u) for u in targets])
+    for s in cov_v.all_sets():
+        if w.holds(s):
+            assert holds(w.runs_of(s)) == any(set(s) <= set(u) for u in targets)
     want = brute_refinement_violation(cov_v, cov_u)
     assert first_refinement_violation(cov_v, cov_u) == want
     # with no window runs to use, every set is checked point by point

@@ -118,7 +118,7 @@ class SortedTupleWindow:
 
     def run_set(self, runs):
         pts = tuple(p for i, j in runs for p in self.points[i:j])
-        if self.contiguous and len(runs) == 1:
+        if self.contiguous and len(runs) == 1 and len(pts) > 1:
             return range(pts[0], pts[-1] + 1)
         return pts
 
