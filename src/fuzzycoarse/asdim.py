@@ -411,8 +411,11 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
     of at least s*t/(1-s) forces M(x, y, t) <= 1 - s < 1 - r, so
     families whose distinct sets keep metric distance >= metric_sep are
     separated at (r, t) as soon as metric_sep >= s*t/(1-s).  Both the
-    threshold arithmetic and the claimed separation are verified on the
-    window.
+    threshold arithmetic and the claimed separation are verified, after
+    the member points are checked against the universe.  As t/(t + d)
+    falls strictly in d, a cross distance is below metric_sep exactly
+    when M exceeds t/(t + metric_sep), so each family's separation is
+    read from its strongest cross pair (``family_max_cross``).
     """
     if space.metric is None:
         raise UnsupportedOperationError("a standard-metric space is required")
@@ -424,18 +427,19 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
             f"separation {fmt_value(sep)} is below the threshold "
             f"{fmt_value(needed)} required at s={fmt_value(s)}"
         )
-    d = space.metric.distance
     fams = tuple(f if isinstance(f, Family) else Family.of(f) for f in families)
     for fam in fams:
-        for (i, u), (j, v) in combinations(enumerate(fam.sets), 2):
-            for x in u:
-                for y in v:
-                    if d(x, y) < sep:
-                        raise CertificationError(
-                            f"sets {i} and {j} of family {fam.label or 'family'} "
-                            f"are only {fmt_value(d(x, y))} apart at {fmt_pair((x, y))}, "
-                            f"below the claimed {fmt_value(sep)}"
-                        )
+        _check_members(space, fam.sets)
+    near = params.t / (params.t + sep)
+    for fam in fams:
+        worst = family_max_cross(space, fam, params.t)
+        if worst is not None and worst[0] > near:
+            pair, (i, j) = worst[1:]
+            raise CertificationError(
+                f"sets {i} and {j} of family {fam.label or 'family'} "
+                f"are only {fmt_value(space.metric.distance(*pair))} apart at "
+                f"{fmt_pair(pair)}, below the claimed {fmt_value(sep)}"
+            )
     bound = derive_bound_params(space, [s for f in fams for s in f.sets], params.t)
     return DimensionWitness(len(fams) - 1, params, bound, fams, window)
 
@@ -576,9 +580,11 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
     (r, t) (so each U-set sits inside a ball around any of its points),
     and V has (r, t) as a Lebesgue pair.  The conclusion, that every
     U-set is contained in some V-set, is then verified directly.  The
-    points of U are checked against the universe before M is evaluated.
+    points of U, then those of V, are checked against the universe before
+    M is evaluated.
     """
     _check_members(space, cover_u.all_sets())
+    _check_members(space, cover_v.all_sets())
     window = cover_v.window
     target_violation = partial(
         _first_lebesgue_violation, cover_v.all_sets(), window,

@@ -32,7 +32,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
 from heapq import nsmallest
 from itertools import accumulate, chain, combinations, filterfalse, islice, product, repeat
 from operator import add, eq, itemgetter, le, mul
@@ -183,11 +183,16 @@ class Window:
         return tuple(chain.from_iterable(self.points[i:j] for i, j in runs))
 
     def run_set(self, runs):
-        """A member set holding the points of a run list: a step-1 ``range``
-        for one run of two or more points of a window of consecutive
-        integers, otherwise a tuple."""
-        if len(runs) == 1 and runs[0][1] - runs[0][0] > 1 and self.is_contiguous_ints():
-            return self._seq[slice(*runs[0])]
+        """A member set holding the points of a run list in the form
+        ``Family`` gives it: a step-1 ``range`` for one run of two or more
+        consecutive ``int``s, otherwise a tuple."""
+        if len(runs) == 1 and runs[0][1] - runs[0][0] > 1:
+            if self.is_contiguous_ints():
+                return self._seq[slice(*runs[0])]
+            pts = self.points[slice(*runs[0])]
+            if (type(pts[0]) is int and type(pts[-1]) is int
+                    and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int}):
+                return range(pts[0], pts[-1] + 1)
         return self.points_of(runs)
 
     def label(self) -> str:
@@ -944,8 +949,7 @@ def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC, radial=False):
 _SCANNERS = {"product": _scan_product, "min": _scan_min, "lukasiewicz": _scan_lukasiewicz}
 
 
-def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False,
-                           c_min_transitive=None):
+def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False):
     """The first index triple (i, j, k), i <= k, in scan order with
     T(A[i][j], B[k][j]) > C[i][k], or None.
 
@@ -958,10 +962,8 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False,
 
     - under min, when A <= C and B <= C entrywise and C is min-transitive,
       min(A[i][j], B[k][j]) <= min(C[i][j], C[k][j]) <= C[i][k] on every
-      triple, so the chain holds in O(n^2) and nothing is scanned.
-      ``c_min_transitive()`` says whether C is, by default through
-      ``_min_transitive``; a caller with many (A, B) pairs per C passes a
-      memo.
+      triple, so the chain holds in O(n^2) and nothing is scanned
+      (``_min_transitive``).
     - ``radial`` says that A and B are certified: entries in (0, 1], unit
       diagonals, and rows non-increasing moving away from the diagonal
       (``_radial``).  As T(a, b) <= min(a, b) and T(a, 1) = a, a middle
@@ -973,7 +975,7 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False,
     scanner = _SCANNERS.get(tnorm.name)
     if scanner is not None:
         if (tnorm.name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
-                and (c_min_transitive or partial(_min_transitive, mat_c))()):
+                and _min_transitive(mat_c)):
             return None
         found = scanner(*mat_a, *mat_b, *mat_c, radial)
         if radial and found and found[0] == found[1]:
@@ -1022,12 +1024,14 @@ def _min_transitive(mat) -> bool:
     ``_value_matrices`` entry: the verdict of ``_scan_min``.
 
     On a symmetric matrix with unit diagonal the triples through the
-    diagonal reduce to M <= 1, and the rest hold exactly when every
-    M[r][v] is at least the bottleneck (smallest edge) of the r-v path in
-    a maximum spanning tree of M, its subdominant ultrametric under single
-    linkage.  Dense Prim builds the tree and one walk per root compares,
-    O(n^2) in all, by integer cross-multiplication.  Any other matrix
-    gets the cubic scan, which reads only the triples with i <= k.
+    diagonal reduce to M <= 1, and the rest are decided in one dense Prim
+    pass, O(n^2) by integer cross-multiplication.  When u joins the tree
+    T through its heaviest edge w = M[u][p] into T, M[u][v] must equal
+    min(w, M[p][v]) for every v in T: the triple (u, p, v) gives ">=",
+    and M[u][v] <= w, with M[p][v] >= min(w, M[u][v]) by the triple
+    (p, u, v), gives "<=".  If every join passes, M is the bottleneck of
+    tree paths, which is min-transitive.  Any other matrix gets the cubic
+    scan, which reads only the triples with i <= k.
     """
     nums, dens = mat
     n = len(nums)
@@ -1044,7 +1048,7 @@ def _min_transitive(mat) -> bool:
     # Prim: key[v] is the heaviest edge from v into the tree, from parent[v].
     key_n, key_d = list(nums[0]), list(dens[0])
     parent = [0] * n
-    tree = [[] for _ in range(n)]
+    tree = [0]
     left = list(range(1, n))
     while left:
         at = 0
@@ -1056,27 +1060,18 @@ def _min_transitive(mat) -> bool:
         left[at] = left[-1]
         left.pop()
         p = parent[u]
-        tree[p].append((u, key_n[u], key_d[u]))
-        tree[u].append((p, key_n[u], key_d[u]))
-        nu, du = nums[u], dens[u]
+        wn, wd = key_n[u], key_d[u]
+        nu, du, n_p, d_p = nums[u], dens[u], nums[p], dens[p]
+        for v in tree:  # M[u][v] == min(w, M[p][v])
+            if n_p[v] * wd < wn * d_p[v]:
+                if nu[v] * d_p[v] != n_p[v] * du[v]:
+                    return False
+            elif nu[v] * wd != wn * du[v]:
+                return False
+        tree.append(u)
         for v in left:
             if nu[v] * key_d[v] > key_n[v] * du[v]:
                 key_n[v], key_d[v], parent[v] = nu[v], du[v], u
-
-    # One walk per root, carrying the path bottleneck as (num, den).
-    for r in range(n):
-        nr, dr = nums[r], dens[r]
-        stack = [(v, r, wn, wd) for v, wn, wd in tree[r]]
-        while stack:
-            v, came, bn, bd = stack.pop()
-            if nr[v] * bd < bn * dr[v]:
-                return False
-            for u, wn, wd in tree[v]:
-                if u != came:
-                    if wn * bd < bn * wd:
-                        stack.append((u, v, wn, wd))
-                    else:
-                        stack.append((u, v, bn, bd))
     return True
 
 
@@ -1172,16 +1167,14 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     # iterates x <= z only; swapping (x, z) and (t, s) together covers the
     # rest by symmetry of M and commutativity of the t-norm.  The report
     # names the first violation in scan order, so the scan stops there.
-    # Whether M at t + s is min-transitive is decided once per sum, and a
-    # triple of matrix objects is scanned once.
-    min_transitive = cache(lambda u: _min_transitive(mats[u]))
+    # A triple of matrix objects is scanned once.
     found_in = {}
 
     def scan(t, s):
         key = (id(mats[t]), id(mats[s]), id(mats[t + s]))
         if key not in found_in:
-            found_in[key] = _first_chain_violation(space.tnorm, mats[t], mats[s], mats[t + s],
-                                                   radial, partial(min_transitive, t + s))
+            found_in[key] = _first_chain_violation(
+                space.tnorm, mats[t], mats[s], mats[t + s], radial)
         return found_in[key]
 
     scans = ((t, s, scan(t, s)) for t in t_list for s in t_list)

@@ -444,15 +444,22 @@ def test_lift_threshold_failure():
 def test_lift_refuses_float_set_points():
     std = standard_space()
     fam = Family.of([[0, 1], [10.5]], "float")
-    with pytest.raises(DomainError, match="10.5 is not an exact rational"):
+    with pytest.raises(DomainError, match="point 10.5 is outside the integers universe"):
         lift_metric_families(std, [fam], 5, ScaleParams(F(1, 3), 2), int_window(0, 4))
+    for far in (1, 1000):  # member points are checked before any distance is read
+        with pytest.raises(DomainError, match=r"point Fraction\(1, 2\) is outside"):
+            lift_metric_families(std, [[[F(1, 2)], [far]]], 100, ScaleParams(F(1, 3), 2),
+                                 int_window(0, 4))
 
 
 def test_lift_separation_check_catches_lies():
     std = standard_space()
     fam = Family.of([[0, 1], [3, 4]], "close")  # actual separation 2
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="only 2 apart at 1~3, below the claimed 5"):
         lift_metric_families(std, [fam], 5, ScaleParams(F(1, 3), 2), int_window(0, 4))
+    shared = Family.of([[0, 1], [1, 4]], "shared")
+    with pytest.raises(CertificationError, match="only 0 apart at 1~1"):
+        lift_metric_families(std, [shared], 5, ScaleParams(F(1, 3), 2), int_window(0, 4))
 
 
 def test_restrict_witness_hereditary():
@@ -624,6 +631,27 @@ def test_refinement_check_examples():
     tight = Cover.of([Family.of([[x] for x in wz], "s")], wz)
     with pytest.raises(CertificationError):
         refinement_via_lebesgue(std, tight, blocks, ScaleParams(F(1, 2), 3))
+    # so is a refining cover that is not bounded
+    whole = Cover.of([Family.of([wz.points])], wz)
+    with pytest.raises(CertificationError, match="refining cover is not uniformly bounded "
+                       r"at r=1/2, t=3 \(worst pair 0~49 at 3/52\)"):
+        refinement_via_lebesgue(std, whole, blocks, ScaleParams(F(1, 2), 3))
+
+
+def test_pipeline_steps_refuse_a_failing_witness_and_an_uncovering_input():
+    """The first step re-verifies its witness, and the second refuses an
+    input cover that misses window points."""
+    ratio = ratio_minmax_space()
+    w, params = int_window(1, 20), ScaleParams(F(1, 2), 1)
+    wit = witness_ratio_minmax(derived_scale(ratio, params), w)
+    uncovering = DimensionWitness(wit.n, wit.params, wit.bound_params, wit.families,
+                                  int_window(1, 21))
+    with pytest.raises(PreconditionError,
+                       match="witness fails verification: FAIL cover missing=1 witness=21"):
+        multiplicity_cover_from_witness(ratio, uncovering, params)
+    with pytest.raises(PreconditionError, match="input must cover the window"):
+        lebesgue_cover_from_multiplicity(ratio, Cover.of([Family.of([range(1, 10)])], w),
+                                         params)
 
 
 def test_pipeline_decides_the_target_lebesgue_pair_once(monkeypatch):

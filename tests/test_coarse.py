@@ -416,6 +416,38 @@ def test_transport_wrong_scale_witness_rejected():
         transport_witness(STD, STD, f, wrong, ScaleParams(F(1, 3), 1), wx)
 
 
+def test_transport_refuses_each_failed_step():
+    """Each step of the transport derivation refuses with its own message:
+    a target window the image does not reach, a factory witness at another
+    scale or failing verification, moduli false on the source window, and
+    no expansiveness entry at the source bound scale (t = 128)."""
+    wx = int_window(0, 399)
+    factory = block_witness_factory(STD, wx)
+    moduli = dict(TRANSPORT_MODULI)
+
+    def refusal(error, match, window_y=wx, build=factory, **changed):
+        f = identity_map(domain=wx, **{**moduli, **changed})
+        with pytest.raises(error, match=match):
+            transport_witness(STD, STD, f, None, ScaleParams(F(1, 3), 1), window_y,
+                              witness_factory=build)
+
+    refusal(PreconditionError, "map is not coarsely onto at its stated scale",
+            window_y=int_window(0, 400))
+    refusal(DerivationError, "witness factory returned a witness at the wrong scale",
+            build=lambda scale: factory(ScaleParams(F(1, 2), 5)))
+
+    def uncovering(scale):
+        w = factory(scale)
+        return DimensionWitness(w.n, w.params, w.bound_params, w.families, int_window(0, 400))
+
+    refusal(PreconditionError, "source witness fails verification: FAIL cover missing=1",
+            build=uncovering)
+    refusal(PreconditionError, "map moduli fail verification on the source window",
+            expansive=moduli["expansive"] + (entry("1/2", 1, 1, 1),))
+    refusal(DerivationError, "missing expansiveness entry: need t_in=128",
+            expansive=(entry("1/2", 127, "1/2", 127),))
+
+
 # ---------------------------------------------------------------------------
 # integer-pair checks against value-based brute force
 # ---------------------------------------------------------------------------

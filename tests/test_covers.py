@@ -781,7 +781,7 @@ def test_window_points_outside_the_universe_are_refused():
                                            (reciprocal_product_space, (0, 2))])
 def test_member_points_outside_the_universe_are_refused(factory, pair):
     """The boundedness and disjointness predicates, the bound search, the
-    refinement check of the refining cover, scale multiplicity and the
+    refinement check of both covers, scale multiplicity and the
     Lebesgue checks check member points before M is evaluated, where the
     ultrametric and the reciprocal rule would divide by zero and the
     ratio rule would give a verdict (2 and True on the cover below)."""
@@ -802,6 +802,9 @@ def test_member_points_outside_the_universe_are_refused(factory, pair):
     with pytest.raises(DomainError, match=match):
         refinement_via_lebesgue(space, Cover.of([Family.of([pair])], w),
                                 Cover.of([Family.of([w.points])], w), p)
+    with pytest.raises(DomainError, match=match):  # a target point outside
+        refinement_via_lebesgue(space, Cover.of([Family.of([w.points])], w),
+                                Cover.of([Family.of([pair, w.points])], w), p)
 
 
 def test_members_in_any_order_or_with_repeats():

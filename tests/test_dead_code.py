@@ -1,8 +1,9 @@
 """Dead-code guard over the library source, read with ``ast``.
 
-Two rules: every name a library module imports is used in that module,
-and every private module-level function is used by the library outside
-its own body.  ``__init__.py`` only re-exports, so its imports are its
+Three rules: every name a library module imports is used in that module,
+every private module-level function is used by the library outside its
+own body, and every parameter of a module-level function is read in its
+body.  ``__init__.py`` only re-exports, so its imports are its
 point; an import line marked ``# noqa: F401`` is kept on purpose (the
 benchmark's tracer reads ``asdim.scale_multiplicity``).
 """
@@ -54,3 +55,19 @@ def test_every_private_function_is_used_by_the_library():
               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
               and all(node is fn for node in users.get(fn.name, ()))]
     assert unused == []
+
+
+def test_every_parameter_of_a_module_level_function_is_read():
+    unread = []
+    for path in SOURCES:
+        for fn in _parse(path).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno}: {fn.name}({p})" for p in params
+                       if p not in read]
+    assert unread == []
