@@ -423,10 +423,9 @@ def test_transport_refuses_each_failed_step():
     no expansiveness entry at the source bound scale (t = 128)."""
     wx = int_window(0, 399)
     factory = block_witness_factory(STD, wx)
-    moduli = dict(TRANSPORT_MODULI)
 
     def refusal(error, match, window_y=wx, build=factory, **changed):
-        f = identity_map(domain=wx, **{**moduli, **changed})
+        f = identity_map(domain=wx, **{**TRANSPORT_MODULI, **changed})
         with pytest.raises(error, match=match):
             transport_witness(STD, STD, f, None, ScaleParams(F(1, 3), 1), window_y,
                               witness_factory=build)
@@ -443,7 +442,7 @@ def test_transport_refuses_each_failed_step():
     refusal(PreconditionError, "source witness fails verification: FAIL cover missing=1",
             build=uncovering)
     refusal(PreconditionError, "map moduli fail verification on the source window",
-            expansive=moduli["expansive"] + (entry("1/2", 1, 1, 1),))
+            expansive=TRANSPORT_MODULI["expansive"] + (entry("1/2", 1, 1, 1),))
     refusal(DerivationError, "missing expansiveness entry: need t_in=128",
             expansive=(entry("1/2", 127, "1/2", 127),))
 
