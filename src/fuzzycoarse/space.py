@@ -183,16 +183,11 @@ class Window:
         return tuple(chain.from_iterable(self.points[i:j] for i, j in runs))
 
     def run_set(self, runs):
-        """A member set holding the points of a run list in the form
-        ``Family`` gives it: a step-1 ``range`` for one run of two or more
-        consecutive ``int``s, otherwise a tuple."""
-        if len(runs) == 1 and runs[0][1] - runs[0][0] > 1:
-            if self.is_contiguous_ints():
-                return self._seq[slice(*runs[0])]
-            pts = self.points[slice(*runs[0])]
-            if (type(pts[0]) is int and type(pts[-1]) is int
-                    and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int}):
-                return range(pts[0], pts[-1] + 1)
+        """A member set holding the points of a run list: a step-1 ``range``
+        for one run of two or more points of a window of consecutive
+        integers, otherwise a tuple."""
+        if len(runs) == 1 and runs[0][1] - runs[0][0] > 1 and self.is_contiguous_ints():
+            return self._seq[slice(*runs[0])]
         return self.points_of(runs)
 
     def label(self) -> str:

@@ -93,23 +93,6 @@ def test_runs_of_takes_points_in_any_order():
     assert Window(range(1, 4)).runs_of((1, F(5, 2), 3)) == [(0, 1), (2, 3)]
 
 
-def test_run_set_on_a_sparse_window_is_already_a_family_member():
-    """On a window that is not a range, one run of consecutive ``int``s is
-    a step-1 range, which ``Family`` keeps as it is; other runs are tuples."""
-    from fuzzycoarse import Family
-
-    sparse = Window({0, 1, 3, F(7, 2), 4, 5, 6})
-    assert sparse.run_set([(0, 2)]) == range(0, 2)
-    assert sparse.run_set([(4, 7)]) == range(4, 7)
-    assert sparse.run_set([(1, 3)]) == (1, 3)
-    assert sparse.run_set([(2, 5)]) == (3, F(7, 2), 4)
-    assert sparse.run_set([(2, 3)]) == (3,)
-    assert sparse.run_set([(0, 2), (4, 5)]) == (0, 1, 4)
-    assert Window([0, F(1), 2, 5]).run_set([(0, 3)]) == (0, F(1), 2)
-    member = sparse.run_set([(0, 2)])
-    assert Family.of([member]).sets[0] is member
-
-
 class SortedTupleWindow:
     """Reference model of a window: a sorted, duplicate-free tuple and its
     frozenset, read by bisection and membership alone."""
@@ -135,8 +118,7 @@ class SortedTupleWindow:
 
     def run_set(self, runs):
         pts = tuple(p for i, j in runs for p in self.points[i:j])
-        if (len(runs) == 1 and len(pts) > 1 and all(type(p) is int for p in pts)
-                and pts[-1] - pts[0] == len(pts) - 1):
+        if self.contiguous and len(runs) == 1 and len(pts) > 1:
             return range(pts[0], pts[-1] + 1)
         return pts
 
