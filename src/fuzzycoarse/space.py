@@ -616,6 +616,16 @@ class _Kind:
         statement of M, from which every Fraction value is built."""
         raise NotImplementedError
 
+    def matrices(self, pts, t_values) -> dict:
+        """``{t: (nums, dens)}``: row x of ``nums`` and ``dens`` holds the
+        two integers of ``pair(x, y, t)`` for each y of the points, both
+        argument orders evaluated."""
+        mats = {}
+        for t in t_values:
+            rows = [[self.pair(x, y, t) for y in pts] for x in pts]
+            mats[t] = ([[p[0] for p in row] for row in rows], [[p[1] for p in row] for row in rows])
+        return mats
+
 
 class _StandardKind(_Kind):
     def __init__(self, metric: Metric, name="standard"):
@@ -628,6 +638,21 @@ class _StandardKind(_Kind):
         d = self.metric.distance(x, y)
         a = t.numerator * d.denominator
         return a, a + d.numerator * t.denominator
+
+    def matrices(self, pts, t_values):
+        """As ``pair``, from one ``distance`` read per ordered pair."""
+        dn, dd = [], []
+        for x in pts:
+            row = list(map(self.metric.distance, repeat(x), pts))
+            dn.append([d.numerator for d in row])
+            dd.append([d.denominator for d in row])
+        mats = {}
+        for t in t_values:
+            tn, td = t.numerator, t.denominator
+            nums = [list(map(tn.__mul__, row)) for row in dd]
+            mats[t] = (nums, [list(map(add, nr, map(td.__mul__, row)))
+                              for nr, row in zip(nums, dn)])
+        return mats
 
 
 class _ReciprocalKind(_Kind):
@@ -876,68 +901,93 @@ def union_bound(space: FuzzyMetricSpace, params_a: ScaleParams, params_b: ScaleP
 
 
 def _value_matrices(space, pts, t_values):
-    """``(numerators, denominators)`` matrices of M over the window points,
-    one entry per t; ``_entry`` reads one value as a Fraction."""
-    mats = {}
-    for t in t_values:
-        rows = [[space._pair(x, y, t) for y in pts] for x in pts]
-        mats[t] = ([[p[0] for p in row] for row in rows], [[p[1] for p in row] for row in rows])
-    return mats
+    """``{t: (numerators, denominators)}``: full n x n integer matrices of
+    M over the window points, equal entry by entry to ``_pair``, built by
+    the space's kind (a standard kind reads each distance once for all
+    t); ``_entry`` reads one value as a Fraction."""
+    return space._kind.matrices(pts, t_values)
 
 
 def _entry(mat, i, j) -> Fraction:
     return Fraction(mat[0][i][j], mat[1][i][j])
 
 
-# Each scanner returns the first (i, j, k), i <= k, in (i, k, j) order with
-# T(A[i][j], B[k][j]) > C[i][k], reading the matrices as ``_value_matrices``
-# entries with positive denominators.  With ``radial`` the middle point j
-# runs over [i, k] only (see ``_first_chain_violation``).
+# Each scanner returns the first (i, j, k) with T(A[i][j], B[k][j]) > C[i][k]
+# over the ``(i, k, js)`` that ``pairs`` yields, in that order, j running
+# over js, reading the matrices as ``_value_matrices`` entries with
+# positive denominators.  ``_every_pair`` gives the full scan, i <= k in
+# (i, k, j) order; ``_uncrossed_pairs`` its radial part.
 
 
-def _scan_product(nA, dA, nB, dB, nC, dC, radial=False):
+def _every_pair(n):
+    js = range(n)
+    return ((i, k, js) for i in range(n) for k in range(i, n))
+
+
+def _uncrossed_pairs(nA, dA, nB, dB, nC, dC):
+    """The ``(i, k, range(i, k + 1))``, i <= k in order, whose crossing
+    bound does not clear them, on A and B certified radial (``_radial``,
+    entries in (0, 1], unit diagonals).
+
+    For i <= j <= k, A[i][j] does not rise and B[k][j] does not fall as j
+    moves right, so for any p in [i, k], max(A[i][p], B[k][p - 1]) (the
+    second term only when p > i) is at least every min(A[i][j], B[k][j])
+    with j in [i, k], and at the crossing p = j*, the first j >= i with
+    A[i][j] <= B[k][j] (j* <= k, as B[k][k] = 1), it is the largest.
+    When it is at most C[i][k] no j in [i, k] fails, since
+    T(a, b) <= min(a, b).
+
+    j* is kept in one pointer per i: every j before it has A > B as long
+    as the entry just before it does, since B[k][j] falls as j moves
+    left.  On a symmetric B, B[k][j] = B[j][k] falls as k grows, so the
+    pointer only moves right and the bounds cost O(n^2); on other rows a
+    failed check restarts it at i."""
     n = len(nA)
     for i in range(n):
-        nAi, dAi = nA[i], dA[i]
-        lo = i if radial else 0
+        nAi, dAi, nCi, dCi = nA[i], dA[i], nC[i], dC[i]
+        p = i
         for k in range(i, n):
             nBk, dBk = nB[k], dB[k]
-            nc, dc = nC[i][k], dC[i][k]
-            for j in range(lo, k + 1 if radial else n):
-                if nAi[j] * nBk[j] * dc > nc * dAi[j] * dBk[j]:
-                    return i, j, k
+            if p > i and nAi[p - 1] * dBk[p - 1] <= nBk[p - 1] * dAi[p - 1]:
+                p = i
+            while nAi[p] * dBk[p] > nBk[p] * dAi[p]:
+                p += 1
+            nc, dc = nCi[k], dCi[k]
+            if nAi[p] * dc > nc * dAi[p] or p > i and nBk[p - 1] * dc > nc * dBk[p - 1]:
+                yield i, k, range(i, k + 1)
+
+
+def _scan_product(nA, dA, nB, dB, nC, dC, pairs):
+    for i, k, js in pairs:
+        nAi, dAi, nBk, dBk = nA[i], dA[i], nB[k], dB[k]
+        nc, dc = nC[i][k], dC[i][k]
+        for j in js:
+            if nAi[j] * nBk[j] * dc > nc * dAi[j] * dBk[j]:
+                return i, j, k
     return None
 
 
-def _scan_min(nA, dA, nB, dB, nC, dC, radial=False):
-    n = len(nA)
-    for i in range(n):
-        nAi, dAi = nA[i], dA[i]
-        lo = i if radial else 0
-        for k in range(i, n):
-            nBk, dBk = nB[k], dB[k]
-            nc, dc = nC[i][k], dC[i][k]
-            for j in range(lo, k + 1 if radial else n):
-                if nAi[j] * dc > nc * dAi[j] and nBk[j] * dc > nc * dBk[j]:
-                    return i, j, k
+def _scan_min(nA, dA, nB, dB, nC, dC, pairs):
+    for i, k, js in pairs:
+        nAi, dAi, nBk, dBk = nA[i], dA[i], nB[k], dB[k]
+        nc, dc = nC[i][k], dC[i][k]
+        for j in js:
+            if nAi[j] * dc > nc * dAi[j] and nBk[j] * dc > nc * dBk[j]:
+                return i, j, k
     return None
 
 
-def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC, radial=False):
-    n = len(nA)
-    for i in range(n):
-        nAi, dAi = nA[i], dA[i]
-        lo = i if radial else 0
-        for k in range(i, n):
-            nBk, dBk = nB[k], dB[k]
-            nc, dc = nC[i][k], dC[i][k]
-            if nc < 0:  # T >= 0 > C[i][k]: every j fails
-                return i, 0, k
-            for j in range(lo, k + 1 if radial else n):
-                da, db = dAi[j], dBk[j]
-                lhs_num = nAi[j] * db + nBk[j] * da - da * db
-                if lhs_num > 0 and lhs_num * dc > nc * da * db:
-                    return i, j, k
+def _scan_lukasiewicz(nA, dA, nB, dB, nC, dC, pairs):
+    for i, k, js in pairs:
+        nAi, dAi, nBk, dBk = nA[i], dA[i], nB[k], dB[k]
+        nc, dc = nC[i][k], dC[i][k]
+        if nc < 0:  # T >= 0 > C[i][k]: every j fails
+            return i, 0, k
+        for j in js:
+            da, db = dAi[j], dBk[j]
+            lhs_num = nAi[j] * db + nBk[j] * da - da * db
+            if lhs_num > 0 and lhs_num * dc > nc * da * db:
+                return i, j, k
     return None
 
 
@@ -945,7 +995,7 @@ _SCANNERS = {"product": _scan_product, "min": _scan_min, "lukasiewicz": _scan_lu
 
 
 def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False):
-    """The first index triple (i, j, k), i <= k, in scan order with
+    """The first index triple (i, j, k), i <= k, in (i, k, j) order with
     T(A[i][j], B[k][j]) > C[i][k], or None.
 
     Each matrix is an entry of ``_value_matrices``.  Built-in t-norms
@@ -955,24 +1005,31 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False):
     A built-in t-norm skips only triples that a proof shows cannot come
     first:
 
-    - under min, when A <= C and B <= C entrywise and C is min-transitive,
-      min(A[i][j], B[k][j]) <= min(C[i][j], C[k][j]) <= C[i][k] on every
-      triple, so the chain holds in O(n^2) and nothing is scanned
-      (``_min_transitive``).
     - ``radial`` says that A and B are certified: entries in (0, 1], unit
       diagonals, and rows non-increasing moving away from the diagonal
       (``_radial``).  As T(a, b) <= min(a, b) and T(a, 1) = a, a middle
       point j > k gives at most A[i][j] <= A[i][k], the value of the
       triple j = k, and j < i at most B[k][j] <= B[k][i], the value of the
-      triple j = i.  So the scan runs j over [i, k] only; when the triple
-      j = i fails, the j <= i that fails first is looked up again from 0.
+      triple j = i.  So only j in [i, k] is scanned, and only on the
+      pairs (i, k) that the crossing bound of ``_uncrossed_pairs`` does not
+      clear, O(n^2) bounds on symmetric matrices; when the triple j = i
+      fails, the j <= i that fails first is looked up again from 0.  Under
+      min the bound is exact, so every pair scanned fails.
+    - otherwise under min, when A <= C and B <= C entrywise and C is
+      min-transitive, min(A[i][j], B[k][j]) <= min(C[i][j], C[k][j])
+      <= C[i][k] on every triple, so the chain holds in O(n^2) and nothing
+      is scanned (``_min_transitive``).
     """
     scanner = _SCANNERS.get(tnorm.name)
     if scanner is not None:
-        if (tnorm.name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
+        if radial:
+            pairs = _uncrossed_pairs(*mat_a, *mat_b, *mat_c)
+        elif (tnorm.name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
                 and _min_transitive(mat_c)):
             return None
-        found = scanner(*mat_a, *mat_b, *mat_c, radial)
+        else:
+            pairs = _every_pair(len(mat_a[0]))
+        found = scanner(*mat_a, *mat_b, *mat_c, pairs)
         if radial and found and found[0] == found[1]:
             i, _, k = found
             c = _entry(mat_c, i, k)
@@ -1031,12 +1088,12 @@ def _min_transitive(mat) -> bool:
     nums, dens = mat
     n = len(nums)
     if any(nums[i][i] != dens[i][i] for i in range(n)):
-        return _scan_min(*mat, *mat, *mat) is None
+        return _scan_min(*mat, *mat, *mat, _every_pair(n)) is None
     for i in range(n):
         ni, di = nums[i], dens[i]
         for j in range(i + 1, n):
             if ni[j] * dens[j][i] != nums[j][i] * di[j]:
-                return _scan_min(*mat, *mat, *mat) is None
+                return _scan_min(*mat, *mat, *mat, _every_pair(n)) is None
             if ni[j] > di[j]:
                 return False  # M[i][j] > 1 = M[i][i] breaks the triple (i, j, i)
 
@@ -1090,8 +1147,14 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     M(x,y,t) * M(y,z,s) <= M(x,z,t+s).  Monotonicity of M in t can only
     be sampled on the grid, and continuity in t not at all; both carry
     NOTE lines saying so.  The chain scan skips only the triples that
-    ``_first_chain_violation`` proves cannot come first: on a window
-    certified radial here, and under min by transitivity at t + s.
+    ``_first_chain_violation`` proves cannot come first.  On a window
+    certified radial here that is every pair (i, k) but those its crossing
+    bound leaves, so the chain costs O(n^2) bounds per (t, s) for every
+    built-in t-norm on symmetric matrices, plus a scan of [i, k] for each
+    pair left; under min none is left on a pass.  On any other window
+    min is decided by transitivity at t + s, and the other t-norms scan
+    every triple.  The matrices come from ``_value_matrices``, one per
+    grid time and sum.
     """
     pts = window.points
     if not pts:

@@ -441,6 +441,13 @@ def test_lift_threshold_failure():
         lift_metric_families(std, [fam], 1, ScaleParams(F(1, 2), 4), int_window(0, 9))
 
 
+def test_lift_refuses_a_space_without_a_metric():
+    fam = Family.of([[1, 2], [9, 10]], "pairs")
+    for space in (ratio_minmax_space(), pathological_space()):
+        with pytest.raises(UnsupportedOperationError, match="a standard-metric space is required"):
+            lift_metric_families(space, [fam], 5, ScaleParams(F(1, 3), 2), int_window(1, 10))
+
+
 def test_lift_refuses_float_set_points():
     std = standard_space()
     fam = Family.of([[0, 1], [10.5]], "float")
@@ -640,7 +647,9 @@ def test_refinement_check_examples():
 
 def test_pipeline_steps_refuse_a_failing_witness_and_an_uncovering_input():
     """The first step re-verifies its witness, and the second refuses an
-    input cover that misses window points."""
+    input cover that misses window points, and, in the pipeline, one whose
+    scale multiplicity at the derived scale is above the n + 1 of the
+    witness: the ratio cover measures 2, so a bound of 1 refuses it."""
     ratio = ratio_minmax_space()
     w, params = int_window(1, 20), ScaleParams(F(1, 2), 1)
     wit = witness_ratio_minmax(derived_scale(ratio, params), w)
@@ -652,6 +661,13 @@ def test_pipeline_steps_refuse_a_failing_witness_and_an_uncovering_input():
     with pytest.raises(PreconditionError, match="input must cover the window"):
         lebesgue_cover_from_multiplicity(ratio, Cover.of([Family.of([range(1, 10)])], w),
                                          params)
+    scale1 = derived_scale(ratio, params)
+    wit = witness_ratio_minmax(derived_scale(ratio, scale1), w)
+    cover, _ = multiplicity_cover_from_witness(ratio, wit, scale1)
+    with pytest.raises(PreconditionError, match="input scale multiplicity 2 exceeds the expected 1 "
+                                                f"at r={scale1.r}, t={scale1.t}"):
+        asdim._lebesgue_cover_from_multiplicity(ratio, cover, params, wit.bound_params, wit.n,
+                                                ratio.ball_level)
 
 
 def test_pipeline_decides_the_target_lebesgue_pair_once(monkeypatch):

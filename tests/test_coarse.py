@@ -371,6 +371,19 @@ def test_transport_degenerate_scan_refused():
     assert "constant" in str(err.value)
 
 
+def test_transport_refuses_a_fattened_bound_that_collapses():
+    """Under Lukasiewicz with onto level 9/10 the scan separates, but the
+    image bound level 1/8 fattens to T(T(9/10, 1/8), 9/10) = max(0, 1/40
+    - 1/10) = 0."""
+    luk_space = standard_space(tnorm=LUKASIEWICZ)
+    wx = int_window(0, 399)
+    f = identity_map(domain=wx, expansive=(entry("1/2", 128, "1/4", 128),),
+                     proper=TRANSPORT_MODULI["proper"], onto_params=ScaleParams(F(1, 10), 1))
+    with pytest.raises(DerivationError, match="fattened bound level collapsed to 0"):
+        transport_witness(STD, luk_space, f, None, ScaleParams(F(1, 3), 1), wx,
+                          witness_factory=block_witness_factory(STD, wx))
+
+
 def separation_scan_by_grid(space_y, onto, thresholds):
     """The scan as a loop over every level k/EPS_GRID, k = 0..EPS_GRID: per
     target threshold, ``(s_star, epsilon)`` or the word of the refusal."""

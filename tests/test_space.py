@@ -764,19 +764,71 @@ def closed_form(name, x, y, t):
 
 def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
     """The matrices hold every (x, y) in both orders, so the symmetry step
-    evaluates nothing more: one integer pair per entry per time."""
-    from fuzzycoarse.space import FuzzyMetricSpace
+    evaluates nothing more: one integer pair per entry per time, and on a
+    standard kind one distance per entry for all times."""
+    from fuzzycoarse.space import EuclideanLine, FuzzyMetricSpace
 
-    calls = {"value": 0, "_raw": 0, "_pair": 0}
-    for name in calls:
-        def counted(self, *args, _name=name, _fn=getattr(FuzzyMetricSpace, name)):
+    calls = {"value": 0, "_raw": 0, "pair": 0, "distance": 0}
+    for cls, name in ((FuzzyMetricSpace, "value"), (FuzzyMetricSpace, "_raw"),
+                      (type(ratio_minmax_space()._kind), "pair"),
+                      (type(standard_space()._kind), "pair"), (EuclideanLine, "distance")):
+        def counted(self, *args, _name=name, _fn=getattr(cls, name)):
             calls[_name] += 1
             return _fn(self, *args)
-        monkeypatch.setattr(FuzzyMetricSpace, name, counted)
-    rep = check_axioms(ratio_minmax_space(), int_window(1, 20), [F(1, 2), 1, 2, 7])
-    assert rep.passed
-    times = {F(1, 2), 1, 2, 7} | {a + b for a in (F(1, 2), 1, 2, 7) for b in (F(1, 2), 1, 2, 7)}
-    assert calls == {"value": 0, "_raw": 0, "_pair": 20 * 20 * len(times)}
+        monkeypatch.setattr(cls, name, counted)
+    grid = [F(1, 2), 1, 2, 7]
+    times = set(grid) | {a + b for a in grid for b in grid}
+    assert check_axioms(ratio_minmax_space(), int_window(1, 20), grid).passed
+    assert calls == {"value": 0, "_raw": 0, "pair": 20 * 20 * len(times), "distance": 0}
+    calls.update(pair=0)
+    assert check_axioms(standard_space(), int_window(1, 20), grid).passed
+    assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 20 * 20}
+
+
+def _table_space(draw):
+    pts = sorted(draw(st.sets(st.integers(-9, 9), min_size=1, max_size=6)))
+    d = {(i, j): draw(st.fractions(F(1, 4), 9, max_denominator=4))
+         for i in range(len(pts)) for j in range(i + 1, len(pts))}
+    table = [[0 if i == j else d[min(i, j), max(i, j)] for j in range(len(pts))]
+             for i in range(len(pts))]
+    return standard_space(TableMetric(pts, table)), pts
+
+
+MATRIX_SPACES = {
+    "line-integers": lambda draw: (standard_space(), draw(st.sets(st.integers(-20, 20)))),
+    "line-rationals": lambda draw: (standard_space(universe=RATIONALS), draw(st.sets(
+        st.fractions(-5, 5, max_denominator=6) | st.integers(-5, 5)))),
+    "max-ultrametric": lambda draw: (ultrametric_space(), draw(st.sets(st.integers(1, 30)))),
+    "lattice-1": lambda draw: (standard_space(EuclideanLattice(1)), draw(st.sets(
+        st.tuples(st.integers(-9, 9))))),
+    "lattice-2": lambda draw: (standard_space(EuclideanLattice(2)), draw(st.sets(
+        st.integers(-4, 4).map(lambda m: (3 * m, 4 * m))))),
+    "table": _table_space,
+    "ratio": lambda draw: (ratio_minmax_space(), draw(st.sets(st.integers(1, 30)))),
+    "reciprocal": lambda draw: (reciprocal_product_space(), draw(st.sets(st.integers(1, 30)))),
+    "pathological": lambda draw: (pathological_space(), draw(st.sets(st.integers(1, 30)))),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("kind", MATRIX_SPACES)
+def test_value_matrices_equal_pair_entry_by_entry(kind, data):
+    """Each kind's matrices hold ``pair(x, y, t)`` at row x, column y, for
+    every ordered pair of the points (both orders, the diagonal too) and
+    every t, on every built-in metric and kind."""
+    from fuzzycoarse.space import _value_matrices
+
+    space, pts = MATRIX_SPACES[kind](data.draw)
+    pts = sorted(pts)
+    ts = data.draw(st.lists(st.fractions(F(1, 10), 10, max_denominator=12),
+                            min_size=1, max_size=3, unique=True))
+    mats = _value_matrices(space, pts, ts)
+    assert list(mats) == ts
+    for t in ts:
+        nums, dens = mats[t]
+        assert [list(zip(nr, dr)) for nr, dr in zip(nums, dens)] == [
+            [space._pair(x, y, t) for y in pts] for x in pts]
 
 
 def test_axioms_symmetry_and_range_compare_values_not_representations():
@@ -945,9 +997,9 @@ def test_min_transitive_matches_the_cubic_scan(mat):
     """The spanning-tree decider gives the verdict of ``_scan_min`` on
     ultrametrics, planted violations, asymmetric matrices and non-unit
     diagonals, down to one and two points."""
-    from fuzzycoarse.space import _min_transitive, _scan_min
+    from fuzzycoarse.space import _every_pair, _min_transitive, _scan_min
 
-    assert _min_transitive(mat) == (_scan_min(*mat, *mat, *mat) is None)
+    assert _min_transitive(mat) == (_scan_min(*mat, *mat, *mat, _every_pair(len(mat[0]))) is None)
 
 
 def test_chain_failure_stops_at_the_first_violation(monkeypatch):
@@ -988,13 +1040,20 @@ def _pairs(vals, draw):
 @st.composite
 def chain_cases(draw):
     """Matrix triples (A, B, C) for the pruned and the certified chain
-    paths, in three shapes:
+    paths, in four shapes:
 
     - ``radial``: A and B in (0, 1] with unit diagonals, each row
-      non-increasing away from the diagonal; each row of C anything in
-      [-1/6, 5/2] or at least 1, so the time slices need not be monotone,
-      the triple j = i can fail, and the first failing row can lie deep
-      enough for an earlier j to fail too;
+      non-increasing away from the diagonal and drawn on its own, so the
+      rows are not symmetric and the crossing pointer restarts; each row
+      of C anything in [-1/6, 5/2] or at least 1, so the time slices need
+      not be monotone, the triple j = i can fail, and the first failing
+      row can lie deep enough for an earlier j to fail too;
+    - ``symmetric``: A and B radial and symmetric, on up to 8 points, each
+      entry above the diagonal at most its left and lower neighbours, so
+      the crossing pointer is carried across k; C as for ``radial``;
+    - in both radial shapes, half the time each C[i][k] is the largest
+      min(A[i][j], B[k][j]) or 1/12 below it, so that the chain passes or
+      fails by a hair on most pairs, where the crossing bound decides;
     - ``valid``: A and B in (0, 1] with unit diagonals and rows in any
       order;
     - ``below``: C a random ultrametric similarity with up to two edits
@@ -1003,8 +1062,8 @@ def chain_cases(draw):
 
     Then up to two edits set an entry of A or B to a negative value, a
     value above 1, or a non-unit diagonal."""
-    n = draw(st.integers(1, 6))
-    mode = draw(st.sampled_from(["radial", "valid", "below"]))
+    mode = draw(st.sampled_from(["radial", "symmetric", "valid", "below"]))
+    n = draw(st.integers(1, 8 if mode == "symmetric" else 6))
 
     def level(lo, hi):
         return F(draw(st.integers(lo, hi)), 12)
@@ -1019,6 +1078,15 @@ def chain_cases(draw):
             rows.append(row)
         return rows
 
+    def symmetric():
+        rows = [[F(1)] * n for _ in range(n)]
+        for d in range(1, n):
+            for i in range(n - d):
+                near = min(rows[i][i + d - 1], rows[i + 1][i + d])
+                step = level(0, draw(st.sampled_from([1, 4])))
+                rows[i][i + d] = rows[i + d][i] = max(F(1, 12), near - step)
+        return rows
+
     def valid():
         return [[F(1) if i == j else level(1, 12) for j in range(n)] for i in range(n)]
 
@@ -1028,8 +1096,12 @@ def chain_cases(draw):
         a, b = ([[v - F(draw(st.integers(0, 2)), 20) for v in row] for row in c]
                 for _ in range(2))
     else:
-        a, b = (radial(), radial()) if mode == "radial" else (valid(), valid())
+        shape = {"radial": radial, "symmetric": symmetric, "valid": valid}[mode]
+        a, b = shape(), shape()
         c = [[level(draw(st.sampled_from([-2, 12])), 30) for _ in range(n)] for _ in range(n)]
+        if mode != "valid" and draw(st.booleans()):  # C at or just below max_j min(A, B)
+            c = [[max(map(min, a[i], b[k])) - level(0, draw(st.sampled_from([0, 0, 0, 1])))
+                  for k in range(n)] for i in range(n)]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         m = draw(st.sampled_from([a, b]))
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -1058,14 +1130,21 @@ ONES = ([[1, 1], [1, 1]], [[1, 1], [1, 1]])
          + (([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [[1, 1, 101], [1, 1, 1], [101, 1, 1]]),))
 # a negative C entry under Lukasiewicz on certified rows
 @example(mats=(ONES, ONES, ([[1, -1], [1, 1]], [[1, 2], [1, 1]])))
+# B[2][0] = 1 >= A[0][0]: the crossing pointer of i = 0 restarts at k = 2
+@example(mats=(([[1] * 3] * 3, [[1, 2, 2], [2, 1, 2], [2, 2, 1]]),
+               ([[1] * 3] * 3, [[1, 2, 2], [2, 1, 2], [1, 1, 1]]),
+               ([[1] * 3] * 3, [[1, 1, 2], [1, 1, 1], [1, 1, 1]])))
 @settings(max_examples=300, deadline=None)
 @pytest.mark.parametrize("tnorm", [PRODUCT, MINIMUM, LUKASIEWICZ], ids=lambda tn: tn.name)
 def test_pruned_and_certified_chain_paths_match_the_full_scan(tnorm, mats):
     """On matrices certified radial, the scan over middle points in [i, k]
-    with the rescan from 0 names the triple of today's full scan; under
-    min the transitivity certificate passes only where the scan finds
-    nothing; uncertified matrices get the full scan."""
-    from fuzzycoarse.space import _first_chain_violation
+    of the pairs that the crossing bound leaves, with the rescan from 0,
+    names the triple of the full scan, whether or not the rows are
+    symmetric; off radial windows the min transitivity certificate passes
+    only where the scan finds nothing; uncertified matrices get the full
+    scan.  The pairs the bound leaves are exactly those whose largest
+    min(A[i][j], B[k][j]) exceeds C[i][k]."""
+    from fuzzycoarse.space import _first_chain_violation, _uncrossed_pairs
 
     a, b, c = ([[Fraction(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*m)] for m in mats)
     n = len(a)
@@ -1073,6 +1152,10 @@ def test_pruned_and_certified_chain_paths_match_the_full_scan(tnorm, mats):
                   if tnorm.rule(a[i][j], b[k][j]) > c[i][k]), None)
     radial = _certified(mats[0]) and _certified(mats[1])
     assert _first_chain_violation(tnorm, *mats, radial) == brute
+    if radial:
+        assert list(_uncrossed_pairs(*mats[0], *mats[1], *mats[2])) == [
+            (i, k, range(i, k + 1)) for i in range(n) for k in range(i, n)
+            if max(map(min, a[i], b[k])) > c[i][k]]
 
 
 def _counting(mat, counter):
@@ -1095,19 +1178,27 @@ def _counting(mat, counter):
 def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypatch):
     """Machine-independent pins on the chain inequality of ``check_axioms``:
 
-    - the product scan on ratio_minmax 1..60 reads A at n(n+1)(n+2)/6
-      triples, about a third of the n^2(n+1)/2 of the full scan, and runs
-      once for all 16 (t, s) pairs of a 4-time grid, whose matrices are
-      equal and so shared;
-    - ``_scan_min`` never runs on the PASS of ultrametric_standard 1..60,
-      and runs once on the FAIL of the pathological space under min;
-    - the entries that the min path reads grow with log-log slope at most
-      2.1 from 20 to 40 points."""
+    - the product chain on ratio_minmax 1..60, which the crossing bound
+      cannot clear for k >= i + 2 as (x/y)(y/z) = x/z, reads A 43,634
+      times: 37,642 in the scan over j in [i, k] of the 1,711 pairs left
+      (n(n+1)(n+2)/6 less the 178 middle points of the pairs k <= i + 1)
+      and 5,992 for the bounds, about 0.4 of the n^2(n+1)/2 triples of
+      the full scan.  It runs once for all 16 (t, s) pairs of a 4-time
+      grid, whose matrices are equal and so shared;
+    - on the radial windows of the ultrametric PASS under min the bound
+      leaves no pair to scan and ``_min_transitive`` never runs; on the
+      FAIL of the pathological space under min the scan stops at the
+      first pair left;
+    - the entries that the chain reads grow with log-log slope at most
+      2.1 from 20 to 40 points on ultrametric_standard (min), and at most
+      2.2 from 100 to 200 points on standard under product and
+      Lukasiewicz."""
     from fuzzycoarse import space as space_mod
 
     grid = [Fraction(1, 2), 1, 2, 7]
-    chain_scan, scan_min, value_matrices = (
-        space_mod._first_chain_violation, space_mod._scan_min, space_mod._value_matrices)
+    chain_scan, scan_min, min_transitive, value_matrices = (
+        space_mod._first_chain_violation, space_mod._scan_min, space_mod._min_transitive,
+        space_mod._value_matrices)
 
     visited, chain_scans = [0], [0]
 
@@ -1120,22 +1211,33 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     rep = check_axioms(ratio_minmax_space(), int_window(1, n), grid)
     assert "PASS chain-inequality triples=109800 time_pairs=16" in rep.lines()
     assert chain_scans == [1]
-    assert visited[0] == n * (n + 1) * (n + 2) // 6 == 37820 <= 0.35 * 109800
+    assert visited[0] == 43634 == n * (n + 1) * (n + 2) // 6 - 178 + 5992 <= 0.4 * 109800
 
-    scans = []
+    scans, pairs_left, transitive = [], [0], [0]
 
     def counted_min(*args):
-        scans.append(scan_min(*args))
+        *mats, pairs = args
+
+        def counted(pairs):
+            for p in pairs:
+                pairs_left[0] += 1
+                yield p
+
+        scans.append(scan_min(*mats, counted(pairs)))
         return scans[-1]
 
+    def counted_transitive(mat):
+        transitive[0] += 1
+        return min_transitive(mat)
+
     monkeypatch.setattr(space_mod, "_first_chain_violation", chain_scan)
-    monkeypatch.setattr(space_mod, "_scan_min", counted_min)
     monkeypatch.setitem(space_mod._SCANNERS, "min", counted_min)
+    monkeypatch.setattr(space_mod, "_min_transitive", counted_transitive)
     assert check_axioms(ultrametric_space(), int_window(1, 60), grid).passed
-    assert scans == []
+    assert scans == [None] * 16 and pairs_left == [0] and transitive == [0]
     rep = check_axioms(pathological_space(MINIMUM), int_window(1, 20), grid)
     assert [f.predicate for f in rep.failures()] == ["chain-inequality"]
-    assert scans == [(0, 1, 2)]
+    assert scans[16:] == [(0, 1, 2)] and pairs_left == [1] and transitive == [0]
 
     reads = [0]
 
@@ -1150,10 +1252,15 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
 
     monkeypatch.setattr(space_mod, "_value_matrices", counting_matrices)
     monkeypatch.setattr(space_mod, "_first_chain_violation", chain_reads)
-    totals = []
-    for n in (20, 40):
-        chain_reads.total = 0
-        assert check_axioms(ultrametric_space(), int_window(1, n), grid).passed
-        totals.append(chain_reads.total)
-    assert scans == [(0, 1, 2)]
-    assert math.log(totals[1] / totals[0], 2) <= 2.1
+
+    def slope(space, sizes, grid):
+        totals = []
+        for n in sizes:
+            chain_reads.total = 0
+            assert check_axioms(space, int_window(1, n), grid).passed
+            totals.append(chain_reads.total)
+        return math.log(totals[1] / totals[0], sizes[1] / sizes[0])
+
+    assert slope(ultrametric_space(), (20, 40), grid) <= 2.1
+    for tnorm in (PRODUCT, LUKASIEWICZ):
+        assert slope(standard_space(tnorm=tnorm), (100, 200), [1, 2]) <= 2.2
