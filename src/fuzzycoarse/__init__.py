@@ -60,12 +60,12 @@ from .covers import (
     Cover,
     Family,
     cross_sup,
-    has_lebesgue_pair,
+    first_lebesgue_violation,
+    first_refinement_violation,
     is_scale_disjoint,
     is_uniformly_bounded_family,
     multiplicity,
     neighborhood_family,
-    refines,
     scale_multiplicity,
     scale_neighborhood,
 )

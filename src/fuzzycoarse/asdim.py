@@ -17,30 +17,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from itertools import combinations
 from operator import ge, gt
 
 from .covers import (
+    CallContext,
     Cover,
     Family,
     _check_members,
     _check_outside_points,
     _fattened_bound,
-    _first_ball_outside,
-    _first_lebesgue_violation,
     _first_shared_point,
     _is_bounded,
     _level_neighborhood,
-    _scale_multiplicity,
     coverage,
     family_max_cross,
     family_min_intra,
+    first_lebesgue_violation,
     first_refinement_violation,
     min_intra_pair,
     missing_points,
     multiplicity,
-    scale_multiplicity,  # noqa: F401  not called here; perfbench traces it as asdim's name
+    scale_multiplicity,
 )
 from .errors import (
     CertificationError,
@@ -113,7 +111,7 @@ BOUND_TIMES = tuple(Fraction(2) ** j for j in range(11))
 
 
 def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
-                        exact_fallback: bool = True) -> ScaleParams:
+                        exact_fallback: bool = True, ctx: CallContext = None) -> ScaleParams:
     """Find a scale at which every given set is internally bounded.
 
     Scans the grid first (deterministically, strongest level first, at
@@ -123,20 +121,15 @@ def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
     derived level 1 - r' = m/2.  With the fallback disabled a grid miss
     raises ``SearchFailureError``, which callers treat as inconclusive
     rather than as a negative fact.  Member points are checked against
-    the universe first.
+    the universe first, unless ``ctx`` holds ``sets`` as checked (see
+    ``CallContext``).
     """
-    fam = Family.of(sets, "bound-search")
-    _check_members(space, fam.sets)
-    return _bound_params(space, fam.sets, reference_t, exact_fallback)
-
-
-def _bound_params(space, sets, reference_t, exact_fallback=True) -> ScaleParams:
-    """``derive_bound_params`` on canonical member sets whose points lie in
-    the universe."""
+    members = Family.of(sets, "bound-search").sets
+    (ctx or CallContext(space)).check_members(sets, members)
     times = BOUND_TIMES if space.t_dependent else (as_fraction(reference_t),)
     worst_by_t = {}
     for t in times:
-        worst = family_min_intra(space, sets, t)
+        worst = family_min_intra(space, members, t)
         if worst is None:
             return ScaleParams(Fraction(1, 2), times[0])
         worst_by_t[t] = worst[0]
@@ -239,7 +232,10 @@ def witness_whole_window(space: FuzzyMetricSpace, window: Window,
     then exact fallback)."""
     space._check_window(window)
     fam = Family.of([window.run_set([(0, len(window))])], "whole")
-    return DimensionWitness(0, params, _bound_params(space, fam.sets, params.t), (fam,), window)
+    ctx = CallContext(space)
+    ctx.check_members(fam.sets, ())  # the window's points, checked above
+    bound = derive_bound_params(space, fam.sets, params.t, ctx=ctx)
+    return DimensionWitness(0, params, bound, (fam,), window)
 
 
 def is_initial_segment(window: Window) -> bool:
@@ -475,7 +471,7 @@ def derived_scale(space: FuzzyMetricSpace, params: ScaleParams) -> ScaleParams:
 
 
 def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness,
-                                    params: ScaleParams):
+                                    params: ScaleParams, ctx: CallContext = None):
     """Witness at the derived scale -> cover with scale multiplicity <= n+1.
 
     A ball at (r, t) meeting two sets of one family produces a pair at
@@ -483,12 +479,11 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
     witness forbids; so any ball meets at most one set per family.  The
     witness must be supplied at exactly the derived scale and is
     re-verified before use; the multiplicity is then measured, not
-    assumed.
+    assumed, by ``scale_multiplicity`` with ``ctx`` (see ``CallContext``),
+    which also records that the verified cover's points lie in the
+    universe.
     """
-    return _multiplicity_cover_from_witness(space, w, params, space.ball_level)
-
-
-def _multiplicity_cover_from_witness(space, w, params, level):
+    ctx = ctx or CallContext(space)
     want = derived_scale(space, params)
     if (w.params.r, w.params.t) != (want.r, want.t):
         raise PreconditionError(
@@ -502,7 +497,8 @@ def _multiplicity_cover_from_witness(space, w, params, level):
             f"witness fails verification: {vrep.failures()[0].line()}"
         )
     cover = w.as_cover()
-    measured = _scale_multiplicity(cover, w.window, level(params.threshold, params.t, w.window))
+    ctx.check_members(cover, ())  # verify_witness checked every member point
+    measured = scale_multiplicity(space, cover, params, w.window, ctx)
     rep = CertReport("multiplicity-cover", space=space.describe(),
                      window=w.window.label(), r=params.r, t=params.t)
     rep.add_pass("witness-verified", r=w.params.r, t=w.params.t)
@@ -512,35 +508,27 @@ def _multiplicity_cover_from_witness(space, w, params, level):
 
 
 def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
-                                     params: ScaleParams, input_bound: ScaleParams = None):
+                                     params: ScaleParams, input_bound: ScaleParams = None,
+                                     ctx: CallContext = None):
     """Low-multiplicity cover at the derived scale -> Lebesgue cover at (r, t).
 
     Fattening every member set by its derived-scale neighborhood turns a
     ball at (r, t) that meets a set into a subset of that set's
     fattening, so (r, t) becomes a Lebesgue pair; the plain multiplicity
     of the output is at most the input's scale multiplicity.  Both facts
-    and the boundedness of the output are verified on the window.
+    and the boundedness of the output are verified on the window.  The
+    input's scale multiplicity and the output's Lebesgue verdict come
+    from ``scale_multiplicity`` and ``first_lebesgue_violation`` with
+    ``ctx`` (see ``CallContext``), so a fact a stage before decided is
+    read, not decided again.
     """
-    out, rep, _ = _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, None,
-                                                    space.ball_level)
-    return out, rep
-
-
-def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_multiplicity,
-                                      level):
-    """``lebesgue_cover_from_multiplicity`` on a ``level`` reader; also
-    returns the first point whose ball fits in no output member, or None."""
+    ctx = ctx or CallContext(space)
     window = cover.window
     want = derived_scale(space, params)
-    wanted = level(want.threshold, want.t, window)
-    measured_in = _scale_multiplicity(cover, window, wanted)
-    if max_multiplicity is not None and measured_in > max_multiplicity:
-        raise PreconditionError(
-            f"input scale multiplicity {measured_in} exceeds the expected "
-            f"{max_multiplicity} at r={fmt_value(want.r)}, t={fmt_value(want.t)}"
-        )
+    wanted = ctx.level(want.threshold, want.t, window)
     if missing_points(cover.all_sets(), window):
         raise PreconditionError("input must cover the window")
+    measured_in = scale_multiplicity(space, cover, want, window, ctx)
 
     fat_families = tuple(
         Family.of([_level_neighborhood(space, s, want, window, wanted) for s in fam.sets],
@@ -548,12 +536,12 @@ def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_mul
         for fam in cover.families
     )
     out = Cover(fat_families, window)
+    ctx.check_members(out, ())  # runs of the window, which the level build checked
     rep = CertReport("lebesgue-cover", space=space.describe(),
                      window=window.label(), r=params.r, t=params.t)
     rep.add_pass("input-scale-multiplicity", measured=measured_in,
                  r=want.r, t=want.t)
-    bad_point = _first_lebesgue_violation(
-        out.all_sets(), window, partial(level, params.threshold, params.t, window))
+    bad_point = first_lebesgue_violation(space, out, params, window, ctx)
     rep.add_verdict(bad_point is None, "lebesgue-pair", r=params.r, t=params.t,
                     witness=bad_point)
     out_mult = multiplicity(out, window)
@@ -569,11 +557,11 @@ def _lebesgue_cover_from_multiplicity(space, cover, params, input_bound, max_mul
         out_bound = derive_bound_params(space, out.all_sets(), params.t)
     rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),
                     "output-bounded", r=out_bound.r, t=out_bound.t)
-    return out, rep, bad_point
+    return out, rep
 
 
 def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Cover,
-                            params: ScaleParams) -> CertReport:
+                            params: ScaleParams, ctx: CallContext = None) -> CertReport:
     """Bounded cover refines Lebesgue cover, verified set by set.
 
     Hypotheses checked first: every member of U is internally bounded at
@@ -581,20 +569,12 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
     and V has (r, t) as a Lebesgue pair.  The conclusion, that every
     U-set is contained in some V-set, is then verified directly.  The
     points of U, then those of V, are checked against the universe before
-    M is evaluated.
+    M is evaluated.  Checks and V's Lebesgue verdict go through ``ctx``
+    (see ``CallContext``), so what a stage before decided is read.
     """
-    _check_members(space, cover_u.all_sets())
-    _check_members(space, cover_v.all_sets())
-    window = cover_v.window
-    target_violation = partial(
-        _first_lebesgue_violation, cover_v.all_sets(), window,
-        partial(space.ball_level, params.threshold, params.t, window))
-    return _refinement_via_lebesgue(space, cover_u, cover_v, params, target_violation)
-
-
-def _refinement_via_lebesgue(space, cover_u, cover_v, params, target_violation):
-    """``refinement_via_lebesgue`` with V's first Lebesgue violation at
-    (r, t), or None, from ``target_violation()``, called once U is bounded."""
+    ctx = ctx or CallContext(space)
+    ctx.check_members(cover_u, cover_u.all_sets())
+    ctx.check_members(cover_v, cover_v.all_sets())
     rep = CertReport("refinement", space=space.describe(),
                      window=cover_u.window.label(), r=params.r, t=params.t)
     worst = family_min_intra(space, cover_u.all_sets(), params.t)
@@ -605,7 +585,7 @@ def _refinement_via_lebesgue(space, cover_u, cover_v, params, target_violation):
             f"(worst pair {fmt_pair(worst[1])} at {fmt_value(worst[0])})"
         )
     rep.add_pass("refining-cover-bounded", r=params.r, t=params.t)
-    if target_violation() is not None:
+    if first_lebesgue_violation(space, cover_v, params, cover_v.window, ctx) is not None:
         raise CertificationError(
             "hypothesis failure: target cover lacks the Lebesgue pair "
             f"r={fmt_value(params.r)}, t={fmt_value(params.t)}"
@@ -658,10 +638,15 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     only for t-independent spaces; a t-dependent space is refused before
     the factory or any step runs.  On a window of consecutive integers
     each ball that is one run is kept as a step-1 ``range``, so the cover
-    costs O(N) memory although its sets hold about N^2/2 points.  The
-    stages read one ``cache`` of ``space.ball_level`` made for the call, and
-    the refinement step takes the Lebesgue verdict the second step found on
-    the same cover and scale instead of deciding it again.
+    costs O(N) memory although its sets hold about N^2/2 points.
+
+    The stages are the public ones, called with one ``CallContext`` made
+    for the call: each ball level is swept once, the second step reads
+    the witness cover's scale multiplicity that the first measured, the
+    refinement step reads the Lebesgue verdict the second found on the
+    same cover and scale, and no cover's points are checked twice.  A
+    multiplicity cover whose scale multiplicity exceeds the witness's
+    n + 1 is refused before the second step.
     """
     if space.t_dependent:
         raise UnsupportedOperationError(
@@ -671,15 +656,20 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     scale1 = derived_scale(space, params)
     scale2 = derived_scale(space, scale1)
     w = witness_factory(scale2)
-    level = cache(space.ball_level)
-    c1, rep1 = _multiplicity_cover_from_witness(space, w, scale1, level)
-    c2, rep2, bad_point = _lebesgue_cover_from_multiplicity(
-        space, c1, params, w.bound_params, w.n + 1, level
-    )
+    ctx = CallContext(space)
+    c1, rep1 = multiplicity_cover_from_witness(space, w, scale1, ctx)
+    measured = scale_multiplicity(space, c1, scale1, w.window, ctx)
+    if measured > w.n + 1:
+        raise PreconditionError(
+            f"input scale multiplicity {measured} exceeds the expected "
+            f"{w.n + 1} at r={fmt_value(scale1.r)}, t={fmt_value(scale1.t)}"
+        )
+    c2, rep2 = lebesgue_cover_from_multiplicity(space, c1, params, w.bound_params, ctx)
     rho = refinement_ball_level(space, params)
-    ball_sets = list(dict.fromkeys(map(window.run_set, level(1 - rho, params.t, window))))
+    ball_sets = list(dict.fromkeys(map(window.run_set, ctx.level(1 - rho, params.t, window))))
     ball_cover = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
-    rep3 = _refinement_via_lebesgue(space, ball_cover, c2, params, lambda: bad_point)
+    ctx.check_members(ball_cover, ())  # runs of the window, which the level build checked
+    rep3 = refinement_via_lebesgue(space, ball_cover, c2, params, ctx)
     return PipelineResult(w, c1, c2, (rep1, rep2, rep3))
 
 
@@ -717,8 +707,7 @@ def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams
             raise CertificationError("candidate cover has multiplicity above 1")
         if missing_points(sets, window):
             raise CertificationError("candidate cover misses window points")
-        x = _first_ball_outside(sets, window,
-                                space.balls(window.points, inner.threshold, params.t, window))
+        x = first_lebesgue_violation(space, candidate, inner, window)
         if x is not None:
             raise CertificationError(
                 f"ball of {fmt_value(x)} at the inner level "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import asdim, coarse
 from .config import (
@@ -221,6 +222,7 @@ def cmd_oracle(args) -> int:
     return _render(args, lines)
 
 
+@cache  # one parser per process: it does not depend on the argv
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzycoarse",

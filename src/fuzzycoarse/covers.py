@@ -13,6 +13,7 @@ window indices (see ``Window``), and decide most questions from run
 endpoints with a bisect.  Member sets may be tuples or step-1 ranges.
 Multiplicity is the largest depth of the members' runs; M is symmetric,
 so scale multiplicity is the depth of the unions of the members' balls.
+A ``CallContext`` carries what the stages of one call share.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import is_, is_not, itemgetter, lt
 
@@ -247,6 +248,40 @@ def _check_members(space: FuzzyMetricSpace, sets):
         space._check_points(s)
 
 
+class CallContext:
+    """What the stages of one call share: the space, its ball levels, the
+    facts already decided and the covers whose member points have passed
+    the universe check.
+
+    A stage given no context makes a fresh one and decides everything
+    itself.  ``run_dimension_pipeline`` makes one and hands it to every
+    stage, so each ball level is swept once, each fact decided once and
+    each cover's points checked once.  Levels are kept by (bound, t,
+    window); facts by name, cover, scale and window, with the cover
+    known by its ``id``.  The context holds every cover it keys, so no
+    ``id`` is reused while it lives.
+    """
+
+    def __init__(self, space: FuzzyMetricSpace):
+        self.space = space
+        self.level = cache(space.ball_level)
+        self._facts = {}  # (name, id(cover), params, window) -> (cover, value)
+
+    def once(self, name, cover, params, window, decide):
+        """``decide()``, or what it gave for the same fact on the same
+        cover, scale and window in this context."""
+        key = name, id(cover), params, window
+        if key not in self._facts:
+            self._facts[key] = cover, decide()
+        return self._facts[key][1]
+
+    def check_members(self, owner, sets):
+        """``_check_members`` on ``sets``, the member sets of ``owner`` (a
+        cover or a sequence of member sets) still to be checked, once per
+        owner.  Empty ``sets`` record that the caller has checked them."""
+        self.once("members", owner, None, None, lambda: _check_members(self.space, sets))
+
+
 def is_uniformly_bounded_family(space: FuzzyMetricSpace, family: Family,
                                 params: ScaleParams) -> bool:
     """Every intra-set pair strictly above 1 - r at time t."""
@@ -286,15 +321,14 @@ def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,
 
 def _level_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams, window: Window,
                         level):
-    """``scale_neighborhood`` of a canonical member set u, with the balls of
-    its window points read from ``level``, the ``ball_level`` of the
-    window at the scale, as a member set (see ``Window.run_set``).  Only
-    the points of u outside the window are checked against the universe
-    and galloped."""
+    """``scale_neighborhood`` of a canonical member set u whose points the
+    caller has checked against the universe, with the balls of its window
+    points read from ``level``, the ``ball_level`` of the window at the
+    scale, as a member set (see ``Window.run_set``).  Only the points of u
+    outside the window are galloped."""
     runs = window.runs_of(u)
     union = _ball_union(level, runs)
     if sum(j - i for i, j in runs) < len(u):
-        _check_outside_points(space, (u,), window)
         union = _coalesce_runs(chain(union, *space.balls(
             outside_points((u,), window), params.threshold, params.t, window)))
     return window.run_set(union)
@@ -365,47 +399,52 @@ def _max_depth(run_lists) -> int:
 
 
 def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
-                       window: Window) -> int:
+                       window: Window, ctx: CallContext = None) -> int:
     """Largest number of member sets met by any ball at scale (r, t), once
-    the member points pass the universe check."""
-    _check_members(space, cover.all_sets())
-    return _scale_multiplicity(cover, window,
-                               space.ball_level(params.threshold, params.t, window))
+    the member points pass the universe check.
 
-
-def _scale_multiplicity(cover: Cover, window: Window, level) -> int:
-    """``scale_multiplicity`` with the run lists of the balls of the window
-    points, in window order, such as a ``ball_level``.
-
-    Balls and member sets are compared on the window.  M(x, y, t) =
+    Balls and member sets are compared on the window, with the balls of
+    the window points read from the ball level of ``ctx``.  M(x, y, t) =
     M(y, x, t), so the ball of x meets a member exactly when x lies in
     the union of the balls of the member's window points, and the answer
     is the largest depth of those unions.  Every built-in kind's ``pair``
     is symmetric by its formula, and ``TableMetric`` refuses an
-    asymmetric table.
+    asymmetric table.  The answer is kept in ``ctx`` (see ``CallContext``).
     """
-    return _max_depth(_ball_union(level, window.runs_of(s)) for s in cover.all_sets())
+    ctx = ctx or CallContext(space)
+    sets = cover.all_sets()
+    ctx.check_members(cover, sets)
+    level = ctx.level(params.threshold, params.t, window)
+    return ctx.once("scale-multiplicity", cover, params, window,
+                    lambda: _max_depth(_ball_union(level, window.runs_of(s)) for s in sets))
 
 
 def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
-                             params: ScaleParams, window: Window):
+                             params: ScaleParams, window: Window, ctx: CallContext = None):
     """First window point whose ball fits in no member set, or None; a
     member point outside the universe raises ``DomainError``, then a cover
-    that misses window points ``PreconditionError``."""
+    that misses window points ``PreconditionError``.
+
+    Given a context, the balls are read from its ball level and the
+    answer is kept in it (see ``CallContext``).  Without one, the balls
+    are swept lazily, so a failing check stops at its first bad ball.
+    """
+    sweep = ctx.level if ctx else partial(space.balls, window.points)
+    ctx = ctx or CallContext(space)
     sets = cover.all_sets()
-    _check_members(space, sets)
-    return _first_lebesgue_violation(
-        sets, window,
-        partial(space.balls, window.points, params.threshold, params.t, window))
+    ctx.check_members(cover, sets)
 
+    def decide():
+        missing = missing_points(sets, window)
+        if missing:
+            raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
+        holds = _run_containment([window.runs_of(s) for s in sets])
+        for x, runs in zip(window, sweep(params.threshold, params.t, window)):
+            if runs and not holds(runs):
+                return x
+        return None
 
-def _first_lebesgue_violation(sets, window: Window, sweep):
-    """``first_lebesgue_violation`` with the balls of the window points
-    from ``sweep()``, called once the sets are known to cover the window."""
-    missing = missing_points(sets, window)
-    if missing:
-        raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
-    return _first_ball_outside(sets, window, sweep())
+    return ctx.once("lebesgue", cover, params, window, decide)
 
 
 def _run_containment(set_runs):
@@ -441,23 +480,6 @@ def _run_containment(set_runs):
     return holds
 
 
-def _first_ball_outside(sets, window: Window, balls):
-    """The first window point whose ball fits in no member set, or None,
-    for member sets known to cover the window and the run lists of the
-    balls of the window points, in window order."""
-    holds = _run_containment([window.runs_of(s) for s in sets])
-    for x, runs in zip(window, balls):
-        if runs and not holds(runs):
-            return x
-    return None
-
-
-def has_lebesgue_pair(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
-                      window: Window) -> bool:
-    """Whether every window point's ball fits inside one member set."""
-    return first_lebesgue_violation(space, cover, params, window) is None
-
-
 def first_refinement_violation(refining: Cover, target: Cover):
     """First member set of the refining cover contained in no member set of
     the target cover, or None.
@@ -480,9 +502,3 @@ def first_refinement_violation(refining: Cover, target: Cover):
         elif not any(map(set(s).issubset, targets)):
             return s
     return None
-
-
-def refines(refining: Cover, target: Cover) -> bool:
-    """Whether every member set of the refining cover is contained in some
-    member set of the target cover."""
-    return first_refinement_violation(refining, target) is None

@@ -646,10 +646,13 @@ def test_refinement_check_examples():
 
 
 def test_pipeline_steps_refuse_a_failing_witness_and_an_uncovering_input():
-    """The first step re-verifies its witness, and the second refuses an
-    input cover that misses window points, and, in the pipeline, one whose
-    scale multiplicity at the derived scale is above the n + 1 of the
-    witness: the ratio cover measures 2, so a bound of 1 refuses it."""
+    """The first step re-verifies its witness, the second refuses an input
+    cover that misses window points, and the pipeline refuses a
+    multiplicity cover whose scale multiplicity at the derived scale is
+    above the n + 1 of the witness.  The ratio rule is no fuzzy metric
+    under the minimum (M(1, 4) = 1/4 < min(M(1, 2), M(2, 4))), so its
+    block/gap witness verifies at the derived scale while a ball there
+    meets a block, the gap after it and the next block."""
     ratio = ratio_minmax_space()
     w, params = int_window(1, 20), ScaleParams(F(1, 2), 1)
     wit = witness_ratio_minmax(derived_scale(ratio, params), w)
@@ -661,30 +664,63 @@ def test_pipeline_steps_refuse_a_failing_witness_and_an_uncovering_input():
     with pytest.raises(PreconditionError, match="input must cover the window"):
         lebesgue_cover_from_multiplicity(ratio, Cover.of([Family.of([range(1, 10)])], w),
                                          params)
-    scale1 = derived_scale(ratio, params)
-    wit = witness_ratio_minmax(derived_scale(ratio, scale1), w)
-    cover, _ = multiplicity_cover_from_witness(ratio, wit, scale1)
-    with pytest.raises(PreconditionError, match="input scale multiplicity 2 exceeds the expected 1 "
+    under_min = ratio_minmax_space(MINIMUM)
+    scale1 = derived_scale(under_min, params)
+    with pytest.raises(PreconditionError, match="input scale multiplicity 3 exceeds the expected 2 "
                                                 f"at r={scale1.r}, t={scale1.t}"):
-        asdim._lebesgue_cover_from_multiplicity(ratio, cover, params, wit.bound_params, wit.n,
-                                                ratio.ball_level)
+        run_dimension_pipeline(under_min, params, w, lambda scale: witness_ratio_minmax(scale, w))
 
 
 def test_pipeline_decides_the_target_lebesgue_pair_once(monkeypatch):
     """The second step decides whether its fattened cover has the Lebesgue
-    pair at (r, t); the refinement step takes that verdict as its
-    hypothesis and decides it no second time on the same cover."""
+    pair at (r, t); the refinement step asks ``first_lebesgue_violation``
+    again, on the same cover and scale, and reads that verdict from the
+    call's context instead of deciding it a second time.  So the Lebesgue
+    cover's runs are indexed for containment twice: once for that verdict
+    and once for the refinement check."""
     rec = reciprocal_product_space()
     w = int_window(1, 1000)
-    calls = []
-    first = asdim._first_lebesgue_violation
-    monkeypatch.setattr(asdim, "_first_lebesgue_violation",
-                        lambda *args: calls.append(args[0]) or first(*args))
+    asked, indexed = [], []
+    first = asdim.first_lebesgue_violation
+    monkeypatch.setattr(asdim, "first_lebesgue_violation",
+                        lambda *args: asked.append(args[1]) or first(*args))
+    containment = covers._run_containment
+    monkeypatch.setattr(covers, "_run_containment",
+                        lambda set_runs: indexed.append(set_runs) or containment(set_runs))
     result = run_dimension_pipeline(rec, ScaleParams(F(1, 2), 1), w,
                                     lambda scale: witness_reciprocal_product(scale, w))
-    assert result.passed and len(calls) == 1
-    assert calls[0] == result.lebesgue_cover.all_sets()
+    assert result.passed
+    assert len(asked) == 2 and all(c is result.lebesgue_cover for c in asked)
+    runs = [w.runs_of(s) for s in result.lebesgue_cover.all_sets()]
+    assert indexed == [runs, runs]
     assert "PASS target-lebesgue-pair r=1/2 t=1" in result.reports[2].lines()
+
+
+@pytest.mark.parametrize("space, construct", [
+    (ratio_minmax_space(), witness_ratio_minmax),
+    (reciprocal_product_space(), witness_reciprocal_product),
+])
+def test_pipeline_measures_the_witness_scale_multiplicity_once(monkeypatch, space, construct):
+    """The first step measures the witness cover's scale multiplicity at
+    the derived scale; the pipeline's refusal and the second step read it
+    from the call's context.  So a call takes two depth sweeps: that one
+    and the plain multiplicity of the Lebesgue cover.  The context also
+    knows which covers passed the universe check (the verified witness
+    cover, and the fattened and ball covers built from window runs), so
+    the window is the only point set the call checks."""
+    from fuzzycoarse import FuzzyMetricSpace
+
+    w = int_window(1, 300)
+    depths, checked = [], []
+    max_depth = covers._max_depth
+    monkeypatch.setattr(covers, "_max_depth", lambda runs: depths.append(0) or max_depth(runs))
+    check_points = FuzzyMetricSpace._check_points
+    monkeypatch.setattr(FuzzyMetricSpace, "_check_points",
+                        lambda self, points: checked.append(points) or check_points(self, points))
+    result = run_dimension_pipeline(space, ScaleParams(F(1, 2), 1), w,
+                                    lambda scale: construct(scale, w))
+    assert result.passed and len(depths) == 2
+    assert checked == [w._seq]
 
 
 def test_pipeline_refuses_a_t_dependent_space_before_any_work():

@@ -536,3 +536,25 @@ def test_a_window_of_incomparable_points_is_a_parse_error(tmp_path):
                                 "scales": ["1/2:1"]}))
     assert run_cli(["witness", "--config", str(path)]) == (
         2, "ERROR ParseError: window points must be mutually comparable, got [1, [1, 2]]\n")
+
+
+def test_main_parses_with_one_parser_per_process(monkeypatch, capsys):
+    """The parser does not depend on the argv, so ``main`` builds it once:
+    a repeated call builds no parser and writes the same bytes with the
+    same exit code, for a verdict run, a usage error and ``--help``."""
+    import argparse
+
+    from fuzzycoarse import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(0) or init(self, *args, **kw))
+    for argv, code in [(["pipeline", "--space", "ratio_minmax", "--scale", "1/2:1",
+                         "--window", "1..40"], 0),
+                       (["pipeline", "--no-such-flag"], 2), (["--help"], 0)]:
+        first = main(argv), capsys.readouterr()
+        built.clear()
+        assert (main(argv), capsys.readouterr()) == first and first[0] == code
+        assert built == []
+    assert cli.build_parser() is cli.build_parser()

@@ -1,11 +1,11 @@
 """Dead-code guard over the library source, read with ``ast``.
 
-Three rules: every name a library module imports is used in that module,
+Four rules: every name a library module imports is used in that module,
 every private module-level function is used by the library outside its
-own body, and every parameter of a module-level function is read in its
-body.  ``__init__.py`` only re-exports, so its imports are its
-point; an import line marked ``# noqa: F401`` is kept on purpose (the
-benchmark's tracer reads ``asdim.scale_multiplicity``).
+own body, every parameter of a module-level function is read in its
+body, and every name ``__init__.py`` re-exports is used by the library,
+the CLI or a demo, apart from an explicit list of names only tests call.
+``__init__.py`` only re-exports, so its imports are its point.
 """
 
 import ast
@@ -14,6 +14,10 @@ from pathlib import Path
 import fuzzycoarse
 
 SOURCES = sorted(Path(fuzzycoarse.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+# Re-exported names that only tests call; a new one fails the re-export rule.
+TEST_ONLY_EXPORTS = {"check_metric_axioms", "subspace", "cross_sup", "is_scale_disjoint",
+                     "restrict_witness", "zero_dim_witness_via_refinement", "compose_closeness"}
 
 
 def _parse(path):
@@ -31,7 +35,6 @@ def test_every_import_is_used():
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
-        lines = path.read_text().splitlines()
         tree = _parse(path)
         used = _used_names(tree)
         for node in ast.walk(tree):
@@ -39,18 +42,31 @@ def test_every_import_is_used():
                 continue
             for alias in node.names if isinstance(node, (ast.Import, ast.ImportFrom)) else ():
                 name = (alias.asname or alias.name).split(".")[0]
-                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                if name not in used:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert unused == []
 
 
+def _library_users(trees):
+    """name -> the top-level statements of the library that read it."""
+    users = {}
+    for tree in trees:
+        for node in tree.body:
+            for name in _read_names(node):
+                users.setdefault(name, []).append(node)
+    return users
+
+
+def _read_names(node):
+    """Every name read in a node as a bare name or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def test_every_private_function_is_used_by_the_library():
     trees = {path.name: _parse(path) for path in SOURCES}
-    users = {}  # name -> the top-level statements of the library that use it
-    for tree in trees.values():
-        for node in tree.body:
-            for name in _used_names(node):
-                users.setdefault(name, []).append(node)
+    users = _library_users(trees.values())
     unused = [f"{name}: {fn.name}" for name, tree in trees.items() for fn in tree.body
               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
               and all(node is fn for node in users.get(fn.name, ()))]
@@ -71,3 +87,17 @@ def test_every_parameter_of_a_module_level_function_is_read():
             unread += [f"{path.name}:{fn.lineno}: {fn.name}({p})" for p in params
                        if p not in read]
     assert unread == []
+
+
+def test_every_re_export_is_used_by_the_library_or_a_demo():
+    """A name is used when a top-level statement of a library module other
+    than ``__init__.py`` and other than the name's own definition uses
+    it, or when a demo does; the CLI is a library module."""
+    init = _parse(Path(fuzzycoarse.__file__))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    users = _library_users(_parse(path) for path in SOURCES if path.name != "__init__.py")
+    in_demos = set().union(*(_read_names(_parse(path)) for path in DEMOS))
+    unused = {name for name in exported - in_demos
+              if all(getattr(node, "name", None) == name for node in users.get(name, ()))}
+    assert unused == TEST_ONLY_EXPORTS
