@@ -1,6 +1,7 @@
 """Walkthrough: dimension witnesses at explicit scales.
 
-Three constructions, their verification, and the scale-graph lower bound.
+Three constructions, their verification, a witness restricted to a
+subspace, and the scale-graph lower bound.
 
 Run:  python demos/03_dimension_witnesses.py
 """
@@ -14,7 +15,9 @@ from fuzzycoarse import (
     ratio_block_structure,
     ratio_minmax_space,
     reciprocal_product_space,
+    restrict_witness,
     scale_graph,
+    subspace,
     ultrametric_space,
     verify_witness,
     witness_ball_partition,
@@ -46,6 +49,13 @@ wit2 = witness_ratio_minmax(params, int_window(1, 10_000))
 print(verify_witness(ratio, wit2))
 print()
 
+# Subspaces: separation and boundedness are hereditary, so a dimension
+# bound passes to any subset at the same scales.  The block witness cut
+# down to the even points verifies on the subspace of the evens.
+evens = range(2, 10_001, 2)
+print(verify_witness(subspace(ratio, evens), restrict_witness(wit2, evens)))
+print()
+
 # The lower bound: at (1/2, t) the closed-threshold graph on 1..N is one
 # spanning component whose internal minimum is 1/N, so a single covering
 # family would need one set containing everything, and no fixed bound
@@ -63,8 +73,9 @@ print("ball partition, first members:", wit3.families[0].sets[:3], "...")
 print(verify_witness(ult, wit3))
 print()
 
-# The brute-force oracle agrees on tiny windows: it enumerates every
-# partition into bounded blocks and colors the conflict graph.
+# The exact oracle agrees on tiny windows: a backtracking search colours
+# the window points with the fewest classes in which every component of
+# the separation graph is bounded, evaluating M directly.
 tiny = int_window(2, 8)
 k = oracle_min_families(ratio, params, params, tiny)
 print(f"oracle on {tiny.label()} at (1/2, 1): minimum families = {k}")

@@ -1,4 +1,5 @@
-"""Walkthrough: coarse maps, inverses, and carrying a witness across.
+"""Walkthrough: coarse maps, inverses, composing closeness, and carrying a
+witness across.
 
 Run:  python demos/05_coarse_maps.py
 """
@@ -6,14 +7,20 @@ Run:  python demos/05_coarse_maps.py
 from fractions import Fraction as F
 
 from fuzzycoarse import (
+    ClosenessCert,
     Family,
     ModulusEntry,
     ScaleParams,
+    affine_map,
+    check_close,
     check_coarsely_onto,
     check_effectively_proper,
     check_uniformly_expansive,
     coarse_inverse,
+    compose_closeness,
+    compose_maps,
     grid_window,
+    identity_map,
     inclusion_map,
     int_window,
     lift_metric_families,
@@ -52,6 +59,26 @@ g, inv_report = coarse_inverse(std, stdq, small_incl, ScaleParams(F(1, 2), 1),
                                grid_window(-5, 5, F(1, 2)), int_window(-5, 5))
 print(inv_report)
 print("g(1/2) =", g.apply(F(1, 2)), "  g(-1/2) =", g.apply(F(-1, 2)))
+print()
+
+# Composition in the coarse category: closeness of f ~ f' at (r, t) and
+# g ~ g' at (r', t'), with an expansiveness entry of g' at level 1 - r and
+# time t, gives a certified scale for g f ~ g' f'.  Here f is the identity,
+# f' the shift by 1 and g = g' the doubling; check_close re-checks the
+# composed maps pointwise at that scale.
+wc = int_window(-50, 50)
+shift = affine_map(1, 1)
+double = affine_map(2, 0, expansive=(ModulusEntry(F(1, 2), 2, F(1, 2), 4),))
+close_f = ScaleParams(F(1, 2), 2)
+print(check_close(std, identity_map(), shift, close_f, wc))
+print()
+print(check_uniformly_expansive(std, std, double, wc))
+print()
+cert = compose_closeness(std, ClosenessCert(close_f), ClosenessCert(ScaleParams(F(1, 2), 1)),
+                         double.expansive[0])
+print("composed: r =", cert.params.r, " t =", cert.params.t)
+print(check_close(std, compose_maps(identity_map(), double, wc),
+                  compose_maps(shift, double, wc), cert.params, wc))
 print()
 
 # Witness transport: a two-family block witness on the integers, carried

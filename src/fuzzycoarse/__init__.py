@@ -42,7 +42,6 @@ from .space import (
     Window,
     ball,
     check_axioms,
-    check_metric_axioms,
     grid_window,
     int_window,
     is_bounded,
@@ -59,10 +58,8 @@ from .space import (
 from .covers import (
     Cover,
     Family,
-    cross_sup,
     first_lebesgue_violation,
     first_refinement_violation,
-    is_scale_disjoint,
     is_uniformly_bounded_family,
     multiplicity,
     neighborhood_family,
@@ -90,7 +87,6 @@ from .asdim import (
     witness_ratio_minmax,
     witness_reciprocal_product,
     witness_whole_window,
-    zero_dim_witness_via_refinement,
 )
 from .coarse import (
     ClosenessCert,

@@ -18,13 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import ge, gt
 
 from .covers import (
     CallContext,
     Cover,
     Family,
-    _check_members,
     _check_outside_points,
     _fattened_bound,
     _first_shared_point,
@@ -111,18 +109,15 @@ BOUND_TIMES = tuple(Fraction(2) ** j for j in range(11))
 
 
 def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
-                        exact_fallback: bool = True, ctx: CallContext = None) -> ScaleParams:
+                        ctx: CallContext = None) -> ScaleParams:
     """Find a scale at which every given set is internally bounded.
 
     Scans the grid first (deterministically, strongest level first, at
     the grid times for a t-dependent space and at ``reference_t``
-    otherwise); if the grid has no admissible point and
-    ``exact_fallback`` is set, the exact worst intra pair m yields the
-    derived level 1 - r' = m/2.  With the fallback disabled a grid miss
-    raises ``SearchFailureError``, which callers treat as inconclusive
-    rather than as a negative fact.  Member points are checked against
-    the universe first, unless ``ctx`` holds ``sets`` as checked (see
-    ``CallContext``).
+    otherwise); if the grid has no admissible point, the exact worst
+    intra pair m yields the derived level 1 - r' = m/2.  Member points
+    are checked against the universe first, unless ``ctx`` holds
+    ``sets`` as checked (see ``CallContext``).
     """
     members = Family.of(sets, "bound-search").sets
     (ctx or CallContext(space)).check_members(sets, members)
@@ -137,15 +132,8 @@ def derive_bound_params(space: FuzzyMetricSpace, sets, reference_t,
         for t in times:
             if worst_by_t[t] > level:
                 return ScaleParams(1 - level, t)
-    if exact_fallback:
-        t_best = max(worst_by_t, key=lambda t: (worst_by_t[t], -t))
-        m = worst_by_t[t_best]
-        return ScaleParams(1 - m / 2, t_best)
-    raise SearchFailureError(
-        "inconclusive: no bound parameters on the search grid "
-        f"(worst intra value {fmt_value(min(worst_by_t.values()))}); "
-        "a larger grid or exact fallback may still certify"
-    )
+    t_best = max(worst_by_t, key=lambda t: (worst_by_t[t], -t))
+    return ScaleParams(1 - worst_by_t[t_best] / 2, t_best)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +396,8 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
     families whose distinct sets keep metric distance >= metric_sep are
     separated at (r, t) as soon as metric_sep >= s*t/(1-s).  Both the
     threshold arithmetic and the claimed separation are verified, after
-    the member points are checked against the universe.  As t/(t + d)
+    the member points are checked against the universe, once: the bound
+    search reads the check from the same ``CallContext``.  As t/(t + d)
     falls strictly in d, a cross distance is below metric_sep exactly
     when M exceeds t/(t + metric_sep), so each family's separation is
     read from its strongest cross pair (``family_max_cross``).
@@ -424,8 +413,9 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
             f"{fmt_value(needed)} required at s={fmt_value(s)}"
         )
     fams = tuple(f if isinstance(f, Family) else Family.of(f) for f in families)
-    for fam in fams:
-        _check_members(space, fam.sets)
+    members = [s for fam in fams for s in fam.sets]
+    ctx = CallContext(space)
+    ctx.check_members(members, members)
     near = params.t / (params.t + sep)
     for fam in fams:
         worst = family_max_cross(space, fam, params.t)
@@ -436,7 +426,7 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
                 f"are only {fmt_value(space.metric.distance(*pair))} apart at "
                 f"{fmt_pair(pair)}, below the claimed {fmt_value(sep)}"
             )
-    bound = derive_bound_params(space, [s for f in fams for s in f.sets], params.t)
+    bound = derive_bound_params(space, members, params.t, ctx)
     return DimensionWitness(len(fams) - 1, params, bound, fams, window)
 
 
@@ -554,7 +544,9 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
         level, t_out = _fattened_bound(space, want, input_bound)
         out_bound = ScaleParams(1 - level, t_out)
     else:
-        out_bound = derive_bound_params(space, out.all_sets(), params.t)
+        fat_sets = out.all_sets()
+        ctx.check_members(fat_sets, ())  # the same runs as ``out``
+        out_bound = derive_bound_params(space, fat_sets, params.t, ctx)
     rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),
                     "output-bounded", r=out_bound.r, t=out_bound.t)
     return out, rep
@@ -674,51 +666,6 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
 
 
 # ---------------------------------------------------------------------------
-# Zero-dimension search via refinement
-# ---------------------------------------------------------------------------
-
-
-def zero_dim_witness_via_refinement(space: FuzzyMetricSpace, params: ScaleParams,
-                                    window: Window, candidate: Cover = None) -> DimensionWitness:
-    """A multiplicity-1 cover refined by slightly smaller balls is a
-    one-family witness.
-
-    Distinct members of such a cover can never contain points within the
-    smaller ball threshold of each other (the ball around either point
-    sits inside one member), so the members are separated at (r, t).
-    Without a supplied candidate the finest admissible cover is used:
-    the components of the graph joining x and y when M(x, y, t) is above
-    the inner level, which holds each inner ball.  A supplied candidate's
-    member points are checked against the universe before anything else
-    of it.  Boundedness is searched on the grid only; a miss raises
-    ``SearchFailureError`` and means inconclusive, never a negative
-    certificate.
-    """
-    inner = ScaleParams((1 + params.r) / 2, params.t)  # 1 - r' = (1-r)/2 < 1-r
-    space._check_window(window)  # before any candidate check, as every ball sweep does
-    if candidate is None:
-        pts = window.points
-        edges = _threshold_edges(space, pts, inner.threshold, params.t, strict=True)
-        sets = [tuple(pts[i] for i in comp) for comp in _components(len(pts), edges)]
-    else:
-        sets = candidate.all_sets()
-        _check_members(space, sets)
-        if multiplicity(candidate, window) > 1:
-            raise CertificationError("candidate cover has multiplicity above 1")
-        if missing_points(sets, window):
-            raise CertificationError("candidate cover misses window points")
-        x = first_lebesgue_violation(space, candidate, inner, window)
-        if x is not None:
-            raise CertificationError(
-                f"ball of {fmt_value(x)} at the inner level "
-                f"{fmt_value(inner.threshold)} fits in no candidate member"
-            )
-    bound = derive_bound_params(space, sets, params.t, exact_fallback=False)
-    fam = Family.of(sets, "refined-partition")
-    return DimensionWitness(0, params, bound, (fam,), window)
-
-
-# ---------------------------------------------------------------------------
 # Scale graph and the oracle
 # ---------------------------------------------------------------------------
 
@@ -744,17 +691,16 @@ def _components(n: int, edges) -> list:
     return list(groups.values())
 
 
-def _threshold_edges(space: FuzzyMetricSpace, pts, bound: Fraction, t: Fraction, strict):
+def _threshold_edges(space: FuzzyMetricSpace, pts, bound: Fraction, t: Fraction):
     """Index pairs i < j of the sorted points ``pts``, as the space's order
     picks them, that give the components of the graph joining x and y when
-    M(x, y, t) > bound (``strict``) or M(x, y, t) >= bound (otherwise).
-    Only pairs i < j are evaluated, so this relies on M being symmetric."""
+    M(x, y, t) >= bound.  Only pairs i < j are evaluated, so this relies on
+    M being symmetric."""
     pair, bn, bd = space._pair, bound.numerator, bound.denominator
-    above = gt if strict else ge
 
     def joined(x, y):
         num, den = pair(x, y, t)
-        return above(num * bd, bn * den)
+        return num * bd >= bn * den
 
     return space.order.edges(pts, joined)
 
@@ -763,7 +709,7 @@ def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) ->
     """Components of the graph joining x, y when M(x, y, t) >= 1 - r."""
     space._check_window(window)
     pts = window.points
-    edges = _threshold_edges(space, pts, params.threshold, params.t, strict=False)
+    edges = _threshold_edges(space, pts, params.threshold, params.t)
     components = tuple(tuple(pts[i] for i in comp) for comp in _components(len(pts), edges))
     largest = max(components, key=len) if components else ()
     worst = min_intra_pair(space, largest, params.t) if len(largest) >= 2 else None

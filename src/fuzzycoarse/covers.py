@@ -25,8 +25,7 @@ from functools import cache, partial
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import is_, is_not, itemgetter, lt
 
-from .errors import DomainError, PreconditionError, UnsupportedOperationError
-from .rationals import as_fraction
+from .errors import PreconditionError, UnsupportedOperationError
 from .report import CertReport
 from .space import FuzzyMetricSpace, ScaleParams, Window, _coalesce_runs
 
@@ -287,26 +286,6 @@ def is_uniformly_bounded_family(space: FuzzyMetricSpace, family: Family,
     """Every intra-set pair strictly above 1 - r at time t."""
     _check_members(space, family.sets)
     return _is_bounded(space, family.sets, params)
-
-
-def cross_sup(space: FuzzyMetricSpace, u, v, t) -> Fraction:
-    """Maximum of M over the cross product of two non-empty finite sets."""
-    fam = Family.of((u, v))
-    if fam.dropped_empty:
-        raise DomainError("cross supremum over an empty set is undefined")
-    ft = as_fraction(t)
-    if ft <= 0:
-        raise DomainError(f"t must be positive, got {ft}")
-    _check_members(space, fam.sets)
-    return family_max_cross(space, fam, ft)[0]
-
-
-def is_scale_disjoint(space: FuzzyMetricSpace, family: Family,
-                      params: ScaleParams) -> bool:
-    """Every pair of distinct member sets has cross sup strictly below 1 - r."""
-    _check_members(space, family.sets)
-    worst = family_max_cross(space, family, params.t)
-    return worst is None or worst[0] < params.threshold
 
 
 def scale_neighborhood(space: FuzzyMetricSpace, u, params: ScaleParams,

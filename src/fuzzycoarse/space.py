@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import nsmallest
-from itertools import accumulate, chain, combinations, filterfalse, islice, product, repeat
+from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
 from operator import add, eq, itemgetter, le, mul
 from typing import Optional
 
@@ -568,33 +568,6 @@ class TableMetric(Metric):
             return self._vals[self._index[x]][self._index[y]]
         except KeyError:
             raise DomainError(f"point outside the table: {x if x not in self._index else y}") from None
-
-
-def check_metric_axioms(metric: Metric, window: Window) -> CertReport:
-    """Certify symmetry, identity, positivity and the triangle inequality
-    over all window triples (strong triangle for the max-ultrametric)."""
-    rep = CertReport("metric-axioms", metric=metric.name, window=window.label())
-    pts = window.points
-    n = len(pts)
-    dm = [[metric.distance(x, y) for y in pts] for x in pts]
-
-    def first_bad(bad):
-        found = _first_bad_pair((None,), n, lambda _, i, j: bad(i, j))
-        return (pts[found[1]], pts[found[2]]) if found else None
-
-    bad_zero = next((x for i, x in enumerate(pts) if dm[i][i] != 0), None)
-    bad_sym = first_bad(lambda i, j: dm[i][j] != dm[j][i])
-    bad_pos = first_bad(lambda i, j: dm[i][j] <= 0)
-    rep.add_verdict(bad_zero is None, "zero-diagonal", witness=bad_zero)
-    rep.add_verdict(bad_sym is None, "symmetry", witness=fmt_pair(bad_sym))
-    rep.add_verdict(bad_pos is None, "positivity", witness=fmt_pair(bad_pos))
-
-    strong = isinstance(metric, MaxUltrametric)
-    join = max if strong else add
-    bad_tri = next(((pts[i], pts[j], pts[k]) for i, j, k in product(range(n), repeat=3)
-                    if dm[i][k] > join(dm[i][j], dm[j][k])), None)
-    rep.add_verdict(bad_tri is None, "strong-triangle" if strong else "triangle", witness=bad_tri)
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,6 @@ from fuzzycoarse import (
     witness_ratio_minmax,
     witness_reciprocal_product,
     witness_whole_window,
-    zero_dim_witness_via_refinement,
 )
 from fuzzycoarse import asdim, covers
 from fuzzycoarse.config import dump_json, witness_from_json, witness_to_json
@@ -52,9 +52,9 @@ from fuzzycoarse.errors import (
     NonArchimedeanViolationError,
     OracleSizeError,
     PreconditionError,
-    SearchFailureError,
     UnsupportedOperationError,
 )
+from fuzzycoarse.report import fmt_value
 
 F = Fraction
 R_GRID = [F(1, 4), F(1, 2), F(3, 4), F(9, 10)]
@@ -150,12 +150,6 @@ def test_whole_window_pathological_degradation():
     bounded = next(c for c in rep.checks if c.predicate == "bounded")
     assert dict(bounded.details)["min"] == "1/100"
     assert dict(bounded.details)["pair"] == "1~100"
-
-
-def test_whole_window_strict_grid_fails():
-    pat = pathological_space()
-    with pytest.raises(SearchFailureError):
-        derive_bound_params(pat, [int_window(1, 100).points], 1, exact_fallback=False)
 
 
 def test_witness_structure_validation():
@@ -469,6 +463,39 @@ def test_lift_separation_check_catches_lies():
         lift_metric_families(std, [shared], 5, ScaleParams(F(1, 3), 2), int_window(0, 4))
 
 
+def _counting_universe(monkeypatch, space):
+    """Record every point ``space``'s universe is asked about."""
+    calls = []
+    contains = space.universe._contains
+    monkeypatch.setattr(space.universe, "_contains", lambda p: calls.append(p) or contains(p))
+    return calls
+
+
+def test_member_points_are_checked_once_per_call(monkeypatch):
+    """On a finite universe every point costs one universe call.  The lift
+    checks its 16 member points once, and its bound search reads that check
+    from the same context; the Lebesgue stage with no input bound checks
+    the 40 window and 40 member points once, and not the runs it fattens
+    them to.  A point outside the universe is still refused first."""
+    sub = subspace(standard_space(), range(40))
+    calls = _counting_universe(monkeypatch, sub)
+    fam_a = Family.of([range(0, 4), range(20, 24)], "A")
+    fam_b = Family.of([range(10, 14), range(30, 34)], "B")
+    params = ScaleParams(F(1, 3), 2)
+    lift_metric_families(sub, [fam_a, fam_b], 5, params, int_window(0, 39))
+    assert sorted(calls) == sorted(p for fam in (fam_a, fam_b) for s in fam.sets for p in s)
+    with pytest.raises(DomainError, match="point 40 is outside the finite universe"):
+        lift_metric_families(sub, [fam_a, Family.of([(12,), (40,)])], 5, params,
+                             int_window(0, 39))
+
+    ratio = subspace(ratio_minmax_space(), range(1, 41))
+    calls = _counting_universe(monkeypatch, ratio)
+    w = int_window(1, 40)
+    cover = Cover.of([Family.of([range(1, 21), range(21, 41)])], w)
+    _, rep = lebesgue_cover_from_multiplicity(ratio, cover, ScaleParams(F(1, 2), 1))
+    assert rep.passed and sorted(calls) == sorted([*w, *w])
+
+
 def test_restrict_witness_hereditary():
     ratio = ratio_minmax_space()
     w = int_window(1, 100)
@@ -734,49 +761,53 @@ def test_pipeline_refuses_a_t_dependent_space_before_any_work():
 
 
 # ---------------------------------------------------------------------------
-# zero-dimension via refinement
+# zero dimension: one separated family
 # ---------------------------------------------------------------------------
 
 
+def one_family(space, params, w, sets):
+    """The one-family witness of a candidate partition of the window, with
+    its bound parameters found by ``derive_bound_params``."""
+    bound = derive_bound_params(space, sets, params.t)
+    return DimensionWitness(0, params, bound, (Family.of(sets, "candidate"),), w)
+
+
 def test_zero_dim_from_ball_partition():
+    """The distinct balls of the ball partition are one separated family, and
+    they verify with their bound parameters searched afresh."""
     ult = ultrametric_space()
     w = int_window(1, 60)
     params = ScaleParams(F(1, 2), 10)
     partition = witness_ball_partition(ult, params, None, w)
-    cand = Cover.of(partition.families, w)
-    wit = zero_dim_witness_via_refinement(ult, params, w, candidate=cand)
+    wit = one_family(ult, params, w, partition.families[0].sets)
     assert wit.n == 0
     assert verify_witness(ult, wit).passed
 
 
 def test_zero_dim_from_head_partition():
+    """The head-plus-singletons partition at the stronger level
+    (1 - r)/2 is separated at (r, t) too."""
     rec = reciprocal_product_space()
     w = int_window(1, 100)
     params = ScaleParams(F(1, 2), 1)
     inner = ScaleParams((1 + params.r) / 2, params.t)
     partition = witness_reciprocal_product(inner, w)
-    cand = Cover.of(partition.families, w)
-    wit = zero_dim_witness_via_refinement(rec, params, w, candidate=cand)
-    assert verify_witness(rec, wit).passed
+    assert verify_witness(rec, one_family(rec, params, w, partition.families[0].sets)).passed
 
 
 def test_zero_dim_searched_components():
+    """The components of the scale graph at (r, t) are the finest separated
+    partition of the window: no pair across two of them reaches 1 - r."""
     rec = reciprocal_product_space()
     w = int_window(1, 100)
-    wit = zero_dim_witness_via_refinement(rec, ScaleParams(F(1, 2), 1), w)
-    assert verify_witness(rec, wit).passed
-
-
-def test_zero_dim_inconclusive_on_spanning_component():
-    ratio = ratio_minmax_space()
-    with pytest.raises(SearchFailureError) as err:
-        zero_dim_witness_via_refinement(ratio, ScaleParams(F(1, 2), 1), int_window(1, 100))
-    assert "inconclusive" in str(err.value)
+    params = ScaleParams(F(1, 2), 1)
+    components = scale_graph(rec, params, w).components
+    assert verify_witness(rec, one_family(rec, params, w, components)).passed
 
 
 def _clusters_space():
     """Points 1..6 in three clusters {1,4}, {2,5}, {3,6} at distance 1,
-    10 apart: at the inner level of (1/2, 1) every ball is its cluster,
+    10 apart: at (1/2, 1) every cluster is a component of the scale graph,
     two runs of the window."""
     close = {frozenset(c) for c in ((1, 4), (2, 5), (3, 6))}
     pts = list(range(1, 7))
@@ -785,47 +816,47 @@ def _clusters_space():
     return standard_space(TableMetric(pts, matrix))
 
 
-@pytest.mark.parametrize("space, w, sets, message", [
+@pytest.mark.parametrize("space, w, sets, failure", [
     (reciprocal_product_space(), int_window(1, 10), [range(1, 4), range(3, 11)],
-     "candidate cover has multiplicity above 1"),
+     "FAIL disjoint family=candidate sup=1 pair=3~3 bound=1/2"),
     (reciprocal_product_space(), int_window(1, 10), [range(1, 4), range(6, 11)],
-     "candidate cover misses window points"),
+     "FAIL cover missing=2 witness=4"),
     (ratio_minmax_space(), int_window(1, 40), [range(1, 21), range(21, 41)],
-     "ball of 6 at the inner level 1/4 fits in no candidate member"),
+     "FAIL disjoint family=candidate sup=20/21 pair=20~21 bound=1/2"),
     (ratio_minmax_space(), int_window(1, 40), [[1, 2, 3, 4, 5, 30, 31], range(6, 30),
                                                range(32, 41)],
-     "ball of 2 at the inner level 1/4 fits in no candidate member"),
+     "FAIL disjoint family=candidate sup=31/32 pair=31~32 bound=1/2"),
     (_clusters_space(), Window(range(1, 7)), [[1, 2, 4], [3, 5, 6]],
-     "ball of 2 at the inner level 1/4 fits in no candidate member"),
+     "FAIL disjoint family=candidate sup=1/2 pair=2~5 bound=1/2"),
     (reciprocal_product_space(), int_window(1, 10), [[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]],
-     "ball of 1 at the inner level 1/4 fits in no candidate member"),
+     "FAIL disjoint family=candidate sup=1/2 pair=1~2 bound=1/2"),
 ], ids=["overlap", "gap", "ratio-later-point", "ratio-split-member", "clusters-split-ball",
         "reciprocal-first-point"])
-def test_zero_dim_candidate_refusals(space, w, sets, message):
-    cand = Cover.of([Family.of(sets)], w)
-    with pytest.raises(CertificationError) as err:
-        zero_dim_witness_via_refinement(space, ScaleParams(F(1, 2), 1), w, candidate=cand)
-    assert str(err.value) == message
+def test_zero_dim_candidate_refusals(space, w, sets, failure):
+    """A candidate partition that is no one-family witness fails on its
+    first uncovered point or its strongest cross pair, on the closed test
+    M >= 1 - r."""
+    rep = verify_witness(space, one_family(space, ScaleParams(F(1, 2), 1), w, sets))
+    assert rep.failures()[0].line() == failure
 
 
 @pytest.mark.parametrize("sets, point", [([range(1, 6), [0, 1]], 0), ([[1, 2], [0]], 0)],
                          ids=["overlap", "gap"])
 def test_zero_dim_candidate_points_outside_the_universe_are_refused(sets, point):
     """A candidate member point outside the universe is refused before the
-    multiplicity and cover checks, which would name another failure."""
-    cand = Cover.of([Family.of(sets)], int_window(1, 5))
+    cover and separation verdicts, which would name another failure."""
+    params = ScaleParams(F(1, 2), 1)
+    wit = DimensionWitness(0, params, params, (Family.of(sets),), int_window(1, 5))
     with pytest.raises(DomainError, match=f"point {point} is outside the naturals universe"):
-        zero_dim_witness_via_refinement(ratio_minmax_space(), ScaleParams(F(1, 2), 1),
-                                        int_window(1, 5), candidate=cand)
+        verify_witness(ratio_minmax_space(), wit)
 
 
 def test_zero_dim_candidate_of_split_members():
-    """Members of two runs each hold balls of two runs."""
+    """Members of two runs each, one or two clusters apiece."""
     space, w = _clusters_space(), Window(range(1, 7))
     params = ScaleParams(F(1, 2), 1)
     for sets in ([[1, 4], [2, 5], [3, 6]], [[1, 3, 4, 6], [2, 5]]):
-        cand = Cover.of([Family.of(sets)], w)
-        wit = zero_dim_witness_via_refinement(space, params, w, candidate=cand)
+        wit = one_family(space, params, w, sets)
         assert wit.families[0].sets == tuple(tuple(s) for s in sets)
         assert verify_witness(space, wit).passed
 
@@ -833,8 +864,9 @@ def test_zero_dim_candidate_of_split_members():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_zero_dim_candidate_matches_brute_force(data):
-    """A candidate partition is refused at the first window point whose
-    inner ball, found by evaluating M on every pair, fits in no member."""
+    """A candidate partition verifies as a one-family witness exactly when M
+    on every pair across two members stays below 1 - r, and the reported
+    sup is the largest of those values."""
     space, w = data.draw(st.sampled_from([
         (ratio_minmax_space(), int_window(1, 12)),
         (reciprocal_product_space(), int_window(1, 12)),
@@ -845,27 +877,11 @@ def test_zero_dim_candidate_matches_brute_force(data):
     sets = [[p for p, k in zip(w, labels) if k == label] for label in sorted(set(labels))]
     params = ScaleParams(data.draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)])),
                          data.draw(st.sampled_from([1, 3])))
-    inner = (1 - params.r) / 2
-    bad = next((x for x in w
-                if not any(all(space.value(x, y, params.t) <= inner or y in s for y in w)
-                           for s in sets)), None)
-    cand = Cover.of([Family.of(sets)], w)
-    try:
-        zero_dim_witness_via_refinement(space, params, w, candidate=cand)
-    except CertificationError as err:
-        assert str(err).startswith(f"ball of {bad} at the inner level")
-    except SearchFailureError:
-        assert bad is None
-    else:
-        assert bad is None
-
-
-def _per_point_edges(space, params, w):
-    """The zero-dimension search's graph spelled out: each centre joined to
-    every point of its ball at the inner level."""
-    inner = ScaleParams((1 + params.r) / 2, params.t)
-    swept = space.balls(w.points, inner.threshold, params.t, w)
-    return [(i, k) for i, runs in enumerate(swept) for run in runs for k in range(*run)]
+    cross = [space.value(x, y, params.t) for a, b in combinations(sets, 2) for x in a for y in b]
+    rep = verify_witness(space, one_family(space, params, w, sets))
+    assert rep.passed == all(v < params.threshold for v in cross)
+    disjoint = dict(next(c for c in rep.checks if c.predicate == "disjoint").details)
+    assert disjoint["sup"] == (fmt_value(max(cross)) if cross else "-")
 
 
 def _recording_components(monkeypatch):
@@ -881,36 +897,13 @@ def _recording_components(monkeypatch):
     return seen
 
 
-def test_zero_dim_components_match_the_per_point_edges(monkeypatch):
-    """Centres joined to their runs' first points and overlapping runs
-    joined as paths give the components of the per-point ball edges."""
-    components = asdim._components
-    seen = _recording_components(monkeypatch)
-    cases = [(factory(), w) for factory in (ratio_minmax_space, reciprocal_product_space,
-                                            pathological_space, ultrametric_space,
-                                            standard_space)
-             for w in (int_window(1, 60), Window(range(1, 120, 3)),
-                       Window([1, 2, 3, 5, 8, 13, 21, 34, 55, 89]))]
-    cases += [(standard_space(), int_window(-20, 20)), (_clusters_space(), Window(range(1, 7)))]
-    for space, w in cases:
-        for params in (ScaleParams(F(1, 2), 1), ScaleParams(F(1, 4), 3), ScaleParams(F(3, 4), 10)):
-            seen.clear()
-            try:
-                zero_dim_witness_via_refinement(space, params, w)
-            except SearchFailureError:
-                pass
-            assert len(seen) == 1
-            assert (components(len(w), seen[0])
-                    == components(len(w), _per_point_edges(space, params, w)))
-
-
 def test_zero_dim_search_edges_are_linear_in_the_window(monkeypatch):
-    """On ratio 1..2000 every inner ball holds a large share of the window,
-    yet the search hands the component finder at most three edges a point."""
+    """The finest separated partition comes from the scale graph.  On ratio
+    1..2000 at (1/2, 1) it spans the window, and every ball holds a large
+    share of it, yet the component finder gets at most three edges a point."""
     seen = _recording_components(monkeypatch)
     w = int_window(1, 2000)
-    with pytest.raises(SearchFailureError):
-        zero_dim_witness_via_refinement(ratio_minmax_space(), ScaleParams(F(1, 2), 1), w)
+    assert scale_graph(ratio_minmax_space(), ScaleParams(F(1, 2), 1), w).spanning
     assert len(seen) == 1 and len(seen[0]) <= 3 * len(w)
 
 
@@ -929,16 +922,15 @@ def _counted_pairs(monkeypatch, space):
 
 def test_threshold_graphs_make_one_pair_call_per_point(monkeypatch):
     """On a flagged kind each window point's threshold edge comes from one
-    ``pair`` call, however large the balls: the zero-dimension search on
-    ratio 1..2000 (radial, one spanning component) and the scale graph on
-    reciprocal 1..2000 at 999/1000 (coordinate-decreasing, 1..1000 and
-    1000 singletons) each make at most n calls in all."""
+    ``pair`` call, however large the balls: the scale graph on ratio
+    1..2000 at 1/2 (radial, one spanning component) and on reciprocal
+    1..2000 at 999/1000 (coordinate-decreasing, 1..1000 and 1000
+    singletons) each make at most n calls in all."""
     n = 2000
     w = int_window(1, n)
     ratio, rec = ratio_minmax_space(), reciprocal_product_space()
     calls = _counted_pairs(monkeypatch, ratio)
-    with pytest.raises(SearchFailureError):
-        zero_dim_witness_via_refinement(ratio, ScaleParams(F(1, 2), 1), w)
+    assert scale_graph(ratio, ScaleParams(F(1, 2), 1), w).spanning
     assert calls[0] <= n
     calls = _counted_pairs(monkeypatch, rec)
     graph = scale_graph(rec, ScaleParams(F(999, 1000), 1), w)
@@ -979,14 +971,21 @@ def test_scale_graph_near_one_spans():
 
 @pytest.mark.parametrize(
     "factory", [standard_space, ratio_minmax_space, reciprocal_product_space,
-                pathological_space, ultrametric_space])
+                pathological_space, ultrametric_space, _clusters_space])
 @pytest.mark.parametrize("r,t", [(F(1, 3), 1), (F(1, 2), 2), (F(4, 5), 1)])
 def test_scale_graph_matches_brute(factory, r, t):
+    """On a run window, on every third point and on the Fibonacci numbers;
+    the cluster table on its own points, where components are two runs."""
     sp = factory()
-    lo = 1 if sp.universe.name == "naturals" else -7
-    w = int_window(lo, 14)
+    if sp.universe.name == "finite":
+        windows = [Window(sp.metric.points)]
+    else:
+        lo = 1 if sp.universe.name == "naturals" else -7
+        windows = [int_window(lo, 14), Window(range(1, 120, 3)),
+                   Window([1, 2, 3, 5, 8, 13, 21, 34, 55, 89])]
     params = ScaleParams(r, t)
-    assert scale_graph(sp, params, w).components == brute_components(sp, params, w)
+    for w in windows:
+        assert scale_graph(sp, params, w).components == brute_components(sp, params, w)
 
 
 def test_scale_graph_uses_the_coordinate_decreasing_flag_not_a_formula():

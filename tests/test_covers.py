@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import copy
 
@@ -17,14 +17,12 @@ from fuzzycoarse import (
     TableMetric,
     Window,
     ball,
-    cross_sup,
     derive_bound_params,
     derived_scale,
     first_lebesgue_violation,
     first_refinement_violation,
     grid_window,
     int_window,
-    is_scale_disjoint,
     is_uniformly_bounded_family,
     lebesgue_cover_from_multiplicity,
     multiplicity,
@@ -167,6 +165,20 @@ def test_boundedness_monotone_in_r_and_t():
 # ---------------------------------------------------------------------------
 
 
+def cross_sup(space, u, v, t):
+    """The largest M(x, y, t) over x in u and y in v, as ``family_max_cross``
+    reads it from the two-member family {u, v}."""
+    return family_max_cross(space, Family.of((u, v)), F(t))[0]
+
+
+def separated(space, family, params):
+    """The ``disjoint`` verdict of ``verify_witness`` on a one-family witness
+    of ``family`` over the window of its points."""
+    w = Window(chain.from_iterable(family.sets))
+    rep = verify_witness(space, DimensionWitness(0, params, params, (family,), w))
+    return all(c.verdict == "PASS" for c in rep.checks if c.predicate == "disjoint")
+
+
 def test_cross_sup_examples():
     std = standard_space()
     assert cross_sup(std, [0], [0], 1) == 1
@@ -174,8 +186,7 @@ def test_cross_sup_examples():
     assert cross_sup(rec, [3], [4, 5], 1) == F(1, 12)
     ratio = ratio_minmax_space()
     assert cross_sup(ratio, [1, 2], [3, 4], 1) == F(2, 3)
-    with pytest.raises(DomainError):
-        cross_sup(std, [], [1], 1)
+    assert family_max_cross(std, Family.of(([], [1])), 1) is None  # the empty member is dropped
 
 
 point_sets = st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=5)
@@ -191,11 +202,11 @@ def test_cross_sup_matches_brute(factory, u, v, t):
 
 def test_disjoint_examples():
     p = ScaleParams(F(1, 2), 1)
-    assert is_scale_disjoint(standard_space(), Family.of([[1, 2, 3]]), p)  # single set
+    assert separated(standard_space(), Family.of([[1, 2, 3]]), p)  # single set
     rec = reciprocal_product_space()
-    assert is_scale_disjoint(rec, Family.of([[1, 2], [3], [4]]), p)
+    assert separated(rec, Family.of([[1, 2], [3], [4]]), p)
     ratio = ratio_minmax_space()
-    assert not is_scale_disjoint(ratio, Family.of([[3, 4], [5]]), p)
+    assert not separated(ratio, Family.of([[3, 4], [5]]), p)
 
 
 def test_disjoint_antitone_in_r_and_t():
@@ -204,12 +215,12 @@ def test_disjoint_antitone_in_r_and_t():
     for t in (1, 2, 4):
         for ra, rb in [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))]:
             # disjoint at larger r implies disjoint at smaller r
-            if is_scale_disjoint(std, fam, ScaleParams(rb, t)):
-                assert is_scale_disjoint(std, fam, ScaleParams(ra, t))
+            if separated(std, fam, ScaleParams(rb, t)):
+                assert separated(std, fam, ScaleParams(ra, t))
     for r in (F(1, 4), F(1, 2)):
         for ta, tb in [(1, 2), (2, 8)]:
-            if is_scale_disjoint(std, fam, ScaleParams(r, tb)):
-                assert is_scale_disjoint(std, fam, ScaleParams(r, ta))
+            if separated(std, fam, ScaleParams(r, tb)):
+                assert separated(std, fam, ScaleParams(r, ta))
 
 
 small_sets = st.lists(
@@ -796,8 +807,6 @@ def test_member_points_outside_the_universe_are_refused(factory, pair):
     with pytest.raises(DomainError, match=match):
         is_uniformly_bounded_family(space, Family.of([pair]), p)
     with pytest.raises(DomainError, match=match):
-        is_scale_disjoint(space, Family.of([[pair[0]], [pair[1]]]), p)
-    with pytest.raises(DomainError, match=match):
         derive_bound_params(space, [pair], 1)
     w = int_window(1, 3)
     with pytest.raises(DomainError, match=match):
@@ -934,22 +943,20 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_threshold_edges_give_the_components_of_every_pair(data):
-    """The strict and the closed threshold graphs have the same components
-    from an ordered kind's one edge per point, from the pair scan of its
-    unordered copy and from M on every pair, over run, sparse and
-    rational-grid windows.  The threshold is a scale's level or a value
-    of M on the window, where the two graphs differ."""
+    """The closed threshold graph has the same components from an ordered
+    kind's one edge per point, from the pair scan of its unordered copy
+    and from M on every pair, over run, sparse and rational-grid windows.
+    The threshold is a scale's level or a value of M on the window, where
+    the closed and the strict graphs differ."""
     space, w, _ = data.draw(spaces_and_windows())
     p = data.draw(SCALES)
     pts = w.points
     value = {(i, j): space.value(pts[i], pts[j], p.t)
              for i, j in combinations(range(len(pts)), 2)}
     b = data.draw(st.sampled_from(sorted(set(value.values())) + [p.threshold]))
-    for strict in (True, False):
-        brute = [ij for ij, v in value.items() if (v > b if strict else v >= b)]
-        expected = _components(len(pts), brute)
-        for sp in (space, unordered(space)):
-            assert _components(len(pts), _threshold_edges(sp, pts, b, p.t, strict)) == expected
+    expected = _components(len(pts), [ij for ij, v in value.items() if v >= b])
+    for sp in (space, unordered(space)):
+        assert _components(len(pts), _threshold_edges(sp, pts, b, p.t)) == expected
 
 
 @pytest.mark.parametrize("cases, line_kinds", [
@@ -1017,8 +1024,6 @@ def test_extremal_checks_refuse_points_outside_the_universe():
     each public check raises ``DomainError`` before M is evaluated."""
     sp, p = ultrametric_space(), ScaleParams(F(1, 2), 1)
     for call in (lambda: min_intra_pair(sp, (-2, -1), 1),
-                 lambda: cross_sup(sp, (-2,), (-1,), 1),
-                 lambda: is_scale_disjoint(sp, Family.of([(-2,), (-1,)]), p),
                  lambda: is_uniformly_bounded_family(sp, Family.of([(-2, -1)]), p),
                  lambda: scale_graph(sp, p, int_window(-2, -1))):
         with pytest.raises(DomainError, match="point -2 is outside the naturals universe"):

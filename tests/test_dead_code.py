@@ -4,7 +4,7 @@ Four rules: every name a library module imports is used in that module,
 every private module-level function is used by the library outside its
 own body, every parameter of a module-level function is read in its
 body, and every name ``__init__.py`` re-exports is used by the library,
-the CLI or a demo, apart from an explicit list of names only tests call.
+the CLI or a demo, so no public name is called only by tests.
 ``__init__.py`` only re-exports, so its imports are its point.
 """
 
@@ -15,9 +15,6 @@ import fuzzycoarse
 
 SOURCES = sorted(Path(fuzzycoarse.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
-# Re-exported names that only tests call; a new one fails the re-export rule.
-TEST_ONLY_EXPORTS = {"check_metric_axioms", "subspace", "cross_sup", "is_scale_disjoint",
-                     "restrict_witness", "zero_dim_witness_via_refinement", "compose_closeness"}
 
 
 def _parse(path):
@@ -100,4 +97,4 @@ def test_every_re_export_is_used_by_the_library_or_a_demo():
     in_demos = set().union(*(_read_names(_parse(path)) for path in DEMOS))
     unused = {name for name in exported - in_demos
               if all(getattr(node, "name", None) == name for node in users.get(name, ()))}
-    assert unused == TEST_ONLY_EXPORTS
+    assert unused == set()

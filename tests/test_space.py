@@ -21,7 +21,6 @@ from fuzzycoarse import (
     Window,
     ball,
     check_axioms,
-    check_metric_axioms,
     grid_window,
     int_window,
     is_bounded,
@@ -35,6 +34,7 @@ from fuzzycoarse import (
     threshold_split,
     ultrametric_space,
     union_bound,
+    witness_ball_partition,
 )
 from fuzzycoarse.errors import (
     DomainError,
@@ -43,7 +43,7 @@ from fuzzycoarse.errors import (
     UnsupportedOperationError,
 )
 from fuzzycoarse.report import fmt_value
-from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, Metric, _Prefix, _Radial, _Unordered
+from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, _Prefix, _Radial, _Unordered
 
 F = Fraction
 
@@ -285,46 +285,17 @@ def test_table_metric():
     tm = TableMetric([10, 20, 30], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     sp = standard_space(tm)
     assert sp.value(10, 30, 2) == F(1, 2)
-    rep = check_metric_axioms(tm, Window([10, 20, 30]))
-    assert rep.passed
+    assert check_axioms(sp, Window([10, 20, 30]), [1, 2]).passed
     with pytest.raises(DomainError):
         TableMetric([1, 2], [[0, 1], [2, 0]])  # asymmetric
 
 
 def test_max_ultrametric_strong_triangle():
-    rep = check_metric_axioms(MaxUltrametric(), int_window(1, 15))
-    assert rep.passed
-
-
-class _DefectiveLine(Metric):
-    """|x - y| on the integers, with a defect at two places for each of
-    the zero-diagonal, symmetry and positivity axioms; counts its calls."""
-
-    name = "defective-line"
-
-    def __init__(self):
-        self.calls = 0
-
-    def distance(self, x, y):
-        self.calls += 1
-        if x == y:
-            return 1 if x in (2, 3) else 0
-        if (x, y) in ((1, 2), (3, 4)):
-            return abs(x - y) + 1  # d(2, 1) and d(4, 3) stay |x - y|
-        if {x, y} in ({1, 3}, {2, 4}):
-            return -1
-        return abs(x - y)
-
-
-def test_metric_axioms_name_the_first_bad_pair():
-    """Each axiom names its first bad point or pair in scan order, and
-    every distance is evaluated once."""
-    metric = _DefectiveLine()
-    lines = check_metric_axioms(metric, Window([1, 2, 3, 4])).lines()
-    assert "FAIL zero-diagonal witness=2" in lines
-    assert "FAIL symmetry witness=1~2" in lines
-    assert "FAIL positivity witness=1~3" in lines
-    assert metric.calls == 16
+    """max(x, y) off the diagonal is an ultrametric, so under min the
+    space's M is non-Archimedean, which the ball partition checks."""
+    d, w = MaxUltrametric().distance, int_window(1, 15)
+    assert all(d(x, z) <= max(d(x, y), d(y, z)) for x in w for y in w for z in w)
+    witness_ball_partition(ultrametric_space(), ScaleParams(F(1, 2), 1), None, w)
 
 
 def test_line_distances_refuse_floats():
@@ -335,7 +306,7 @@ def test_line_distances_refuse_floats():
     assert EuclideanLine().distance(F(1, 2), 2) == F(3, 2)
     for metric in (EuclideanLine(), MaxUltrametric()):
         with pytest.raises(DomainError, match="not an exact rational"):
-            check_metric_axioms(metric, Window([0.5, 1.5]))
+            metric.distance(0.5, 1.5)
     with pytest.raises(DomainError, match="not an exact rational"):
         standard_space(universe=RATIONALS)._pair(0.5, 1, F(1))
 
@@ -392,11 +363,9 @@ def test_subspace_degenerate_cases():
             assert full.value(x, y, 1) == rec.value(x, y, 1)
     empty = subspace(rec, [])
     assert is_bounded(empty, [], ScaleParams(F(1, 2), 1))
-    from fuzzycoarse import Family, is_scale_disjoint, is_uniformly_bounded_family
+    from fuzzycoarse import Family, is_uniformly_bounded_family
 
-    fam = Family.of([])
-    assert is_uniformly_bounded_family(empty, fam, ScaleParams(F(1, 2), 1))
-    assert is_scale_disjoint(empty, fam, ScaleParams(F(1, 2), 1))
+    assert is_uniformly_bounded_family(empty, Family.of([]), ScaleParams(F(1, 2), 1))
 
 
 # ---------------------------------------------------------------------------
