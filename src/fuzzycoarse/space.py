@@ -35,13 +35,13 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import nsmallest
 from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
-from operator import add, eq, itemgetter, le, mul
+from operator import add, and_, eq, itemgetter, le, mul, ne
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
 from .rationals import as_fraction
 from .report import CertReport, fmt_pair, fmt_value
-from .tnorm import LUKASIEWICZ, MINIMUM, PRODUCT, TNorm, is_positivity_preserving
+from .tnorm import BUILTIN_TNORMS, LUKASIEWICZ, MINIMUM, PRODUCT, TNorm, is_positivity_preserving
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,14 @@ class Window:
         return tuple(chain.from_iterable(self.points[i:j] for i, j in runs))
 
     def run_set(self, runs):
-        """A member set holding the points of a run list: a step-1 ``range``
-        for one run of two or more points of a window of consecutive
-        integers, otherwise a tuple."""
+        """A member set holding the points of a run list, in the form
+        ``Family`` gives it: a step-1 ``range`` for two or more consecutive
+        ``int``s (on a window of consecutive integers, one run, sliced in
+        O(1)), otherwise a tuple."""
         if len(runs) == 1 and runs[0][1] - runs[0][0] > 1 and self.is_contiguous_ints():
             return self._seq[slice(*runs[0])]
-        return self.points_of(runs)
+        pts = self.points_of(runs)
+        return range(pts[0], pts[-1] + 1) if _consecutive_ints(pts) else pts
 
     def label(self) -> str:
         s = self._seq
@@ -202,6 +204,13 @@ class Window:
 
     def __repr__(self):
         return f"Window({self.label()})"
+
+
+def _consecutive_ints(pts) -> bool:
+    """Whether sorted, duplicate-free points are two or more consecutive
+    ``int``s; a ``Fraction`` or ``bool`` among them makes this False."""
+    return (len(pts) > 1 and type(pts[0]) is int and type(pts[-1]) is int
+            and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int})
 
 
 def _coalesce_runs(runs) -> list:
@@ -464,13 +473,18 @@ UNIVERSES = {"naturals": NATURALS, "integers": INTEGERS, "rationals": RATIONALS}
 class Metric:
     """An exact metric; ``line_compatible`` means the distance respects the
     point order (d grows as pairs nest outward on the sorted line), and
-    ``universe`` is the point set it is a metric on, which a standard space
-    takes when it is given none, and ``universe_names`` are the built-in
-    universes it is a metric on.  A distance is an exact rational: an int
-    or a Fraction; any other value raises ``DomainError``."""
+    ``line_combine`` how it composes along that line: ``add`` for a path
+    metric, d(a_i, a_k) = d(a_i, a_(k-1)) + d(a_(k-1), a_k), ``max`` for
+    an ultrametric, or None; ``check_axioms`` checks the claim on its
+    window before it relies on it.  ``universe`` is the point set it is a
+    metric on, which a standard space takes when it is given none, and
+    ``universe_names`` are the built-in universes it is a metric on.  A
+    distance is an exact rational: an int or a Fraction; any other value
+    raises ``DomainError``."""
 
     name = "metric"
     line_compatible = False
+    line_combine = None
     universe = INTEGERS
     universe_names = frozenset()
 
@@ -483,6 +497,7 @@ class EuclideanLine(Metric):
 
     name = "euclidean"
     line_compatible = True
+    line_combine = add
     universe_names = frozenset(UNIVERSES)
 
     def distance(self, x, y):
@@ -528,6 +543,7 @@ class MaxUltrametric(Metric):
 
     name = "max_ultrametric"
     line_compatible = True
+    line_combine = max
     universe = NATURALS
     universe_names = frozenset({"naturals"})
 
@@ -599,6 +615,12 @@ class _Kind:
             mats[t] = ([[p[0] for p in row] for row in rows], [[p[1] for p in row] for row in rows])
         return mats
 
+    def certifies_axioms(self, pts) -> bool:
+        """Whether facts checked on the sorted points prove every verdict
+        of ``check_axioms`` a pass under a built-in t-norm, without a
+        matrix: a kind with no such certificate says False."""
+        return False
+
 
 class _StandardKind(_Kind):
     def __init__(self, metric: Metric, name="standard"):
@@ -626,6 +648,34 @@ class _StandardKind(_Kind):
             mats[t] = (nums, [list(map(add, nr, map(td.__mul__, row)))
                               for nr, row in zip(nums, dn)])
         return mats
+
+    def certifies_axioms(self, pts) -> bool:
+        """Whether d is a path metric or an ultrametric along the sorted
+        points, as the metric's ``line_combine`` claims, read one row of
+        distances at a time: O(n^2) ``distance`` calls, O(n) memory.
+
+        The gaps g[m] = d(a_(m-1), a_m) must be positive, and each row i
+        must have d(a_i, a_i) = 0 and, moving away from i,
+        d(a_i, a_k) = combine(d(a_i, a_(k-1)), g[k]) to the right and
+        combine(d(a_i, a_(k+1)), g[k+1]) to the left.  Then d(a_i, a_k)
+        is the sum (``add``) or the largest (``max``) of the gaps between
+        them, so d is symmetric, positive off the diagonal and satisfies
+        the triangle inequality on the points, as every gap between a_i
+        and a_k lies between a_i and a_j or between a_j and a_k."""
+        combine = self.metric.line_combine
+        if not (self.metric.line_compatible and combine):
+            return False
+        distance = self.metric.distance
+        gaps = list(map(distance, pts, pts[1:]))  # gaps[m] = g[m + 1]
+        if not all(g > 0 for g in gaps):
+            return False
+        for i, x in enumerate(pts):
+            row = list(map(distance, repeat(x), pts))
+            if not (row[i] == 0
+                    and all(map(eq, row[i + 1:], map(combine, row[i:-1], gaps[i:])))
+                    and all(map(eq, row[:i], map(combine, row[1:i + 1], gaps[:i])))):
+                return False
+        return True
 
 
 class _ReciprocalKind(_Kind):
@@ -1100,14 +1150,16 @@ def _min_transitive(mat) -> bool:
     return True
 
 
-def _first_bad_pair(keys, n, bad, diagonal=False):
-    """The first ``(key, i, j)`` with ``bad(key, i, j)``, scanning keys,
-    then i, then j from i (with ``diagonal``) or i + 1, or None."""
+def _first_bad_pair(keys, n, row_ok, diagonal=False):
+    """The first ``(key, i, j)`` at which ``row_ok(key, i, start)``, one
+    bool per j from start = i (with ``diagonal``) or i + 1, is false,
+    scanning keys, then i, then j; or None.  A row is tested by ``map``
+    over the matrix rows, and j is looked up only in a row that fails."""
     for key in keys:
         for i in range(n):
-            for j in range(i if diagonal else i + 1, n):
-                if bad(key, i, j):
-                    return key, i, j
+            start = i if diagonal else i + 1
+            if not all(row_ok(key, i, start)):
+                return key, i, start + list(row_ok(key, i, start)).index(False)
     return None
 
 
@@ -1119,15 +1171,24 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     directions, symmetry, and the chain inequality
     M(x,y,t) * M(y,z,s) <= M(x,z,t+s).  Monotonicity of M in t can only
     be sampled on the grid, and continuity in t not at all; both carry
-    NOTE lines saying so.  The chain scan skips only the triples that
-    ``_first_chain_violation`` proves cannot come first.  On a window
-    certified radial here that is every pair (i, k) but those its crossing
-    bound leaves, so the chain costs O(n^2) bounds per (t, s) for every
-    built-in t-norm on symmetric matrices, plus a scan of [i, k] for each
-    pair left; under min none is left on a pass.  On any other window
-    min is decided by transitivity at t + s, and the other t-norms scan
-    every triple.  The matrices come from ``_value_matrices``, one per
-    grid time and sum.
+    NOTE lines saying so.
+
+    Under a built-in t-norm, a kind whose ``certifies_axioms`` holds on
+    the window passes every verdict with no matrix built: a standard kind
+    whose d is a path metric or an ultrametric along the window, read one
+    row of distances at a time.  For t > 0, t/(t + d) is in (0, 1],
+    equals 1 exactly where d = 0, is symmetric with d and does not fall
+    as t grows, since d >= 0.  The chain holds under min, and so under
+    every built-in t-norm, each being at most min: if
+    t/(t + a) <= s/(s + b), that is tb <= sa, then
+    t(t + s + a + b) <= (t + s)(t + a), so
+    t/(t + a) <= (t + s)/(t + s + a + b) <= (t + s)/(t + s + c) whenever
+    c <= a + b (George and Veeramani, 1994).  The PASS lines are those of
+    the matrix check, whose ``triples=`` and ``time_pairs=`` depend on the
+    window size and the grid alone.
+
+    Every other window, and a certificate that fails, gets the matrix
+    check of ``_axioms_on_matrices``, which names the first failure.
     """
     pts = window.points
     if not pts:
@@ -1150,7 +1211,34 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
         tnorm=space.tnorm.name,
         positivity_preserving=is_positivity_preserving(space.tnorm),
     )
+    if BUILTIN_TNORMS.get(space.tnorm.name) is space.tnorm and space._kind.certifies_axioms(pts):
+        n = len(pts)
+        rep.add_pass("range", witness=None, t=None, value=None)
+        rep.add_pass("identity-of-indiscernibles", witness=None, t=None)
+        rep.add_pass("symmetry", witness=None, t=None)
+        rep.add_pass("chain-inequality", triples=n * n * (n + 1) // 2,
+                     time_pairs=len(t_list) ** 2)
+        rep.add_pass("monotone-in-t", witness=None, t_low=None, t_high=None)
+    else:
+        _axioms_on_matrices(space, pts, t_list, rep)
+    rep.add_note("monotone-in-t", status="sampled-only", grid_points=len(t_list))
+    rep.add_note("continuity-in-t", status="sampled-only")
+    return rep
 
+
+def _axioms_on_matrices(space, pts, t_list, rep) -> None:
+    """Add the range, identity, symmetry, chain and monotonicity verdicts
+    of ``check_axioms`` to ``rep``, each naming its first failure, from the
+    matrices of ``_value_matrices``, one per grid time and sum, over the
+    window points and the sorted grid times.
+
+    The chain scan skips only the triples that ``_first_chain_violation``
+    proves cannot come first.  On a window certified radial here that is
+    every pair (i, k) but those its crossing bound leaves, so the chain
+    costs O(n^2) bounds per (t, s) for every built-in t-norm on symmetric
+    matrices, plus a scan of [i, k] for each pair left; under min none is
+    left on a pass.  On any other window min is decided by transitivity
+    at t + s, and the other t-norms scan every triple."""
     sums = sorted({t + s for t in t_list for s in t_list})
     mats = _value_matrices(space, pts, sorted(set(t_list) | set(sums)))
     # Matrices that compare equal share one object, so that each chain
@@ -1165,9 +1253,15 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
     # Every value is num/den with den > 0, so each comparison below is one
     # integer cross-multiplication.  The scans below index times by their
     # position k in t_list: hashing a Fraction t per pair costs more than
-    # the comparison.
+    # the comparison.  Each row test reads row i from column j on.
     nums = [mats[t][0] for t in t_list]
     dens = [mats[t][1] for t in t_list]
+    # A matrix object shared by several times passes each row test and
+    # the radial test at each of them if it passes at the first, and is
+    # equal to itself at the next time.
+    ids = [id(mats[t]) for t in t_list]
+    firsts = [k for k, key in enumerate(ids) if ids.index(key) == k]
+    steps = [k for k in range(len(t_list) - 1) if ids[k] != ids[k + 1]]
 
     def pair_at(bad):
         return fmt_pair((pts[bad[1]], pts[bad[2]])) if bad else None
@@ -1176,22 +1270,26 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
         return t_list[bad[0]] if bad else None
 
     # (1) range: 0 < M <= 1
-    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
-                          not 0 < nums[k][i][j] <= dens[k][i][j], diagonal=True)
+    bad = _first_bad_pair(firsts, n, lambda k, i, j: map(
+        and_, map((0).__lt__, nums[k][i][j:]), map(le, nums[k][i][j:], dens[k][i][j:])),
+        diagonal=True)
     rep.add_verdict(bad is None, "range", witness=pair_at(bad), t=t_at(bad),
                     value=_entry(mats[t_at(bad)], *bad[1:]) if bad else None)
     in_range = bad is None
 
     # (2) M = 1 exactly on the diagonal
-    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
-                          (nums[k][i][j] == dens[k][i][j]) != (i == j), diagonal=True)
+    bad = _first_bad_pair(firsts, n, lambda k, i, j: chain(
+        (nums[k][i][j] == dens[k][i][j],), map(ne, nums[k][i][j + 1:], dens[k][i][j + 1:])),
+        diagonal=True)
     rep.add_verdict(bad is None, "identity-of-indiscernibles", witness=pair_at(bad), t=t_at(bad))
     # the radial fact that prunes the chain scan, certified on the grid
-    radial = in_range and bad is None and all(_radial(mats[t]) for t in t_list)
+    radial = in_range and bad is None and all(_radial(mats[t_list[k]]) for k in firsts)
 
-    # (3) symmetry: the full matrices hold both argument orders
-    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j:
-                          nums[k][i][j] * dens[k][j][i] != nums[k][j][i] * dens[k][i][j])
+    # (3) symmetry: the full matrices hold both argument orders; row i
+    # against column i
+    bad = _first_bad_pair(firsts, n, lambda k, i, j: map(
+        eq, map(mul, nums[k][i][j:], map(itemgetter(i), dens[k][j:])),
+        map(mul, map(itemgetter(i), nums[k][j:]), dens[k][i][j:])))
     rep.add_verdict(bad is None, "symmetry", witness=pair_at(bad), t=t_at(bad))
 
     # (4) chain inequality over all triples and (t, s) pairs.  The scan
@@ -1221,13 +1319,11 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
                      time_pairs=len(t_list) ** 2)
 
     # monotonicity in t, on the sampled grid only
-    bad = _first_bad_pair(range(len(t_list) - 1), n, lambda k, i, j:
-                          nums[k][i][j] * dens[k + 1][i][j] > nums[k + 1][i][j] * dens[k][i][j])
+    bad = _first_bad_pair(steps, n, lambda k, i, j: map(
+        le, map(mul, nums[k][i][j:], dens[k + 1][i][j:]),
+        map(mul, nums[k + 1][i][j:], dens[k][i][j:])))
     rep.add_verdict(bad is None, "monotone-in-t", witness=pair_at(bad), t_low=t_at(bad),
                     t_high=t_list[bad[0] + 1] if bad else None)
-    rep.add_note("monotone-in-t", status="sampled-only", grid_points=len(t_list))
-    rep.add_note("continuity-in-t", status="sampled-only")
-    return rep
 
 
 # -- threshold bridge suite ---------------------------------------------------

@@ -2,7 +2,9 @@ import bisect
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from fuzzycoarse import (
     EuclideanLattice,
     EuclideanLine,
     MaxUltrametric,
+    Metric,
     ScaleParams,
     TableMetric,
     Window,
@@ -43,7 +46,15 @@ from fuzzycoarse.errors import (
     UnsupportedOperationError,
 )
 from fuzzycoarse.report import fmt_value
-from fuzzycoarse.space import INTEGERS, NATURALS, RATIONALS, _Prefix, _Radial, _Unordered
+from fuzzycoarse.space import (
+    INTEGERS,
+    NATURALS,
+    RATIONALS,
+    _Prefix,
+    _Radial,
+    _Unordered,
+    finite_universe,
+)
 
 F = Fraction
 
@@ -77,6 +88,19 @@ def test_window_contiguity_is_decided_once_from_the_points():
     assert not Window([]).is_contiguous_ints()
     assert int_window(1, 10).label() == "1..10"
     assert grid_window(0, 2, F(1, 2)).points == (0, F(1, 2), 1, F(3, 2), 2)
+
+
+def test_run_sets_of_consecutive_integers_are_ranges_on_any_window():
+    """A run of consecutive ``int``s is a step-1 range, the member form of
+    ``Family``, on a sparse window too; a ``Fraction`` among the points
+    keeps a tuple."""
+    sparse = Window({0, 1, 3})
+    assert sparse.run_set([(0, 2)]) == range(0, 2)
+    assert sparse.run_set([(1, 3)]) == (1, 3) and sparse.run_set([(2, 3)]) == (3,)
+    mixed = Window([F(0), 1, 2, 5])
+    got = mixed.run_set([(0, 3)])
+    assert type(got) is tuple and list(map(type, got)) == [F, int, int]
+    assert mixed.run_set([(1, 3)]) == range(1, 3)
 
 
 def test_runs_of_takes_points_in_any_order():
@@ -118,7 +142,7 @@ class SortedTupleWindow:
 
     def run_set(self, runs):
         pts = tuple(p for i, j in runs for p in self.points[i:j])
-        if self.contiguous and len(runs) == 1 and len(pts) > 1:
+        if len(pts) > 1 and all(type(p) is int for p in pts) and pts[-1] - pts[0] == len(pts) - 1:
             return range(pts[0], pts[-1] + 1)
         return pts
 
@@ -731,13 +755,27 @@ def closed_form(name, x, y, t):
     return t / (t + d)
 
 
+def matrix_check(space, window, grid):
+    """The report of ``check_axioms``'s matrix path on a window and a
+    grid, which a standard kind whose certificate holds never reaches."""
+    from fuzzycoarse.report import CertReport
+    from fuzzycoarse.space import _axioms_on_matrices
+
+    rep = CertReport("space-axioms")
+    _axioms_on_matrices(space, window.points, sorted(set(map(F, grid))), rep)
+    return rep
+
+
 def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
     """The matrices hold every (x, y) in both orders, so the symmetry step
     evaluates nothing more: one integer pair per entry per time, and on a
-    standard kind one distance per entry for all times."""
+    standard kind one distance per entry for all times.  A certified line
+    window reads the n - 1 gaps and one row of distances per point, and
+    builds no matrix."""
+    from fuzzycoarse import space as space_mod
     from fuzzycoarse.space import EuclideanLine, FuzzyMetricSpace
 
-    calls = {"value": 0, "_raw": 0, "pair": 0, "distance": 0}
+    calls = {"value": 0, "_raw": 0, "pair": 0, "distance": 0, "_value_matrices": 0}
     for cls, name in ((FuzzyMetricSpace, "value"), (FuzzyMetricSpace, "_raw"),
                       (type(ratio_minmax_space()._kind), "pair"),
                       (type(standard_space()._kind), "pair"), (EuclideanLine, "distance")):
@@ -745,13 +783,147 @@ def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
             calls[_name] += 1
             return _fn(self, *args)
         monkeypatch.setattr(cls, name, counted)
+
+    def counted_matrices(*args, _fn=space_mod._value_matrices):
+        calls["_value_matrices"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(space_mod, "_value_matrices", counted_matrices)
     grid = [F(1, 2), 1, 2, 7]
     times = set(grid) | {a + b for a in grid for b in grid}
     assert check_axioms(ratio_minmax_space(), int_window(1, 20), grid).passed
-    assert calls == {"value": 0, "_raw": 0, "pair": 20 * 20 * len(times), "distance": 0}
-    calls.update(pair=0)
+    assert calls == {"value": 0, "_raw": 0, "pair": 20 * 20 * len(times), "distance": 0,
+                     "_value_matrices": 1}
+    calls.update(pair=0, _value_matrices=0)
+    assert matrix_check(standard_space(), int_window(1, 20), grid).passed
+    assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 20 * 20,
+                     "_value_matrices": 1}
+    calls.update(distance=0, _value_matrices=0)
     assert check_axioms(standard_space(), int_window(1, 20), grid).passed
-    assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 20 * 20}
+    assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 20 * 20 + 20 - 1,
+                     "_value_matrices": 0}
+
+
+def test_certified_axioms_hold_one_row_of_distances():
+    """``check_axioms`` on standard 1..200 holds no matrix: its peak
+    allocation stays under 1 MB (0.01 MB measured; the matrix path, with
+    12 n x n pairs of integer lists, peaked at 8.9 MB there)."""
+    tracemalloc.start()
+    try:
+        rep = check_axioms(standard_space(), int_window(1, 200), [F(1, 2), 1, 2, 7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and peak < 2 ** 20
+
+
+class LineTable(Metric):
+    """A distance table over sorted points that claims to be a line metric
+    (``line_combine`` ``add`` or ``max``) and is not checked: it may break
+    the triangle inequality, have zero gaps or asymmetric entries."""
+
+    line_compatible = True
+
+    def __init__(self, table, combine):
+        self.table, self.line_combine = table, combine
+        self.universe = finite_universe({x for x, _ in table})
+
+    def distance(self, x, y):
+        return self.table[x, y]
+
+
+@st.composite
+def line_tables(draw):
+    """A ``LineTable`` on 1..6 sorted integers whose distances combine the
+    drawn gaps (a few zero) by ``add`` or ``max`` between the two points,
+    then up to two edits: an entry and its mirror cut to 3/4, which keeps
+    d a metric but not a line metric when the cut is small, or set to any
+    value in [0, 6], which can break the triangle inequality, or one entry
+    so set."""
+    pts = sorted(draw(st.sets(st.integers(-9, 9), min_size=1, max_size=6)))
+    combine = draw(st.sampled_from([add, max]))
+    gaps = [draw(st.sampled_from([F(0)] + [F(k, 2) for k in range(1, 11)])) for _ in pts[1:]]
+    table = {}
+    for i, x in enumerate(pts):
+        for k, y in enumerate(pts):
+            between = gaps[min(i, k):max(i, k)]
+            table[x, y] = reduce(combine, between) if between else F(0)
+    for edit in draw(st.lists(st.sampled_from(["cut", "symmetric", "asymmetric"]), max_size=2)):
+        x, y = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        v = draw(st.fractions(0, 6, max_denominator=4))
+        table[x, y] = table[x, y] * F(3, 4) if edit == "cut" else v
+        if edit != "asymmetric":
+            table[y, x] = table[x, y]
+    return LineTable(table, combine), Window(pts)
+
+
+@st.composite
+def line_spaces(draw):
+    """``(space, window, certified)``: a standard space under product, min
+    or Lukasiewicz on a window of ``EuclideanLine`` (integers or
+    rationals) or ``MaxUltrametric``, whose certificate holds
+    (``certified`` True), or, half the time, of a ``line_tables`` table
+    (None)."""
+    tnorm = draw(st.sampled_from([PRODUCT, MINIMUM, LUKASIEWICZ]))
+    kind = draw(st.sampled_from(["table", "table", "table", "integers", "rationals",
+                                 "max-ultrametric"]))
+    if kind == "table":
+        metric, window = draw(line_tables())
+        return standard_space(metric, tnorm), window, None
+    if kind == "max-ultrametric":
+        pts = draw(st.sets(st.integers(1, 40), min_size=1, max_size=12))
+        return standard_space(MaxUltrametric(), tnorm), Window(pts), True
+    points = st.integers(-20, 20)
+    if kind == "rationals":
+        points = points | st.fractions(-5, 5, max_denominator=6)
+    pts = draw(st.sets(points, min_size=1, max_size=12))
+    return standard_space(EuclideanLine(), tnorm, RATIONALS), Window(pts), True
+
+
+def _table_case(entries, combine=add):
+    """A ``line_spaces`` case from the entries of a ``LineTable`` on 0..2:
+    |x - y| but where ``entries`` says otherwise."""
+    table = {(x, y): F(entries.get((x, y), abs(x - y))) for x in range(3) for y in range(3)}
+    return standard_space(LineTable(table, combine)), int_window(0, 2), None
+
+
+@given(case=line_spaces(), grid=st.lists(st.fractions(F(1, 4), 8, max_denominator=4),
+                                         min_size=1, max_size=3))
+@example(case=_table_case({(0, 1): 0, (1, 0): 0}), grid=[1])  # a zero gap
+@example(case=_table_case({(0, 0): 1, (0, 2): 1, (2, 0): 1}, max), grid=[1])  # d(x, x) > 0
+@example(case=_table_case({(0, 2): 3}), grid=[1])  # asymmetric above the diagonal
+@example(case=_table_case({(2, 0): 3}), grid=[1])  # and below it
+@example(case=_table_case({(0, 2): 1, (2, 0): 1}, max), grid=[1])  # an ultrametric
+@settings(max_examples=200, deadline=None)
+def test_certified_axioms_match_the_matrix_check(case, grid):
+    """On line windows of ``EuclideanLine`` (integers and rationals) and
+    ``MaxUltrametric`` the certificate holds, and on line tables it holds
+    or not; either way ``check_axioms`` writes the verdict lines of the
+    matrix check, under product, min and Lukasiewicz, on a drawn grid."""
+    space, window, certified = case
+    if certified:
+        assert space._kind.certifies_axioms(window.points)
+    assert check_axioms(space, window, grid).lines()[2:-2] == \
+        matrix_check(space, window, grid).lines()[1:]
+
+
+def test_a_line_compatible_metric_that_is_not_a_path_metric_falls_back():
+    """d = (x - y)^2 claims ``add`` through its ``EuclideanLine`` base but
+    is not additive: the certificate fails, and the matrix check names the
+    triple that fails the chain under min and passes the product chain."""
+
+    class Squared(EuclideanLine):
+        name = "squared"
+
+        def distance(self, x, y):
+            return (x - y) ** 2
+
+    window, grid = int_window(0, 4), [F(1, 2), 1, 2]
+    assert not standard_space(Squared())._kind.certifies_axioms(window.points)
+    chain_lines = [[ln for ln in check_axioms(standard_space(Squared(), tn), window, grid).lines()
+                    if "chain-inequality" in ln] for tn in (MINIMUM, PRODUCT)]
+    assert chain_lines == [["FAIL chain-inequality witness=0~1~2 t=1/2 s=1/2 lhs=1/3 rhs=1/5"],
+                           ["PASS chain-inequality triples=75 time_pairs=9"]]
 
 
 def _table_space(draw):
@@ -855,6 +1027,80 @@ def test_axioms_check_the_diagonal_and_monotonicity_in_t():
         "FAIL identity-of-indiscernibles witness=3~3 t=1"]
     assert failures(Shrinking(), ("monotone-in-t",)) == [
         "FAIL monotone-in-t witness=1~2 t_low=1 t_high=2"]
+
+
+@st.composite
+def drawn_kinds(draw):
+    """A kind on 1..5 whose pair at each of 1..3 grid times is drawn: each
+    entry in [-1, 3] as an unreduced pair, mirrored as it is, doubled or
+    redrawn, the diagonal 1 or drawn; a later time often keeps the table
+    of the one before, so the matrices share one object."""
+    from fuzzycoarse.space import NATURALS, FuzzyMetricSpace, _Kind
+
+    n = draw(st.integers(1, 5))
+    grid = sorted(draw(st.sets(st.sampled_from([F(1, 2), F(1), F(2), F(3)]), min_size=1,
+                               max_size=3)))
+
+    def entry():
+        return draw(st.integers(-1, 3)), draw(st.integers(1, 3))
+
+    tables = []
+    for k in range(len(grid)):
+        if k and draw(st.booleans()):
+            tables.append(tables[-1])
+            continue
+        table = {}
+        for i in range(n):
+            table[i, i] = entry() if draw(st.integers(0, 4)) == 0 else (1, 1)
+            for j in range(i + 1, n):
+                num, den = table[i, j] = entry()
+                table[j, i] = draw(st.sampled_from([(num, den), (2 * num, 2 * den), entry()]))
+        tables.append(table)
+
+    class Drawn(_Kind):
+        name = "drawn"
+
+        def pair(self, x, y, t):
+            return tables[grid.index(t) if t in grid else -1][x - 1, y - 1]
+
+    values = [{key: F(*pair) for key, pair in table.items()} for table in tables]
+    return FuzzyMetricSpace(Drawn(), PRODUCT, NATURALS), n, grid, values
+
+
+@given(drawn_kinds())
+@settings(max_examples=200, deadline=None)
+def test_row_tests_name_the_first_bad_pair_of_the_pair_by_pair_scan(case):
+    """The range, identity, symmetry and monotonicity verdicts, read row by
+    row and once per shared matrix object, name the pair and times that a
+    scan pair by pair over every grid time finds first."""
+    space, n, grid, v = case
+
+    def first(keys, bad, diagonal=False):
+        return next(((k, i, j) for k in keys for i in range(n)
+                     for j in range(i if diagonal else i + 1, n) if bad(k, i, j)), None)
+
+    def line(predicate, found, *keys):
+        if found is None:
+            return " ".join(["PASS", predicate] + [f"{key}=-" for key in keys])
+        k, i, j = found
+        vals = {"witness": f"{i + 1}~{j + 1}", "t": fmt_value(grid[k]),
+                "value": fmt_value(v[k][i, j]), "t_low": fmt_value(grid[k]),
+                "t_high": fmt_value(grid[k + 1]) if k + 1 < len(grid) else "-"}
+        return " ".join(["FAIL", predicate] + [f"{key}={vals[key]}" for key in keys])
+
+    times = range(len(grid))
+    want = [
+        line("range", first(times, lambda k, i, j: not 0 < v[k][i, j] <= 1, True),
+             "witness", "t", "value"),
+        line("identity-of-indiscernibles",
+             first(times, lambda k, i, j: (v[k][i, j] == 1) != (i == j), True), "witness", "t"),
+        line("symmetry", first(times, lambda k, i, j: v[k][i, j] != v[k][j, i]), "witness", "t"),
+        line("monotone-in-t", first(times[:-1], lambda k, i, j: v[k][i, j] > v[k + 1][i, j]),
+             "witness", "t_low", "t_high"),
+    ]
+    got = [ln for ln in matrix_check(space, int_window(1, n), grid).lines()[1:]
+           if "chain-inequality" not in ln]
+    assert got == want
 
 
 def test_generic_scan_reports_what_the_integer_scan_reports():
@@ -1145,7 +1391,9 @@ def _counting(mat, counter):
 
 
 def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypatch):
-    """Machine-independent pins on the chain inequality of ``check_axioms``:
+    """Machine-independent pins on the chain inequality of ``check_axioms``
+    (on its matrix path, for the standard kinds, whose line windows are
+    certified without one):
 
     - the product chain on ratio_minmax 1..60, which the crossing bound
       cannot clear for k >= i + 2 as (x/y)(y/z) = x/z, reads A 43,634
@@ -1202,7 +1450,7 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     monkeypatch.setattr(space_mod, "_first_chain_violation", chain_scan)
     monkeypatch.setitem(space_mod._SCANNERS, "min", counted_min)
     monkeypatch.setattr(space_mod, "_min_transitive", counted_transitive)
-    assert check_axioms(ultrametric_space(), int_window(1, 60), grid).passed
+    assert matrix_check(ultrametric_space(), int_window(1, 60), grid).passed
     assert scans == [None] * 16 and pairs_left == [0] and transitive == [0]
     rep = check_axioms(pathological_space(MINIMUM), int_window(1, 20), grid)
     assert [f.predicate for f in rep.failures()] == ["chain-inequality"]
@@ -1226,7 +1474,7 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
         totals = []
         for n in sizes:
             chain_reads.total = 0
-            assert check_axioms(space, int_window(1, n), grid).passed
+            assert matrix_check(space, int_window(1, n), grid).passed
             totals.append(chain_reads.total)
         return math.log(totals[1] / totals[0], sizes[1] / sizes[0])
 
