@@ -432,28 +432,16 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
 
 def restrict_witness(w: DimensionWitness, subset) -> DimensionWitness:
     """Intersect every member set with a subset; separation and
-    boundedness are hereditary, so certification survives.
-
-    A step-1 range subset of a window of consecutive integers is checked
-    by its two ends and is the restricted window, and it meets each
-    step-1 range member at the member's and its own ends."""
-    if type(subset) is range and subset.step == 1 and w.window.is_contiguous_ints():
-        keep = subset
-        if not w.window.holds((keep[0], keep[-1]) if keep else ()):
-            raise DomainError("subset must lie inside the witness window")
-        window = Window(keep)
-    else:
-        keep = set(subset)
-        if not w.window.holds(keep):
-            raise DomainError("subset must lie inside the witness window")
-        window = Window(p for p in w.window if p in keep)
+    boundedness are hereditary, so certification survives."""
+    keep = set(subset)
+    if not w.window.holds(keep):
+        raise DomainError("subset must lie inside the witness window")
     fams = tuple(
-        Family.of([range(max(s.start, keep.start), min(s.stop, keep.stop))
-                   if type(s) is range and type(keep) is range
-                   else tuple(p for p in s if p in keep) for s in fam.sets], fam.label)
+        Family.of([tuple(p for p in s if p in keep) for s in fam.sets], fam.label)
         for fam in w.families
     )
-    return DimensionWitness(w.n, w.params, w.bound_params, fams, window)
+    return DimensionWitness(w.n, w.params, w.bound_params, fams,
+                            Window(p for p in w.window if p in keep))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from operator import is_, is_not, itemgetter, lt
 
 from .errors import PreconditionError, UnsupportedOperationError
 from .report import CertReport
-from .space import FuzzyMetricSpace, ScaleParams, Window, _coalesce_runs, _consecutive_ints
+from .space import FuzzyMetricSpace, ScaleParams, Window, _coalesce_runs
 
 ONE = Fraction(1)
 
@@ -49,7 +49,10 @@ def _clean_set(s):
         return s
     else:
         pts = sorted(set(s))
-    return range(pts[0], pts[-1] + 1) if _consecutive_ints(pts) else tuple(pts)
+    if (len(pts) > 1 and type(pts[0]) is int and type(pts[-1]) is int
+            and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int}):
+        return range(pts[0], pts[-1] + 1)
+    return tuple(pts)
 
 
 _SEQUENCES = (tuple, list)

@@ -183,14 +183,12 @@ class Window:
         return tuple(chain.from_iterable(self.points[i:j] for i, j in runs))
 
     def run_set(self, runs):
-        """A member set holding the points of a run list, in the form
-        ``Family`` gives it: a step-1 ``range`` for two or more consecutive
-        ``int``s (on a window of consecutive integers, one run, sliced in
-        O(1)), otherwise a tuple."""
+        """A member set holding the points of a run list: a step-1 ``range``
+        for one run of two or more points of a window of consecutive
+        integers, otherwise a tuple."""
         if len(runs) == 1 and runs[0][1] - runs[0][0] > 1 and self.is_contiguous_ints():
             return self._seq[slice(*runs[0])]
-        pts = self.points_of(runs)
-        return range(pts[0], pts[-1] + 1) if _consecutive_ints(pts) else pts
+        return self.points_of(runs)
 
     def label(self) -> str:
         s = self._seq
@@ -204,13 +202,6 @@ class Window:
 
     def __repr__(self):
         return f"Window({self.label()})"
-
-
-def _consecutive_ints(pts) -> bool:
-    """Whether sorted, duplicate-free points are two or more consecutive
-    ``int``s; a ``Fraction`` or ``bool`` among them makes this False."""
-    return (len(pts) > 1 and type(pts[0]) is int and type(pts[-1]) is int
-            and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int})
 
 
 def _coalesce_runs(runs) -> list:
@@ -473,18 +464,13 @@ UNIVERSES = {"naturals": NATURALS, "integers": INTEGERS, "rationals": RATIONALS}
 class Metric:
     """An exact metric; ``line_compatible`` means the distance respects the
     point order (d grows as pairs nest outward on the sorted line), and
-    ``line_combine`` how it composes along that line: ``add`` for a path
-    metric, d(a_i, a_k) = d(a_i, a_(k-1)) + d(a_(k-1), a_k), ``max`` for
-    an ultrametric, or None; ``check_axioms`` checks the claim on its
-    window before it relies on it.  ``universe`` is the point set it is a
-    metric on, which a standard space takes when it is given none, and
-    ``universe_names`` are the built-in universes it is a metric on.  A
-    distance is an exact rational: an int or a Fraction; any other value
-    raises ``DomainError``."""
+    ``universe`` is the point set it is a metric on, which a standard space
+    takes when it is given none, and ``universe_names`` are the built-in
+    universes it is a metric on.  A distance is an exact rational: an int
+    or a Fraction; any other value raises ``DomainError``."""
 
     name = "metric"
     line_compatible = False
-    line_combine = None
     universe = INTEGERS
     universe_names = frozenset()
 
@@ -497,7 +483,6 @@ class EuclideanLine(Metric):
 
     name = "euclidean"
     line_compatible = True
-    line_combine = add
     universe_names = frozenset(UNIVERSES)
 
     def distance(self, x, y):
@@ -543,7 +528,6 @@ class MaxUltrametric(Metric):
 
     name = "max_ultrametric"
     line_compatible = True
-    line_combine = max
     universe = NATURALS
     universe_names = frozenset({"naturals"})
 
@@ -651,32 +635,35 @@ class _StandardKind(_Kind):
 
     def certifies_axioms(self, pts) -> bool:
         """Whether d is a path metric or an ultrametric along the sorted
-        points, as the metric's ``line_combine`` claims, read one row of
-        distances at a time: O(n^2) ``distance`` calls, O(n) memory.
+        points of a ``line_compatible`` metric, read one row of distances
+        at a time: O(n^2) ``distance`` calls, O(n) memory.
 
         The gaps g[m] = d(a_(m-1), a_m) must be positive, and each row i
         must have d(a_i, a_i) = 0 and, moving away from i,
         d(a_i, a_k) = combine(d(a_i, a_(k-1)), g[k]) to the right and
-        combine(d(a_i, a_(k+1)), g[k+1]) to the left.  Then d(a_i, a_k)
-        is the sum (``add``) or the largest (``max``) of the gaps between
-        them, so d is symmetric, positive off the diagonal and satisfies
-        the triangle inequality on the points, as every gap between a_i
-        and a_k lies between a_i and a_j or between a_j and a_k."""
-        combine = self.metric.line_combine
-        if not (self.metric.line_compatible and combine):
+        combine(d(a_i, a_(k+1)), g[k+1]) to the left, where combine is
+        ``add`` if d(a_0, a_2) = g[1] + g[2] (or n < 3) and ``max``
+        otherwise.  Then d(a_i, a_k) is the sum or the largest of the
+        gaps between them, so d is symmetric, positive off the diagonal
+        and satisfies the triangle inequality on the points, as every gap
+        between a_i and a_k lies between a_i and a_j or between a_j and
+        a_k."""
+        if not self.metric.line_compatible:
             return False
         distance = self.metric.distance
         gaps = list(map(distance, pts, pts[1:]))  # gaps[m] = g[m + 1]
         if not all(g > 0 for g in gaps):
             return False
+        combine = None
         for i, x in enumerate(pts):
             row = list(map(distance, repeat(x), pts))
+            if combine is None:
+                combine = add if len(pts) < 3 or row[2] == gaps[0] + gaps[1] else max
             if not (row[i] == 0
                     and all(map(eq, row[i + 1:], map(combine, row[i:-1], gaps[i:])))
                     and all(map(eq, row[:i], map(combine, row[1:i + 1], gaps[:i])))):
                 return False
         return True
-
 
 class _ReciprocalKind(_Kind):
     name = "reciprocal_product"
@@ -1256,13 +1243,6 @@ def _axioms_on_matrices(space, pts, t_list, rep) -> None:
     # the comparison.  Each row test reads row i from column j on.
     nums = [mats[t][0] for t in t_list]
     dens = [mats[t][1] for t in t_list]
-    # A matrix object shared by several times passes each row test and
-    # the radial test at each of them if it passes at the first, and is
-    # equal to itself at the next time.
-    ids = [id(mats[t]) for t in t_list]
-    firsts = [k for k, key in enumerate(ids) if ids.index(key) == k]
-    steps = [k for k in range(len(t_list) - 1) if ids[k] != ids[k + 1]]
-
     def pair_at(bad):
         return fmt_pair((pts[bad[1]], pts[bad[2]])) if bad else None
 
@@ -1270,7 +1250,7 @@ def _axioms_on_matrices(space, pts, t_list, rep) -> None:
         return t_list[bad[0]] if bad else None
 
     # (1) range: 0 < M <= 1
-    bad = _first_bad_pair(firsts, n, lambda k, i, j: map(
+    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j: map(
         and_, map((0).__lt__, nums[k][i][j:]), map(le, nums[k][i][j:], dens[k][i][j:])),
         diagonal=True)
     rep.add_verdict(bad is None, "range", witness=pair_at(bad), t=t_at(bad),
@@ -1278,16 +1258,16 @@ def _axioms_on_matrices(space, pts, t_list, rep) -> None:
     in_range = bad is None
 
     # (2) M = 1 exactly on the diagonal
-    bad = _first_bad_pair(firsts, n, lambda k, i, j: chain(
+    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j: chain(
         (nums[k][i][j] == dens[k][i][j],), map(ne, nums[k][i][j + 1:], dens[k][i][j + 1:])),
         diagonal=True)
     rep.add_verdict(bad is None, "identity-of-indiscernibles", witness=pair_at(bad), t=t_at(bad))
     # the radial fact that prunes the chain scan, certified on the grid
-    radial = in_range and bad is None and all(_radial(mats[t_list[k]]) for k in firsts)
+    radial = in_range and bad is None and all(_radial(mats[t]) for t in t_list)
 
     # (3) symmetry: the full matrices hold both argument orders; row i
     # against column i
-    bad = _first_bad_pair(firsts, n, lambda k, i, j: map(
+    bad = _first_bad_pair(range(len(t_list)), n, lambda k, i, j: map(
         eq, map(mul, nums[k][i][j:], map(itemgetter(i), dens[k][j:])),
         map(mul, map(itemgetter(i), nums[k][j:]), dens[k][i][j:])))
     rep.add_verdict(bad is None, "symmetry", witness=pair_at(bad), t=t_at(bad))
@@ -1319,7 +1299,7 @@ def _axioms_on_matrices(space, pts, t_list, rep) -> None:
                      time_pairs=len(t_list) ** 2)
 
     # monotonicity in t, on the sampled grid only
-    bad = _first_bad_pair(steps, n, lambda k, i, j: map(
+    bad = _first_bad_pair(range(len(t_list) - 1), n, lambda k, i, j: map(
         le, map(mul, nums[k][i][j:], dens[k + 1][i][j:]),
         map(mul, nums[k + 1][i][j:], dens[k][i][j:])))
     rep.add_verdict(bad is None, "monotone-in-t", witness=pair_at(bad), t_low=t_at(bad),

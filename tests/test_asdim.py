@@ -510,36 +510,6 @@ def test_restrict_witness_hereditary():
         restrict_witness(wit, [101])
 
 
-def test_restrict_witness_by_range_ends_matches_the_point_by_point_cut():
-    """A step-1 range subset of a window of consecutive integers meets the
-    range members at their ends; the witness equals the one cut point by
-    point through ``set(subset)``, as does every other subset, on the
-    ratio witness (range and one-point members) and on a witness with
-    tuple members."""
-    w = int_window(1, 100)
-    ratio = witness_ratio_minmax(ScaleParams(F(1, 2), 1), w)
-    tuples = DimensionWitness(1, ratio.params, ratio.bound_params, (
-        Family.of([(1, 3, 5), range(10, 40)], "a"), Family.of([(2, 4, 60, 61, 62)], "b")), w)
-
-    def point_by_point(wit, subset):
-        keep = set(subset)
-        fams = tuple(Family.of([tuple(p for p in s if p in keep) for s in fam.sets], fam.label)
-                     for fam in wit.families)
-        return fams, Window(p for p in wit.window if p in keep)
-
-    for wit in (ratio, tuples):
-        for subset in (range(20, 71), range(3, 62), range(2, 101, 2), (3, 4, 5, 50, 51),
-                       range(7, 8), range(5, 5), list(w)):
-            got = restrict_witness(wit, subset)
-            fams, window = point_by_point(wit, subset)
-            assert (got.families, got.window) == (fams, window)
-            assert [f.dropped_empty for f in got.families] == [f.dropped_empty for f in fams]
-        with pytest.raises(DomainError):
-            restrict_witness(wit, range(0, 5))
-        with pytest.raises(DomainError):
-            restrict_witness(wit, range(90, 102))
-
-
 # ---------------------------------------------------------------------------
 # the implication pipeline
 # ---------------------------------------------------------------------------

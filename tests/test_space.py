@@ -90,19 +90,6 @@ def test_window_contiguity_is_decided_once_from_the_points():
     assert grid_window(0, 2, F(1, 2)).points == (0, F(1, 2), 1, F(3, 2), 2)
 
 
-def test_run_sets_of_consecutive_integers_are_ranges_on_any_window():
-    """A run of consecutive ``int``s is a step-1 range, the member form of
-    ``Family``, on a sparse window too; a ``Fraction`` among the points
-    keeps a tuple."""
-    sparse = Window({0, 1, 3})
-    assert sparse.run_set([(0, 2)]) == range(0, 2)
-    assert sparse.run_set([(1, 3)]) == (1, 3) and sparse.run_set([(2, 3)]) == (3,)
-    mixed = Window([F(0), 1, 2, 5])
-    got = mixed.run_set([(0, 3)])
-    assert type(got) is tuple and list(map(type, got)) == [F, int, int]
-    assert mixed.run_set([(1, 3)]) == range(1, 3)
-
-
 def test_runs_of_takes_points_in_any_order():
     w = int_window(1, 10)
     assert w.runs_of((2, 3, 4)) == [(1, 4)]
@@ -142,7 +129,7 @@ class SortedTupleWindow:
 
     def run_set(self, runs):
         pts = tuple(p for i, j in runs for p in self.points[i:j])
-        if len(pts) > 1 and all(type(p) is int for p in pts) and pts[-1] - pts[0] == len(pts) - 1:
+        if self.contiguous and len(runs) == 1 and len(pts) > 1:
             return range(pts[0], pts[-1] + 1)
         return pts
 
@@ -818,14 +805,14 @@ def test_certified_axioms_hold_one_row_of_distances():
 
 
 class LineTable(Metric):
-    """A distance table over sorted points that claims to be a line metric
-    (``line_combine`` ``add`` or ``max``) and is not checked: it may break
-    the triangle inequality, have zero gaps or asymmetric entries."""
+    """A distance table over sorted points that claims to be
+    ``line_compatible`` and is not checked: it may break the triangle
+    inequality, have zero gaps or asymmetric entries."""
 
     line_compatible = True
 
-    def __init__(self, table, combine):
-        self.table, self.line_combine = table, combine
+    def __init__(self, table):
+        self.table = table
         self.universe = finite_universe({x for x, _ in table})
 
     def distance(self, x, y):
@@ -854,7 +841,7 @@ def line_tables(draw):
         table[x, y] = table[x, y] * F(3, 4) if edit == "cut" else v
         if edit != "asymmetric":
             table[y, x] = table[x, y]
-    return LineTable(table, combine), Window(pts)
+    return LineTable(table), Window(pts)
 
 
 @st.composite
@@ -880,20 +867,21 @@ def line_spaces(draw):
     return standard_space(EuclideanLine(), tnorm, RATIONALS), Window(pts), True
 
 
-def _table_case(entries, combine=add):
+def _table_case(entries):
     """A ``line_spaces`` case from the entries of a ``LineTable`` on 0..2:
     |x - y| but where ``entries`` says otherwise."""
     table = {(x, y): F(entries.get((x, y), abs(x - y))) for x in range(3) for y in range(3)}
-    return standard_space(LineTable(table, combine)), int_window(0, 2), None
+    return standard_space(LineTable(table)), int_window(0, 2), None
 
 
 @given(case=line_spaces(), grid=st.lists(st.fractions(F(1, 4), 8, max_denominator=4),
                                          min_size=1, max_size=3))
 @example(case=_table_case({(0, 1): 0, (1, 0): 0}), grid=[1])  # a zero gap
-@example(case=_table_case({(0, 0): 1, (0, 2): 1, (2, 0): 1}, max), grid=[1])  # d(x, x) > 0
+@example(case=_table_case({(0, 0): 1, (0, 2): 1, (2, 0): 1}), grid=[1])  # d(x, x) > 0
 @example(case=_table_case({(0, 2): 3}), grid=[1])  # asymmetric above the diagonal
 @example(case=_table_case({(2, 0): 3}), grid=[1])  # and below it
-@example(case=_table_case({(0, 2): 1, (2, 0): 1}, max), grid=[1])  # an ultrametric
+@example(case=_table_case({(0, 2): 1, (2, 0): 1}), grid=[1])  # an ultrametric
+@example(case=_table_case({(0, 2): F(3, 2), (2, 0): F(3, 2)}), grid=[1])  # neither
 @settings(max_examples=200, deadline=None)
 def test_certified_axioms_match_the_matrix_check(case, grid):
     """On line windows of ``EuclideanLine`` (integers and rationals) and
@@ -908,8 +896,9 @@ def test_certified_axioms_match_the_matrix_check(case, grid):
 
 
 def test_a_line_compatible_metric_that_is_not_a_path_metric_falls_back():
-    """d = (x - y)^2 claims ``add`` through its ``EuclideanLine`` base but
-    is not additive: the certificate fails, and the matrix check names the
+    """d = (x - y)^2 is ``line_compatible`` through its ``EuclideanLine``
+    base but neither a path metric nor an ultrametric on the window: the
+    certificate fails, and the matrix check names the
     triple that fails the chain under min and passes the product chain."""
 
     class Squared(EuclideanLine):
@@ -1071,8 +1060,8 @@ def drawn_kinds(draw):
 @settings(max_examples=200, deadline=None)
 def test_row_tests_name_the_first_bad_pair_of_the_pair_by_pair_scan(case):
     """The range, identity, symmetry and monotonicity verdicts, read row by
-    row and once per shared matrix object, name the pair and times that a
-    scan pair by pair over every grid time finds first."""
+    row, name the pair and times that a scan pair by pair over every grid
+    time finds first."""
     space, n, grid, v = case
 
     def first(keys, bad, diagonal=False):
