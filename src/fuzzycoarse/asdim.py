@@ -51,6 +51,7 @@ from .rationals import as_fraction, smallest_int_gt
 from .report import CertReport, fmt_pair, fmt_value
 from .space import (FuzzyMetricSpace, ScaleParams, Window, _first_chain_violation,
                     _value_matrices)
+from .tnorm import builtin_name
 
 ONE = Fraction(1)
 ORACLE_MAX_POINTS = 10  # the colouring search is exponential in the worst case and has no budget
@@ -341,7 +342,7 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     rho = params.r + eps
     if not (0 < rho < 1):
         raise DomainError(f"r + eps must stay in (0,1), got {rho}")
-    if space.tnorm.name != "min":
+    if builtin_name(space.tnorm) != "min":
         raise UnsupportedOperationError(
             "the ball-partition construction needs the minimum t-norm"
         )
@@ -355,7 +356,7 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
             f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
         )
     enlarged = ScaleParams(rho, params.t)
-    swept = space.balls(pts, enlarged.threshold, params.t, window)
+    swept = space.ball_level(enlarged.threshold, params.t, window)
     balls = list(map(window.run_set, sorted(dict.fromkeys(map(tuple, swept)))))
     shared = _first_shared_point(balls)
     if shared is not None:

@@ -41,7 +41,7 @@ from typing import Optional
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
 from .rationals import as_fraction
 from .report import CertReport, fmt_pair, fmt_value
-from .tnorm import BUILTIN_TNORMS, LUKASIEWICZ, MINIMUM, PRODUCT, TNorm, is_positivity_preserving
+from .tnorm import LUKASIEWICZ, MINIMUM, PRODUCT, TNorm, builtin_name, is_positivity_preserving
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def _coalesce_runs(runs) -> list:
 
 
 class _Level:
-    """The balls of a ``_Radial`` or ``_Prefix`` sweep over the window
+    """The balls of a ``_Radial`` or ``_Prefix`` level over the window
     points (see ``FuzzyMetricSpace.ball_level``): ball k is the run
     ``[lo[k], hi[k])``, plus the centre run (k, k + 1) when that run stops
     short of k.  A radial ball is one run that holds its centre, as
@@ -228,12 +228,8 @@ class _Level:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, swept):
-        self.lo, self.hi = array("q"), array("q")
-        for k, runs in enumerate(swept):
-            i, j = runs[0] if runs else (k, k)
-            self.lo.append(i)
-            self.hi.append(j)
+    def __init__(self, lo: array, hi: array):
+        self.lo, self.hi = lo, hi
 
     def __len__(self):
         return len(self.lo)
@@ -275,7 +271,9 @@ class _Unordered:
             out = outside(x)
             yield _coalesce_runs((k, k + 1) for k in range(n) if not out(k))
 
-    level = list  # keeps the balls of a whole-window sweep for ``ball_level``
+    def level(self, pts, outside):
+        """The balls of every point of ``pts``, item k that of ``pts[k]``."""
+        return list(self.balls(pts, pts, outside))
 
     def edges(self, pts, joined):  # pairs i < j with the components of the graph ``joined``
         return ((i, j) for j in range(len(pts)) for i in range(j) if joined(pts[i], pts[j]))
@@ -307,7 +305,13 @@ class _Line(_Unordered):
     component a run that a_j joins iff joined to the earlier point with
     the largest M, and a closed premise holds on a run [i, b) of row i."""
 
-    level = _Level
+    def level(self, pts, outside):
+        lo, hi = array("q"), array("q")
+        for k, runs in enumerate(self.balls(pts, pts, outside)):
+            i, j = runs[0] if runs else (k, k)
+            lo.append(i)
+            hi.append(j)
+        return _Level(lo, hi)
 
     def rows_fall_on(self, points) -> bool:
         return all(map(le, points, islice(points, 1, None)))
@@ -317,11 +321,13 @@ class _Radial(_Line):
     """x < y < z implies M(x, z) <= min(M(x, y), M(y, z)) at every t
     (``ratio_minmax``, ``pathological``, a line metric's standard space),
     so M(a_i, a_j) does not grow as i moves left of j either.  A ball is
-    one run whose ends move right with its centre, each galloped from
-    where the last left it (O(n) tests a sweep), as is a premise run's
-    end.  The earlier point with the largest M is a_(j-1), the weakest
-    pair of a set its ends, and the strongest cross pair of members that
-    share no point adjacent in their union: (s_k[-1], s_k+1[0]) if hull-ordered."""
+    one run whose ends move right with its centre: ``balls`` gallops each
+    end from where the last left it, O(log n) tests a centre, and
+    ``level`` walks both ends one point at a time over the whole window.
+    A premise run's end is galloped as a ball's.  The earlier point with
+    the largest M is a_(j-1), the weakest pair of a set its ends, and the
+    strongest cross pair of members that share no point adjacent in
+    their union: (s_k[-1], s_k+1[0]) if hull-ordered."""
 
     def balls(self, pts, centers, outside):
         n = len(pts)
@@ -332,6 +338,24 @@ class _Radial(_Line):
             left = _gallop(lambda k: not out(k), left, c)
             right = _gallop(out, max(right, c), n)
             yield [(left, right)] if left < right else []
+
+    def level(self, pts, outside):
+        """The balls of every point of ``pts`` in one linear walk: each end
+        moves at most n in all, and each centre adds at most one stopping
+        test per end, so at most 4n tests."""
+        n = len(pts)
+        lo, hi = array("q", [0]) * n, array("q", [0]) * n
+        left = right = 0
+        for c, x in enumerate(pts):
+            out = outside(x)
+            while left < c and out(left):
+                left += 1
+            if right < c:
+                right = c
+            while right < n and not out(right):
+                right += 1
+            lo[c], hi[c] = left, right
+        return _Level(lo, hi)
 
     def edges(self, pts, joined):
         return ((j - 1, j) for j in range(1, len(pts)) if joined(pts[j - 1], pts[j]))
@@ -771,11 +795,11 @@ class FuzzyMetricSpace:
         test is one cross-multiplication and no Fraction is built."""
         return self._kind.pair(x, y, t)
 
-    def balls(self, centers, bound: Fraction, t: Fraction, window: Window):
-        """The window runs of each ball {y : M(x, y, t) > bound}, for centres
-        x of the universe in increasing order, swept by the kind's order
-        with one integer cross-multiplication per test.  A window point
-        outside the universe raises ``DomainError`` before M is evaluated."""
+    def _outside(self, bound: Fraction, t: Fraction, window: Window):
+        """The one threshold test of ``balls`` and ``ball_level``:
+        ``outside(x)(k)`` says M(x, window.points[k], t) <= bound, by one
+        integer cross-multiplication.  A window point outside the universe
+        raises ``DomainError`` before M is evaluated."""
         self._check_window(window)
         pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
         pts = window.points
@@ -786,13 +810,20 @@ class FuzzyMetricSpace:
                 return num * bd <= bn * den
             return test
 
-        return self.order.balls(pts, centers, outside)
+        return outside
+
+    def balls(self, centers, bound: Fraction, t: Fraction, window: Window):
+        """The window runs of each ball {y : M(x, y, t) > bound}, for centres
+        x of the universe in increasing order, swept by the kind's order:
+        a sparse centre set costs O(log n) tests a centre on a line order."""
+        return self.order.balls(window.points, centers, self._outside(bound, t, window))
 
     def ball_level(self, bound: Fraction, t: Fraction, window: Window):
-        """The balls of every window point at one (bound, t), from one sweep
-        of ``balls``, as the order keeps them: item k is the run list of
-        the ball of ``window.points[k]``."""
-        return self.order.level(self.balls(window.points, bound, t, window))
+        """The balls of every window point at one (bound, t), from the
+        order's whole-window sweep (at most 4n tests on a radial kind), as
+        the order keeps them: item k is the run list of the ball of
+        ``window.points[k]``, equal to what ``balls`` yields for it."""
+        return self.order.level(window.points, self._outside(bound, t, window))
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
         """The window runs of the ball of one centre."""
@@ -1008,9 +1039,10 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False):
     """The first index triple (i, j, k), i <= k, in (i, k, j) order with
     T(A[i][j], B[k][j]) > C[i][k], or None.
 
-    Each matrix is an entry of ``_value_matrices``.  Built-in t-norms
-    compare by integer cross-multiplication; any other rule is evaluated
-    on Fractions built from the entries, over every triple.
+    Each matrix is an entry of ``_value_matrices``.  Built-in t-norm
+    objects (``builtin_name``) compare by integer cross-multiplication;
+    any other rule, a user rule under a built-in name included, is
+    evaluated on Fractions built from the entries, over every triple.
 
     A built-in t-norm skips only triples that a proof shows cannot come
     first:
@@ -1030,11 +1062,12 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False):
       <= C[i][k] on every triple, so the chain holds in O(n^2) and nothing
       is scanned (``_min_transitive``).
     """
-    scanner = _SCANNERS.get(tnorm.name)
+    name = builtin_name(tnorm)
+    scanner = _SCANNERS.get(name)
     if scanner is not None:
         if radial:
             pairs = _uncrossed_pairs(*mat_a, *mat_b, *mat_c)
-        elif (tnorm.name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
+        elif (name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
                 and _min_transitive(mat_c)):
             return None
         else:
@@ -1198,7 +1231,7 @@ def check_axioms(space: FuzzyMetricSpace, window: Window, t_grid) -> CertReport:
         tnorm=space.tnorm.name,
         positivity_preserving=is_positivity_preserving(space.tnorm),
     )
-    if BUILTIN_TNORMS.get(space.tnorm.name) is space.tnorm and space._kind.certifies_axioms(pts):
+    if builtin_name(space.tnorm) and space._kind.certifies_axioms(pts):
         n = len(pts)
         rep.add_pass("range", witness=None, t=None, value=None)
         rep.add_pass("identity-of-indiscernibles", witness=None, t=None)

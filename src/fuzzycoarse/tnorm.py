@@ -65,6 +65,15 @@ LUKASIEWICZ = TNorm("lukasiewicz", _lukasiewicz, False)
 BUILTIN_TNORMS = {t.name: t for t in (PRODUCT, MINIMUM, LUKASIEWICZ)}
 
 
+def builtin_name(tnorm: TNorm) -> Optional[str]:
+    """The name of a built-in t-norm object, or None for any other one.
+
+    ``TNorm`` equality ignores the rule, so a user rule under a built-in
+    name compares equal to the built-in; only the object itself may take
+    a built-in's proofs and integer scans."""
+    return tnorm.name if BUILTIN_TNORMS.get(tnorm.name) is tnorm else None
+
+
 def tnorm_from_name(name: str) -> TNorm:
     try:
         return BUILTIN_TNORMS[name]

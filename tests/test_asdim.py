@@ -16,6 +16,7 @@ from fuzzycoarse import (
     Family,
     ScaleParams,
     TableMetric,
+    TNorm,
     Window,
     derive_bound_params,
     derived_scale,
@@ -314,6 +315,16 @@ def test_ball_partition_singletons():
     wit = witness_ball_partition(ult, ScaleParams(F(1, 4), 1), F(1, 4), w)
     assert all(len(s) == 1 for s in wit.families[0].sets)
     assert verify_witness(ult, wit).passed
+
+
+def test_ball_partition_refuses_a_user_rule_named_min():
+    """The construction rests on the minimum's proofs, so it takes the
+    ``MINIMUM`` object only: the product rule named "min" is refused."""
+    named_min = TNorm("min", PRODUCT.rule, True)
+    assert named_min == MINIMUM
+    with pytest.raises(UnsupportedOperationError, match="minimum t-norm"):
+        witness_ball_partition(ultrametric_space(named_min), ScaleParams(F(1, 2), 4),
+                               F(1, 4), int_window(1, 10))
 
 
 def test_ball_partition_default_epsilon():

@@ -488,6 +488,25 @@ def test_ball_sweeps_make_linear_pair_calls(factory, n, monkeypatch):
             assert len(calls) <= 5 * math.log2(n)
 
 
+@pytest.mark.parametrize("factory,n", [(ratio_minmax_space, 4000), (pathological_space, 1000),
+                                       (ultrametric_space, 1000)])
+def test_radial_ball_level_makes_at_most_4n_pair_calls(factory, n, monkeypatch):
+    """A radial level walks both ball ends right one point at a time over
+    the whole window: each end moves at most N in all and stops once per
+    centre, so at most 4N ``pair`` calls, with no gallop."""
+    space = factory()
+    assert type(space.order) is _Radial
+    calls = []
+    pair = type(space._kind).pair
+    monkeypatch.setattr(type(space._kind), "pair",
+                        lambda self, *args: calls.append(0) or pair(self, *args))
+    w = int_window(1, n)
+    for bound in (F(1, 4), F(1, 2), F(9, 10)):
+        calls.clear()
+        assert len(space.ball_level(bound, F(1), w)) == n
+        assert len(calls) <= 4 * n
+
+
 def test_radiality_flags_hold():
     """Each built-in kind's declared order against brute force: M of a
     ``_Radial`` kind shrinks as a pair nests outward, M of a ``_Prefix``
@@ -1103,6 +1122,20 @@ def test_generic_scan_reports_what_the_integer_scan_reports():
               if "chain-inequality" in ln] for tn in (PRODUCT, custom)]
     assert lines[0] == lines[1]
     assert lines[0][0].startswith("FAIL chain-inequality")
+
+
+def test_a_user_rule_under_a_built_in_name_is_scanned_as_its_rule():
+    """``TNorm`` equality ignores the rule, so a built-in's scan is picked
+    by identity: the min rule named "product" compares equal to
+    ``PRODUCT`` yet names the first triple that fails under min."""
+    from fuzzycoarse import TNorm
+
+    named_product = TNorm("product", MINIMUM.rule, True)
+    assert named_product == PRODUCT
+    w = int_window(1, 8)
+    lines = [[ln for ln in check_axioms(pathological_space(tn), w, [1]).lines()
+              if ln.startswith("FAIL chain-inequality")] for tn in (MINIMUM, named_product)]
+    assert lines[0] == lines[1] == ["FAIL chain-inequality witness=1~2~3 t=1 s=1 lhs=1/2 rhs=1/3"]
 
 
 @st.composite

@@ -15,11 +15,20 @@ from fuzzycoarse import (
 )
 from fuzzycoarse.errors import DomainError
 from fuzzycoarse.report import fmt_value
-from fuzzycoarse.tnorm import TNorm, positivity_counterexample
+from fuzzycoarse.tnorm import TNorm, builtin_name, positivity_counterexample
 
 F = Fraction
 ALL = [PRODUCT, MINIMUM, LUKASIEWICZ]
 units = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+def test_builtin_name_is_decided_by_identity():
+    """Each built-in object is named; a user rule is not, even under a
+    built-in name, where ``TNorm`` equality calls it equal."""
+    assert [builtin_name(t) for t in ALL] == ["product", "min", "lukasiewicz"]
+    for t in ALL:
+        twin = TNorm(t.name, t.rule, t.positivity_preserving)
+        assert twin == t and builtin_name(twin) is None
 
 
 def test_eval_examples():
