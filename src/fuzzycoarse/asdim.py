@@ -692,25 +692,14 @@ def _components(n: int, edges) -> list:
     return list(groups.values())
 
 
-def _threshold_edges(space: FuzzyMetricSpace, pts, bound: Fraction, t: Fraction):
-    """Index pairs i < j of the sorted points ``pts``, as the space's order
-    picks them, that give the components of the graph joining x and y when
-    M(x, y, t) >= bound.  Only pairs i < j are evaluated, so this relies on
-    M being symmetric."""
-    pair, bn, bd = space._pair, bound.numerator, bound.denominator
-
-    def joined(x, y):
-        num, den = pair(x, y, t)
-        return num * bd >= bn * den
-
-    return space.order.edges(pts, joined)
-
-
 def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) -> ScaleGraphReport:
-    """Components of the graph joining x, y when M(x, y, t) >= 1 - r."""
+    """Components of the graph joining x, y when M(x, y, t) >= 1 - r: the
+    space's closed threshold test picks, through its order, the index
+    pairs i < j of the window points that give them.  Only pairs i < j
+    are evaluated, so this relies on M being symmetric."""
     space._check_window(window)
     pts = window.points
-    edges = _threshold_edges(space, pts, params.threshold, params.t)
+    edges = space.order.edges(pts, space._threshold(pts, params.threshold, params.t, False))
     components = tuple(tuple(pts[i] for i in comp) for comp in _components(len(pts), edges))
     largest = max(components, key=len) if components else ()
     worst = min_intra_pair(space, largest, params.t) if len(largest) >= 2 else None

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from typing import Callable, Optional
 
@@ -128,14 +127,6 @@ def _finite_table_note(rep: CertReport):
 # ---------------------------------------------------------------------------
 
 
-def _below(pair, pts, num, den, t, i):
-    """The test M(pts[i], pts[j], t) < num/den, as a function of j."""
-    def test(j):
-        n, d = pair(pts[i], pts[j], t)
-        return n * den < num * d
-    return test
-
-
 def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpace,
                    space_y: FuzzyMetricSpace, f: CoarseMap, window_x: Window,
                    proper: bool) -> CertReport:
@@ -144,16 +135,18 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
 
     The input side of a pair is (x, y) in ``space_x`` and the output side
     (f(x), f(y)) in ``space_y``; ``proper`` swaps the two sides.  Every
-    point is checked against its universe once, before the scan.  Each
-    level test is one integer cross-multiplication; only a reported value
-    is built as a Fraction.
+    point is checked against its universe once, before the scan.  Both
+    sides are tested against their closed levels by the space's one
+    threshold test (``FuzzyMetricSpace._threshold``), which hands back the
+    integer pair of a failing output; only a reported value is built as a
+    Fraction.
 
     When each side's order says M does not grow along the rows of its
     points (``rows_fall_on``; images are checked, not read from the map's
     rule), the pairs of row i meeting the closed premise form a run [i, b)
     whose end the input order gives (``run_ends``), with the failing pairs
-    a suffix: row i tests b - 1 and, if that fails, gallops to the first.
-    Otherwise every pair is tested.
+    a suffix: row i tests b - 1 and, if that fails, gallops to the first,
+    whose value is read once more.  Otherwise every pair is tested.
     """
     rep = CertReport(title, map=f.describe(), window=window_x.label())
     pts = window_x.points
@@ -163,31 +156,23 @@ def _check_modulus(title: str, predicate: str, entries, space_x: FuzzyMetricSpac
     sides = [(space_x, pts), (space_y, images)]
     (space_in, pts_in), (space_out, pts_out) = sides[::-1] if proper else sides
     runs = space_in.order.rows_fall_on(pts_in) and space_out.order.rows_fall_on(pts_out)
-    pair_in, pair_out = space_in._pair, space_out._pair
     n = len(pts)
 
     def first_bad(entry):
-        ln, ld = entry.level_in.numerator, entry.level_in.denominator
-        on, od = entry.level_out.numerator, entry.level_out.denominator
-        t_in, t_out = entry.t_in, entry.t_out
-
+        test_in = space_in._threshold(pts_in, entry.level_in, entry.t_in, False)
+        test_out = space_out._threshold(pts_out, entry.level_out, entry.t_out, False)
         if runs:
-            below_out = partial(_below, pair_out, pts_out, on, od, t_out)
-            for i, b in enumerate(space_in.order.run_ends(
-                    n, partial(_below, pair_in, pts_in, ln, ld, t_in))):
-                out = below_out(i)
-                if b - 1 > i and out(b - 1):
-                    j = _gallop(out, i + 1, b - 1)
-                    return (pts[i], pts[j]), Fraction(*pair_out(pts_out[i], pts_out[j], t_out))
+            for i, b in enumerate(space_in.order.run_ends(pts_in, test_in)):
+                misses = test_out(pts_out[i])
+                if b - 1 > i and misses(b - 1):
+                    j = _gallop(misses, i + 1, b - 1)
+                    return (pts[i], pts[j]), Fraction(*misses(j))
             return None
         for i in range(n):
-            a, fa = pts_in[i], pts_out[i]
+            premise_misses, misses = test_in(pts_in[i]), test_out(pts_out[i])
             for j in range(i, n):
-                num, den = pair_in(a, pts_in[j], t_in)
-                if num * ld >= ln * den:
-                    num, den = pair_out(fa, pts_out[j], t_out)
-                    if num * od < on * den:
-                        return (pts[i], pts[j]), Fraction(num, den)
+                if not premise_misses(j) and (m := misses(j)):
+                    return (pts[i], pts[j]), Fraction(*m)
         return None
 
     for entry in entries:
@@ -252,13 +237,9 @@ def check_close(space_y: FuzzyMetricSpace, f: CoarseMap, g: CoarseMap,
                      window=window_x.label(), r=params.r, t=params.t)
     images = [(f.apply(x), g.apply(x)) for x in window_x]
     space_y._check_points(chain.from_iterable(images))
-    bn, bd, t = params.threshold.numerator, params.threshold.denominator, params.t
-    bad = None
-    for x, (fx, gx) in zip(window_x, images):
-        num, den = space_y._pair(fx, gx, t)
-        if num * bd <= bn * den:
-            bad = x, Fraction(num, den)
-            break
+    test = space_y._threshold([gx for _, gx in images], params.threshold, params.t, True)
+    bad = next(((x, Fraction(*m)) for k, (x, (fx, _)) in enumerate(zip(window_x, images))
+                if (m := test(fx)(k))), None)
     rep.add_verdict(bad is None, "pointwise", witness=bad[0] if bad else None,
                     value=bad[1] if bad else None)
     return rep

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import nsmallest
 from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
-from operator import add, and_, eq, itemgetter, le, mul, ne
+from operator import add, and_, eq, itemgetter, le, lt, mul, ne
 from typing import Optional
 
 from .errors import DomainError, ExactnessError, UnsupportedOperationError
@@ -243,14 +243,15 @@ class _Level:
 
 
 def _gallop(pred, lo: int, hi: int) -> int:
-    """The first k in [lo, hi) with ``pred(k)``, or hi, for a predicate that
-    is false and then true on [lo, hi): probes lo, lo + 1, lo + 3, ...
-    until one holds, then bisects, so O(log(k - lo)) calls."""
+    """The first k in [lo, hi) with ``pred(k)`` true, or hi, for a predicate
+    that is false and then true on [lo, hi), read by truth value: probes
+    lo, lo + 1, lo + 3, ... until one holds, then bisects, so
+    O(log(k - lo)) calls."""
     start, step = lo, 1
     while lo < hi:
         probe = min(start + step, hi) - 1
         if pred(probe):
-            return bisect_left(range(probe), True, lo, probe, key=pred)
+            return bisect_left(range(probe), True, lo, probe, key=lambda k: bool(pred(k)))
         lo, step = probe + 1, 2 * step
     return hi
 
@@ -262,21 +263,29 @@ def _gallop(pred, lo: int, hi: int) -> int:
 
 class _Unordered:
     """No order fact: each primitive tests every point or pair of the sorted
-    points it is given, through the test or M function passed in."""
+    points it is given, through the test or M function passed in.  The
+    threshold primitives take one test shape, that of
+    ``FuzzyMetricSpace._threshold`` over ``pts``: ``misses = test(x)`` is
+    the test of a point x, and ``misses(k)`` is true when M(x, pts[k])
+    misses the level."""
 
-    def balls(self, pts, centers, outside):
-        """Per increasing centre x, the runs of the k without ``outside(x)(k)``."""
+    def balls(self, pts, centers, test):
+        """Per increasing centre x, the runs of the k where ``test(x)(k)`` is false."""
         n = len(pts)
         for x in centers:
-            out = outside(x)
-            yield _coalesce_runs((k, k + 1) for k in range(n) if not out(k))
+            misses = test(x)
+            yield _coalesce_runs((k, k + 1) for k in range(n) if not misses(k))
 
-    def level(self, pts, outside):
+    def level(self, pts, test):
         """The balls of every point of ``pts``, item k that of ``pts[k]``."""
-        return list(self.balls(pts, pts, outside))
+        return list(self.balls(pts, pts, test))
 
-    def edges(self, pts, joined):  # pairs i < j with the components of the graph ``joined``
-        return ((i, j) for j in range(len(pts)) for i in range(j) if joined(pts[i], pts[j]))
+    def edges(self, pts, test):
+        """Pairs i < j that give the components of the graph joining pts[i]
+        and pts[j] when ``test(pts[i])(j)`` is false: here every such pair."""
+        for i, x in enumerate(pts):
+            misses = test(x)
+            yield from ((i, j) for j in range(i + 1, len(pts)) if not misses(j))
 
     def min_intra(self, s, pair, t):
         """``((num, den), (x, y))``, the first least ``pair(x, y, t)`` in s."""
@@ -300,14 +309,15 @@ class _Unordered:
 
 class _Line(_Unordered):
     """M(a_i, a_j) does not grow as j moves right of i on sorted points, so
-    a ball is a run plus its centre (kept as a ``_Level``), an edge over a
-    span joins its left end to every point inside, making each threshold
-    component a run that a_j joins iff joined to the earlier point with
-    the largest M, and a closed premise holds on a run [i, b) of row i."""
+    under either threshold test a ball is a run plus its centre (kept as a
+    ``_Level``), an edge over a span joins its left end to every point
+    inside, making each threshold component a run that a_j joins iff
+    joined to the earlier point with the largest M, and the j >= i that a
+    closed premise test passes on row i form a run [i, b)."""
 
-    def level(self, pts, outside):
+    def level(self, pts, test):
         lo, hi = array("q"), array("q")
-        for k, runs in enumerate(self.balls(pts, pts, outside)):
+        for k, runs in enumerate(self.balls(pts, pts, test)):
             i, j = runs[0] if runs else (k, k)
             lo.append(i)
             hi.append(j)
@@ -325,21 +335,22 @@ class _Radial(_Line):
     end from where the last left it, O(log n) tests a centre, and
     ``level`` walks both ends one point at a time over the whole window.
     A premise run's end is galloped as a ball's.  The earlier point with
-    the largest M is a_(j-1), the weakest pair of a set its ends, and the
-    strongest cross pair of members that share no point adjacent in
-    their union: (s_k[-1], s_k+1[0]) if hull-ordered."""
+    the largest M is a_(j-1), so an edge is (j - 1, j) from one test per
+    point, the weakest pair of a set its ends, and the strongest cross
+    pair of members that share no point adjacent in their union:
+    (s_k[-1], s_k+1[0]) if hull-ordered."""
 
-    def balls(self, pts, centers, outside):
+    def balls(self, pts, centers, test):
         n = len(pts)
         left = right = 0
         for x in centers:
             c = bisect_left(pts, x)
-            out = outside(x)
-            left = _gallop(lambda k: not out(k), left, c)
-            right = _gallop(out, max(right, c), n)
+            misses = test(x)
+            left = _gallop(lambda k: not misses(k), left, c)
+            right = _gallop(misses, max(right, c), n)
             yield [(left, right)] if left < right else []
 
-    def level(self, pts, outside):
+    def level(self, pts, test):
         """The balls of every point of ``pts`` in one linear walk: each end
         moves at most n in all, and each centre adds at most one stopping
         test per end, so at most 4n tests."""
@@ -347,18 +358,18 @@ class _Radial(_Line):
         lo, hi = array("q", [0]) * n, array("q", [0]) * n
         left = right = 0
         for c, x in enumerate(pts):
-            out = outside(x)
-            while left < c and out(left):
+            misses = test(x)
+            while left < c and misses(left):
                 left += 1
             if right < c:
                 right = c
-            while right < n and not out(right):
+            while right < n and not misses(right):
                 right += 1
             lo[c], hi[c] = left, right
         return _Level(lo, hi)
 
-    def edges(self, pts, joined):
-        return ((j - 1, j) for j in range(1, len(pts)) if joined(pts[j - 1], pts[j]))
+    def edges(self, pts, test):
+        return ((j - 1, j) for j in range(1, len(pts)) if not test(pts[j - 1])(j))
 
     def min_intra(self, s, pair, t):
         return pair(s[0], s[-1], t), (s[0], s[-1])
@@ -372,37 +383,42 @@ class _Radial(_Line):
         return max(((value(p, q, t), (p, q), (min(i, j), max(i, j)))
                     for (p, i), (q, j) in adjacent if i != j), key=itemgetter(0))
 
-    def run_ends(self, n, outside):  # b of the run [i, b) without outside(i), per row i
-        b = 0
-        for i in range(n):
-            b = _gallop(outside(i), max(b, i + 1), n)
+    def run_ends(self, pts, test):
+        """Per row i, the end b of the run [i, b) of the j where
+        ``test(pts[i])(j)`` is false, for a closed premise test."""
+        b, n = 0, len(pts)
+        for i, x in enumerate(pts):
+            b = _gallop(test(x), max(b, i + 1), n)
             yield b
 
 
 class _Prefix(_Line):
     """M(x, y) does not grow in either coordinate off the diagonal, at
     every t (``reciprocal_product``).  A ball is a window prefix plus its
-    centre, the earlier point with the largest M is a_0, the weakest pair
-    of a set its last two points, and the strongest pair across members
-    that share no point their two smallest minima.  A premise run of a
-    later row can end earlier, so each row gallops from i + 1."""
+    centre, the earlier point with the largest M is a_0, so an edge is
+    (j - 1, j) from the one test of a_0, the weakest pair of a set its
+    last two points, and the strongest pair across members that share no
+    point their two smallest minima.  A premise run of a later row can
+    end earlier, so each row gallops from i + 1."""
 
-    def balls(self, pts, centers, outside):
+    def balls(self, pts, centers, test):
         n = len(pts)
         for x in centers:
             c = bisect_left(pts, x)
-            out = outside(x)
+            misses = test(x)
             at_x = c < n and pts[c] == x
-            end = _gallop(out, 0, c)
+            end = _gallop(misses, 0, c)
             if end == c:  # the whole prefix is inside: go on past the centre
-                end = _gallop(out, c + at_x, n)
+                end = _gallop(misses, c + at_x, n)
             runs = [(0, end)] if end else []
             if at_x and end < c:
                 runs.append((c, c + 1))
             yield runs
 
-    def edges(self, pts, joined):
-        return ((j - 1, j) for j in range(1, len(pts)) if joined(pts[0], pts[j]))
+    def edges(self, pts, test):
+        if pts:  # no point, no test of a_0
+            misses = test(pts[0])
+            yield from ((j - 1, j) for j in range(1, len(pts)) if not misses(j))
 
     def min_intra(self, s, pair, t):
         return pair(s[-2], s[-1], t), (s[-2], s[-1])
@@ -414,8 +430,8 @@ class _Prefix(_Line):
         (p, i), (q, j) = nsmallest(2, ((s[0], i) for i, s in enumerate(sets)))
         return (value(p, q, t), (min(p, q), max(p, q)), (min(i, j), max(i, j)))
 
-    def run_ends(self, n, outside):
-        return (_gallop(outside(i), i + 1, n) for i in range(n))
+    def run_ends(self, pts, test):
+        return (_gallop(test(x), i + 1, len(pts)) for i, x in enumerate(pts))
 
 
 def int_window(lo: int, hi: int) -> Window:
@@ -704,7 +720,7 @@ class _RatioKind(_Kind):
     order = _Radial()
 
     def pair(self, x, y, t):
-        return (1, 1) if x == y else (min(x, y), max(x, y))
+        return (1, 1) if x == y else (x, y) if x < y else (y, x)
 
 
 class _PathologicalKind(_Kind):
@@ -795,35 +811,44 @@ class FuzzyMetricSpace:
         test is one cross-multiplication and no Fraction is built."""
         return self._kind.pair(x, y, t)
 
-    def _outside(self, bound: Fraction, t: Fraction, window: Window):
-        """The one threshold test of ``balls`` and ``ball_level``:
-        ``outside(x)(k)`` says M(x, window.points[k], t) <= bound, by one
-        integer cross-multiplication.  A window point outside the universe
-        raises ``DomainError`` before M is evaluated."""
-        self._check_window(window)
-        pair, bn, bd = self._kind.pair, bound.numerator, bound.denominator
-        pts = window.points
+    def _threshold(self, pts, level: Fraction, t: Fraction, strict: bool):
+        """The one threshold test, over a sequence of points already checked
+        against the universe: ``test(x)(k)`` is M(x, pts[k], t) as its
+        integer pair when that misses the level, and None when it clears
+        it, by one integer cross-multiplication.  A ``strict`` level is
+        cleared by M > level, as balls and closeness are; a closed one by
+        M >= level, as modulus premises and scale-graph edges are (George
+        and Veeramani, 1994).  The orders' ``balls``, ``level``, ``edges``
+        and ``run_ends`` all take a test of this shape."""
+        pair, ln, ld = self._kind.pair, level.numerator, level.denominator
+        below = le if strict else lt  # what misses a strict level, and a closed one
 
-        def outside(x):
-            def test(k):
-                num, den = pair(x, pts[k], t)
-                return num * bd <= bn * den
-            return test
+        def test(x):
+            def misses(k):
+                m = num, den = pair(x, pts[k], t)
+                return m if below(num * ld, ln * den) else None
+            return misses
 
-        return outside
+        return test
 
     def balls(self, centers, bound: Fraction, t: Fraction, window: Window):
         """The window runs of each ball {y : M(x, y, t) > bound}, for centres
         x of the universe in increasing order, swept by the kind's order:
-        a sparse centre set costs O(log n) tests a centre on a line order."""
-        return self.order.balls(window.points, centers, self._outside(bound, t, window))
+        a sparse centre set costs O(log n) tests a centre on a line order.
+        A window point outside the universe raises ``DomainError`` before M
+        is evaluated."""
+        self._check_window(window)
+        pts = window.points
+        return self.order.balls(pts, centers, self._threshold(pts, bound, t, True))
 
     def ball_level(self, bound: Fraction, t: Fraction, window: Window):
         """The balls of every window point at one (bound, t), from the
         order's whole-window sweep (at most 4n tests on a radial kind), as
         the order keeps them: item k is the run list of the ball of
         ``window.points[k]``, equal to what ``balls`` yields for it."""
-        return self.order.level(window.points, self._outside(bound, t, window))
+        self._check_window(window)
+        pts = window.points
+        return self.order.level(pts, self._threshold(pts, bound, t, True))
 
     def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
         """The window runs of the ball of one centre."""

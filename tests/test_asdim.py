@@ -1027,6 +1027,19 @@ def test_scale_graph_refuses_points_outside_the_universe(factory):
         scale_graph(factory(), ScaleParams(F(1, 2), 1), int_window(-1, 0))
 
 
+@pytest.mark.parametrize("factory, order", [(ratio_minmax_space, "_Radial"),
+                                            (reciprocal_product_space, "_Prefix"),
+                                            (_clusters_space, "_Unordered")],
+                         ids=["radial", "prefix", "unordered"])
+def test_scale_graph_of_the_empty_window_has_no_component(factory, order):
+    """On no point each order's edges test nothing, so the graph has no
+    component, its minimum is 1 and it names no pair."""
+    space = factory()
+    assert type(space.order).__name__ == order
+    graph = scale_graph(space, ScaleParams(F(1, 2), 1), Window([]))
+    assert (graph.components, graph.min_internal, graph.min_internal_pair) == ((), 1, None)
+
+
 # ---------------------------------------------------------------------------
 # the oracle, and the set-partition oracle it is checked against
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ from fuzzycoarse import (
     ultrametric_space,
     verify_witness,
 )
-from fuzzycoarse.asdim import (_components, _threshold_edges, witness_ratio_minmax,
-                               witness_reciprocal_product)
+from fuzzycoarse.asdim import _components, witness_ratio_minmax, witness_reciprocal_product
 from fuzzycoarse.covers import (
     CallContext,
     _clean_set,
@@ -956,7 +955,8 @@ def test_threshold_edges_give_the_components_of_every_pair(data):
     b = data.draw(st.sampled_from(sorted(set(value.values())) + [p.threshold]))
     expected = _components(len(pts), [ij for ij, v in value.items() if v >= b])
     for sp in (space, unordered(space)):
-        assert _components(len(pts), _threshold_edges(sp, pts, b, p.t)) == expected
+        edges = sp.order.edges(pts, sp._threshold(pts, b, p.t, False))
+        assert _components(len(pts), edges) == expected
 
 
 @pytest.mark.parametrize("cases, line_kinds", [
@@ -981,21 +981,11 @@ def test_order_primitives_match_the_unordered_order(cases, line_kinds, data):
     values = sorted({space.value(x, y, t) for x, y in combinations(pts, 2)})
     b = data.draw(st.sampled_from(values + [p.threshold]))
     for strict in (True, False):
-        def below(x, y):
-            num, den = pair(x, y, t)
-            lhs, rhs = num * b.denominator, b.numerator * den
-            return lhs <= rhs if strict else lhs < rhs
-
-        def outside_of(x):
-            return lambda k: below(x, pts[k])
-
-        def joined(x, y):
-            return not below(x, y)
-
-        assert (list(order.balls(pts, centres, outside_of))
-                == list(plain.balls(pts, centres, outside_of)))
-        assert (_components(len(pts), order.edges(pts, joined))
-                == _components(len(pts), plain.edges(pts, joined)))
+        test = space._threshold(pts, b, t, strict)
+        assert (list(order.balls(pts, centres, test))
+                == list(plain.balls(pts, centres, test)))
+        assert (_components(len(pts), order.edges(pts, test))
+                == _components(len(pts), plain.edges(pts, test)))
 
     sets = Family.of(data.draw(member_sets(w, outside, data.draw(st.integers(1, 5))))).sets
     for s in sets:
@@ -1014,7 +1004,7 @@ def test_order_primitives_match_the_unordered_order(cases, line_kinds, data):
     seq = sorted(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=12)))
     assert order.rows_fall_on(seq) and not plain.rows_fall_on(seq)
     n = len(seq)
-    ends = order.run_ends(n, lambda i: lambda j: space.value(seq[i], seq[j], t) < b)
+    ends = order.run_ends(seq, space._threshold(seq, b, t, False))
     for i, end in enumerate(ends):
         assert [j for j in range(i, n) if space.value(seq[i], seq[j], t) >= b] == list(range(i, end))
 

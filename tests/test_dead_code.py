@@ -6,6 +6,9 @@ own body, every parameter of a module-level function is read in its
 body, and every name ``__init__.py`` re-exports is used by the library,
 the CLI or a demo, so no public name is called only by tests.
 ``__init__.py`` only re-exports, so its imports are its point.
+
+One boundary rule rides along: ``coarse`` and ``asdim`` reach M only
+through the space's tests, never through its kind or integer pair.
 """
 
 import ast
@@ -98,3 +101,15 @@ def test_every_re_export_is_used_by_the_library_or_a_demo():
     unused = {name for name in exported - in_demos
               if all(getattr(node, "name", None) == name for node in users.get(name, ()))}
     assert unused == set()
+
+
+def test_coarse_and_asdim_read_neither_the_kind_nor_the_pair_of_a_space():
+    """Every threshold test of ``coarse`` and ``asdim`` comes from
+    ``FuzzyMetricSpace._threshold``, the one place outside the matrix
+    scanners and the extremal helpers that decides strict or closed."""
+    reads = [f"{path.name}:{n.lineno}: {name}" for path in SOURCES
+             if path.name in ("coarse.py", "asdim.py") for n in ast.walk(_parse(path))
+             if isinstance(n, (ast.Name, ast.Attribute))
+             for name in [n.id if isinstance(n, ast.Name) else n.attr]
+             if name in ("_pair", "_kind")]
+    assert reads == []
