@@ -331,12 +331,16 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     The balls at the slightly enlarged scale (r + eps, t) are pairwise
     equal or disjoint, so the distinct ones partition the window into a
     single family: separated at (r, t) and bounded at (r + eps, t).
-    First every window point is checked against the universe, and the
-    non-Archimedean inequality over all window triples; under min that is
-    the chain inequality with the one matrix at t in all three places,
-    decided in O(n^2) through a maximum spanning tree.  Only a failure
-    pays for the cubic scan, which names the first bad triple in scan
-    order.  The equal-or-disjoint fact is verified, not assumed.
+    First every window point is checked against the universe, and then
+    the non-Archimedean inequality over all window triples.  A standard
+    space whose d is an ultrametric on the window
+    (``FuzzyMetricSpace.is_ultrametric_on``) satisfies it at every t, read
+    from d one row at a time in O(n) memory.  Any other window takes the
+    matrix path: under min the inequality is the chain inequality with the
+    one matrix at t in all three places, decided in O(n^2) through a
+    maximum spanning tree, and only a failure pays for the cubic scan,
+    which names the first bad triple in scan order.  The equal-or-disjoint
+    fact is verified, not assumed.
     """
     eps = as_fraction(epsilon) if epsilon is not None else (1 - params.r) / 2
     rho = params.r + eps
@@ -348,13 +352,14 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
         )
     pts = window.points
     space._check_window(window)
-    mat = _value_matrices(space, pts, [params.t])[params.t]
-    found = _first_chain_violation(space.tnorm, mat, mat, mat)
-    if found:
-        bad = tuple(pts[i] for i in found)
-        raise NonArchimedeanViolationError(
-            f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
-        )
+    if not space.is_ultrametric_on(pts):
+        mat = _value_matrices(space, pts, [params.t])[params.t]
+        found = _first_chain_violation(space.tnorm, mat, mat, mat)
+        if found:
+            bad = tuple(pts[i] for i in found)
+            raise NonArchimedeanViolationError(
+                f"M(x,y,t)*M(y,z,t) <= M(x,z,t) fails at {bad} (t={params.t})"
+            )
     enlarged = ScaleParams(rho, params.t)
     swept = space.ball_level(enlarged.threshold, params.t, window)
     balls = list(map(window.run_set, sorted(dict.fromkeys(map(tuple, swept)))))

@@ -292,13 +292,15 @@ def coarse_inverse(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
 
     g(y) is the smallest x in the source window whose image lands
     strictly within 1 - r of y at t; the onto property at (r, t) is the
-    checked precondition.  The source window is swept in order, and each
-    x is given to the points of its image's ball (window runs, galloped
-    where the kind's order allows) that have no preimage yet; a repeated image
-    adds nothing and is skipped.  The composite f(g(y)) is close to the
-    identity at (r, t) by construction and is re-verified; closeness of
-    g(f(x)) to the identity comes through a properness entry applicable
-    at (1 - r, t), at the halved output level for strictness.
+    checked precondition.  The balls of the distinct images come from one
+    sweep over them in increasing order (window runs, galloped where the
+    kind's order allows).  The source window is then walked in order, and
+    each x is given to the points of its image's ball that have no
+    preimage yet; a repeated image adds nothing and is skipped.  The
+    composite f(g(y)) is close to the identity at (r, t) by construction
+    and is re-verified; closeness of g(f(x)) to the identity comes through
+    a properness entry applicable at (1 - r, t), at the halved output
+    level for strictness.
     """
     b, t = params.threshold, params.t
     images = [f.apply(x) for x in window_x]
@@ -319,12 +321,10 @@ def coarse_inverse(space_x: FuzzyMetricSpace, space_y: FuzzyMetricSpace,
             free[p] = k
         return k
 
-    seen = set()
+    centres = sorted(set(images))
+    ball_of = dict(zip(centres, space_y.balls(centres, b, t, window_y)))
     for x, fx in zip(window_x, images):
-        if fx in seen:
-            continue
-        seen.add(fx)
-        for i, j in space_y.ball_runs(fx, b, t, window_y):
+        for i, j in ball_of.pop(fx, ()):
             k = first_free(i)
             while k < j:
                 chosen[k] = x

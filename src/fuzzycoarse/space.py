@@ -183,12 +183,14 @@ class Window:
         return tuple(chain.from_iterable(self.points[i:j] for i, j in runs))
 
     def run_set(self, runs):
-        """A member set holding the points of a run list: a step-1 ``range``
-        for one run of two or more points of a window of consecutive
-        integers, otherwise a tuple."""
+        """A member set holding the points of a run list, in the form a
+        ``Family`` keeps: a step-1 ``range`` for two or more consecutive
+        ``int``s (on a window of consecutive integers, one run of two or
+        more points, sliced in O(1)), otherwise a tuple."""
         if len(runs) == 1 and runs[0][1] - runs[0][0] > 1 and self.is_contiguous_ints():
             return self._seq[slice(*runs[0])]
-        return self.points_of(runs)
+        pts = self.points_of(runs)
+        return _int_range(pts) or pts
 
     def label(self) -> str:
         s = self._seq
@@ -202,6 +204,17 @@ class Window:
 
     def __repr__(self):
         return f"Window({self.label()})"
+
+
+def _int_range(pts):
+    """``range(pts[0], pts[-1] + 1)`` when the sorted, duplicate-free points
+    are two or more consecutive ``int``s, else None: points that merely
+    compare equal to integers (a ``Fraction`` or ``bool`` among them) give
+    None."""
+    if (len(pts) > 1 and type(pts[0]) is int and type(pts[-1]) is int
+            and pts[-1] - pts[0] == len(pts) - 1 and set(map(type, pts)) == {int}):
+        return range(pts[0], pts[-1] + 1)
+    return None
 
 
 def _coalesce_runs(runs) -> list:
@@ -501,6 +514,9 @@ UNIVERSES = {"naturals": NATURALS, "integers": INTEGERS, "rationals": RATIONALS}
 # ---------------------------------------------------------------------------
 
 
+_RATIONAL_TYPES = (int, Fraction)
+
+
 class Metric:
     """An exact metric; ``line_compatible`` means the distance respects the
     point order (d grows as pairs nest outward on the sorted line), and
@@ -514,8 +530,20 @@ class Metric:
     universe = INTEGERS
     universe_names = frozenset()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "distance" in vars(cls) and "distance_pair" not in vars(cls):
+            cls.distance_pair = Metric.distance_pair  # read a restated d as it is stated
+
     def distance(self, x, y):
         raise NotImplementedError
+
+    def distance_pair(self, x, y) -> tuple:
+        """d(x, y) as integers ``(num, den)`` in lowest terms, ``den > 0``:
+        here those of ``distance``, for any class that states ``distance``
+        without ``distance_pair``."""
+        d = self.distance(x, y)
+        return d.numerator, d.denominator
 
 
 class EuclideanLine(Metric):
@@ -528,6 +556,21 @@ class EuclideanLine(Metric):
     def distance(self, x, y):
         d = abs(x - y)
         return d if type(d) is int else as_fraction(d)
+
+    def distance_pair(self, x, y) -> tuple:
+        """From the points' own integer ratios, reduced by their gcd, with
+        no Fraction built; a point that is neither an ``int`` nor a
+        ``Fraction`` takes ``distance``, which refuses a float."""
+        tx, ty = type(x), type(y)
+        if tx is int and ty is int:
+            return (x - y if x > y else y - x), 1
+        if tx in _RATIONAL_TYPES and ty in _RATIONAL_TYPES:
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            num, den = abs(xn * yd - yn * xd), xd * yd
+            g = math.gcd(num, den)
+            return num // g, den // g
+        return super().distance_pair(x, y)
 
 
 class EuclideanLattice(Metric):
@@ -572,7 +615,7 @@ class MaxUltrametric(Metric):
     universe_names = frozenset({"naturals"})
 
     def distance(self, x, y):
-        d = 0 if x == y else max(x, y)
+        d = x if x > y else y if y > x else 0  # comparisons cost less than a max call
         return d if type(d) is int else as_fraction(d)
 
 
@@ -639,11 +682,17 @@ class _Kind:
             mats[t] = ([[p[0] for p in row] for row in rows], [[p[1] for p in row] for row in rows])
         return mats
 
+    def line_combine(self, pts):
+        """``add`` when M comes from a metric d that is a path metric along
+        the sorted points, ``max`` when d is an ultrametric there, and
+        None otherwise: a kind with no metric says None."""
+        return None
+
     def certifies_axioms(self, pts) -> bool:
         """Whether facts checked on the sorted points prove every verdict
         of ``check_axioms`` a pass under a built-in t-norm, without a
-        matrix: a kind with no such certificate says False."""
-        return False
+        matrix: here, whether ``line_combine`` names a combine."""
+        return self.line_combine(pts) is not None
 
 
 class _StandardKind(_Kind):
@@ -654,17 +703,18 @@ class _StandardKind(_Kind):
 
     def pair(self, x, y, t):
         # t/(t+d) = tn*dd / (tn*dd + dn*td)
-        d = self.metric.distance(x, y)
-        a = t.numerator * d.denominator
-        return a, a + d.numerator * t.denominator
+        dn, dd = self.metric.distance_pair(x, y)
+        tn, td = t.as_integer_ratio()
+        a = tn * dd
+        return a, a + dn * td
 
     def matrices(self, pts, t_values):
-        """As ``pair``, from one ``distance`` read per ordered pair."""
+        """As ``pair``, from one ``distance_pair`` read per ordered pair."""
         dn, dd = [], []
         for x in pts:
-            row = list(map(self.metric.distance, repeat(x), pts))
-            dn.append([d.numerator for d in row])
-            dd.append([d.denominator for d in row])
+            nr, dr = zip(*map(self.metric.distance_pair, repeat(x), pts))
+            dn.append(nr)
+            dd.append(dr)
         mats = {}
         for t in t_values:
             tn, td = t.numerator, t.denominator
@@ -673,37 +723,38 @@ class _StandardKind(_Kind):
                               for nr, row in zip(nums, dn)])
         return mats
 
-    def certifies_axioms(self, pts) -> bool:
-        """Whether d is a path metric or an ultrametric along the sorted
-        points of a ``line_compatible`` metric, read one row of distances
-        at a time: O(n^2) ``distance`` calls, O(n) memory.
+    def line_combine(self, pts):
+        """The combine under which d composes along the sorted points of a
+        ``line_compatible`` metric, read one row of distances at a time:
+        O(n^2) ``distance`` calls, O(n) memory.
 
         The gaps g[m] = d(a_(m-1), a_m) must be positive, and each row i
         must have d(a_i, a_i) = 0 and, moving away from i,
         d(a_i, a_k) = combine(d(a_i, a_(k-1)), g[k]) to the right and
         combine(d(a_i, a_(k+1)), g[k+1]) to the left, where combine is
-        ``add`` if d(a_0, a_2) = g[1] + g[2] (or n < 3) and ``max``
-        otherwise.  Then d(a_i, a_k) is the sum or the largest of the
-        gaps between them, so d is symmetric, positive off the diagonal
-        and satisfies the triangle inequality on the points, as every gap
-        between a_i and a_k lies between a_i and a_j or between a_j and
-        a_k."""
+        ``add`` if d(a_0, a_2) = g[1] + g[2] and ``max`` otherwise (also
+        when n < 3, where the two agree).  Then d(a_i, a_k) is the sum or
+        the largest of the gaps between them, so d is symmetric, positive
+        off the diagonal and satisfies the triangle inequality on the
+        points, as every gap between a_i and a_k lies between a_i and a_j
+        or between a_j and a_k; under ``max`` it is an ultrametric."""
         if not self.metric.line_compatible:
-            return False
+            return None
         distance = self.metric.distance
         gaps = list(map(distance, pts, pts[1:]))  # gaps[m] = g[m + 1]
         if not all(g > 0 for g in gaps):
-            return False
-        combine = None
+            return None
+        combine = max
         for i, x in enumerate(pts):
             row = list(map(distance, repeat(x), pts))
-            if combine is None:
-                combine = add if len(pts) < 3 or row[2] == gaps[0] + gaps[1] else max
+            if i == 0 and len(pts) > 2 and row[2] == gaps[0] + gaps[1]:
+                combine = add
             if not (row[i] == 0
                     and all(map(eq, row[i + 1:], map(combine, row[i:-1], gaps[i:])))
                     and all(map(eq, row[:i], map(combine, row[1:i + 1], gaps[:i])))):
-                return False
-        return True
+                return None
+        return combine
+
 
 class _ReciprocalKind(_Kind):
     name = "reciprocal_product"
@@ -850,13 +901,18 @@ class FuzzyMetricSpace:
         pts = window.points
         return self.order.level(pts, self._threshold(pts, bound, t, True))
 
-    def ball_runs(self, x, bound: Fraction, t: Fraction, window: Window) -> list:
-        """The window runs of the ball of one centre."""
-        return next(self.balls((x,), bound, t, window))
-
     def ball_points(self, x, bound: Fraction, t: Fraction, window: Window) -> tuple:
         """Window points y with M(x, y, t) > bound, strictly."""
-        return window.points_of(self.ball_runs(x, bound, t, window))
+        return window.points_of(next(self.balls((x,), bound, t, window)))
+
+    def is_ultrametric_on(self, points) -> bool:
+        """Whether M is t/(t + d) for a metric d that is an ultrametric on
+        the sorted points, certified from d one row at a time (the kind's
+        ``line_combine`` is ``max``): O(n^2) ``distance`` reads, O(n)
+        memory.  Then, as t/(t + d) falls as d grows,
+        min(M(x, y, t), M(y, z, t)) <= M(x, z, t) on every triple of the
+        points at every t > 0."""
+        return self._kind.line_combine(points) is max
 
     def with_universe(self, universe: Universe) -> "FuzzyMetricSpace":
         return FuzzyMetricSpace(self._kind, self.tnorm, universe)
@@ -1301,6 +1357,7 @@ def _axioms_on_matrices(space, pts, t_list, rep) -> None:
     # the comparison.  Each row test reads row i from column j on.
     nums = [mats[t][0] for t in t_list]
     dens = [mats[t][1] for t in t_list]
+
     def pair_at(bad):
         return fmt_pair((pts[bad[1]], pts[bad[2]])) if bad else None
 

@@ -13,7 +13,9 @@ from fuzzycoarse import (
     PRODUCT,
     Cover,
     DimensionWitness,
+    EuclideanLine,
     Family,
+    MaxUltrametric,
     ScaleParams,
     TableMetric,
     TNorm,
@@ -56,6 +58,7 @@ from fuzzycoarse.errors import (
     UnsupportedOperationError,
 )
 from fuzzycoarse.report import fmt_value
+from fuzzycoarse.space import FuzzyMetricSpace
 
 F = Fraction
 R_GRID = [F(1, 4), F(1, 2), F(3, 4), F(9, 10)]
@@ -401,6 +404,54 @@ def test_ball_partition_pass_runs_no_cubic_scan(monkeypatch):
         witness_ball_partition(standard_space(tnorm=MINIMUM), ScaleParams(F(1, 2), 4),
                                F(1, 4), Window(range(0, 12)))
     assert scans == [(0, 1, 2)]
+
+
+@st.composite
+def ball_partition_cases(draw):
+    """``(space, window, certified)``: a sparse window of naturals on an
+    ultrametric kind (certified from d), on the path metric |x - y|
+    (certified only below three points, where every metric is an
+    ultrametric) or on a table metric (never certified), each under min."""
+    pts = draw(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+    kind = draw(st.sampled_from(["ultrametric", "max", "path", "table"]))
+    if kind == "table":
+        dist = {(x, y): draw(st.sampled_from([1, 2, 3, F(5, 2)]))
+                for x, y in combinations(sorted(pts), 2)}
+        matrix = [[0 if x == y else dist[min(x, y), max(x, y)] for y in pts] for x in pts]
+        space = standard_space(TableMetric(pts, matrix), MINIMUM)
+    else:
+        space = {"ultrametric": ultrametric_space,
+                 "max": lambda: standard_space(MaxUltrametric(), MINIMUM),
+                 "path": lambda: standard_space(EuclideanLine(), MINIMUM)}[kind]()
+    certified = kind in ("ultrametric", "max") or kind == "path" and len(pts) < 3
+    return space, Window(pts), certified
+
+
+def ball_partition_outcome(space, params, epsilon, window):
+    try:
+        return witness_ball_partition(space, params, epsilon, window)
+    except NonArchimedeanViolationError as exc:
+        return str(exc)
+
+
+@given(case=ball_partition_cases(),
+       r=st.sampled_from([F(1, 5), F(1, 3), F(1, 2), F(2, 3)]),
+       t=st.sampled_from([F(1, 2), 1, 3, 10, 40]),
+       epsilon=st.sampled_from([None, F(1, 100), F(1, 10)]))
+@settings(max_examples=200, deadline=None)
+def test_certified_ball_partition_matches_the_matrix_path(case, r, t, epsilon):
+    """The ultrametric certificate gives the witness, or the refusal text,
+    that the matrix and Prim pass give with the certificate forced off."""
+    space, window, certified = case
+    params = ScaleParams(r, t)
+    assert space.is_ultrametric_on(window.points) == certified
+    got = ball_partition_outcome(space, params, epsilon, window)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FuzzyMetricSpace, "is_ultrametric_on", lambda self, points: False)
+        want = ball_partition_outcome(space, params, epsilon, window)
+    assert got == want
+    if certified:
+        assert isinstance(got, DimensionWitness)
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,76 @@ def test_inverse_matches_brute(case, params):
     assert {y: g.apply(y) for y in window_y} == want
 
 
+@st.composite
+def unsorted_image_cases(draw):
+    """(space_y, f, window_x, window_y) whose images meet the sorted sweep
+    in another order than the source window: an affine map of either slope
+    into the rationals, or a table map from a sparse source window whose
+    images repeat and are shuffled, into the naturals (radial and prefix
+    orders) or into the points of a table metric."""
+    window_x = Window(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=25,
+                                    unique=True)))
+    kind = draw(st.sampled_from(["affine", "ratio", "reciprocal", "table"]))
+    if kind == "affine":
+        a = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        b = draw(st.fractions(-3, 3, max_denominator=4))
+        f = affine_map(a, b, domain=window_x)
+        step = draw(st.sampled_from([F(1, 4), F(1, 2), 1]))
+        return STDQ, f, window_x, Window([*grid_window(-12, 12, step), *f.image(window_x)])
+    if kind == "table":
+        space_y, targets = standard_space(DIFF_TABLE), DIFF_TABLE.points
+    else:
+        space_y = {"ratio": ratio_minmax_space, "reciprocal": reciprocal_product_space}[kind]()
+        targets = range(1, 17)
+    images = draw(st.lists(st.sampled_from(targets), min_size=len(window_x),
+                           max_size=len(window_x)))
+    images[-1] = images[0]  # a repeat, once there are two source points
+    images = draw(st.permutations(images))
+    f = table_map(dict(zip(window_x, images)))
+    window_y = Window([*draw(st.lists(st.sampled_from(targets), max_size=8)), *images])
+    return space_y, f, window_x, window_y
+
+
+@given(case=unsorted_image_cases(), params=scales)
+@settings(max_examples=200, deadline=None)
+def test_inverse_from_one_sweep_matches_the_definition(case, params):
+    """g(y) is the smallest x in source-window order with
+    M(f(x), y, t) > 1 - r, although the balls come from one sweep over the
+    sorted distinct images; a target with no such x is refused by name."""
+    space_y, f, window_x, window_y = case
+    f = CoarseMap(f.rule, f.fn, proper=(ModulusEntry(params.threshold, params.t,
+                                                     F(1, 2), 1),))
+    try:
+        want = brute_inverse_table(space_y, f, params, window_y, window_x)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as info:
+            coarse_inverse(STD, space_y, f, params, window_y, window_x)
+        assert str(info.value) == str(exc)
+        return
+    g, _ = coarse_inverse(STD, space_y, f, params, window_y, window_x)
+    assert {y: g.apply(y) for y in window_y} == want
+
+
+def test_inverse_pair_calls_grow_linearly_with_the_target(monkeypatch):
+    """The inverse's one ball sweep and its two closeness checks make at
+    most 4 ``pair`` calls per source and target point, and the calls from
+    targets 0..299 to 0..599 grow with a log-log slope of at most 1.2."""
+    space_y = standard_space(universe=RATIONALS)
+    calls = []
+    pair = type(space_y._kind).pair
+    monkeypatch.setattr(type(space_y._kind), "pair",
+                        lambda self, *args: calls.append(0) or pair(self, *args))
+    counts = []
+    for top in (299, 599):
+        wx, wy = int_window(0, top), grid_window(0, top, F(1, 2))
+        f = inclusion_map(domain=wx, proper=(entry("1/2", 1, "1/2", 1),))
+        calls.clear()
+        assert coarse_inverse(STD, space_y, f, ScaleParams(F(1, 2), 1), wy, wx)[1].passed
+        assert len(calls) <= 4 * (len(wx) + len(wy))
+        counts.append(len(calls))
+    assert math.log(counts[1] / counts[0]) / math.log(600 / 300) <= 1.2
+
+
 def test_onto_and_inverse_make_no_value_calls_and_few_pair_calls(monkeypatch):
     """On a 600-point grid target the onto check sweeps the sorted image in
     O(|image| + |W_y|) ``pair`` calls and the inverse gallops one ball per

@@ -936,7 +936,7 @@ def test_balls_match_the_definition_and_the_flag_free_scan(data):
     assert swept == list(unordered(space).balls(centres, p.threshold, p.t, w))
     assert swept == [w.runs_of(tuple(brute_ball(space, x, p, w))) for x in centres]
     for x, runs in zip(centres, swept):
-        assert space.ball_runs(x, p.threshold, p.t, w) == runs
+        assert next(space.balls((x,), p.threshold, p.t, w)) == runs
 
 
 @given(data=st.data())

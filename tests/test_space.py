@@ -104,6 +104,27 @@ def test_runs_of_takes_points_in_any_order():
     assert Window(range(1, 4)).runs_of((1, F(5, 2), 3)) == [(0, 1), (2, 3)]
 
 
+def test_run_set_gives_consecutive_ints_on_a_sparse_window_as_a_range():
+    """A run of two or more consecutive ``int``s is a step-1 range on any
+    window, in the form ``Family`` keeps, so a family takes it as it is;
+    other points stay a tuple."""
+    from fuzzycoarse import Family
+
+    sparse = Window([0, 1, 3, 4, 5])
+    assert sparse.run_set([(0, 2)]) == range(0, 2)
+    assert sparse.run_set([(2, 5)]) == range(3, 6)
+    assert sparse.run_set([(1, 3)]) == (1, 3)
+    assert sparse.run_set([(0, 2), (3, 4)]) == (0, 1, 4)
+    assert sparse.run_set([(2, 3)]) == (3,)
+    mixed = Window([0, 1, F(3, 2), 2, F(2)])
+    assert mixed.run_set([(0, 2)]) == range(0, 2)
+    assert type(mixed.run_set([(1, 3)])) is tuple
+    assert Window([0, F(1), 2]).run_set([(0, 3)]) == (0, F(1), 2)
+    assert Window([(0, 0), (0, 1)]).run_set([(0, 2)]) == ((0, 0), (0, 1))
+    member = sparse.run_set([(2, 5)])
+    assert Family.of([member]).sets[0] is member
+
+
 class SortedTupleWindow:
     """Reference model of a window: a sorted, duplicate-free tuple and its
     frozenset, read by bisection and membership alone."""
@@ -129,7 +150,8 @@ class SortedTupleWindow:
 
     def run_set(self, runs):
         pts = tuple(p for i, j in runs for p in self.points[i:j])
-        if self.contiguous and len(runs) == 1 and len(pts) > 1:
+        if (len(pts) > 1 and all(type(p) is int for p in pts)
+                and pts[-1] - pts[0] == len(pts) - 1):
             return range(pts[0], pts[-1] + 1)
         return pts
 
@@ -322,6 +344,20 @@ def test_line_distances_refuse_floats():
         standard_space(universe=RATIONALS)._pair(0.5, 1, F(1))
 
 
+RATIONAL_POINTS = st.one_of(st.integers(-10**6, 10**6),
+                            st.fractions(-10**3, 10**3, max_denominator=10**3))
+
+
+@given(RATIONAL_POINTS, RATIONAL_POINTS, st.fractions(F(1, 100), 100, max_denominator=100))
+@settings(max_examples=300, deadline=None)
+def test_line_distance_pair_is_the_distance_in_lowest_terms(x, y, t):
+    """The integer pair of |x - y|, built from the points' own ratios, is
+    that of the Fraction distance, and the standard pair gives t/(t + d)."""
+    d = EuclideanLine().distance(x, y)
+    assert EuclideanLine().distance_pair(x, y) == (d.numerator, d.denominator)
+    assert F(*standard_space(universe=RATIONALS)._pair(x, y, t)) == t / (t + d)
+
+
 def test_standard_space_defaults_to_the_metric_universe():
     """max(x, y) is a metric on the positive integers only: on the integers
     M(-3,-5,1) would be -1/2 and M(-3,-5,10) would be 10/7."""
@@ -484,7 +520,7 @@ def test_ball_sweeps_make_linear_pair_calls(factory, n, monkeypatch):
         assert len(calls) <= 6 * n
         for x in (1, 2, n // 3, n // 2, n - 1, n):
             calls.clear()
-            space.ball_runs(x, bound, F(1), w)
+            next(space.balls((x,), bound, F(1), w))
             assert len(calls) <= 5 * math.log2(n)
 
 
@@ -775,16 +811,18 @@ def matrix_check(space, window, grid):
 def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
     """The matrices hold every (x, y) in both orders, so the symmetry step
     evaluates nothing more: one integer pair per entry per time, and on a
-    standard kind one distance per entry for all times.  A certified line
-    window reads the n - 1 gaps and one row of distances per point, and
-    builds no matrix."""
+    standard kind one distance, as its integer pair, per entry for all
+    times.  A certified line window reads the n - 1 gaps and one row of
+    distances per point, and builds no matrix."""
     from fuzzycoarse import space as space_mod
     from fuzzycoarse.space import EuclideanLine, FuzzyMetricSpace
 
-    calls = {"value": 0, "_raw": 0, "pair": 0, "distance": 0, "_value_matrices": 0}
+    calls = {"value": 0, "_raw": 0, "pair": 0, "distance": 0, "distance_pair": 0,
+             "_value_matrices": 0}
     for cls, name in ((FuzzyMetricSpace, "value"), (FuzzyMetricSpace, "_raw"),
                       (type(ratio_minmax_space()._kind), "pair"),
-                      (type(standard_space()._kind), "pair"), (EuclideanLine, "distance")):
+                      (type(standard_space()._kind), "pair"), (EuclideanLine, "distance"),
+                      (EuclideanLine, "distance_pair")):
         def counted(self, *args, _name=name, _fn=getattr(cls, name)):
             calls[_name] += 1
             return _fn(self, *args)
@@ -799,15 +837,15 @@ def test_axioms_evaluate_each_matrix_entry_once(monkeypatch):
     times = set(grid) | {a + b for a in grid for b in grid}
     assert check_axioms(ratio_minmax_space(), int_window(1, 20), grid).passed
     assert calls == {"value": 0, "_raw": 0, "pair": 20 * 20 * len(times), "distance": 0,
-                     "_value_matrices": 1}
+                     "distance_pair": 0, "_value_matrices": 1}
     calls.update(pair=0, _value_matrices=0)
     assert matrix_check(standard_space(), int_window(1, 20), grid).passed
-    assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 20 * 20,
-                     "_value_matrices": 1}
-    calls.update(distance=0, _value_matrices=0)
+    assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 0,
+                     "distance_pair": 20 * 20, "_value_matrices": 1}
+    calls.update(distance_pair=0, _value_matrices=0)
     assert check_axioms(standard_space(), int_window(1, 20), grid).passed
     assert calls == {"value": 0, "_raw": 0, "pair": 0, "distance": 20 * 20 + 20 - 1,
-                     "_value_matrices": 0}
+                     "distance_pair": 0, "_value_matrices": 0}
 
 
 def test_certified_axioms_hold_one_row_of_distances():
