@@ -147,6 +147,18 @@ PRODUCT_TABLE = {
 }
 ULTRAMETRIC_PRODUCT = {"space": {"kind": "ultrametric_standard", "tnorm": "product"}}
 
+# A table ultrametric under min whose clusters are not runs of the line:
+# d(p, q) is the bit length of CODES[p] ^ CODES[q], so d(0, 2) = 1 and
+# d(0, 1) = d(1, 2) = 2.  No row falls away from the diagonal, so the chain
+# is decided off radial windows, and every triple passes.
+CODES = [0, 2, 1, 5, 3, 8, 11, 4, 9, 6, 10, 7]
+MIN_TABLE_ULTRAMETRIC = {
+    "space": {"kind": "standard", "tnorm": "min",
+              "metric": {"rule": "table", "points": list(range(12)),
+                         "matrix": [[(a ^ b).bit_length() for b in CODES] for a in CODES]}},
+    "window": "0..11",
+}
+
 
 def identity_onto_inverse(kind, window_y, scale):
     """The identity on 1..60 into the same kind, checked onto at the scale
@@ -303,6 +315,9 @@ CASES = {
     "axioms-ultrametric-product": (
         ["verify-axioms", "--window", "1..20"] + GRID, ULTRAMETRIC_PRODUCT, 0,
         "2b8684f6b7c735a03e863859b0b1126e03c8e66221f7b143ae10bd5d91967afb"),
+    "axioms-min-table-ultrametric": (
+        ["verify-axioms"] + GRID, MIN_TABLE_ULTRAMETRIC, 0,
+        "349ce39b7fc26be3399554b67e49ea5e049034210f8a0acf063413c585887c6b"),
 }
 
 
