@@ -337,10 +337,9 @@ def witness_ball_partition(space: FuzzyMetricSpace, params: ScaleParams,
     (``FuzzyMetricSpace.is_ultrametric_on``) satisfies it at every t, read
     from d one row at a time in O(n) memory.  Any other window takes the
     matrix path: under min the inequality is the chain inequality with the
-    one matrix at t in all three places, decided in O(n^2) through a
-    maximum spanning tree, and only a failure pays for the cubic scan,
-    which names the first bad triple in scan order.  The equal-or-disjoint
-    fact is verified, not assumed.
+    one matrix at t in all three places, and the full cubic scan names the
+    first bad triple in scan order.  The equal-or-disjoint fact is
+    verified, not assumed.
     """
     eps = as_fraction(epsilon) if epsilon is not None else (1 - params.r) / 2
     rho = params.r + eps

@@ -1126,33 +1126,22 @@ def _first_chain_violation(tnorm: TNorm, mat_a, mat_b, mat_c, radial=False):
     evaluated on Fractions built from the entries, over every triple.
 
     A built-in t-norm skips only triples that a proof shows cannot come
-    first:
-
-    - ``radial`` says that A and B are certified: entries in (0, 1], unit
-      diagonals, and rows non-increasing moving away from the diagonal
-      (``_radial``).  As T(a, b) <= min(a, b) and T(a, 1) = a, a middle
-      point j > k gives at most A[i][j] <= A[i][k], the value of the
-      triple j = k, and j < i at most B[k][j] <= B[k][i], the value of the
-      triple j = i.  So only j in [i, k] is scanned, and only on the
-      pairs (i, k) that the crossing bound of ``_uncrossed_pairs`` does not
-      clear, O(n^2) bounds on symmetric matrices; when the triple j = i
-      fails, the j <= i that fails first is looked up again from 0.  Under
-      min the bound is exact, so every pair scanned fails.
-    - otherwise under min, when A <= C and B <= C entrywise and C is
-      min-transitive, min(A[i][j], B[k][j]) <= min(C[i][j], C[k][j])
-      <= C[i][k] on every triple, so the chain holds in O(n^2) and nothing
-      is scanned (``_min_transitive``).
+    first, and only when ``radial`` says that A and B are certified:
+    entries in (0, 1], unit diagonals, and rows non-increasing moving away
+    from the diagonal (``_radial``).  As T(a, b) <= min(a, b) and
+    T(a, 1) = a, a middle point j > k gives at most A[i][j] <= A[i][k],
+    the value of the triple j = k, and j < i at most B[k][j] <= B[k][i],
+    the value of the triple j = i.  So only j in [i, k] is scanned, and
+    only on the pairs (i, k) that the crossing bound of ``_uncrossed_pairs``
+    does not clear, O(n^2) bounds on symmetric matrices; when the triple
+    j = i fails, the j <= i that fails first is looked up again from 0.
+    Under min the bound is exact, so every pair scanned fails.  Any other
+    matrices get the full scan of ``_every_pair``, cubic under every
+    t-norm.
     """
-    name = builtin_name(tnorm)
-    scanner = _SCANNERS.get(name)
+    scanner = _SCANNERS.get(builtin_name(tnorm))
     if scanner is not None:
-        if radial:
-            pairs = _uncrossed_pairs(*mat_a, *mat_b, *mat_c)
-        elif (name == "min" and _dominated(mat_a, mat_c) and _dominated(mat_b, mat_c)
-                and _min_transitive(mat_c)):
-            return None
-        else:
-            pairs = _every_pair(len(mat_a[0]))
+        pairs = _uncrossed_pairs(*mat_a, *mat_b, *mat_c) if radial else _every_pair(len(mat_a[0]))
         found = scanner(*mat_a, *mat_b, *mat_c, pairs)
         if radial and found and found[0] == found[1]:
             i, _, k = found
@@ -1183,71 +1172,6 @@ def _radial(mat) -> bool:
         fall = list(map(mul, nr, dr[1:]))
         if not (all(map(le, fall[:i], rise[:i])) and all(map(le, rise[i:], fall[i:]))):
             return False
-    return True
-
-
-def _dominated(mat, by) -> bool:
-    """Whether ``mat <= by`` entrywise, for two ``_value_matrices`` entries
-    with positive denominators."""
-    if mat is by:
-        return True
-    return all(all(map(le, map(mul, na, db), map(mul, nb, da)))
-               for na, da, nb, db in zip(*mat, *by))
-
-
-def _min_transitive(mat) -> bool:
-    """Whether min(M[i][j], M[k][j]) <= M[i][k] on every triple of one
-    ``_value_matrices`` entry: the verdict of ``_scan_min``.
-
-    On a symmetric matrix with unit diagonal the triples through the
-    diagonal reduce to M <= 1, and the rest are decided in one dense Prim
-    pass, O(n^2) by integer cross-multiplication.  When u joins the tree
-    T through its heaviest edge w = M[u][p] into T, M[u][v] must equal
-    min(w, M[p][v]) for every v in T: the triple (u, p, v) gives ">=",
-    and M[u][v] <= w, with M[p][v] >= min(w, M[u][v]) by the triple
-    (p, u, v), gives "<=".  If every join passes, M is the bottleneck of
-    tree paths, which is min-transitive.  Any other matrix gets the cubic
-    scan, which reads only the triples with i <= k.
-    """
-    nums, dens = mat
-    n = len(nums)
-    if any(nums[i][i] != dens[i][i] for i in range(n)):
-        return _scan_min(*mat, *mat, *mat, _every_pair(n)) is None
-    for i in range(n):
-        ni, di = nums[i], dens[i]
-        for j in range(i + 1, n):
-            if ni[j] * dens[j][i] != nums[j][i] * di[j]:
-                return _scan_min(*mat, *mat, *mat, _every_pair(n)) is None
-            if ni[j] > di[j]:
-                return False  # M[i][j] > 1 = M[i][i] breaks the triple (i, j, i)
-
-    # Prim: key[v] is the heaviest edge from v into the tree, from parent[v].
-    key_n, key_d = list(nums[0]), list(dens[0])
-    parent = [0] * n
-    tree = [0]
-    left = list(range(1, n))
-    while left:
-        at = 0
-        for idx in range(1, len(left)):
-            v, u = left[idx], left[at]
-            if key_n[v] * key_d[u] > key_n[u] * key_d[v]:
-                at = idx
-        u = left[at]
-        left[at] = left[-1]
-        left.pop()
-        p = parent[u]
-        wn, wd = key_n[u], key_d[u]
-        nu, du, n_p, d_p = nums[u], dens[u], nums[p], dens[p]
-        for v in tree:  # M[u][v] == min(w, M[p][v])
-            if n_p[v] * wd < wn * d_p[v]:
-                if nu[v] * d_p[v] != n_p[v] * du[v]:
-                    return False
-            elif nu[v] * wd != wn * du[v]:
-                return False
-        tree.append(u)
-        for v in left:
-            if nu[v] * key_d[v] > key_n[v] * du[v]:
-                key_n[v], key_d[v], parent[v] = nu[v], du[v], u
     return True
 
 
@@ -1338,8 +1262,8 @@ def _axioms_on_matrices(space, pts, t_list, rep) -> None:
     every pair (i, k) but those its crossing bound leaves, so the chain
     costs O(n^2) bounds per (t, s) for every built-in t-norm on symmetric
     matrices, plus a scan of [i, k] for each pair left; under min none is
-    left on a pass.  On any other window min is decided by transitivity
-    at t + s, and the other t-norms scan every triple."""
+    left on a pass.  On any other window every t-norm scans every
+    triple."""
     sums = sorted({t + s for t in t_list for s in t_list})
     mats = _value_matrices(space, pts, sorted(set(t_list) | set(sums)))
     # Matrices that compare equal share one object, so that each chain

@@ -441,7 +441,7 @@ def ball_partition_outcome(space, params, epsilon, window):
 @settings(max_examples=200, deadline=None)
 def test_certified_ball_partition_matches_the_matrix_path(case, r, t, epsilon):
     """The ultrametric certificate gives the witness, or the refusal text,
-    that the matrix and Prim pass give with the certificate forced off."""
+    that the matrix path gives with the certificate forced off."""
     space, window, certified = case
     params = ScaleParams(r, t)
     assert space.is_ultrametric_on(window.points) == certified

@@ -1219,7 +1219,7 @@ def test_booleans_do_not_make_a_window_of_consecutive_integers():
             check_axioms(standard_space(), Window(pts), [1])
 
 
-# -- the quadratic non-Archimedean decider -----------------------------------
+# -- random matrices for the chain scans ---------------------------------------
 
 
 @st.composite
@@ -1258,23 +1258,6 @@ def min_matrices(draw):
     nums = [[vals[i][j].numerator * scale[i][j] for j in range(n)] for i in range(n)]
     dens = [[vals[i][j].denominator * scale[i][j] for j in range(n)] for i in range(n)]
     return nums, dens
-
-
-@given(mat=min_matrices())
-@example(mat=([[1]], [[1]]))
-@example(mat=([[2, 1], [1, 2]], [[2, 2], [2, 2]]))
-@example(mat=([[1, 5], [5, 1]], [[1, 4], [4, 1]]))
-@example(mat=([[1, 1, 1], [1, 1, 0], [1, 0, 1]], [[1, 2, 2], [2, 1, 1], [2, 1, 1]]))
-@example(mat=([[1, 1, 0], [1, 1, 1], [1, 1, 1]], [[1, 2, 1], [2, 1, 2], [1, 2, 1]]))
-@example(mat=([[1, 1, 1], [1, 1, 1], [1, 1, 3]], [[1, 2, 2], [2, 1, 2], [2, 2, 4]]))
-@settings(max_examples=500, deadline=None)
-def test_min_transitive_matches_the_cubic_scan(mat):
-    """The spanning-tree decider gives the verdict of ``_scan_min`` on
-    ultrametrics, planted violations, asymmetric matrices and non-unit
-    diagonals, down to one and two points."""
-    from fuzzycoarse.space import _every_pair, _min_transitive, _scan_min
-
-    assert _min_transitive(mat) == (_scan_min(*mat, *mat, *mat, _every_pair(len(mat[0]))) is None)
 
 
 def test_chain_failure_stops_at_the_first_violation(monkeypatch):
@@ -1333,7 +1316,7 @@ def chain_cases(draw):
       order;
     - ``below``: C a random ultrametric similarity with up to two edits
       (``min_matrices``), A and B at most 1/10 below C entrywise, so the
-      min certificate can hold, and fail when C was edited.
+      chain under min can pass, and fail when C was edited.
 
     Then up to two edits set an entry of A or B to a negative value, a
     value above 1, or a non-unit diagonal."""
@@ -1415,10 +1398,9 @@ def test_pruned_and_certified_chain_paths_match_the_full_scan(tnorm, mats):
     """On matrices certified radial, the scan over middle points in [i, k]
     of the pairs that the crossing bound leaves, with the rescan from 0,
     names the triple of the full scan, whether or not the rows are
-    symmetric; off radial windows the min transitivity certificate passes
-    only where the scan finds nothing; uncertified matrices get the full
-    scan.  The pairs the bound leaves are exactly those whose largest
-    min(A[i][j], B[k][j]) exceeds C[i][k]."""
+    symmetric; uncertified matrices get the full scan.  The pairs the
+    bound leaves are exactly those whose largest min(A[i][j], B[k][j])
+    exceeds C[i][k]."""
     from fuzzycoarse.space import _first_chain_violation, _uncrossed_pairs
 
     a, b, c = ([[Fraction(p, q) for p, q in zip(nr, dr)] for nr, dr in zip(*m)] for m in mats)
@@ -1463,9 +1445,8 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
       the full scan.  It runs once for all 16 (t, s) pairs of a 4-time
       grid, whose matrices are equal and so shared;
     - on the radial windows of the ultrametric PASS under min the bound
-      leaves no pair to scan and ``_min_transitive`` never runs; on the
-      FAIL of the pathological space under min the scan stops at the
-      first pair left;
+      leaves no pair to scan; on the FAIL of the pathological space under
+      min the scan stops at the first pair left;
     - the entries that the chain reads grow with log-log slope at most
       2.1 from 20 to 40 points on ultrametric_standard (min), and at most
       2.2 from 100 to 200 points on standard under product and
@@ -1473,9 +1454,8 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     from fuzzycoarse import space as space_mod
 
     grid = [Fraction(1, 2), 1, 2, 7]
-    chain_scan, scan_min, min_transitive, value_matrices = (
-        space_mod._first_chain_violation, space_mod._scan_min, space_mod._min_transitive,
-        space_mod._value_matrices)
+    chain_scan, scan_min, value_matrices = (
+        space_mod._first_chain_violation, space_mod._scan_min, space_mod._value_matrices)
 
     visited, chain_scans = [0], [0]
 
@@ -1490,7 +1470,7 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     assert chain_scans == [1]
     assert visited[0] == 43634 == n * (n + 1) * (n + 2) // 6 - 178 + 5992 <= 0.4 * 109800
 
-    scans, pairs_left, transitive = [], [0], [0]
+    scans, pairs_left = [], [0]
 
     def counted_min(*args):
         *mats, pairs = args
@@ -1503,18 +1483,13 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
         scans.append(scan_min(*mats, counted(pairs)))
         return scans[-1]
 
-    def counted_transitive(mat):
-        transitive[0] += 1
-        return min_transitive(mat)
-
     monkeypatch.setattr(space_mod, "_first_chain_violation", chain_scan)
     monkeypatch.setitem(space_mod._SCANNERS, "min", counted_min)
-    monkeypatch.setattr(space_mod, "_min_transitive", counted_transitive)
     assert matrix_check(ultrametric_space(), int_window(1, 60), grid).passed
-    assert scans == [None] * 16 and pairs_left == [0] and transitive == [0]
+    assert scans == [None] * 16 and pairs_left == [0]
     rep = check_axioms(pathological_space(MINIMUM), int_window(1, 20), grid)
     assert [f.predicate for f in rep.failures()] == ["chain-inequality"]
-    assert scans[16:] == [(0, 1, 2)] and pairs_left == [1] and transitive == [0]
+    assert scans[16:] == [(0, 1, 2)] and pairs_left == [1]
 
     reads = [0]
 
@@ -1541,3 +1516,30 @@ def test_chain_work_is_pruned_on_radial_windows_and_quadratic_under_min(monkeypa
     assert slope(ultrametric_space(), (20, 40), grid) <= 2.1
     for tnorm in (PRODUCT, LUKASIEWICZ):
         assert slope(standard_space(tnorm=tnorm), (100, 200), [1, 2]) <= 2.2
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_crossing_bound_leaves_one_row_of_pairs_on_the_pathological_space(monkeypatch, n):
+    """``verify-axioms`` on the pathological space (Lukasiewicz) takes the
+    matrix path on a certified radial window.  M(1, y) = 1/y and M = 1/2
+    between other distinct points, so the crossing bound clears every pair
+    (i, k) with i >= 1, where no min(A[i][j], B[k][j]) with j in [i, k]
+    exceeds 1/2 = C[i][k] off the diagonal, and leaves (0, k) for k >= 2,
+    where j = 1 gives 1/2 > 1/(k + 1).  That is n - 2 pairs and
+    n(n + 1)/2 - 3 middle points, against the n^2(n + 1)/2 triples of
+    the full scan, once for all 16 (t, s) pairs, as M does not depend
+    on t."""
+    from fuzzycoarse import space as space_mod
+
+    uncrossed, left = space_mod._uncrossed_pairs, []
+
+    def counted(*mats):
+        for i, k, js in uncrossed(*mats):
+            left.append((i, k, len(js)))
+            yield i, k, js
+
+    monkeypatch.setattr(space_mod, "_uncrossed_pairs", counted)
+    rep = check_axioms(pathological_space(), int_window(1, n), [Fraction(1, 2), 1, 2, 7])
+    assert f"PASS chain-inequality triples={n * n * (n + 1) // 2} time_pairs=16" in rep.lines()
+    assert [(i, k) for i, k, _ in left] == [(0, k) for k in range(2, n)]
+    assert (len(left), sum(m for *_, m in left)) == {100: (98, 5047), 200: (198, 20097)}[n]
