@@ -11,7 +11,7 @@ import inspect
 import json
 import re
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import is_not
 
 from .coarse import CoarseMap, ModulusEntry, affine_map, identity_map, inclusion_map, table_map
@@ -196,16 +196,11 @@ def space_from_config(cfg) -> FuzzyMetricSpace:
     return build(**kwargs)
 
 
-def _ints_only(seq) -> bool:
-    """Whether every item is an ``int`` (not a ``bool``); False if empty."""
-    return set(map(type, seq)) == {int}
-
-
-def _int_lists(seq) -> bool:
+def _int_lists(seq, types=None) -> bool:
     """Whether ``seq`` is a non-empty sequence of lists, tuples and ranges
-    that hold integers only.  A range holds nothing else, so its points
-    are not read."""
-    types = set(map(type, seq))
+    that hold integers only; ``types``, if given, is the set of its item
+    types.  A range holds nothing else, so its points are not read."""
+    types = set(map(type, seq)) if types is None else types
     if not types or not types <= {list, tuple, range}:
         return False
     lists = compress(seq, map(is_not, map(type, seq), repeat(range))) if range in types else seq
@@ -306,6 +301,19 @@ def _int_list(seq, nl: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, seq)) + nl + "]" if seq else "[]"
 
 
+def _member_runs(members, nl: str):
+    """The JSON of each integer member, or of each run of consecutive
+    one-point members, at the indent of ``nl``: a run is one ``str.join``
+    over its points, with the brackets of its members in the separator."""
+    inner = nl + "  "
+    for length, run in groupby(members, len):
+        if length == 1:
+            yield "[" + inner + (nl + "]," + nl + "[" + inner).join(
+                map(str, chain.from_iterable(run))) + nl + "]"
+        else:
+            yield from (_int_list(s, nl) for s in run)
+
+
 def _dump(obj, nl: str, out: list) -> None:
     """Append the indent-2, sorted-key JSON of ``obj`` to ``out``; ``nl`` is
     a newline followed by the indent of the line that holds ``obj``."""
@@ -321,12 +329,11 @@ def _dump(obj, nl: str, out: list) -> None:
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple, range)):
-        if _ints_only(obj):
+        types = {int} if type(obj) is range else set(map(type, obj))
+        if types == {int}:  # not a bool among them
             out.append(_int_list(obj, nl))
-        elif _int_lists(obj):
-            point = ("[" + inner + "  {}" + inner + "]").format  # a one-point member
-            out.append("[" + inner + ("," + inner).join(
-                [point(*s) if len(s) == 1 else _int_list(s, inner) for s in obj]) + nl + "]")
+        elif _int_lists(obj, types):
+            out.append("[" + inner + ("," + inner).join(_member_runs(obj, inner)) + nl + "]")
         elif not obj:
             out.append("[]")
         else:
@@ -345,8 +352,9 @@ def dump_json(obj) -> str:
     byte.  With an indent ``json`` runs its pure-Python encoder, one chunk
     string per value; here a list, tuple or range of integers, such as a
     member set on an integer window, is one ``str.join``, and so is a list
-    of such members.  Tuples and ranges are written as arrays, and a
-    Fraction as its "p/q" string (see ``point_to_json``)."""
+    of such members, in which each run of consecutive one-point members is
+    one more (see ``_member_runs``).  Tuples and ranges are written as
+    arrays, and a Fraction as its "p/q" string (see ``point_to_json``)."""
     out = []
     _dump(obj, "\n", out)
     out.append("\n")

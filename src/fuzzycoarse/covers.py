@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
-from operator import is_, is_not, itemgetter, lt
+from operator import eq, is_, is_not, itemgetter, lt, ne
 
 from .errors import PreconditionError, UnsupportedOperationError
 from .report import CertReport
@@ -112,16 +112,26 @@ def coverage(sets, window: Window) -> tuple:
     in window order, and whether every member point lies in the window.
 
     On a window of consecutive integers a range member is decided as runs
-    of window indices, a step-1 one from its two ends; the points of every
-    other member are gathered in one set.  ``sets`` is a sequence; it is
-    split into ranges and other members without a list per member."""
-    ranges = []
+    of window indices, a step-1 one from its two ends.  So are the
+    one-point members, as one run, when their points in member order are
+    the window points from some place on (see ``Window.one_run``); the
+    points of every other member are gathered in one set.  ``sets`` is a
+    sequence; it is split into ranges, one-point members and other
+    members without a list per member."""
+    ranges, runs = [], []
     if window.is_contiguous_ints():
+        sizes = list(map(len, sets))
+        points = list(chain.from_iterable(compress(sets, map(eq, sizes, repeat(1)))))
+        run = points and window.one_run(points)
+        if run:
+            runs.append(run)
+            sets = list(compress(sets, map(ne, sizes, repeat(1))))
         ranges = list(compress(sets, map(is_, map(type, sets), repeat(range))))
         sets = compress(sets, map(is_not, map(type, sets), repeat(range)))
+        runs.extend(chain.from_iterable(map(window.runs_of, ranges)))
     seen = set(chain.from_iterable(sets))
     gaps, k = [], 0
-    for i, j in _coalesce_runs(chain.from_iterable(map(window.runs_of, ranges))):
+    for i, j in _coalesce_runs(runs):
         if k < i:
             gaps.append((k, i))
         k = j

@@ -170,13 +170,23 @@ class Window:
             i = max(0, points.start - s.start)
             j = min(len(s), points.stop - s.start)
             return [(i, j)] if i < j else []
+        run = self.one_run(points)
+        if run:
+            return [run]
+        return _coalesce_runs((k, k + 1) for k in map(self.index_of, points)
+                              if k is not None)
+
+    def one_run(self, points):
+        """``(i, j)`` when a non-empty sequence of points is equal point by
+        point to the window points ``self.points[i:j]``, else None: one
+        lookup of the first point, then one pass of ``==`` over the rest."""
         i = self.index_of(points[0])
         if i is not None:
             j = i + len(points)
+            s = self._seq
             if j == i + 1 or j <= len(s) and all(map(eq, islice(points, 1, None), s[i + 1:j])):
-                return [(i, j)]
-        return _coalesce_runs((k, k + 1) for k in map(self.index_of, points)
-                              if k is not None)
+                return i, j
+        return None
 
     def points_of(self, runs) -> tuple:
         """The window points of a run list, in window order."""

@@ -151,6 +151,33 @@ def test_dump_json_writes_tuples_and_ranges_as_arrays(members, label):
     assert dump_json(tuple(members)) == json.dumps(as_lists["sets"], indent=2) + "\n"
 
 
+_LONG_RUNS = {
+    "start": [*zip(range(-15, -3)), range(0, 4), (6, 9), [10, 12], [], (), *zip(range(13, 16))],
+    "middle": [range(-30, -20), (-18, -16, -11), *zip(range(-9, 0)),
+               *(range(p, p + 1) for p in range(0, 5)), *([p] for p in range(5, 9)), (),
+               [12, 14, 15], range(20, 40)],
+    "end": [(1, 3), range(4, 4), [7, 8], *(range(p, p + 1) for p in range(-40, -30)),
+            *zip(range(50, 61))],
+}
+
+
+@pytest.mark.parametrize("where", sorted(_LONG_RUNS))
+def test_dump_json_writes_long_one_point_runs_as_json_dumps(where):
+    """Runs of more than eight one-point members (tuples, lists and
+    one-point ranges, negative points among them) at the start, middle or
+    end of a family, beside empty members and multi-point tuples, lists and
+    ranges, are written as ``json.dumps`` writes the list form and read
+    back as the same family."""
+    members = _LONG_RUNS[where]
+    as_lists = {"label": where, "sets": [list(s) for s in members]}
+    assert (dump_json({"label": where, "sets": members})
+            == json.dumps(as_lists, indent=2, sort_keys=True) + "\n")
+    wit = DimensionWitness(0, ScaleParams(F(1, 2), 1), ScaleParams(F(1, 2), 1),
+                           (Family.of(members, where),), int_window(-40, 60))
+    text = dump_json(dict(witness_to_json(wit), families=[{"label": where, "sets": members}]))
+    assert witness_from_json(json.loads(text)) == wit
+
+
 def test_integer_members_are_written_as_they_are():
     """No member of an integer family is copied: ranges and tuples go to
     ``dump_json`` as they are, and are read back as the same family."""

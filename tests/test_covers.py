@@ -1184,6 +1184,55 @@ def test_coverage_splits_ranges_from_point_members_in_bulk(data):
     assert coverage(sets, w) == coverage(tuple(sets), w) == want
 
 
+_BULK = 10_000  # one-point members per case
+
+
+def _bulk_members(where):
+    """Range members around 10,000 one-point members whose points, in
+    member order, are consecutive window points; the point 1 sits at the
+    start, middle or end of that run.  Returns the window, the members and
+    the index of the member holding 1."""
+    at = {"start": 0, "middle": _BULK // 2, "end": _BULK - 1}[where]
+    first = 1 - at
+    w = int_window(first - 20, first + _BULK + 19)
+    points = [(p,) for p in range(first, first + _BULK)]
+    half = _BULK // 3
+    tail = range(first + _BULK, first + _BULK + 20)
+    sets = [range(first - 20, first), *points[:half], tail, *points[half:]]
+    return w, sets, at + 1 + (at >= half)
+
+
+_BULK_EDITS = {
+    "missing": lambda sets, k: sets[:k] + sets[k + 1:],
+    "duplicate": lambda sets, k: sets[:k + 1] + [(1,)] + sets[k + 1:],
+    "outside": lambda sets, k: sets[:k] + [(-10**6,)] + sets[k:],
+    "bool": lambda sets, k: sets[:k] + [(True,)] + sets[k + 1:],
+    "fraction": lambda sets, k: sets[:k] + [(F(1),)] + sets[k + 1:],
+    "float": lambda sets, k: sets[:k] + [(1.0,)] + sets[k + 1:],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_BULK_EDITS))
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_coverage_of_bulk_one_point_runs_matches_the_definition(edit, where):
+    """10,000 one-point members among range members, with one point missing,
+    repeated, outside the window, or given as ``True``, ``Fraction(1)`` or
+    ``1.0``, at the start, middle or end of the run, against the
+    definition.  Where the one-point members stay one run of window points
+    (``Window.one_run``; the last assertion says where) they are decided
+    with the range runs, elsewhere from the set of their points."""
+    w, sets, k = _bulk_members(where)
+    assert sets[k] == (1,)
+    assert coverage(sets, w) == ((), True)
+    sets = _BULK_EDITS[edit](sets, k)
+    held = set(chain.from_iterable(sets))
+    want = (tuple(p for p in w if p not in held), held <= set(w))
+    assert coverage(sets, w) == coverage(tuple(sets), w) == want
+    one_run = w.one_run([s[0] for s in sets if len(s) == 1])
+    assert (one_run is not None) == (edit in ("bool", "fraction", "float")
+                                     or edit == "missing" and where != "middle")
+
+
 def brute_refinement_violation(cover_v, cover_u):
     targets = [set(u) for u in cover_u.all_sets()]
     return next((s for s in cover_v.all_sets() if not any(set(s) <= u for u in targets)), None)
