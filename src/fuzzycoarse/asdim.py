@@ -437,32 +437,16 @@ def lift_metric_families(space: FuzzyMetricSpace, families, metric_sep,
 
 def restrict_witness(w: DimensionWitness, subset) -> DimensionWitness:
     """Intersect every member set with a subset; separation and
-    boundedness are hereditary, so certification survives.
-
-    A step-1 range subset of a window of consecutive integers is not
-    spelled out: it is checked against the window at its ends, it is the
-    new window, and each step-1 range member is cut to it as a range."""
-    window, run = w.window, None
-    if type(subset) is range and subset.step == 1 and window.is_contiguous_ints():
-        run, keep = subset, Window(subset)
-        inside = not subset or window.holds((subset[0], subset[-1]))
-    else:
-        keep = set(subset)
-        inside = window.holds(keep)
-    if not inside:
+    boundedness are hereditary, so certification survives."""
+    keep = set(subset)
+    if not w.window.holds(keep):
         raise DomainError("subset must lie inside the witness window")
-    fams = tuple(Family.of([_restrict_member(s, keep, run) for s in fam.sets], fam.label)
-                 for fam in w.families)
-    kept = keep if run is not None else Window(p for p in window if p in keep)
-    return DimensionWitness(w.n, w.params, w.bound_params, fams, kept)
-
-
-def _restrict_member(s, keep, run):
-    """The points of the member s that ``keep`` holds; given ``run``, the
-    step-1 range that ``keep`` holds, a step-1 range member is cut to it."""
-    if run is not None and type(s) is range and s.step == 1:
-        return range(max(s.start, run.start), min(s.stop, run.stop))
-    return tuple(filter(keep.__contains__, s))
+    fams = tuple(
+        Family.of([tuple(p for p in s if p in keep) for s in fam.sets], fam.label)
+        for fam in w.families
+    )
+    return DimensionWitness(w.n, w.params, w.bound_params, fams,
+                            Window(p for p in w.window if p in keep))
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def coverage(sets, window: Window) -> tuple:
     ranges, runs = [], []
     if window.is_contiguous_ints():
         sizes = list(map(len, sets))
-        points = list(chain.from_iterable(compress(sets, map(eq, sizes, repeat(1)))))
-        run = points and window.one_run(points)
+        run = 1 in sizes and window.one_run(
+            list(chain.from_iterable(compress(sets, map(eq, sizes, repeat(1))))))
         if run:
             runs.append(run)
             sets = list(compress(sets, map(ne, sizes, repeat(1))))

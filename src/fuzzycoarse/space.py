@@ -170,9 +170,13 @@ class Window:
             i = max(0, points.start - s.start)
             j = min(len(s), points.stop - s.start)
             return [(i, j)] if i < j else []
-        run = self.one_run(points)
-        if run:
-            return [run]
+        # the test of ``one_run``, written out: the cover checks call runs_of
+        # once per member, and one more call costs as much as the test
+        i = self.index_of(points[0])
+        if i is not None:
+            j = i + len(points)
+            if j == i + 1 or j <= len(s) and all(map(eq, islice(points, 1, None), s[i + 1:j])):
+                return [(i, j)]
         return _coalesce_runs((k, k + 1) for k in map(self.index_of, points)
                               if k is not None)
 

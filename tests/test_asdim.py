@@ -572,31 +572,6 @@ def test_restrict_witness_hereditary():
         restrict_witness(wit, [101])
 
 
-@pytest.mark.parametrize("subset", [range(1, 301), range(40, 211), range(58, 60), range(77, 78),
-                                    range(150, 150), range(2, 301, 2), range(300, 0, -1)])
-def test_restrict_witness_cuts_ranges_as_the_general_path_does(subset):
-    """A step-1 range subset cuts range members as ranges and keeps the
-    other members' points as the general path, given the subset as a list,
-    does: range and tuple members, members the subset misses (dropped as
-    empty, as ``Family`` equality counts), an empty subset and subsets of
-    other steps, on a window of consecutive integers and on one that is
-    not."""
-    ratio = witness_ratio_minmax(ScaleParams(F(1, 2), 1), int_window(1, 300))
-    mixed = Family.of([range(1, 40), (41, 45, 300), *zip(range(46, 120)), range(120, 301)],
-                      "mixed")
-    odd = DimensionWitness(0, ratio.params, ratio.params, (Family.of([range(1, 300, 2)]),),
-                           Window(range(1, 300, 2)))
-    for wit in (ratio, DimensionWitness(0, ratio.params, ratio.params, (mixed,), ratio.window),
-                odd):
-        if not wit.window.holds(list(subset)):
-            with pytest.raises(DomainError):
-                restrict_witness(wit, subset)
-            continue
-        assert restrict_witness(wit, subset) == restrict_witness(wit, list(subset))
-    with pytest.raises(DomainError):
-        restrict_witness(ratio, range(290, 302))
-
-
 # ---------------------------------------------------------------------------
 # the implication pipeline
 # ---------------------------------------------------------------------------
