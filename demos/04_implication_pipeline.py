@@ -32,9 +32,7 @@ print(f"derived once:      r={level1.r}, t={level1.t}")
 print(f"derived twice:     r={level2.r}, t={level2.t}")
 print()
 
-result = run_dimension_pipeline(
-    ratio, target, w, lambda scale: witness_ratio_minmax(scale, w)
-)
+result = run_dimension_pipeline(ratio, target, lambda scale: witness_ratio_minmax(scale, w))
 
 for rep in result.reports:
     print(rep)
@@ -42,7 +40,7 @@ for rep in result.reports:
 
 print("witness families:", [len(f) for f in result.witness.families], "sets")
 print("cover scale-multiplicity at target:",
-      scale_multiplicity(ratio, result.multiplicity_cover, target, w))
+      scale_multiplicity(ratio, result.multiplicity_cover, target))
 print("lebesgue cover plain multiplicity:",
-      multiplicity(result.lebesgue_cover, w))
+      multiplicity(result.lebesgue_cover))
 print("pipeline passed:", result.passed)

@@ -96,7 +96,10 @@ class ScaleGraphReport:
     components: tuple
     min_internal: Fraction
     min_internal_pair: tuple
-    spanning: bool
+
+    @property
+    def spanning(self) -> bool:
+        return len(self.components) == 1
 
     @property
     def largest(self) -> tuple:
@@ -385,7 +388,12 @@ WITNESS_CONSTRUCTORS = {
 def construct_witness(space: FuzzyMetricSpace, params: ScaleParams, window: Window,
                       epsilon=None) -> DimensionWitness:
     """The witness from the space kind's constructor, or the whole-window
-    witness for a kind without one; ``epsilon`` is the ball enlargement."""
+    witness for a kind without one.  ``epsilon`` is the ball enlargement of
+    the ``ultrametric_standard`` ball partition, the one construction that
+    reads it; given for any other kind, it is refused."""
+    if epsilon is not None and space.kind_name != "ultrametric_standard":
+        raise PreconditionError(f"epsilon is the ball enlargement of the ultrametric_standard "
+                                f"witness; the {space.kind_name} witness takes none")
     build = WITNESS_CONSTRUCTORS.get(space.kind_name)
     if build is None:
         return witness_whole_window(space, window, params)
@@ -493,7 +501,7 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
         )
     cover = w.as_cover()
     ctx.check_members(cover, ())  # verify_witness checked every member point
-    measured = scale_multiplicity(space, cover, params, w.window, ctx)
+    measured = scale_multiplicity(space, cover, params, ctx)
     rep = CertReport("multiplicity-cover", space=space.describe(),
                      window=w.window.label(), r=params.r, t=params.t)
     rep.add_pass("witness-verified", r=w.params.r, t=w.params.t)
@@ -503,7 +511,7 @@ def multiplicity_cover_from_witness(space: FuzzyMetricSpace, w: DimensionWitness
 
 
 def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
-                                     params: ScaleParams, input_bound: ScaleParams = None,
+                                     params: ScaleParams, input_bound: ScaleParams,
                                      ctx: CallContext = None):
     """Low-multiplicity cover at the derived scale -> Lebesgue cover at (r, t).
 
@@ -511,11 +519,13 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
     ball at (r, t) that meets a set into a subset of that set's
     fattening, so (r, t) becomes a Lebesgue pair; the plain multiplicity
     of the output is at most the input's scale multiplicity.  Both facts
-    and the boundedness of the output are verified on the window.  The
-    input's scale multiplicity and the output's Lebesgue verdict come
-    from ``scale_multiplicity`` and ``first_lebesgue_violation`` with
-    ``ctx`` (see ``CallContext``), so a fact a stage before decided is
-    read, not decided again.
+    are verified on the window, and so is boundedness: of the input at
+    ``input_bound``, and of the output at the scale that bound gives
+    fattened members (see ``neighborhood_family``).  The input's scale
+    multiplicity and the output's Lebesgue verdict come from
+    ``scale_multiplicity`` and ``first_lebesgue_violation`` with ``ctx``
+    (see ``CallContext``), so a fact a stage before decided is read, not
+    decided again.
     """
     ctx = ctx or CallContext(space)
     window = cover.window
@@ -523,7 +533,7 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
     wanted = ctx.level(want.threshold, want.t, window)
     if missing_points(cover.all_sets(), window):
         raise PreconditionError("input must cover the window")
-    measured_in = scale_multiplicity(space, cover, want, window, ctx)
+    measured_in = scale_multiplicity(space, cover, want, ctx)
 
     fat_families = tuple(
         Family.of([_level_neighborhood(space, s, want, window, wanted) for s in fam.sets],
@@ -536,22 +546,17 @@ def lebesgue_cover_from_multiplicity(space: FuzzyMetricSpace, cover: Cover,
                      window=window.label(), r=params.r, t=params.t)
     rep.add_pass("input-scale-multiplicity", measured=measured_in,
                  r=want.r, t=want.t)
-    bad_point = first_lebesgue_violation(space, out, params, window, ctx)
+    bad_point = first_lebesgue_violation(space, out, params, ctx)
     rep.add_verdict(bad_point is None, "lebesgue-pair", r=params.r, t=params.t,
                     witness=bad_point)
-    out_mult = multiplicity(out, window)
+    out_mult = multiplicity(out)
     rep.add_verdict(out_mult <= measured_in, "multiplicity",
                     measured=out_mult, bound=measured_in)
 
-    if input_bound is not None:
-        rep.add_verdict(_is_bounded(space, cover.all_sets(), input_bound),
-                        "input-bounded", r=input_bound.r, t=input_bound.t)
-        level, t_out = _fattened_bound(space, want, input_bound)
-        out_bound = ScaleParams(1 - level, t_out)
-    else:
-        fat_sets = out.all_sets()
-        ctx.check_members(fat_sets, ())  # the same runs as ``out``
-        out_bound = derive_bound_params(space, fat_sets, params.t, ctx)
+    rep.add_verdict(_is_bounded(space, cover.all_sets(), input_bound),
+                    "input-bounded", r=input_bound.r, t=input_bound.t)
+    level, t_out = _fattened_bound(space, want, input_bound)
+    out_bound = ScaleParams(1 - level, t_out)
     rep.add_verdict(_is_bounded(space, out.all_sets(), out_bound),
                     "output-bounded", r=out_bound.r, t=out_bound.t)
     return out, rep
@@ -582,7 +587,7 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
             f"(worst pair {fmt_pair(worst[1])} at {fmt_value(worst[0])})"
         )
     rep.add_pass("refining-cover-bounded", r=params.r, t=params.t)
-    if first_lebesgue_violation(space, cover_v, params, cover_v.window, ctx) is not None:
+    if first_lebesgue_violation(space, cover_v, params, ctx) is not None:
         raise CertificationError(
             "hypothesis failure: target cover lacks the Lebesgue pair "
             f"r={fmt_value(params.r)}, t={fmt_value(params.t)}"
@@ -600,9 +605,12 @@ def refinement_via_lebesgue(space: FuzzyMetricSpace, cover_u: Cover, cover_v: Co
 @dataclass(frozen=True)
 class PipelineResult:
     witness: DimensionWitness
-    multiplicity_cover: Cover
     lebesgue_cover: Cover
     reports: tuple
+
+    @property
+    def multiplicity_cover(self) -> Cover:
+        return self.witness.as_cover()
 
     @property
     def passed(self) -> bool:
@@ -623,7 +631,7 @@ def refinement_ball_level(space: FuzzyMetricSpace, params: ScaleParams) -> Fract
 
 
 def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
-                           window: Window, witness_factory) -> PipelineResult:
+                           witness_factory) -> PipelineResult:
     """Drive the full implication chain down to a refinement certificate.
 
     The multiplicity step consumes a witness at the scale derived from
@@ -633,9 +641,10 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     with that scale.  The refining cover is the cover of balls at a
     deterministically chosen smaller radius, which is bounded at (r, t)
     only for t-independent spaces; a t-dependent space is refused before
-    the factory or any step runs.  On a window of consecutive integers
-    each ball that is one run is kept as a step-1 ``range``, so the cover
-    costs O(N) memory although its sets hold about N^2/2 points.
+    the factory or any step runs.  Every stage works on the witness's
+    window.  On a window of consecutive integers each ball that is one
+    run is kept as a step-1 ``range``, so the cover costs O(N) memory
+    although its sets hold about N^2/2 points.
 
     The stages are the public ones, called with one ``CallContext`` made
     for the call: each ball level is swept once, the second step reads
@@ -653,9 +662,10 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     scale1 = derived_scale(space, params)
     scale2 = derived_scale(space, scale1)
     w = witness_factory(scale2)
+    window = w.window
     ctx = CallContext(space)
     c1, rep1 = multiplicity_cover_from_witness(space, w, scale1, ctx)
-    measured = scale_multiplicity(space, c1, scale1, w.window, ctx)
+    measured = scale_multiplicity(space, c1, scale1, ctx)
     if measured > w.n + 1:
         raise PreconditionError(
             f"input scale multiplicity {measured} exceeds the expected "
@@ -667,7 +677,7 @@ def run_dimension_pipeline(space: FuzzyMetricSpace, params: ScaleParams,
     ball_cover = Cover((Family.of(ball_sets, f"balls@{fmt_value(rho)}"),), window)
     ctx.check_members(ball_cover, ())  # runs of the window, which the level build checked
     rep3 = refinement_via_lebesgue(space, ball_cover, c2, params, ctx)
-    return PipelineResult(w, c1, c2, (rep1, rep2, rep3))
+    return PipelineResult(w, c2, (rep1, rep2, rep3))
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +721,7 @@ def scale_graph(space: FuzzyMetricSpace, params: ScaleParams, window: Window) ->
         min_internal, pair = ONE, (largest[0], largest[0]) if largest else None
     else:
         min_internal, pair = worst
-    return ScaleGraphReport(params, components, min_internal, pair,
-                            spanning=len(components) == 1)
+    return ScaleGraphReport(params, components, min_internal, pair)
 
 
 def oracle_min_families(space: FuzzyMetricSpace, params: ScaleParams,

@@ -157,7 +157,7 @@ def cmd_pipeline(args) -> int:
     def factory(scale):
         return asdim.construct_witness(space, scale, window)
 
-    return _render(args, asdim.run_dimension_pipeline(space, params, window, factory).reports)
+    return _render(args, asdim.run_dimension_pipeline(space, params, factory).reports)
 
 
 def cmd_coarse(args) -> int:
@@ -231,17 +231,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scales=True):
-        p.add_argument("--space", help="space tag (see docs) or use --config")
-        p.add_argument("--window", help="integer window a..b")
-        if scales:
-            p.add_argument("--scale", action="append", default=[],
-                           help="scale r:t with rational parts, repeatable")
-        p.add_argument("--config", help="JSON config file; overrides flags")
-        p.add_argument("--out", help="also write the report stream to this file")
+    shared = {
+        "space": dict(help="space tag (see docs) or use --config"),
+        "window": dict(help="integer window a..b"),
+        "scale": dict(action="append", default=[],
+                      help="scale r:t with rational parts, repeatable"),
+        "config": dict(help="JSON config file; overrides flags"),
+        "out": dict(help="also write the report stream to this file"),
+    }
+
+    def common(p, *names):
+        """The shared options ``names`` that the command reads, then
+        --config and --out, which every command reads."""
+        for name in (*names, "config", "out"):
+            p.add_argument(f"--{name}", **shared[name])
 
     p = sub.add_parser("verify-axioms", help="certify the space axioms on a window")
-    common(p, scales=False)
+    common(p, "space", "window")
     p.add_argument("--t-grid", dest="t_grid", help="comma-separated rational times")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--bridge-cases", dest="bridge_cases", type=int, default=0,
@@ -249,26 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_axioms)
 
     p = sub.add_parser("witness", help="construct and verify a dimension witness")
-    common(p)
-    p.add_argument("--epsilon", help="ball enlargement for the partition construction")
+    common(p, "space", "window", "scale")
+    p.add_argument("--epsilon", help="ball enlargement of the ultrametric_standard witness")
     p.add_argument("--witness-out", dest="witness_out", help="write the witness JSON here")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("check", help="re-verify a witness file at a scale grid")
-    common(p)
+    common(p, "space", "scale")  # the window is the witness file's
     p.add_argument("--witness", help="witness JSON file")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("pipeline", help="run the multiplicity/Lebesgue/refinement chain")
-    common(p)
+    common(p, "space", "window", "scale")
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("coarse", help="coarse-map checks, inverse, transport (config-driven)")
-    common(p, scales=False)
+    common(p)  # the config names the spaces and windows
     p.set_defaults(fn=cmd_coarse)
 
     p = sub.add_parser("oracle", help="exact minimum family count on a tiny window")
-    common(p)
+    common(p, "space", "window", "scale")
     p.add_argument("--bound", help="bound scale r:t (defaults to --scale)")
     p.set_defaults(fn=cmd_oracle)
     return parser

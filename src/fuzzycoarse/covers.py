@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import eq, is_, is_not, itemgetter, lt, ne
 
@@ -263,20 +263,20 @@ class CallContext:
     itself.  ``run_dimension_pipeline`` makes one and hands it to every
     stage, so each ball level is swept once, each fact decided once and
     each cover's points checked once.  Levels are kept by (bound, t,
-    window); facts by name, cover, scale and window, with the cover
-    known by its ``id``.  The context holds every cover it keys, so no
-    ``id`` is reused while it lives.
+    window); facts by name, cover and scale, with the cover known by its
+    ``id`` (a cover holds its window).  The context holds every cover it
+    keys, so no ``id`` is reused while it lives.
     """
 
     def __init__(self, space: FuzzyMetricSpace):
         self.space = space
         self.level = cache(space.ball_level)
-        self._facts = {}  # (name, id(cover), params, window) -> (cover, value)
+        self._facts = {}  # (name, id(cover), params) -> (cover, value)
 
-    def once(self, name, cover, params, window, decide):
+    def once(self, name, cover, params, decide):
         """``decide()``, or what it gave for the same fact on the same
-        cover, scale and window in this context."""
-        key = name, id(cover), params, window
+        cover and scale in this context."""
+        key = name, id(cover), params
         if key not in self._facts:
             self._facts[key] = cover, decide()
         return self._facts[key][1]
@@ -285,7 +285,7 @@ class CallContext:
         """``_check_members`` on ``sets``, the member sets of ``owner`` (a
         cover or a sequence of member sets) still to be checked, once per
         owner.  Empty ``sets`` record that the caller has checked them."""
-        self.once("members", owner, None, None, lambda: _check_members(self.space, sets))
+        self.once("members", owner, None, lambda: _check_members(self.space, sets))
 
 
 def is_uniformly_bounded_family(space: FuzzyMetricSpace, family: Family,
@@ -371,9 +371,10 @@ def neighborhood_family(space: FuzzyMetricSpace, family: Family, params: ScalePa
     return fat, rep
 
 
-def multiplicity(cover: Cover, window: Window) -> int:
-    """Largest number of member sets containing any one window point."""
-    return _max_depth(map(window.runs_of, cover.all_sets()))
+def multiplicity(cover: Cover) -> int:
+    """Largest number of member sets containing any one point of the
+    cover's window."""
+    return _max_depth(map(cover.window.runs_of, cover.all_sets()))
 
 
 def _max_depth(run_lists) -> int:
@@ -385,39 +386,38 @@ def _max_depth(run_lists) -> int:
 
 
 def scale_multiplicity(space: FuzzyMetricSpace, cover: Cover, params: ScaleParams,
-                       window: Window, ctx: CallContext = None) -> int:
+                       ctx: CallContext = None) -> int:
     """Largest number of member sets met by any ball at scale (r, t), once
     the member points pass the universe check.
 
-    Balls and member sets are compared on the window, with the balls of
-    the window points read from the ball level of ``ctx``.  M(x, y, t) =
-    M(y, x, t), so the ball of x meets a member exactly when x lies in
-    the union of the balls of the member's window points, and the answer
-    is the largest depth of those unions.  Every built-in kind's ``pair``
-    is symmetric by its formula, and ``TableMetric`` refuses an
-    asymmetric table.  The answer is kept in ``ctx`` (see ``CallContext``).
+    Balls and member sets are compared on the cover's window, with the
+    balls of the window points read from the ball level of ``ctx``.
+    M(x, y, t) = M(y, x, t), so the ball of x meets a member exactly when
+    x lies in the union of the balls of the member's window points, and
+    the answer is the largest depth of those unions.  Every built-in
+    kind's ``pair`` is symmetric by its formula, and ``TableMetric``
+    refuses an asymmetric table.  The answer is kept in ``ctx`` (see
+    ``CallContext``).
     """
     ctx = ctx or CallContext(space)
-    sets = cover.all_sets()
+    window, sets = cover.window, cover.all_sets()
     ctx.check_members(cover, sets)
     level = ctx.level(params.threshold, params.t, window)
-    return ctx.once("scale-multiplicity", cover, params, window,
+    return ctx.once("scale-multiplicity", cover, params,
                     lambda: _max_depth(_ball_union(level, window.runs_of(s)) for s in sets))
 
 
 def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
-                             params: ScaleParams, window: Window, ctx: CallContext = None):
-    """First window point whose ball fits in no member set, or None; a
-    member point outside the universe raises ``DomainError``, then a cover
-    that misses window points ``PreconditionError``.
+                             params: ScaleParams, ctx: CallContext = None):
+    """First point of the cover's window whose ball fits in no member set,
+    or None; a member point outside the universe raises ``DomainError``,
+    then a cover that misses window points ``PreconditionError``.
 
-    Given a context, the balls are read from its ball level and the
-    answer is kept in it (see ``CallContext``).  Without one, the balls
-    are swept lazily, so a failing check stops at its first bad ball.
+    The balls are read from the ball level of ``ctx`` and the answer is
+    kept in it (see ``CallContext``).
     """
-    sweep = ctx.level if ctx else partial(space.balls, window.points)
     ctx = ctx or CallContext(space)
-    sets = cover.all_sets()
+    window, sets = cover.window, cover.all_sets()
     ctx.check_members(cover, sets)
 
     def decide():
@@ -425,12 +425,12 @@ def first_lebesgue_violation(space: FuzzyMetricSpace, cover: Cover,
         if missing:
             raise PreconditionError(f"cover misses window points, e.g. {missing[:3]}")
         holds = _run_containment([window.runs_of(s) for s in sets])
-        for x, runs in zip(window, sweep(params.threshold, params.t, window)):
+        for x, runs in zip(window, ctx.level(params.threshold, params.t, window)):
             if runs and not holds(runs):
                 return x
         return None
 
-    return ctx.once("lebesgue", cover, params, window, decide)
+    return ctx.once("lebesgue", cover, params, decide)
 
 
 def _run_containment(set_runs):

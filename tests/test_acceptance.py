@@ -174,11 +174,11 @@ def test_criterion_5_implication_pipeline():
         for r in (F(1, 4), F(1, 2)):
             target = ScaleParams(r, 1)
             result = run_dimension_pipeline(
-                ratio, target, w, lambda scale: witness_ratio_minmax(scale, w)
+                ratio, target, lambda scale: witness_ratio_minmax(scale, w)
             )
             assert result.passed, [rep.failures() for rep in result.reports]
-            assert scale_multiplicity(ratio, result.multiplicity_cover, target, w) <= 2
-            assert multiplicity(result.lebesgue_cover, w) <= 2
+            assert scale_multiplicity(ratio, result.multiplicity_cover, target) <= 2
+            assert multiplicity(result.lebesgue_cover) <= 2
             lebesgue_line = next(
                 c for c in result.reports[1].checks if c.predicate == "lebesgue-pair"
             )

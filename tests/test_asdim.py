@@ -536,8 +536,8 @@ def _counting_universe(monkeypatch, space):
 def test_member_points_are_checked_once_per_call(monkeypatch):
     """On a finite universe every point costs one universe call.  The lift
     checks its 16 member points once, and its bound search reads that check
-    from the same context; the Lebesgue stage with no input bound checks
-    the 40 window and 40 member points once, and not the runs it fattens
+    from the same context; the Lebesgue stage checks the 40 window and 40
+    member points once, and not the runs it fattens
     them to.  A point outside the universe is still refused first."""
     sub = subspace(standard_space(), range(40))
     calls = _counting_universe(monkeypatch, sub)
@@ -551,10 +551,11 @@ def test_member_points_are_checked_once_per_call(monkeypatch):
                              int_window(0, 39))
 
     ratio = subspace(ratio_minmax_space(), range(1, 41))
-    calls = _counting_universe(monkeypatch, ratio)
     w = int_window(1, 40)
     cover = Cover.of([Family.of([range(1, 21), range(21, 41)])], w)
-    _, rep = lebesgue_cover_from_multiplicity(ratio, cover, ScaleParams(F(1, 2), 1))
+    bound = derive_bound_params(ratio, cover.all_sets(), 1)
+    calls = _counting_universe(monkeypatch, ratio)
+    _, rep = lebesgue_cover_from_multiplicity(ratio, cover, ScaleParams(F(1, 2), 1), bound)
     assert rep.passed and sorted(calls) == sorted([*w, *w])
 
 
@@ -596,7 +597,7 @@ def test_multiplicity_cover_from_witness():
     wit = witness_ratio_minmax(derived_scale(ratio, target), w)
     cover, rep = multiplicity_cover_from_witness(ratio, wit, target)
     assert rep.passed
-    assert scale_multiplicity(ratio, cover, target, w) <= 2
+    assert scale_multiplicity(ratio, cover, target) <= 2
 
 
 def test_multiplicity_cover_wrong_scale_rejected():
@@ -614,7 +615,7 @@ def test_zero_dim_witness_multiplicity_one():
     wit = witness_reciprocal_product(derived_scale(rec, target), w)
     cover, rep = multiplicity_cover_from_witness(rec, wit, target)
     assert rep.passed
-    assert scale_multiplicity(rec, cover, target, w) <= 1
+    assert scale_multiplicity(rec, cover, target) <= 1
 
 
 def test_full_pipeline_ratio():
@@ -622,11 +623,11 @@ def test_full_pipeline_ratio():
     w = int_window(1, 500)
     for r in (F(1, 4), F(1, 2)):
         result = run_dimension_pipeline(
-            ratio, ScaleParams(r, 1), w,
+            ratio, ScaleParams(r, 1),
             lambda scale: witness_ratio_minmax(scale, w),
         )
         assert result.passed
-        assert multiplicity(result.lebesgue_cover, w) <= 2
+        assert multiplicity(result.lebesgue_cover) <= 2
 
 
 @pytest.mark.parametrize("space, construct", [
@@ -642,7 +643,7 @@ def test_pipeline_memory_stays_linear(space, construct):
     w = int_window(1, 20000)
     tracemalloc.start()
     try:
-        result = run_dimension_pipeline(space, ScaleParams(F(1, 2), 1), w,
+        result = run_dimension_pipeline(space, ScaleParams(F(1, 2), 1),
                                         lambda scale: construct(scale, w))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -681,7 +682,7 @@ def test_pipeline_sweeps_each_ball_level_once(monkeypatch):
     for _ in range(2):
         pairs[0] = 0
         builds.clear()
-        result = run_dimension_pipeline(ratio, ScaleParams(F(1, 2), 1), w,
+        result = run_dimension_pipeline(ratio, ScaleParams(F(1, 2), 1),
                                         lambda scale: witness_ratio_minmax(scale, w))
         assert result.passed
         assert builds == [(F(1, 8), 2), (F(1, 2), 1), (F(3, 4), 1)]
@@ -705,17 +706,17 @@ def test_lebesgue_cover_from_whole_window_is_trivial():
     rec = reciprocal_product_space()
     w = int_window(1, 40)
     whole = Cover.of([Family.of([list(w)], "whole")], w)
-    out, rep = lebesgue_cover_from_multiplicity(rec, whole, ScaleParams(F(1, 2), 1))
+    bound = derive_bound_params(rec, whole.all_sets(), 1)
+    out, rep = lebesgue_cover_from_multiplicity(rec, whole, ScaleParams(F(1, 2), 1), bound)
     assert rep.passed
-    assert multiplicity(out, w) == 1
+    assert multiplicity(out) == 1
 
 
 def test_refinement_check_examples():
     ratio = ratio_minmax_space()
     w = int_window(1, 200)
     target = ScaleParams(F(1, 2), 1)
-    result = run_dimension_pipeline(ratio, target, w,
-                                    lambda scale: witness_ratio_minmax(scale, w))
+    result = run_dimension_pipeline(ratio, target, lambda scale: witness_ratio_minmax(scale, w))
     # singletons refine anything that covers
     singles = Cover.of([Family.of([[x] for x in w], "singles")], w)
     rep = refinement_via_lebesgue(ratio, singles, result.lebesgue_cover, target)
@@ -752,12 +753,12 @@ def test_pipeline_steps_refuse_a_failing_witness_and_an_uncovering_input():
         multiplicity_cover_from_witness(ratio, uncovering, params)
     with pytest.raises(PreconditionError, match="input must cover the window"):
         lebesgue_cover_from_multiplicity(ratio, Cover.of([Family.of([range(1, 10)])], w),
-                                         params)
+                                         params, params)
     under_min = ratio_minmax_space(MINIMUM)
     scale1 = derived_scale(under_min, params)
     with pytest.raises(PreconditionError, match="input scale multiplicity 3 exceeds the expected 2 "
                                                 f"at r={scale1.r}, t={scale1.t}"):
-        run_dimension_pipeline(under_min, params, w, lambda scale: witness_ratio_minmax(scale, w))
+        run_dimension_pipeline(under_min, params, lambda scale: witness_ratio_minmax(scale, w))
 
 
 def test_pipeline_decides_the_target_lebesgue_pair_once(monkeypatch):
@@ -776,7 +777,7 @@ def test_pipeline_decides_the_target_lebesgue_pair_once(monkeypatch):
     containment = covers._run_containment
     monkeypatch.setattr(covers, "_run_containment",
                         lambda set_runs: indexed.append(set_runs) or containment(set_runs))
-    result = run_dimension_pipeline(rec, ScaleParams(F(1, 2), 1), w,
+    result = run_dimension_pipeline(rec, ScaleParams(F(1, 2), 1),
                                     lambda scale: witness_reciprocal_product(scale, w))
     assert result.passed
     assert len(asked) == 2 and all(c is result.lebesgue_cover for c in asked)
@@ -806,7 +807,7 @@ def test_pipeline_measures_the_witness_scale_multiplicity_once(monkeypatch, spac
     check_points = FuzzyMetricSpace._check_points
     monkeypatch.setattr(FuzzyMetricSpace, "_check_points",
                         lambda self, points: checked.append(points) or check_points(self, points))
-    result = run_dimension_pipeline(space, ScaleParams(F(1, 2), 1), w,
+    result = run_dimension_pipeline(space, ScaleParams(F(1, 2), 1),
                                     lambda scale: construct(scale, w))
     assert result.passed and len(depths) == 2
     assert checked == [w._seq]
@@ -817,8 +818,7 @@ def test_pipeline_refuses_a_t_dependent_space_before_any_work():
     so a t-dependent one is refused before the witness is built."""
     calls = []
     with pytest.raises(UnsupportedOperationError, match="t-independent"):
-        run_dimension_pipeline(standard_space(), ScaleParams(F(1, 2), 1), int_window(-20, 20),
-                               calls.append)
+        run_dimension_pipeline(standard_space(), ScaleParams(F(1, 2), 1), calls.append)
     assert calls == []
 
 

@@ -163,6 +163,32 @@ def test_witness_unknown_kind():
     assert "ERROR ParseError" in out
 
 
+@pytest.mark.parametrize("kind, argv, config", [
+    ("ratio_minmax", ["--space", "ratio_minmax", "--epsilon", "1/8"], None),
+    ("standard", ["--space", "standard"], {"epsilon": "1/8"}),
+    ("reciprocal_product", [], {"space": "reciprocal_product", "epsilon": 0}),
+])
+def test_witness_refuses_an_epsilon_its_kind_does_not_read(tmp_path, kind, argv, config):
+    """Only the ultrametric_standard ball partition has a ball enlargement;
+    an epsilon given for any other kind, by flag or config, even 0, exits
+    2 and names the kind."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out = run_cli(["witness", *argv, "--scale", "1/2:1", "--window", "1..20"])
+    assert (code, out) == (2, "ERROR PreconditionError: epsilon is the ball enlargement of "
+                              f"the ultrametric_standard witness; the {kind} witness takes none\n")
+
+
+def test_witness_reads_epsilon_on_ultrametric_standard():
+    """The given enlargement sets the bound level: r + eps = 1/4 + 1/2."""
+    code, out = run_cli(["witness", "--space", "ultrametric_standard", "--scale", "1/4:10",
+                         "--window", "1..40", "--epsilon", "1/2"])
+    assert code == 0
+    assert "PASS bounded min=10/39 pair=1~29 bound=1/4 r=3/4 t=10\n" in out
+
+
 def test_check_witness_at_grid(tmp_path):
     w_path = tmp_path / "w.json"
     code, _ = run_cli(["witness", "--space", "ratio_minmax", "--scale", "1/2:1",
@@ -401,6 +427,24 @@ def test_a_witness_path_must_be_a_string_and_no_descriptor_is_read(tmp_path):
         assert os.lseek(fd, 0, os.SEEK_CUR) == 0
     finally:
         os.close(fd)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--space", "ratio_minmax", "--witness", "{witness}", "--scale", "1/2:1",
+     "--window", "1..5"],
+    ["coarse", "--space", "standard", "--config", "{config}"],
+    ["coarse", "--window", "1..5", "--config", "{config}"],
+])
+def test_commands_refuse_flags_they_do_not_read(tmp_path, argv):
+    """``check`` reads its window from the witness file and ``coarse``
+    everything from its config, so neither takes those flags: argparse
+    exits 2 with nothing on stdout."""
+    witness, config = tmp_path / "w.json", tmp_path / "coarse.json"
+    assert run_cli(["witness", "--space", "ratio_minmax", "--scale", "1/2:1",
+                    "--window", "1..5", "--witness-out", str(witness)])[0] == 0
+    config.write_text(json.dumps(RATIO_IDENTITY))
+    argv = [arg.format(witness=witness, config=config) for arg in argv]
+    assert run_cli(argv) == (2, "")
 
 
 def test_coarse_requires_config():

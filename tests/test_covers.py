@@ -40,7 +40,6 @@ from fuzzycoarse import (
 )
 from fuzzycoarse.asdim import _components, witness_ratio_minmax, witness_reciprocal_product
 from fuzzycoarse.covers import (
-    CallContext,
     _clean_set,
     _first_shared_point,
     _hull_ordered,
@@ -571,10 +570,10 @@ def test_neighborhood_family_needs_positivity():
 def test_multiplicity_examples():
     w = int_window(1, 3)
     partition = Cover.of([Family.of([[1], [2], [3]])], w)
-    assert multiplicity(partition, w) == 1
+    assert multiplicity(partition) == 1
     overlapping = Cover.of([Family.of([[1, 2], [2, 3]])], w)
-    assert multiplicity(overlapping, w) == 2
-    assert multiplicity(Cover.of([], int_window(1, 1)), int_window(1, 1)) == 0
+    assert multiplicity(overlapping) == 2
+    assert multiplicity(Cover.of([], int_window(1, 1))) == 0
 
 
 def brute_ball(space, x, params, window):
@@ -593,9 +592,9 @@ def test_scale_multiplicity_blocks():
     std = standard_space()
     w = int_window(0, 49)
     cov = Cover.of([Family.of(blocks_cover(0, 49, 10), "blocks")], w)
-    assert scale_multiplicity(std, cov, ScaleParams(F(1, 2), 1), w) == 1
-    assert scale_multiplicity(std, cov, ScaleParams(F(1, 2), 3), w) == 2
-    assert scale_multiplicity(std, cov, ScaleParams(F(1, 2), 3), w) >= multiplicity(cov, w)
+    assert scale_multiplicity(std, cov, ScaleParams(F(1, 2), 1)) == 1
+    assert scale_multiplicity(std, cov, ScaleParams(F(1, 2), 3)) == 2
+    assert scale_multiplicity(std, cov, ScaleParams(F(1, 2), 3)) >= multiplicity(cov)
 
 
 @pytest.mark.parametrize("factory", SPACES)
@@ -606,7 +605,7 @@ def test_scale_multiplicity_matches_brute(factory):
     cov = Cover.of([Family.of(blocks_cover(lo, 12, 4))], w)
     for r, t in [(F(1, 3), 1), (F(1, 2), 2)]:
         p = ScaleParams(r, t)
-        assert scale_multiplicity(space, cov, p, w) == \
+        assert scale_multiplicity(space, cov, p) == \
             brute_scale_multiplicity(space, cov, p, w)
 
 
@@ -626,7 +625,7 @@ def test_scale_multiplicity_reads_one_ball_level(monkeypatch):
     ball_level = FuzzyMetricSpace.ball_level
     monkeypatch.setattr(FuzzyMetricSpace, "ball_level",
                         lambda self, *args: builds.append(args[:2]) or ball_level(self, *args))
-    assert scale_multiplicity(ratio, cov, target, w) == 2
+    assert scale_multiplicity(ratio, cov, target) == 2
     assert builds == [(target.threshold, target.t)]
     assert len(pairs) <= 4 * n
 
@@ -652,7 +651,7 @@ def test_lebesgue_matches_brute(factory):
     for cov in covers:
         for r, t in [(F(1, 3), 1), (F(1, 2), 2), (F(4, 5), 1)]:
             p = ScaleParams(r, t)
-            assert (first_lebesgue_violation(space, cov, p, w) is None) == \
+            assert (first_lebesgue_violation(space, cov, p) is None) == \
                 (brute_lebesgue_violation(space, cov, p, w) is None)
 
 
@@ -678,28 +677,30 @@ def test_lebesgue_examples():
     std = standard_space()
     w = int_window(0, 49)
     whole = Cover.of([Family.of([list(w)])], w)
-    assert first_lebesgue_violation(std, whole, ScaleParams(F(9, 10), 7), w) is None
+    assert first_lebesgue_violation(std, whole, ScaleParams(F(9, 10), 7)) is None
     blocks = Cover.of([Family.of(blocks_cover(0, 49, 10))], w)
-    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 1), w) is None
-    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 3), w) is not None
+    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 1)) is None
+    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 3)) is not None
     non_cover = Cover.of([Family.of([[0, 1]])], w)
     with pytest.raises(PreconditionError):
-        first_lebesgue_violation(std, non_cover, ScaleParams(F(1, 2), 1), w)
+        first_lebesgue_violation(std, non_cover, ScaleParams(F(1, 2), 1))
 
 
-def test_a_failing_lebesgue_check_stops_at_its_first_bad_ball(monkeypatch):
-    """The public check streams the sweep: on 1..4000 the ball of 2 is the
-    first that no singleton holds, and the balls of the other points are
-    never galloped."""
+def test_a_standalone_lebesgue_check_reads_one_ball_level(monkeypatch):
+    """A call without a context makes one and reads its balls from the
+    context's ball level: on 1..4000 the ball of 2 is the first that no
+    singleton holds, and the level of the window is one radial sweep, at
+    most 4 ``pair`` calls per point."""
     ratio = ratio_minmax_space()
-    w = int_window(1, 4000)
+    n = 4000
+    w = int_window(1, n)
     singles = Cover.of([Family.of([(p,) for p in w])], w)
     calls = []
     pair = type(ratio._kind).pair
     monkeypatch.setattr(type(ratio._kind), "pair",
                         lambda self, *args: calls.append(0) or pair(self, *args))
-    assert first_lebesgue_violation(ratio, singles, ScaleParams(F(1, 2), 1), w) == 2
-    assert len(calls) <= 10
+    assert first_lebesgue_violation(ratio, singles, ScaleParams(F(1, 2), 1)) == 2
+    assert len(calls) <= 4 * n
 
 
 def test_refines():
@@ -718,8 +719,8 @@ def test_violation_witnesses():
     w = int_window(0, 49)
     blocks = Cover.of([Family.of(blocks_cover(0, 49, 10))], w)
     # ball(8) at threshold 3 is {6..10}, straddling the first block boundary
-    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 3), w) == 8
-    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 1), w) is None
+    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 3)) == 8
+    assert first_lebesgue_violation(std, blocks, ScaleParams(F(1, 2), 1)) is None
     c = Cover.of([Family.of([[1, 2], [3]])], int_window(1, 3))
     merged = Cover.of([Family.of([[1, 2, 3]])], int_window(1, 3))
     loose = first_refinement_violation(merged, c)
@@ -738,7 +739,7 @@ def test_scale_multiplicity_ignores_points_outside_the_window():
     cov = Cover.of([Family.of([(4,), (8,)])], w)
     p = ScaleParams(F(1, 2), 1)
     # the ball of 5 is {3, 4, 5} on the window; 8 lies outside it
-    assert scale_multiplicity(ratio, cov, p, w) == 1
+    assert scale_multiplicity(ratio, cov, p) == 1
     assert brute_scale_multiplicity(ratio, cov, p, w) == 1
 
 
@@ -748,7 +749,7 @@ def test_lebesgue_ignores_points_outside_the_window():
     cov = Cover.of([Family.of([(2, 7, 8), (4, 5, 6, 9), (1,), (3,)])], w)
     p = ScaleParams(F(1, 4), 1)
     # every window ball is a singleton, so each fits in the set owning it
-    assert first_lebesgue_violation(ratio, cov, p, w) is None
+    assert first_lebesgue_violation(ratio, cov, p) is None
     assert brute_lebesgue_violation(ratio, cov, p, w) is None
 
 
@@ -758,10 +759,10 @@ def test_balls_that_skip_a_window_point():
     w = int_window(0, 2)
     p = ScaleParams(F(2, 3), 1)
     singles = Cover.of([Family.of([(0,), (1,), (2,)])], w)
-    assert scale_multiplicity(space, singles, p, w) == 2
+    assert scale_multiplicity(space, singles, p) == 2
     assert brute_scale_multiplicity(space, singles, p, w) == 2
     split = Cover.of([Family.of([(0, 2), (1,)])], w)
-    assert first_lebesgue_violation(space, split, p, w) is None
+    assert first_lebesgue_violation(space, split, p) is None
     assert brute_lebesgue_violation(space, split, p, w) is None
 
 
@@ -777,9 +778,9 @@ def test_window_points_outside_the_universe_are_refused():
     with pytest.raises(DomainError, match="point -1 is outside the naturals"):
         scale_neighborhood(space, [2], p, w)
     with pytest.raises(DomainError, match="point -1 is outside the naturals"):
-        scale_multiplicity(space, cov, p, w)
+        scale_multiplicity(space, cov, p)
     with pytest.raises(DomainError, match="point -1 is outside the naturals"):
-        first_lebesgue_violation(space, cov, p, w)
+        first_lebesgue_violation(space, cov, p)
     with pytest.raises(DomainError, match="point 0 is outside the naturals"):
         scale_neighborhood(space, [0, 2], p, int_window(1, 3))
 
@@ -800,9 +801,9 @@ def test_member_points_outside_the_universe_are_refused(factory, pair):
     cover = Cover.of([Family.of([pair, range(1, 6)])], five)
     for check in (scale_multiplicity, first_lebesgue_violation):
         with pytest.raises(DomainError, match=match):
-            check(space, cover, p, five)
+            check(space, cover, p)
     with pytest.raises(DomainError, match=match):
-        lebesgue_cover_from_multiplicity(space, cover, p)
+        lebesgue_cover_from_multiplicity(space, cover, p, p)
     with pytest.raises(DomainError, match=match):
         is_uniformly_bounded_family(space, Family.of([pair]), p)
     with pytest.raises(DomainError, match=match):
@@ -823,10 +824,10 @@ def test_members_in_any_order_or_with_repeats():
     p = ScaleParams(F(1, 2), 1)
     messy = Cover.of([Family(((2, 5, 4), (4, 4, 2), (10, 9, 8, 7, 6, 3, 1)))], w)
     clean = Cover.of([Family.of(messy.all_sets())], w)
-    assert multiplicity(messy, w) == multiplicity(clean, w) == 2
-    assert (scale_multiplicity(ratio, messy, p, w) == scale_multiplicity(ratio, clean, p, w)
+    assert multiplicity(messy) == multiplicity(clean) == 2
+    assert (scale_multiplicity(ratio, messy, p) == scale_multiplicity(ratio, clean, p)
             == brute_scale_multiplicity(ratio, messy, p, w))
-    assert (first_lebesgue_violation(ratio, messy, p, w)
+    assert (first_lebesgue_violation(ratio, messy, p)
             == brute_lebesgue_violation(ratio, messy, p, w) == 2)
     runs = Cover.of([Family((range(2, 6),))], w)
     assert first_refinement_violation(runs, messy) == range(2, 6)
@@ -1055,11 +1056,11 @@ def level_scale_multiplicity(cover, window, level):
 def test_ball_level_holds_the_ball_of_each_window_point(data):
     """Item k of a ball level is the run list that ``balls`` yields for
     window point k, on radial, coordinate-decreasing and scan kinds over
-    run, sparse and rational-grid windows; the stages read a level as
-    they read a sweep, and a neighbourhood read from it, with member
-    points outside the window galloped, holds the points of
-    ``scale_neighborhood`` for every member that passes the universe
-    check, which the stages make first."""
+    run, sparse and rational-grid windows; the stages read their balls
+    from it, the Lebesgue check its first ball outside every member, and
+    a neighbourhood read from it, with member points outside the window
+    galloped, holds the points of ``scale_neighborhood`` for every member
+    that passes the universe check, which the stages make first."""
     space, w, outside = data.draw(spaces_and_windows())
     p = data.draw(SCALES)
     level = space.ball_level(p.threshold, p.t, w)
@@ -1069,20 +1070,21 @@ def test_ball_level_holds_the_ball_of_each_window_point(data):
     assert list(level) == list(space.balls(w.points, p.threshold, p.t, w))
     sets = data.draw(member_sets(w, outside, data.draw(st.integers(0, 5))))
     cov = Cover.of(split_into_families(sets, data), w)
-    assert (outcome(scale_multiplicity, space, cov, p, w)
+    assert (outcome(scale_multiplicity, space, cov, p)
             == (refusal(space, cov.all_sets()) or level_scale_multiplicity(cov, w, level)))
     inside = Cover.of([Family.of([s for s in cov.all_sets() if w.holds(s)])], w)
     unions = Family.of([_level_neighborhood(space, s, p, w, level) for s in inside.all_sets()])
-    assert scale_multiplicity(space, inside, p, w) == multiplicity(Cover.of([unions], w), w)
+    assert scale_multiplicity(space, inside, p) == multiplicity(Cover.of([unions], w))
     for s in cov.all_sets():
         if refusal(space, (s,)) is None:
             assert (level_neighborhood_points(space, s, p, w, level)
                     == scale_neighborhood(space, s, p, w))
     if not missing_points(cov.all_sets(), w):
         sets = cov.all_sets()
-        assert (outcome(first_lebesgue_violation, space, cov, p, w)
-                == (refusal(space, sets)
-                    or first_lebesgue_violation(space, cov, p, w, CallContext(space))))
+        balls = [set(w.points_of(runs)) for runs in level]
+        first = next((x for x, ball in zip(w, balls)
+                      if not any(ball <= set(s) for s in sets)), None)
+        assert outcome(first_lebesgue_violation, space, cov, p) == (refusal(space, sets) or first)
 
 
 @given(data=st.data())
@@ -1093,8 +1095,8 @@ def test_scale_multiplicity_runs_scans_and_definition_agree(data):
     cov = Cover.of(split_into_families(sets, data), w)
     p = data.draw(SCALES)
     want = refusal(space, cov.all_sets()) or brute_scale_multiplicity(space, cov, p, w)
-    assert outcome(scale_multiplicity, space, cov, p, w) == want
-    assert outcome(scale_multiplicity, unordered(space), cov, p, w) == want
+    assert outcome(scale_multiplicity, space, cov, p) == want
+    assert outcome(scale_multiplicity, unordered(space), cov, p) == want
 
 
 @given(data=st.data())
@@ -1124,16 +1126,16 @@ def test_lebesgue_runs_scans_and_definition_agree(data):
     refused = refusal(space, members)
     if refused:
         for sp in (space, unordered(space)):
-            assert outcome(first_lebesgue_violation, sp, cov, p, w) == refused
+            assert outcome(first_lebesgue_violation, sp, cov, p) == refused
         return
     if not set(w) <= set().union(*map(set, sets)):
         for sp in (space, unordered(space)):
             with pytest.raises(PreconditionError):
-                first_lebesgue_violation(sp, cov, p, w)
+                first_lebesgue_violation(sp, cov, p)
         return
     want = brute_lebesgue_violation(space, cov, p, w)
-    assert first_lebesgue_violation(space, cov, p, w) == want
-    assert first_lebesgue_violation(unordered(space), cov, p, w) == want
+    assert first_lebesgue_violation(space, cov, p) == want
+    assert first_lebesgue_violation(unordered(space), cov, p) == want
 
 
 @given(data=st.data())
@@ -1265,5 +1267,5 @@ def test_refinement_and_multiplicity_runs_points_and_definition_agree(data):
     assert first_refinement_violation(cov_v, cov_u) == want
     # with no window runs to use, every set is checked point by point
     assert first_refinement_violation(cov_v, Cover(cov_u.families, Window(()))) == want
-    assert multiplicity(cov_v, w) == brute_multiplicity(cov_v, w)
-    assert multiplicity(cov_u, w) == brute_multiplicity(cov_u, w)
+    assert multiplicity(cov_v) == brute_multiplicity(cov_v, w)
+    assert multiplicity(cov_u) == brute_multiplicity(cov_u, w)

@@ -9,12 +9,19 @@ the CLI or a demo, so no public name is called only by tests.
 
 One boundary rule rides along: ``coarse`` and ``asdim`` reach M only
 through the space's tests, never through its kind or integer pair.
+
+Two rules guard against an input with a second source or no reader:
+every option of a CLI subcommand is read by its command, and no function
+of ``covers`` or ``asdim`` takes a window beside a cover, which holds one.
 """
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import fuzzycoarse
+from fuzzycoarse import cli
 
 SOURCES = sorted(Path(fuzzycoarse.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
@@ -113,3 +120,41 @@ def test_coarse_and_asdim_read_neither_the_kind_nor_the_pair_of_a_space():
              for name in [n.id if isinstance(n, ast.Name) else n.attr]
              if name in ("_pair", "_kind")]
     assert reads == []
+
+
+# options read outside the command: ``--out`` by ``_render``, ``--config`` by ``_merged``
+SHARED_OPTIONS = {"help", "out", "config"}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    """Each option of a subcommand is read as ``args.<dest>`` in the body of
+    its ``cmd_*`` function, so argparse refuses a flag the command would
+    ignore."""
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    unread = []
+    for name, parser in subcommands.items():
+        fn = parser.get_default("fn")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        unread += [f"{name} --{a.dest}" for a in parser._actions
+                   if a.dest not in SHARED_OPTIONS | read]
+    assert unread == []
+
+
+def test_no_stage_takes_a_window_beside_a_cover():
+    """A ``Cover`` holds its window, so a function of ``covers`` or
+    ``asdim`` that takes a cover reads the window from it."""
+    both = []
+    for path in SOURCES:
+        if path.name not in ("covers.py", "asdim.py"):
+            continue
+        for fn in _parse(path).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+            covers = [a.arg for a in args if isinstance(a.annotation, ast.Name)
+                      and a.annotation.id == "Cover"]
+            if covers and "window" in {a.arg for a in args}:
+                both.append(f"{path.name}:{fn.lineno}: {fn.name}({', '.join(covers)}, window)")
+    assert both == []

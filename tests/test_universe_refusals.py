@@ -48,10 +48,10 @@ CALLS = {
     "check_uniformly_expansive": lambda f: f(SPACE, SPACE, F_ID, W),
     "coarse_inverse": lambda f: f(SPACE, SPACE, F_ID, P, W, W),
     "derive_bound_params": lambda f: f(SPACE, [(-2, -1)], 1),
-    "first_lebesgue_violation": lambda f: f(SPACE, COVER, P, W),
+    "first_lebesgue_violation": lambda f: f(SPACE, COVER, P),
     "is_bounded": lambda f: f(SPACE, (-2, -1), P),
     "is_uniformly_bounded_family": lambda f: f(SPACE, FAM, P),
-    "lebesgue_cover_from_multiplicity": lambda f: f(SPACE, COVER, P),
+    "lebesgue_cover_from_multiplicity": lambda f: f(SPACE, COVER, P, P),
     "lift_metric_families": lambda f: f(SPACE, [FAM], 3, P, W),
     # the witness must be at the derived scale to reach the points
     "multiplicity_cover_from_witness": lambda f: f(
@@ -63,9 +63,9 @@ CALLS = {
     # it gets ratio_minmax, t-free on the same universe, where min/max of
     # -2 and -1 is 2 and would give a verdict
     "run_dimension_pipeline": lambda f: f(
-        ratio_minmax_space(), P, W, lambda scale: DimensionWitness(0, scale, scale, (FAM,), W)),
+        ratio_minmax_space(), P, lambda scale: DimensionWitness(0, scale, scale, (FAM,), W)),
     "scale_graph": lambda f: f(SPACE, P, W),
-    "scale_multiplicity": lambda f: f(SPACE, COVER, P, W),
+    "scale_multiplicity": lambda f: f(SPACE, COVER, P),
     "scale_neighborhood": lambda f: f(SPACE, (-2, -1), P, W),
     "subspace": lambda f: f(SPACE, (-2, -1)),
     "transport_witness": lambda f: f(SPACE, SPACE, F_ID, WITNESS, P, W),
